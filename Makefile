@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test vet race fuzz shuffle check bench bench-smoke \
-	bench-json cover cover-check bench-compare serve-smoke clean
+	perfbench-check cover cover-check serve-smoke clean
 
 all: build
 
@@ -59,10 +59,11 @@ serve-smoke:
 # out across goroutines, so -race is not optional here), a short fuzz pass
 # over the serialization/loss-channel/LUT targets, a one-iteration
 # benchmark smoke so bench-only code paths cannot rot between bench runs,
-# the per-package coverage floor gate, the cocoad end-to-end smoke, the
-# headline-benchmark regression gate, and the shuffled reruns of the
-# order-sensitive service suites.
-check: vet race fuzz shuffle bench-smoke cover-check serve-smoke bench-compare
+# the repository benchmark's own vet and tests, the per-package coverage
+# floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the
+# order-sensitive service suites. Performance is gated by the repeated,
+# host-normalised perfbench runs that BENCHMARK.json declares, not here.
+check: vet race fuzz shuffle bench-smoke perfbench-check cover-check serve-smoke
 
 # bench regenerates every paper figure at reduced scale, including the
 # serial-vs-parallel engine pair (BenchmarkReplication*).
@@ -74,24 +75,12 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# bench-json refreshes the checked-in benchmark trajectory
-# from a full -benchmem run; see README "Benchmark tracking" for the format.
-BENCHJSON_OUT ?= BENCH_PR10.json
-
-bench-json:
-	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCHJSON_OUT)
-
-# bench-compare re-times just the headline benchmarks (the root package's
-# end-to-end paths plus the telemetry layer's disabled-path record costs)
-# and fails on a >25% regression against the checked-in baseline — in
-# ns/op, and in B/op / allocs/op wherever the baseline carries -benchmem
-# columns.
-BENCH_BASELINE ?= BENCH_PR9.json
-
-bench-compare:
-	{ $(GO) test -run='^$$' -bench='^(BenchmarkReplicationSerial|BenchmarkFig4OdometryOnly|BenchmarkSwarmSim1000)$$' -benchmem . && \
-	  $(GO) test -run='^$$' -bench='^(BenchmarkCounterIncDisabled|BenchmarkHistogramObserveDisabled|BenchmarkSpanSimDisabled)$$' -benchmem ./internal/telemetry ; } \
-		| $(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE)
+# perfbench-check vets and tests the repository benchmark (perfbench/, run
+# as bash perfbench/run.sh; see BENCHMARK.json). It is its own module, so
+# the root ./... patterns never compile it; this step keeps an internal API
+# change from breaking it unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

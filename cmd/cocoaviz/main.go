@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -44,10 +45,17 @@ func run(args []string, w io.Writer) error {
 
 	var svg string
 	if *path {
-		fig5, err := cocoa.RunFig5(cocoa.ExperimentOptions{Seed: *seed, DurationS: *duration})
-		if err != nil {
-			return err
+		var fig5 *cocoa.Fig5Result
+		for _, d := range cocoa.Experiments() {
+			if d.Name == "fig5" {
+				v, err := d.Run(context.Background(), cocoa.ExperimentOptions{Seed: *seed, DurationS: *duration})
+				if err != nil {
+					return err
+				}
+				fig5 = v.(*cocoa.Fig5Result)
+			}
 		}
+		var err error
 		svg, err = viz.PathSVG(fig5.True, fig5.Estimated, geom.Square(200), *pixels)
 		if err != nil {
 			return err

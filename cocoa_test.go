@@ -146,13 +146,10 @@ func TestPublicGeoRouting(t *testing.T) {
 }
 
 func TestPublicCoopPosBaseline(t *testing.T) {
-	rows, err := cocoa.RunBaselineCoopPos(cocoa.ExperimentOptions{
+	rows := runExperiment[[]cocoa.BaselineRow](t, "baseline", cocoa.ExperimentOptions{
 		Seed: 5, DurationS: 150, NumRobots: 10,
 		CalibrationSamples: 40000, GridCellM: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rows))
 	}

@@ -69,7 +69,7 @@ func ExampleRunContext() {
 }
 
 // ExampleExperiments dispatches an experiment through the registry — the
-// uniform, context-aware path that replaces the per-figure free functions.
+// uniform, context-aware path for every figure and extension.
 func ExampleExperiments() {
 	for _, d := range cocoa.Experiments() {
 		if d.Name != "fig9" {
@@ -90,26 +90,33 @@ func ExampleExperiments() {
 	// periods swept: 4
 }
 
-// ExampleRunFig9 regenerates the paper's Figure 9 at a reduced scale and
-// reports its qualitative shape: energy savings grow with the beacon
-// period.
-func ExampleRunFig9() {
-	rows, err := cocoa.RunFig9(cocoa.ExperimentOptions{
-		Seed: 1, DurationS: 120, NumRobots: 10,
-		CalibrationSamples: 40000, GridCellM: 8,
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	grows := true
-	for i := 1; i < len(rows); i++ {
-		if rows[i].SavingsRatio <= rows[i-1].SavingsRatio {
-			grows = false
+// ExampleExperiments_fig9 regenerates the paper's Figure 9 at a reduced
+// scale through the registry — look the descriptor up by name, run it, and
+// type-assert its concrete result — and reports the figure's qualitative
+// shape: energy savings grow with the beacon period.
+func ExampleExperiments_fig9() {
+	for _, d := range cocoa.Experiments() {
+		if d.Name != "fig9" {
+			continue
 		}
+		v, err := d.Run(context.Background(), cocoa.ExperimentOptions{
+			Seed: 1, DurationS: 120, NumRobots: 10,
+			CalibrationSamples: 40000, GridCellM: 8,
+		})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		rows := v.([]cocoa.Fig9Row)
+		grows := true
+		for i := 1; i < len(rows); i++ {
+			if rows[i].SavingsRatio <= rows[i-1].SavingsRatio {
+				grows = false
+			}
+		}
+		fmt.Println("periods swept:", len(rows))
+		fmt.Println("savings grow with T:", grows)
 	}
-	fmt.Println("periods swept:", len(rows))
-	fmt.Println("savings grow with T:", grows)
 	// Output:
 	// periods swept: 4
 	// savings grow with T: true

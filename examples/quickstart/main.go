@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -44,10 +45,18 @@ func run() error {
 		res.TotalEnergyJ, res.NoSleepEnergyJ, res.EnergySavings())
 
 	// The motivation for RF fixes: odometry alone drifts without bound.
-	// Reproduce the paper's Figure 5 with one robot.
-	fig5, err := cocoa.RunFig5(cocoa.ExperimentOptions{Seed: 42, DurationS: 300})
-	if err != nil {
-		return err
+	// Reproduce the paper's Figure 5 with one robot, through the experiment
+	// registry: find the descriptor by name, run it, and type-assert its
+	// concrete result.
+	var fig5 *cocoa.Fig5Result
+	for _, d := range cocoa.Experiments() {
+		if d.Name == "fig5" {
+			v, err := d.Run(context.Background(), cocoa.ExperimentOptions{Seed: 42, DurationS: 300})
+			if err != nil {
+				return err
+			}
+			fig5 = v.(*cocoa.Fig5Result)
+		}
 	}
 	fmt.Println("\nWhy odometry alone is not enough (one robot, 5 minutes):")
 	n := len(fig5.True)

@@ -147,6 +147,9 @@ type Grid struct {
 	plogpOK    bool
 }
 
+// maxCells caps a grid's cell count (32 MiB of float64 belief per robot).
+const maxCells = 4 << 20
+
 // NewGrid builds a uniform belief over the area with the given cell size
 // in meters. The grid dimensions round up to cover the whole area.
 func NewGrid(area geom.Rect, cellSize float64) (*Grid, error) {
@@ -156,11 +159,15 @@ func NewGrid(area geom.Rect, cellSize float64) (*Grid, error) {
 	if cellSize <= 0 {
 		return nil, fmt.Errorf("bayes: cell size %v must be positive", cellSize)
 	}
-	nx := int(math.Ceil(area.Width() / cellSize))
-	ny := int(math.Ceil(area.Height() / cellSize))
-	if nx*ny > 4<<20 {
-		return nil, fmt.Errorf("bayes: grid %dx%d too large", nx, ny)
+	// The cell count is checked in float64, before any int conversion, so
+	// an infinite extent or a product beyond int range cannot wrap under
+	// the cap.
+	fx := math.Ceil(area.Width() / cellSize)
+	fy := math.Ceil(area.Height() / cellSize)
+	if !(fx*fy <= maxCells) {
+		return nil, fmt.Errorf("bayes: grid %gx%g too large", fx, fy)
 	}
+	nx, ny := int(fx), int(fy)
 	g := &Grid{area: area, cellSize: cellSize, nx: nx, ny: ny, p: make([]float64, nx*ny)}
 	g.cx = make([]float64, nx)
 	for ix := range g.cx {

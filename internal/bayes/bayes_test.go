@@ -30,6 +30,10 @@ func TestNewGridValidation(t *testing.T) {
 	if _, err := NewGrid(geom.Square(1e6), 0.1); err == nil {
 		t.Error("accepted absurd grid size")
 	}
+	// 2^32 cells per side: nx*ny wraps to 0 in int arithmetic.
+	if _, err := NewGrid(geom.Square(1<<32), 1); err == nil {
+		t.Error("accepted a grid whose cell count overflows int")
+	}
 }
 
 func TestGridDims(t *testing.T) {

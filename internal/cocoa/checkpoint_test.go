@@ -373,3 +373,55 @@ func TestCheckpointLabelCarried(t *testing.T) {
 		t.Fatalf("label %q lost", snap.Label)
 	}
 }
+
+// Earlier releases carried the MAC index and grid-statistics selectors as
+// Config fields, so snapshots they wrote embed "NeighborIndex" and
+// "GridStats" keys. Both selected result-equivalent reference paths; a
+// snapshot still carrying them must resume to the bytes of an
+// uninterrupted run of the same config.
+func TestResumeIgnoresRetiredConfigKeys(t *testing.T) {
+	cfg := ckptTestConfig()
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, _ := json.Marshal(want)
+
+	team, err := NewTeam(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap *checkpoint.Snapshot
+	team.OnCheckpoint(7, func(s *checkpoint.Snapshot) error {
+		snap = s
+		return checkpoint.ErrStop
+	})
+	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(snap.ConfigJSON, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["NeighborIndex"] = "scan"
+	fields["GridStats"] = "eager"
+	if snap.ConfigJSON, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	// Round-trip through the file encoding, as a state dir would hold it.
+	b, err := checkpoint.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = checkpoint.Unmarshal(b); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := ResumeFrom(context.Background(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(res); string(got) != string(wantBytes) {
+		t.Error("resume of a snapshot with retired config keys diverged from the uninterrupted run")
+	}
+}

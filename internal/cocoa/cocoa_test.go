@@ -3,6 +3,8 @@ package cocoa
 import (
 	"math"
 	"testing"
+
+	"cocoa/internal/geom"
 )
 
 // testConfig returns a reduced-scale configuration that keeps the cocoa
@@ -64,6 +66,9 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative equipped", func(c *Config) { c.NumEquipped = -1 }},
 		{"rf without equipped", func(c *Config) { c.NumEquipped = 0 }},
 		{"degenerate area", func(c *Config) { c.Area.Max = c.Area.Min }},
+		{"infinite area", func(c *Config) {
+			c.Area = geom.Rect{Min: geom.Vec2{X: -1e308, Y: -1e308}, Max: geom.Vec2{X: 1e308, Y: 1e308}}
+		}},
 		{"vmax at floor", func(c *Config) { c.VMax = 0.1 }},
 		{"zero period", func(c *Config) { c.BeaconPeriodS = 0 }},
 		{"window above period", func(c *Config) { c.TransmitPeriodS = c.BeaconPeriodS + 1 }},

@@ -18,6 +18,7 @@ package cocoa
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"cocoa/internal/caltable"
 	"cocoa/internal/energy"
@@ -184,32 +185,12 @@ type Config struct {
 	// degrades SYNC dissemination to plain ODMRP) for the ablation.
 	MRMMPruning bool
 
-	// NeighborIndex selects how the MAC medium finds each frame's
-	// candidate receivers: "grid" (also the "" default) buckets stations
-	// in a uniform spatial hash sized from the radio's plausibility
-	// radius, so swarm-scale teams pay per-frame cost proportional to the
-	// local neighborhood instead of the team size; "scan" forces the O(n)
-	// reference path. The team re-indexes positions every sampling tick
-	// and detaches crashed or powered-off robots, so results are
-	// byte-identical under either setting (see DESIGN.md §12) — the index
-	// is strictly a performance device.
-	NeighborIndex string
-
 	// UpdateWorkers bounds the worker pool that fans per-robot grid
 	// updates within a single run. Per-robot localizer state is disjoint
 	// and each robot's queued beacons are applied in arrival order by one
 	// goroutine, so results are byte-identical at any worker count. 0 (the
 	// default) sizes the pool to GOMAXPROCS; 1 forces serial application.
 	UpdateWorkers int
-
-	// GridStats selects how the Bayesian grid computes its statistics
-	// readouts (estimate, entropy, total probability): "incremental" (also
-	// the "" default) maintains running accumulators updated by each
-	// beacon's touched cells with a drift-bounded full re-sum backstop;
-	// "eager" forces the full-grid scans, the slow reference the
-	// incremental path is equivalence-checked against at 1e-9 (see
-	// DESIGN.md §13). Only the grid localizer reads this knob.
-	GridStats string
 
 	// Checkpoint enables mid-run snapshotting: after every EveryTicks-th
 	// sampling tick the run's state is captured and atomically written to
@@ -305,6 +286,9 @@ func configErrorf(field, format string, args ...any) *ConfigError {
 	return &ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
 // Validate reports whether the configuration is usable. Every failure is a
 // *ConfigError wrapping ErrInvalidConfig.
 func (c Config) Validate() error {
@@ -319,6 +303,8 @@ func (c Config) Validate() error {
 		return configErrorf("NumEquipped", "RF localization needs at least one unequipped robot to localize")
 	case c.Area.Width() <= 0 || c.Area.Height() <= 0:
 		return configErrorf("Area", "degenerate area")
+	case !finite(c.Area.Width()) || !finite(c.Area.Height()):
+		return configErrorf("Area", "%v x %v m is not finite", c.Area.Width(), c.Area.Height())
 	case c.VMax <= 0.1:
 		return configErrorf("VMax", "%v must exceed the paper's 0.1 m/s floor", c.VMax)
 	case c.BeaconPeriodS <= 0:
@@ -351,10 +337,6 @@ func (c Config) Validate() error {
 		return configErrorf("TerrainCellM", "must be positive with terrain enabled")
 	case c.UpdateWorkers < 0:
 		return configErrorf("UpdateWorkers", "negative UpdateWorkers")
-	case c.NeighborIndex != "" && c.NeighborIndex != "grid" && c.NeighborIndex != "scan":
-		return configErrorf("NeighborIndex", "%q must be \"grid\" or \"scan\"", c.NeighborIndex)
-	case c.GridStats != "" && c.GridStats != "incremental" && c.GridStats != "eager":
-		return configErrorf("GridStats", "%q must be \"incremental\" or \"eager\"", c.GridStats)
 	case c.Checkpoint.EveryTicks < 0:
 		return configErrorf("Checkpoint", "negative EveryTicks")
 	case c.Checkpoint.EveryTicks > 0 && c.Checkpoint.Dir == "":

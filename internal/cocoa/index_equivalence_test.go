@@ -1,4 +1,4 @@
-package scenario
+package cocoa_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cocoa/internal/cocoa"
+	"cocoa/internal/scenario"
 	"cocoa/internal/telemetry"
 )
 
@@ -15,19 +16,19 @@ import (
 // byte-identity contract: every experiment must produce the exact same
 // bytes whether the MAC finds receivers through the grid or the O(n)
 // reference scan, at any localizer worker count. This suite is the
-// contract's enforcement — it runs the whole registry under both settings
-// and fails on the first differing byte. make check runs it under -race,
-// which additionally exercises the index against concurrent grid workers.
+// contract's enforcement — it runs the whole registry under both and fails
+// on the first differing byte. make check runs it under -race, which
+// additionally exercises the index against concurrent grid workers. The
+// scan is reachable only through the test-only cocoa.WithScanIndex context.
 
-// equivOpts is the quick scale with index and worker count pinned.
-func equivOpts(index string, workers int) Options {
-	return Options{
+// equivOpts is the quick scale with the worker count pinned.
+func equivOpts(workers int) scenario.Options {
+	return scenario.Options{
 		Seed:               1,
 		DurationS:          300,
 		NumRobots:          12,
 		CalibrationSamples: 60000,
 		GridCellM:          4,
-		NeighborIndex:      index,
 		UpdateWorkers:      workers,
 		Parallelism:        1,
 	}
@@ -37,14 +38,13 @@ func equivOpts(index string, workers int) Options {
 // grid index and with the reference scan, at UpdateWorkers 1 and 8, and
 // requires byte-identical JSON-marshaled results.
 func TestIndexEquivalenceRegistry(t *testing.T) {
-	for _, d := range Experiments() {
-		d := d
+	for _, d := range scenario.Experiments() {
 		t.Run(d.Name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				marshal := func(index string) string {
-					res, err := d.Run(context.Background(), equivOpts(index, workers))
+				marshal := func(ctx context.Context) string {
+					res, err := d.Run(ctx, equivOpts(workers))
 					if err != nil {
-						t.Fatalf("index=%s workers=%d: %v", index, workers, err)
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					b, err := json.Marshal(res)
 					if err != nil {
@@ -52,8 +52,8 @@ func TestIndexEquivalenceRegistry(t *testing.T) {
 					}
 					return string(b)
 				}
-				grid := marshal("grid")
-				scan := marshal("scan")
+				grid := marshal(context.Background())
+				scan := marshal(cocoa.WithScanIndex(context.Background()))
 				if grid != scan {
 					t.Errorf("workers=%d: grid and scan results differ\ngrid: %.400s\nscan: %.400s",
 						workers, grid, scan)
@@ -86,12 +86,10 @@ func TestIndexEquivalenceTelemetry(t *testing.T) {
 	defer telemetry.Default.SetEnabled(wasEnabled)
 	telemetry.Default.SetEnabled(true)
 
-	snap := func(index string) map[string]int64 {
-		cfg := QuickFamilies()["faults"]
-		cfg.NeighborIndex = index
+	snap := func(ctx context.Context) map[string]int64 {
 		before := telemetry.Default.Snapshot()
-		if _, err := cocoa.Run(cfg); err != nil {
-			t.Fatalf("index=%s: %v", index, err)
+		if _, err := cocoa.RunContext(ctx, scenario.QuickFamilies()["faults"]); err != nil {
+			t.Fatal(err)
 		}
 		d := telemetry.Diff(before, telemetry.Default.Snapshot())
 		out := map[string]int64{}
@@ -103,8 +101,8 @@ func TestIndexEquivalenceTelemetry(t *testing.T) {
 		return out
 	}
 
-	grid := snap("grid")
-	scan := snap("scan")
+	grid := snap(context.Background())
+	scan := snap(cocoa.WithScanIndex(context.Background()))
 	if !reflect.DeepEqual(grid, scan) {
 		for name, v := range grid {
 			if scan[name] != v {
@@ -124,25 +122,21 @@ func TestIndexEquivalenceTelemetry(t *testing.T) {
 // regime where a stale grid bucket or a mis-ordered re-insertion would
 // surface. The full Result must still be byte-identical.
 func TestIndexEquivalenceHighCrash(t *testing.T) {
-	run := func(index string) string {
-		cfg := QuickFamilies()["faults"]
-		cfg.Faults.CrashFraction = 0.5
-		cfg.Faults.CrashMeanDownS = float64(cfg.BeaconPeriodS)
-		cfg.NeighborIndex = index
-		res, err := cocoa.Run(cfg)
+	cfg := scenario.QuickFamilies()["faults"]
+	cfg.Faults.CrashFraction = 0.5
+	cfg.Faults.CrashMeanDownS = float64(cfg.BeaconPeriodS)
+	run := func(ctx context.Context) string {
+		res, err := cocoa.RunContext(ctx, cfg)
 		if err != nil {
-			t.Fatalf("index=%s: %v", index, err)
+			t.Fatal(err)
 		}
-		// The Result embeds its Config; the index selector is the one field
-		// allowed (and required) to differ between the two runs.
-		res.Config.NeighborIndex = ""
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(b)
 	}
-	if grid, scan := run("grid"), run("scan"); grid != scan {
+	if grid, scan := run(context.Background()), run(cocoa.WithScanIndex(context.Background())); grid != scan {
 		t.Error("high-crash run differs between grid and scan")
 	}
 }

@@ -76,7 +76,7 @@ func (sc *Scratch) begin(seed int64) (*sim.Simulator, *sim.RNG) {
 // one when its dimensions match (Grid.Reset restores the exact uniform
 // prior a fresh grid starts from) and allocating otherwise. The handed-out
 // grid is always in StatsIncremental mode, NewGrid's default; the caller
-// re-applies any config override.
+// re-applies any reference override.
 func (sc *Scratch) grid(cfg Config) (*bayes.Grid, error) {
 	for i := sc.gridsUsed; i < len(sc.grids); i++ {
 		g := sc.grids[i]
@@ -136,7 +136,7 @@ func RunScratch(ctx context.Context, cfg Config, sc *Scratch) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	team, err := NewTeamScratch(cfg, sc)
+	team, err := newTeam(cfg, sc, referenceFrom(ctx))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cocoa
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,12 +12,10 @@ import (
 // scratchVariants is the configuration matrix the byte-identity suite runs:
 // every localizer backend plus the modes whose state differs structurally
 // (odometry-only allocates no grids at all, faults arm extra streams).
+// "grid-eager" is the base config run on the eager grid statistics.
 func scratchVariants() map[string]Config {
 	base := testConfig()
 	base.DurationS = 150
-
-	eager := base
-	eager.GridStats = "eager"
 
 	ekf := base
 	ekf.Localizer = LocalizerEKF
@@ -37,7 +36,7 @@ func scratchVariants() map[string]Config {
 	hostile.Faults.OutlierProb = 0.05
 
 	return map[string]Config{
-		"grid": base, "grid-eager": eager, "ekf": ekf, "mcl": mcl,
+		"grid": base, "grid-eager": base, "ekf": ekf, "mcl": mcl,
 		"odometry-only": odo, "hostile": hostile,
 	}
 }
@@ -57,14 +56,18 @@ func TestScratchByteIdentity(t *testing.T) {
 	sc := NewScratch()
 	for name, cfg := range scratchVariants() {
 		t.Run(name, func(t *testing.T) {
-			fresh, err := Run(cfg)
+			ctx := context.Background()
+			if name == "grid-eager" {
+				ctx = WithEagerStats(ctx)
+			}
+			fresh, err := RunContext(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := RunScratch(nil, warm, sc); err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunScratch(nil, cfg, sc)
+			got, err := RunScratch(ctx, cfg, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +77,7 @@ func TestScratchByteIdentity(t *testing.T) {
 			// Second pass on the now-warm scratch with a released result:
 			// exercises grid reuse (matching geometry) and result recycling.
 			sc.ReleaseResult(got)
-			again, err := RunScratch(nil, cfg, sc)
+			again, err := RunScratch(ctx, cfg, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,4 +1,4 @@
-package scenario
+package cocoa_test
 
 import (
 	"context"
@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"cocoa/internal/cocoa"
+	"cocoa/internal/scenario"
 )
 
 // The Bayesian grid's incremental statistics accumulators (DESIGN.md §13)
@@ -15,31 +18,16 @@ import (
 // arithmetic), the accumulators legitimately round differently than a fresh
 // scan, so the contract here is numeric closeness, not byte equality. This
 // suite enforces it across the whole registry at UpdateWorkers 1 and 8;
-// make check runs it under -race.
+// make check runs it under -race. The eager path is reachable only through
+// the test-only cocoa.WithEagerStats context.
 
 // statsEquivTol is the accumulator-vs-scan agreement bound from the
 // acceptance criteria, applied relative to the value magnitude.
 const statsEquivTol = 1e-9
 
-// statsEquivOpts is the quick scale with the grid-stats read path and
-// worker count pinned.
-func statsEquivOpts(stats string, workers int) Options {
-	return Options{
-		Seed:               1,
-		DurationS:          300,
-		NumRobots:          12,
-		CalibrationSamples: 60000,
-		GridCellM:          4,
-		GridStats:          stats,
-		UpdateWorkers:      workers,
-		Parallelism:        1,
-	}
-}
-
 // numericallyClose walks two decoded JSON values in lockstep: numbers must
 // agree within statsEquivTol (relative above magnitude 1), everything else
-// must match exactly. The "GridStats" config field is the one key allowed
-// (and required) to differ between the two runs.
+// must match exactly.
 func numericallyClose(path string, a, b any) error {
 	switch av := a.(type) {
 	case map[string]any:
@@ -48,9 +36,6 @@ func numericallyClose(path string, a, b any) error {
 			return fmt.Errorf("%s: shape mismatch", path)
 		}
 		for k, x := range av {
-			if k == "GridStats" {
-				continue
-			}
 			y, ok := bv[k]
 			if !ok {
 				return fmt.Errorf("%s.%s: missing in eager result", path, k)
@@ -94,14 +79,13 @@ func numericallyClose(path string, a, b any) error {
 // UpdateWorkers 1 and 8, and requires every numeric outcome to agree within
 // 1e-9.
 func TestGridStatsEquivalenceRegistry(t *testing.T) {
-	for _, d := range Experiments() {
-		d := d
+	for _, d := range scenario.Experiments() {
 		t.Run(d.Name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				decode := func(stats string) any {
-					res, err := d.Run(context.Background(), statsEquivOpts(stats, workers))
+				decode := func(ctx context.Context) any {
+					res, err := d.Run(ctx, equivOpts(workers))
 					if err != nil {
-						t.Fatalf("gridstats=%s workers=%d: %v", stats, workers, err)
+						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					b, err := json.Marshal(res)
 					if err != nil {
@@ -113,8 +97,8 @@ func TestGridStatsEquivalenceRegistry(t *testing.T) {
 					}
 					return v
 				}
-				inc := decode("incremental")
-				eager := decode("eager")
+				inc := decode(context.Background())
+				eager := decode(cocoa.WithEagerStats(context.Background()))
 				if err := numericallyClose("result", inc, eager); err != nil {
 					t.Errorf("workers=%d: incremental and eager results diverge: %v", workers, err)
 				}

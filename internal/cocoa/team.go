@@ -126,6 +126,33 @@ func NewTeam(cfg Config) (*Team, error) {
 // previous team built on the same scratch (see Scratch). A nil scratch
 // degenerates to NewTeam exactly.
 func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
+	return newTeam(cfg, sc, reference{})
+}
+
+// reference selects slow reference implementations in place of the
+// production paths: the MAC's O(n) receiver scan (mac.IndexScan) instead of
+// the spatial grid, and the Bayesian grid's full-scan statistics
+// (bayes.StatsEager) instead of the incremental accumulators. Both exist
+// only as oracles — results are byte-identical under scan and agree within
+// 1e-9 under eager (DESIGN.md §12, §13) — so only the differential test
+// suites select them, through a context that RunContext and RunScratch read
+// (see export_test.go). The zero value is the production setup.
+type reference struct {
+	scan  bool
+	eager bool
+}
+
+// referenceKey is the context key carrying a reference selection.
+type referenceKey struct{}
+
+// referenceFrom returns the reference selection ctx carries, zero if none.
+func referenceFrom(ctx context.Context) reference {
+	ref, _ := ctx.Value(referenceKey{}).(reference)
+	return ref
+}
+
+// newTeam is NewTeamScratch with an explicit reference selection.
+func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,11 +166,12 @@ func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
 	}
 
 	macCfg := mac.DefaultConfig(cfg.Radio)
-	if cfg.NeighborIndex != "scan" {
-		// Spatial neighbor index (the default): stepRobots re-indexes every
-		// position once per sampling tick, so no station ever drifts more
-		// than VMax * SampleIntervalS from its bucketed position — the
-		// slack that keeps the indexed medium byte-identical to the scan.
+	if !ref.scan {
+		// Spatial neighbor index (the production path; the scan is a test
+		// oracle): stepRobots re-indexes every position once per sampling
+		// tick, so no station ever drifts more than VMax * SampleIntervalS
+		// from its bucketed position — the slack that keeps the indexed
+		// medium byte-identical to the scan.
 		macCfg.NeighborIndex = mac.IndexGrid
 		macCfg.IndexSlackM = cfg.VMax * float64(cfg.SampleIntervalS)
 	}
@@ -229,7 +257,7 @@ func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
 		}
 
 		if !r.equipped {
-			r.loc, err = newLocalizer(cfg, root, id, sc)
+			r.loc, err = newLocalizer(cfg, root, id, sc, ref.eager)
 			if err != nil {
 				return nil, err
 			}
@@ -325,8 +353,9 @@ func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
 }
 
 // newLocalizer builds the configured RF estimation backend for one robot.
-// Grid localizers draw from the scratch's grid arena when sc is non-nil.
-func newLocalizer(cfg Config, root *sim.RNG, id int, sc *Scratch) (Localizer, error) {
+// Grid localizers draw from the scratch's grid arena when sc is non-nil,
+// and read their statistics by full scans when eager is set.
+func newLocalizer(cfg Config, root *sim.RNG, id int, sc *Scratch, eager bool) (Localizer, error) {
 	switch cfg.Localizer {
 	case LocalizerParticle:
 		mc := mcl.DefaultConfig(cfg.Area)
@@ -345,7 +374,7 @@ func newLocalizer(cfg Config, root *sim.RNG, id int, sc *Scratch) (Localizer, er
 		if err != nil {
 			return nil, err
 		}
-		if cfg.GridStats == "eager" {
+		if eager {
 			g.SetStatsMode(bayes.StatsEager)
 		}
 		return g, nil
@@ -857,7 +886,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	team, err := NewTeam(cfg)
+	team, err := newTeam(cfg, nil, referenceFrom(ctx))
 	if err != nil {
 		return nil, err
 	}

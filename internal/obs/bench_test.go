@@ -7,8 +7,8 @@ import (
 
 // The disabled path of every record site must stay free: a nil Progress
 // or Trace pointer degenerates each call to a nil check, with zero
-// allocations. These benchmarks pin that contract (alloc counts are
-// asserted by the 0-allocs test below; timings feed BENCH_PR10.json).
+// allocations. These benchmarks time that contract; the alloc counts are
+// asserted by the 0-allocs test below.
 
 func BenchmarkProgressSetTicksDisabled(b *testing.B) {
 	var p *Progress

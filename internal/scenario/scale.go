@@ -88,14 +88,8 @@ func RunScale(ctx context.Context, opts Options) ([]ScaleRow, error) {
 		if opts.CalibrationSamples > 0 {
 			cfg.Calibration.Samples = opts.CalibrationSamples
 		}
-		if opts.NeighborIndex != "" {
-			cfg.NeighborIndex = opts.NeighborIndex
-		}
 		if opts.UpdateWorkers > 0 {
 			cfg.UpdateWorkers = opts.UpdateWorkers
-		}
-		if opts.GridStats != "" {
-			cfg.GridStats = opts.GridStats
 		}
 		cfgs[i] = cfg
 	}

@@ -43,21 +43,9 @@ type Options struct {
 	// GridCellM overrides the Bayesian grid resolution.
 	GridCellM float64
 
-	// NeighborIndex overrides the MAC's receiver-candidate strategy for
-	// every run of the experiment: "" keeps the config default (the spatial
-	// grid), "grid" forces it, "scan" forces the O(n) reference path.
-	// Either setting yields byte-identical results (DESIGN.md §12); the
-	// differential-equivalence suite runs the whole registry under both.
-	NeighborIndex string
 	// UpdateWorkers overrides the per-run localizer worker pool; 0 keeps
 	// the config default (GOMAXPROCS), 1 forces serial application.
 	UpdateWorkers int
-	// GridStats overrides the Bayesian grid's statistics read path for
-	// every run of the experiment: "" keeps the config default (the
-	// incremental accumulators), "incremental" forces it, "eager" forces
-	// the full-scan reference. The two paths agree within 1e-9 (DESIGN.md
-	// §13); the grid-stats equivalence suite runs the registry under both.
-	GridStats string
 
 	// Parallelism caps how many of an experiment's independent simulation
 	// runs execute concurrently. Every run is seed-deterministic and
@@ -153,14 +141,8 @@ func (o Options) apply(cfg *cocoa.Config) {
 	if o.GridCellM > 0 {
 		cfg.GridCellM = o.GridCellM
 	}
-	if o.NeighborIndex != "" {
-		cfg.NeighborIndex = o.NeighborIndex
-	}
 	if o.UpdateWorkers > 0 {
 		cfg.UpdateWorkers = o.UpdateWorkers
-	}
-	if o.GridStats != "" {
-		cfg.GridStats = o.GridStats
 	}
 }
 

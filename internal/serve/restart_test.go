@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cocoa"
+	"cocoa/internal/checkpoint"
 )
 
 // slowCfg is a deployment heavy enough (dense grid, 40 robots) that its
@@ -118,6 +119,9 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("drain-killed job lost its state: %v", err)
 	}
+	// Leave the state directory as an older release would have: its job
+	// record and snapshot configs carry the retired reference selectors.
+	ageStateDir(t, filepath.Join(stateDir, j.ID()))
 
 	// Instance B: recover, resume, finish.
 	b := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir, CheckpointEveryTicks: 40})
@@ -175,6 +179,69 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// withRetiredKeys returns the JSON document b with "NeighborIndex":"scan"
+// and "GridStats":"eager" added to every config object in it (recognised by
+// its NumRobots key). Older releases carried those Config fields; they
+// selected result-equivalent reference paths and are now ignored.
+func withRetiredKeys(t *testing.T, b []byte) []byte {
+	t.Helper()
+	d := json.NewDecoder(bytes.NewReader(b))
+	d.UseNumber()
+	var doc any
+	if err := d.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var add func(v any)
+	add = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			if _, ok := v["NumRobots"]; ok {
+				v["NeighborIndex"] = "scan"
+				v["GridStats"] = "eager"
+			}
+			for _, x := range v {
+				add(x)
+			}
+		case []any:
+			for _, x := range v {
+				add(x)
+			}
+		}
+	}
+	add(doc)
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(out, []byte(`"NeighborIndex":"scan"`)) {
+		t.Fatalf("no config object in %s", b)
+	}
+	return out
+}
+
+// ageStateDir rewrites a job's job.json and snapshot with the retired
+// config keys, as releases that still had them wrote them.
+func ageStateDir(t *testing.T, dir string) {
+	t.Helper()
+	rec := filepath.Join(dir, "job.json")
+	b, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rec, withRetiredKeys(t, b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, cocoa.CheckpointFile)
+	snap, err := checkpoint.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.ConfigJSON = withRetiredKeys(t, snap.ConfigJSON)
+	if err := checkpoint.WriteFile(ckpt, snap); err != nil {
+		t.Fatal(err)
 	}
 }
 

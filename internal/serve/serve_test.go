@@ -190,6 +190,10 @@ func TestSubmitErrorMapping(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	bad := quickCfg(1)
 	bad.NumRobots = 0
+	// Finite corners whose width overflows to +Inf: once a panic in the
+	// worker, now a validation error naming the field.
+	inf := quickCfg(1)
+	inf.Area = cocoa.Rect{Min: cocoa.Vec2{X: -1e308, Y: -1e308}, Max: cocoa.Vec2{X: 1e308, Y: 1e308}}
 	cfg := quickCfg(1)
 	cases := []struct {
 		name      string
@@ -199,6 +203,7 @@ func TestSubmitErrorMapping(t *testing.T) {
 		wantErr   string
 	}{
 		{"invalid config", JobRequest{Config: &bad}, http.StatusBadRequest, "NumRobots", ""},
+		{"infinite area", JobRequest{Config: &inf}, http.StatusBadRequest, "Area", ""},
 		{"neither", JobRequest{}, http.StatusBadRequest, "", "exactly one"},
 		{"both", JobRequest{Config: &cfg, Experiment: "fig9"}, http.StatusBadRequest, "", "exactly one"},
 		{"unknown experiment", JobRequest{Experiment: "fig99"}, http.StatusBadRequest, "", "unknown experiment"},
@@ -235,6 +240,51 @@ func TestSubmitErrorMapping(t *testing.T) {
 			t.Errorf("status %d, want 404", resp.StatusCode)
 		}
 	})
+}
+
+// A client built against a release that still had Config.NeighborIndex and
+// Config.GridStats may keep sending them. The keys are ignored: the job is
+// accepted and serves the bytes of the same config without them.
+func TestSubmitIgnoresRetiredConfigKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	cfg := quickCfg(2)
+	res, err := cocoa.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(JobRequest{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(withRetiredKeys(t, body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	if end := waitTerminal(t, ts, st.ID); end.State != StateDone {
+		t.Fatalf("state %s (%s)", end.State, end.Error)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("result of a config with retired keys differs from the same config without them")
+	}
 }
 
 // blockingServer wires the runFn seam so tests control job lifetimes.
