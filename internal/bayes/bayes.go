@@ -145,6 +145,10 @@ type Grid struct {
 	plogp      float64 // Σ p·log p at the last entropy re-sum / rescale
 	plogpSum   float64 // Σ p over the same cells, for the entropy identity
 	plogpOK    bool
+
+	// ratio is nearestRatios' per-apply buffer of bin multipliers; it is
+	// not part of the belief state.
+	ratio []float64
 }
 
 // maxCells caps a grid's cell count (32 MiB of float64 belief per robot).
@@ -261,6 +265,7 @@ type radialTable interface {
 func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 	var (
 		dens    []float64
+		ratio   []float64
 		r0, r1  float64
 		invStep float64
 		nearest bool
@@ -274,6 +279,9 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 		r1 = rOuter
 		invStep = 1 / step
 		haveLUT = true
+		if nearest {
+			ratio = g.nearestRatios(dens)
+		}
 	} else if m, ok := pdf.(gaussianMoments); ok && m.IsGaussian() {
 		// Beyond mu +/- 6 sigma a Gaussian density is below the floor.
 		rInner = m.Mean() - 6*m.Std()
@@ -303,7 +311,7 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 		lo, hi := 0, g.nx
 		if bounded {
 			// Conservative (+/- one cell) column interval where the row
-			// can intersect the outer disk; the per-cell d² check below
+			// can intersect the outer disk; the kernels' per-cell d² check
 			// stays authoritative.
 			halfW := math.Sqrt(rOuter2 - dy2)
 			lo = int((bx-halfW-minX)/g.cellSize) - 1
@@ -316,10 +324,10 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 			}
 		}
 		// Inner-hole skip: where the row crosses the inner disk, the middle
-		// columns satisfy |dx| < sqrt(rInner²-dy²) and would fail the d²
-		// check below cell by cell. Conservative (±1 cell) integer bounds
-		// excise that run; the per-cell check stays authoritative, so the
-		// iteration set shrinks but the touched cells are identical.
+		// columns satisfy |dx| < sqrt(rInner²-dy²) and would fail the
+		// kernels' d² check cell by cell. Conservative (±1 cell) integer
+		// bounds excise that run; the per-cell check stays authoritative, so
+		// the iteration set shrinks but the touched cells are identical.
 		s1, s2 := hi, hi
 		if rInner2 > 0 && dy2 < rInner2 {
 			halfH := math.Sqrt(rInner2 - dy2)
@@ -341,93 +349,27 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 			if seg == 1 {
 				start, end = s2, hi
 			}
-			// The cell loop is specialized per density mode: the mode is
-			// fixed for the whole call, and hoisting the dispatch out of
-			// the innermost loop is worth a few percent of the whole
-			// simulation. Each body inlines TabulatedPDF.Density
-			// expression-for-expression (a density > floor multiplies the
-			// cell, anything else leaves it untouched), so the three
-			// variants and the Density-calling reference agree bitwise.
+			// A beacon far outside the area yields an empty or inverted
+			// interval (hi < lo, even hi < 0), which must stay a no-op.
+			if start >= end {
+				continue
+			}
+			// Each density mode runs its own leaf kernel (nearestCells,
+			// lerpCells, densityCells): the mode is fixed for the whole
+			// call, and only a small function whose state is its arguments
+			// keeps the four running sums and the bounds in registers —
+			// ApplyBeacon has too many live values for that.
+			cells, xs := row[start:end], g.cx[start:end]
 			switch {
 			case haveLUT && nearest:
-				for ix := start; ix < end; ix++ {
-					dx := g.cx[ix] - bx
-					d2 := dx*dx + dy2
-					if d2 > rOuter2 || d2 < rInner2 {
-						continue
-					}
-					d := math.Sqrt(d2)
-					if d < r0 || d >= r1 {
-						continue
-					}
-					j := int((d - r0) * invStep)
-					if j >= len(dens) {
-						j = len(dens) - 1
-					}
-					dv := dens[j]
-					if !(dv > constraintFloor) { // negated so NaN densities also skip
-						continue // ratio 1: multiplying would be a bitwise no-op
-					}
-					old := row[ix]
-					nv := old * (dv * invConstraintFloor)
-					row[ix] = nv
-					removed += old
-					added += nv
-					dm := nv - old
-					rowD += dm
-					rowDX += dm * g.cx[ix]
-				}
+				removed, added, rowD, rowDX = nearestCells(cells, xs, ratio,
+					bx, dy2, rInner2, rOuter2, r0, r1, invStep, removed, added, rowD, rowDX)
 			case haveLUT:
-				for ix := start; ix < end; ix++ {
-					dx := g.cx[ix] - bx
-					d2 := dx*dx + dy2
-					if d2 > rOuter2 || d2 < rInner2 {
-						continue
-					}
-					d := math.Sqrt(d2)
-					if d < r0 || d >= r1 {
-						continue
-					}
-					u := (d - r0) * invStep
-					j := int(u)
-					var dv float64
-					if j >= len(dens)-1 {
-						dv = dens[len(dens)-1]
-					} else {
-						dv = dens[j] + (u-float64(j))*(dens[j+1]-dens[j])
-					}
-					if !(dv > constraintFloor) {
-						continue
-					}
-					old := row[ix]
-					nv := old * (dv * invConstraintFloor)
-					row[ix] = nv
-					removed += old
-					added += nv
-					dm := nv - old
-					rowD += dm
-					rowDX += dm * g.cx[ix]
-				}
+				removed, added, rowD, rowDX = lerpCells(cells, xs, dens,
+					bx, dy2, rInner2, rOuter2, r0, r1, invStep, removed, added, rowD, rowDX)
 			default:
-				for ix := start; ix < end; ix++ {
-					dx := g.cx[ix] - bx
-					d2 := dx*dx + dy2
-					if d2 > rOuter2 || d2 < rInner2 {
-						continue
-					}
-					dv := pdf.Density(math.Sqrt(d2))
-					if !(dv > constraintFloor) {
-						continue
-					}
-					old := row[ix]
-					nv := old * (dv * invConstraintFloor)
-					row[ix] = nv
-					removed += old
-					added += nv
-					dm := nv - old
-					rowD += dm
-					rowDX += dm * g.cx[ix]
-				}
+				removed, added, rowD, rowDX = densityCells(cells, xs, pdf,
+					bx, dy2, rInner2, rOuter2, removed, added, rowD, rowDX)
 			}
 		}
 		sumDX += rowDX
@@ -465,6 +407,138 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 	} else {
 		telRenormDefer.Inc()
 	}
+}
+
+// The cell kernels below apply one row segment of a beacon update: cells
+// and cx are the segment's belief cells and their column centers (equal
+// lengths), dy2 is the row's squared y offset, and the four running sums —
+// mass removed and added, and the row's belief delta and its x moment —
+// thread through as arguments and results so they stay in registers. Each
+// kernel inlines TabulatedPDF.Density expression-for-expression (a density
+// above the floor multiplies the cell, anything else leaves it untouched).
+// Each cell's floating-point operations and their order are frozen: the
+// golden files, results_full.txt and the benchmark's kept seed-0 values
+// depend on the exact bits, and TestCalibratedReplayDigest pins them here.
+
+// nearestCells is the nearest-sample kernel (calibrated histograms).
+// ratio is nearestRatios' per-bin multiplier, 0 for bins a cell skips.
+func nearestCells(cells, cx, ratio []float64, bx, dy2, rInner2, rOuter2, r0, r1, invStep,
+	removed, added, rowD, rowDX float64) (float64, float64, float64, float64) {
+	cells = cells[:len(cx)]
+	last := len(ratio) - 1
+	for i, x := range cx {
+		dx := x - bx
+		d2 := dx*dx + dy2
+		if d2 > rOuter2 || d2 < rInner2 {
+			continue
+		}
+		d := math.Sqrt(d2)
+		if d < r0 || d >= r1 {
+			continue
+		}
+		j := int((d - r0) * invStep)
+		if j > last {
+			j = last
+		}
+		r := ratio[j]
+		if r == 0 {
+			continue // ratio 1: multiplying would be a bitwise no-op
+		}
+		old := cells[i]
+		nv := old * r
+		cells[i] = nv
+		removed += old
+		added += nv
+		dm := nv - old
+		rowD += dm
+		rowDX += dm * x
+	}
+	return removed, added, rowD, rowDX
+}
+
+// lerpCells is the linearly interpolated kernel (tabulated Gaussians).
+func lerpCells(cells, cx, dens []float64, bx, dy2, rInner2, rOuter2, r0, r1, invStep,
+	removed, added, rowD, rowDX float64) (float64, float64, float64, float64) {
+	cells = cells[:len(cx)]
+	last := len(dens) - 1
+	for i, x := range cx {
+		dx := x - bx
+		d2 := dx*dx + dy2
+		if d2 > rOuter2 || d2 < rInner2 {
+			continue
+		}
+		d := math.Sqrt(d2)
+		if d < r0 || d >= r1 {
+			continue
+		}
+		u := (d - r0) * invStep
+		j := int(u)
+		var dv float64
+		if j >= last {
+			dv = dens[last]
+		} else {
+			dv = dens[j] + (u-float64(j))*(dens[j+1]-dens[j])
+		}
+		if !(dv > constraintFloor) { // negated so NaN densities also skip
+			continue
+		}
+		old := cells[i]
+		nv := old * (dv * invConstraintFloor)
+		cells[i] = nv
+		removed += old
+		added += nv
+		dm := nv - old
+		rowD += dm
+		rowDX += dm * x
+	}
+	return removed, added, rowD, rowDX
+}
+
+// densityCells is the generic kernel: one Density call per candidate cell,
+// for PDFs without a trusted radial table.
+func densityCells(cells, cx []float64, pdf DistanceDensity, bx, dy2, rInner2, rOuter2,
+	removed, added, rowD, rowDX float64) (float64, float64, float64, float64) {
+	cells = cells[:len(cx)]
+	for i, x := range cx {
+		dx := x - bx
+		d2 := dx*dx + dy2
+		if d2 > rOuter2 || d2 < rInner2 {
+			continue
+		}
+		dv := pdf.Density(math.Sqrt(d2))
+		if !(dv > constraintFloor) {
+			continue
+		}
+		old := cells[i]
+		nv := old * (dv * invConstraintFloor)
+		cells[i] = nv
+		removed += old
+		added += nv
+		dm := nv - old
+		rowD += dm
+		rowDX += dm * x
+	}
+	return removed, added, rowD, rowDX
+}
+
+// nearestRatios rebuilds the grid's ratio buffer for a nearest-mode table:
+// ratio[j] is the multiplier dens[j]*invConstraintFloor a cell in bin j
+// takes — the same product the per-cell update would form — and 0 marks a
+// bin at or below the floor, or NaN, whose cells stay untouched. The
+// buffer is scratch: it grows to the longest table the grid has seen and
+// is neither hashed nor checkpointed.
+func (g *Grid) nearestRatios(dens []float64) []float64 {
+	if cap(g.ratio) < len(dens) {
+		g.ratio = make([]float64, len(dens))
+	}
+	ratio := g.ratio[:len(dens)]
+	for j, dv := range dens {
+		ratio[j] = 0
+		if dv > constraintFloor {
+			ratio[j] = dv * invConstraintFloor
+		}
+	}
+	return ratio
 }
 
 // applyBeaconEager is the retained pre-overhaul reference implementation:

@@ -77,6 +77,29 @@ func BenchmarkApplyBeaconEmpirical(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyBeaconCalibrated replays the production mix: beacons
+// drawn through the default radio model and resolved by the default
+// calibration table (calibratedReplay), so distant senders hit the
+// nearest-mode histogram kernel and close ones the lerp Gaussian kernel
+// (417 and 83 of the 500 replayed beacons). The belief resets every 50
+// applies, like a robot's estimation window.
+func BenchmarkApplyBeaconCalibrated(b *testing.B) {
+	g, err := NewGrid(geom.Square(200), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay := calibratedReplay(b, 500, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(replay)
+		if k%50 == 0 {
+			g.Reset()
+		}
+		g.ApplyBeacon(replay[k].pos, replay[k].pdf)
+	}
+}
+
 func BenchmarkEstimate(b *testing.B) {
 	g, err := NewGrid(geom.Square(200), 2)
 	if err != nil {

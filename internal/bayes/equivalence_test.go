@@ -66,6 +66,14 @@ func maxRelDiff(a, b []float64) float64 {
 	return worst
 }
 
+// outOfAreaBeacons sit 150 m beyond each edge of the 200 m test area —
+// farther than any test PDF's support reaches — so a tabulated PDF's column
+// interval comes out empty or inverted (hi < lo, even hi < 0) on every row
+// it spans; the update must be a no-op there, not a panic.
+var outOfAreaBeacons = []geom.Vec2{
+	{X: -150, Y: 100}, {X: 350, Y: 100}, {X: 100, Y: -150}, {X: 100, Y: 350},
+}
+
 func TestFastPathMatchesEagerReference(t *testing.T) {
 	rng := sim.NewRNG(77).Stream("equiv")
 	pdfs := testPDFs(t)
@@ -73,8 +81,12 @@ func TestFastPathMatchesEagerReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fast, _ := NewGrid(geom.Square(200), 2)
 			ref, _ := NewGrid(geom.Square(200), 2)
+			beacons := make([]geom.Vec2, 0, 6+len(outOfAreaBeacons))
 			for b := 0; b < 6; b++ {
-				pos := geom.Vec2{X: rng.Uniform(-10, 210), Y: rng.Uniform(-10, 210)}
+				beacons = append(beacons, geom.Vec2{X: rng.Uniform(-10, 210), Y: rng.Uniform(-10, 210)})
+			}
+			beacons = append(beacons, outOfAreaBeacons...)
+			for b, pos := range beacons {
 				fast.ApplyBeacon(pos, pdf)
 				ref.applyBeaconEager(pos, pdf)
 				if fast.BeaconCount() != ref.BeaconCount() {
