@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGridIndex -fuzztime=$(FUZZTIME) ./internal/mac
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 
 # shuffle reruns the stateful service/runner suites twice in random order:
 # the runner and serve packages keep cross-test state (scratch pools, a
@@ -57,7 +58,7 @@ serve-smoke:
 # check is the gate a change must pass before it lands: static analysis,
 # the full suite under the race detector (the experiment engine fans runs
 # out across goroutines, so -race is not optional here), a short fuzz pass
-# over the serialization/loss-channel/LUT targets, a one-iteration
+# over the serialization/loss-channel/LUT/RNG-seeding targets, a one-iteration
 # benchmark smoke so bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
 # floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the

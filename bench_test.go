@@ -381,3 +381,27 @@ func benchmarkSwarm(b *testing.B, n int) {
 func BenchmarkSwarmSim100(b *testing.B)  { benchmarkSwarm(b, 100) }
 func BenchmarkSwarmSim500(b *testing.B)  { benchmarkSwarm(b, 500) }
 func BenchmarkSwarmSim1000(b *testing.B) { benchmarkSwarm(b, 1000) }
+
+// BenchmarkNewTeamSwarm1000 times team construction alone for the
+// 1000-robot swarm, cycling eight config seeds as the swarm-1000 workload
+// does: per-robot RNG stream derivation and seeding, robot and MAC
+// allocation. Every seed's calibration table is built before the timer,
+// so the loop never calibrates.
+func BenchmarkNewTeamSwarm1000(b *testing.B) {
+	cfgs := make([]cocoa.Config, 8)
+	for i := range cfgs {
+		cfgs[i] = cocoa.SwarmConfig(1000)
+		cfgs[i].Calibration.Samples = 80000
+		cfgs[i].Seed = int64(i + 1)
+		if _, err := cocoa.NewTeam(cfgs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cocoa.NewTeam(cfgs[i%len(cfgs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

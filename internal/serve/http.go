@@ -5,6 +5,7 @@ package serve
 //	400  invalid config (field + reason) or malformed request
 //	404  unknown job ID
 //	409  result requested before the job reached the done state
+//	413  submit body larger than maxSubmitBody
 //	429  queue full (Retry-After hints when to resubmit)
 //	503  draining after SIGTERM (Retry-After; try another replica)
 //
@@ -105,9 +106,19 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
+// maxSubmitBody caps a POST /v1/jobs body. A full Config or experiment
+// request encodes to a few kilobytes, so 1 MiB never rejects a real job
+// while keeping a client from streaming an unbounded body into the decoder.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

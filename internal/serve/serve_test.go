@@ -242,6 +242,49 @@ func TestSubmitErrorMapping(t *testing.T) {
 	})
 }
 
+// A submit body over maxSubmitBody is refused with 413 and a JSON error
+// before it reaches the decoder's buffer; the same config at its normal
+// size is accepted.
+func TestSubmitBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	cfg := quickCfg(1)
+	b, err := json.Marshal(JobRequest{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > maxSubmitBody/100 {
+		t.Fatalf("config body is %d bytes, not far below the %d-byte cap", len(b), maxSubmitBody)
+	}
+	post := func(body []byte, out any) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp.StatusCode
+	}
+	// Leading whitespace keeps the JSON valid, so only the size differs.
+	padded := append(bytes.Repeat([]byte(" "), maxSubmitBody), b...)
+	var eb errorBody
+	if code := post(padded, &eb); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", code)
+	}
+	if !strings.Contains(eb.Error, "exceeds") {
+		t.Errorf("oversized body error %q", eb.Error)
+	}
+	var st JobStatus
+	if code := post(b, &st); code != http.StatusAccepted {
+		t.Fatalf("normal body: status %d, want 202", code)
+	}
+	if st.ID == "" {
+		t.Error("accepted job has no ID")
+	}
+}
+
 // A client built against a release that still had Config.NeighborIndex and
 // Config.GridStats may keep sending them. The keys are ignored: the job is
 // accepted and serves the bytes of the same config without them.

@@ -32,19 +32,24 @@ type RNG struct {
 
 // NewRNG returns a root random stream for the given seed. The underlying
 // source is the in-package lagged-Fibonacci reimplementation (see lfg.go),
-// bit-identical to rand.NewSource but ~10× cheaper to construct.
+// bit-identical to rand.NewSource but seeded in O(1): its state words are
+// computed on demand, so a stream pays only for the words it reads.
 func NewRNG(seed int64) *RNG {
 	src := newSource(seed)
 	return &RNG{seed: uint64(seed), r: rand.New(src), src: src}
 }
 
 // HashState folds this stream's full generator state — the derivation seed
-// plus the lagged-Fibonacci feedback vector and taps — into h.
+// plus the lagged-Fibonacci feedback vector and taps — into h. Words the
+// source has not materialized yet are hashed at their post-Seed values, so
+// the digest is the one an eagerly seeded source would give.
 func (g *RNG) HashState(h *checkpoint.Hasher) {
 	h.U64(g.seed)
 	h.Int(g.src.tap)
 	h.Int(g.src.feed)
-	for _, v := range g.src.vec {
+	var vec [lfgLen]int64
+	g.src.state(&vec)
+	for _, v := range vec {
 		h.I64(v)
 	}
 }
@@ -128,12 +133,12 @@ func (g *RNG) StreamN(name string, n int) *RNG {
 // RNGPool recycles RNG streams across consecutive runs. A run's streams are
 // its single largest construction allocation (each lagged-Fibonacci source
 // carries a ~5 KB state vector, and a team creates several streams per
-// robot), yet a reseed is a complete state reset: rand.Rand.Seed clears the
-// Rand's cached values and lfgSource.Seed rewrites the whole feedback
-// vector. The pool therefore keeps every stream it ever handed out and, on
-// Recycle, simply marks them all free; the next run's derivations reseed
-// them in place, producing sequences bit-identical to freshly constructed
-// streams.
+// robot), yet a reseed is a complete O(1) state reset: rand.Rand.Seed
+// clears the Rand's cached values and lfgSource.Seed marks every feedback
+// word pending, so stale words are recomputed before any draw reads them.
+// The pool therefore keeps every stream it ever handed out and, on Recycle,
+// simply marks them all free; the next run's derivations reseed them in
+// place, producing sequences bit-identical to freshly constructed streams.
 //
 // A pool serves one run at a time: Recycle must not be called while any
 // stream from the previous handout can still draw. The zero value is not

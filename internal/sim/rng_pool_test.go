@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"cocoa/internal/checkpoint"
+)
 
 // drawSome exercises every distribution once and returns the samples, so a
 // pooled stream can be compared draw-for-draw against a fresh one.
@@ -16,25 +20,50 @@ func drawSome(g *RNG) [6]float64 {
 }
 
 // A pooled root and its derived streams must be bit-identical to freshly
-// constructed ones — the property the scratch reuse path rests on.
+// constructed ones — the property the scratch reuse path rests on. Each
+// round leaves its odometry/mac/team streams drawn exactly a count around
+// a refill block edge (16), the end of the pristine tap words (273) or
+// full materialization (334), so the next round reseeds half-materialized
+// streams.
 func TestRNGPoolBitIdenticalToFresh(t *testing.T) {
+	tree := func(g *RNG) uint64 {
+		h := checkpoint.NewHasher()
+		g.HashTree(h)
+		return h.Sum()
+	}
 	p := NewRNGPool()
-	for round, seed := range []int64{42, -7, 42} {
+	for round, draws := range []int{0, 15, 16, 17, 272, 273, 274, 333, 334, 335, 0} {
+		seed := []int64{42, -7}[round%2]
 		p.Recycle()
 		fresh := NewRNG(seed)
 		pooled := p.Root(seed)
 		if got, want := drawSome(pooled), drawSome(fresh); got != want {
 			t.Fatalf("round %d: root draws %v, want %v", round, got, want)
 		}
+		var streams [][2]*RNG
 		for _, name := range []string{"mac", "team"} {
-			if got, want := drawSome(pooled.Stream(name)), drawSome(fresh.Stream(name)); got != want {
-				t.Fatalf("round %d: stream %q draws %v, want %v", round, name, got, want)
-			}
+			streams = append(streams, [2]*RNG{pooled.Stream(name), fresh.Stream(name)})
 		}
 		for n := 0; n < 3; n++ {
-			if got, want := drawSome(pooled.StreamN("odometry", n)), drawSome(fresh.StreamN("odometry", n)); got != want {
-				t.Fatalf("round %d: streamN %d draws %v, want %v", round, n, got, want)
+			streams = append(streams, [2]*RNG{pooled.StreamN("odometry", n), fresh.StreamN("odometry", n)})
+		}
+		if tree(pooled) != tree(fresh) {
+			t.Fatalf("round %d: reseeded tree digest differs from fresh", round)
+		}
+		for i, s := range streams {
+			for k := 0; k < draws; k++ {
+				if g, w := s[0].r.Int63(), s[1].r.Int63(); g != w {
+					t.Fatalf("round %d: stream %d draw %d = %d, want %d", round, i, k, g, w)
+				}
 			}
+		}
+		if tree(pooled) != tree(fresh) {
+			t.Fatalf("round %d: tree digest after %d draws differs from fresh", round, draws)
+		}
+		// One more stream per round checks the distributions on a reseed;
+		// it is never left at a particular draw count.
+		if got, want := drawSome(pooled.Stream("dist")), drawSome(fresh.Stream("dist")); got != want {
+			t.Fatalf("round %d: stream dist draws %v, want %v", round, got, want)
 		}
 	}
 }
