@@ -64,7 +64,6 @@ func run(args []string) error {
 		debugAddr    = fs.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this private address")
 		smoke        = fs.String("smoke", "", "run the golden smoke check against this testdata file and exit")
 		stateDir     = fs.String("state-dir", "", "persist job state beneath this directory and resume interrupted jobs on startup")
-		ckptEvery    = fs.Int("checkpoint-every", 0, "snapshot cadence in sampling ticks for durable jobs (0 = default cadence)")
 	)
 	logOpts := obs.AddLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -85,13 +84,12 @@ func run(args []string) error {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:              *workers,
-		QueueDepth:           *queueDepth,
-		DefaultTimeout:       *jobTimeout,
-		MaxTimeout:           *maxTimeout,
-		StateDir:             *stateDir,
-		CheckpointEveryTicks: *ckptEvery,
-		Logger:               logger,
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		DefaultTimeout: *jobTimeout,
+		MaxTimeout:     *maxTimeout,
+		StateDir:       *stateDir,
+		Logger:         logger,
 	})
 
 	if *smoke != "" {

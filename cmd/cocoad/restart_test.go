@@ -114,14 +114,14 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Daemon A: submit, wait for the first snapshot, SIGTERM. The tiny
-	// drain timeout turns the graceful drain into the hard kill a slow
-	// job would see from an impatient init system.
+	// Daemon A: submit, wait until the job is 40 ticks in, SIGTERM. The
+	// tiny drain timeout turns the graceful drain into the hard kill a
+	// slow job would see from an impatient init system; the interrupted
+	// job writes its snapshot at the tick where it stops.
 	bufA := &syncBuf{}
 	stderr = bufA
 	urlA, doneA := startDaemon(t, bufA, "-addr", "127.0.0.1:0",
-		"-state-dir", stateDir, "-checkpoint-every", "40",
-		"-workers", "1", "-drain-timeout", "1ms")
+		"-state-dir", stateDir, "-workers", "1", "-drain-timeout", "1ms")
 	body, err := json.Marshal(serve.JobRequest{Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -138,28 +138,38 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	ckpt := filepath.Join(stateDir, st.ID, "latest.ckpt")
 	for deadline := time.Now().Add(60 * time.Second); ; {
-		if _, err := os.Stat(ckpt); err == nil {
+		r, err := http.Get(urlA + "/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur serve.JobStatus
+		err = json.NewDecoder(r.Body).Decode(&cur)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Tick >= 40 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot at %s", ckpt)
+		if cur.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job never reached tick 40: state %s tick %d", cur.State, cur.Tick)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	if err := sigterm(t, doneA); err != nil {
 		t.Fatalf("daemon A exit: %v", err)
 	}
+	ckpt := filepath.Join(stateDir, st.ID, "latest.ckpt")
 	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("state lost across SIGTERM: %v", err)
+		t.Fatalf("SIGTERM left no snapshot: %v", err)
 	}
 
 	// Daemon B: same state directory; the job must come back by itself.
 	bufB := &syncBuf{}
 	stderr = bufB
 	urlB, doneB := startDaemon(t, bufB, "-addr", "127.0.0.1:0",
-		"-state-dir", stateDir, "-checkpoint-every", "40", "-workers", "1")
+		"-state-dir", stateDir, "-workers", "1")
 	if want := `msg="resuming job from state dir" job=` + st.ID; !bytes.Contains([]byte(bufB.String()), []byte(want)) {
 		t.Fatalf("daemon B did not announce recovery; stderr:\n%s", bufB.String())
 	}
@@ -187,6 +197,9 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 	}
 	if fin.State != serve.StateDone || !fin.Resumed {
 		t.Fatalf("recovered job: state=%s resumed=%v (%s)", fin.State, fin.Resumed, fin.Error)
+	}
+	if !bytes.Contains([]byte(bufB.String()), []byte(`msg="resuming from snapshot"`)) {
+		t.Fatalf("daemon B did not verify against the snapshot; stderr:\n%s", bufB.String())
 	}
 	r, err := http.Get(urlB + "/v1/jobs/" + st.ID + "/result")
 	if err != nil {

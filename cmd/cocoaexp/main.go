@@ -72,8 +72,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		traceOut  = fs.String("trace", "", "write a runtime execution trace to this file")
 		telemOut  = fs.String("telemetry", "", "enable runtime telemetry and write the final snapshot as JSON to this file")
 		debugAddr = fs.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060")
-		ckptDir   = fs.String("checkpoint", "", "persist resumable snapshots beneath this directory, one run-<index>/latest.ckpt per sweep run")
-		ckptEvery = fs.Int("checkpoint-every", 0, "snapshot cadence in sampling ticks (0 = default cadence)")
+		ckptDir   = fs.String("checkpoint", "", "on interrupt (SIGINT/SIGTERM), persist resumable snapshots beneath this directory, one run-<index>/latest.ckpt per in-flight sweep run")
 		resumeCk  = fs.String("resume", "", "resume one interrupted run from this snapshot file and print its summary (ignores -fig)")
 	)
 	logOpts := obs.AddLogFlags(fs)
@@ -121,7 +120,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		opts.GridCellM = 4
 	}
 	opts.CheckpointDir = *ckptDir
-	opts.CheckpointEvery = *ckptEvery
 	opts.Parallelism = *parallel
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = cocoa.MaxParallelism()
@@ -175,7 +173,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 }
 
 // resumeRun continues one interrupted simulation run from a snapshot file:
-// provenance first (label, capture tick, per-subsystem digests), then the
+// provenance first (capture tick, per-subsystem digests), then the
 // completed run's summary. A replay that no longer matches the snapshot is
 // reported as the divergence it is — per diverged subsystem — rather than
 // as a generic failure.
@@ -184,11 +182,7 @@ func resumeRun(ctx context.Context, path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "snapshot %s: tick %d, t=%.0fs", path, snap.TickIndex, snap.SimNowS)
-	if snap.Label != "" {
-		fmt.Fprintf(w, ", label %q", snap.Label)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "snapshot %s: tick %d, t=%.0fs\n", path, snap.TickIndex, snap.SimNowS)
 	for _, d := range snap.Digests {
 		fmt.Fprintf(w, "  digest %-10s %016x\n", d.Name, d.Sum)
 	}

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cocoa"
 	"cocoa/internal/checkpoint"
+	"cocoa/internal/checkpoint/difftest"
 )
 
 func TestRunSingleFigureQuick(t *testing.T) {
@@ -169,10 +172,28 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
+// interruptSweep runs the quick Figure 9 sweep serially with -checkpoint,
+// interrupts it in its first run, and returns the one snapshot it leaves.
+func interruptSweep(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := run(difftest.PollCanceled(20), []string{"-quick", "-fig", "9", "-parallel", "1", "-checkpoint", dir}, &buf)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted sweep: err=%v, want context.Canceled", err)
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, "run-*", "latest.ckpt"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("interrupted serial sweep left snapshots %v (err=%v), want one", matches, err)
+	}
+	return matches[0]
+}
+
 // TestRunCheckpointSweepAndResume drives the operational loop end to end:
-// a quick sweep persists per-run snapshots, then -resume continues one of
-// them and reports its provenance. The sweep output itself must be
-// unchanged by checkpointing.
+// an uninterrupted sweep's output is unchanged by -checkpoint and leaves no
+// snapshot; an interrupted one leaves the in-flight run's snapshot, and
+// -resume reports its provenance and completes it to the uninterrupted
+// run's result.
 func TestRunCheckpointSweepAndResume(t *testing.T) {
 	dir := t.TempDir()
 	var plain, ckpt bytes.Buffer
@@ -180,7 +201,7 @@ func TestRunCheckpointSweepAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), []string{"-quick", "-fig", "9", "-parallel", "1",
-		"-checkpoint", dir, "-checkpoint-every", "60"}, &ckpt); err != nil {
+		"-checkpoint", dir}, &ckpt); err != nil {
 		t.Fatal(err)
 	}
 	stripWall := func(s string) string {
@@ -193,17 +214,31 @@ func TestRunCheckpointSweepAndResume(t *testing.T) {
 	if stripWall(plain.String()) != stripWall(ckpt.String()) {
 		t.Fatalf("checkpointing changed experiment output:\n%s\n%s", plain.String(), ckpt.String())
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, "run-*", "latest.ckpt"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("sweep left no snapshots (err=%v)", err)
+	if matches, _ := filepath.Glob(filepath.Join(dir, "run-*", "latest.ckpt")); len(matches) != 0 {
+		t.Fatalf("uninterrupted sweep left snapshots %v", matches)
+	}
+
+	path := interruptSweep(t)
+	snap, err := cocoa.ReadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cocoa.ConfigFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := cocoa.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-resume", matches[0]}, &out); err != nil {
+	if err := run(context.Background(), []string{"-resume", path}, &out); err != nil {
 		t.Fatalf("resume: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"digest sim", "digest rng", "resumed to completion"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("resume output missing %q:\n%s", want, out.String())
+	want := fmt.Sprintf("resumed to completion: mean error %.2f m over %d samples", full.MeanError(), len(full.Times))
+	for _, s := range []string{"digest sim", "digest rng", want} {
+		if !strings.Contains(out.String(), s) {
+			t.Errorf("resume output missing %q:\n%s", s, out.String())
 		}
 	}
 }
@@ -211,17 +246,8 @@ func TestRunCheckpointSweepAndResume(t *testing.T) {
 // TestRunResumeDivergenceReport corrupts a snapshot digest and requires
 // the CLI to name the diverged subsystem instead of failing opaquely.
 func TestRunResumeDivergenceReport(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "9", "-parallel", "1",
-		"-checkpoint", dir, "-checkpoint-every", "60"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "run-*", "latest.ckpt"))
-	if len(matches) == 0 {
-		t.Fatal("no snapshots")
-	}
-	snap, err := checkpoint.ReadFile(matches[0])
+	path := interruptSweep(t)
+	snap, err := checkpoint.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +256,11 @@ func TestRunResumeDivergenceReport(t *testing.T) {
 			snap.Digests[i].Sum ^= 1
 		}
 	}
-	if err := checkpoint.WriteFile(matches[0], snap); err != nil {
+	if err := checkpoint.WriteFile(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err = run(context.Background(), []string{"-resume", matches[0]}, &out)
+	err = run(context.Background(), []string{"-resume", path}, &out)
 	if err == nil {
 		t.Fatal("tampered snapshot resumed successfully")
 	}

@@ -9,11 +9,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"cocoa"
 	"cocoa/internal/eventlog"
@@ -35,13 +38,17 @@ func writeFile(path string, fn func(io.Writer) error) error {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// Interrupt or SIGTERM stops the run cooperatively at its next
+	// sampling tick; with -checkpoint it leaves a resumable snapshot.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cocoasim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, w io.Writer) error {
+func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cocoasim", flag.ContinueOnError)
 	var (
 		mode        = fs.String("mode", "cocoa", "localization mode: odometry | rf | cocoa")
@@ -65,8 +72,7 @@ func run(args []string, w io.Writer) error {
 		robotsFile  = fs.String("robots-out", "", "also write the per-robot error matrix CSV to this file")
 		sampleEvery = fs.Int("every", 60, "series print cadence in samples (non-CSV)")
 		printConfig = fs.Bool("print-config", false, "print the assembled Config as JSON and exit (pipe into cocoad)")
-		ckptDir     = fs.String("checkpoint", "", "persist a resumable snapshot (latest.ckpt) into this directory during the run")
-		ckptEvery   = fs.Int("checkpoint-every", 0, "snapshot cadence in sampling ticks (0 = default cadence)")
+		ckptDir     = fs.String("checkpoint", "", "on interrupt (SIGINT/SIGTERM), persist a resumable snapshot (latest.ckpt) into this directory")
 		resumePath  = fs.String("resume", "", "resume from this snapshot file instead of starting a new run (other config flags are ignored)")
 		traceOut    = fs.String("trace-out", "", "record a span timeline and write it as Chrome trace-event JSON to this file (load in Perfetto)")
 	)
@@ -115,9 +121,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown mode %q (want odometry | rf | cocoa)", *mode)
 	}
 
-	if *ckptDir != "" {
-		cfg.Checkpoint = cocoa.CheckpointSpec{EveryTicks: *ckptEvery, Dir: *ckptDir}
-	}
+	cfg.CheckpointDir = *ckptDir
 
 	if *printConfig {
 		enc := json.NewEncoder(w)
@@ -134,8 +138,8 @@ func run(args []string, w io.Writer) error {
 	var team *cocoa.Team
 	if *resumePath != "" {
 		// Resume mode: the snapshot's embedded config replaces the flag
-		// assembly above wholesale; only the operational checkpoint flags
-		// carry over (so a resumed run can keep snapshotting).
+		// assembly above wholesale; only the operational checkpoint flag
+		// carries over (so a resumed run interrupted again leaves a snapshot).
 		snap, rerr := cocoa.ReadSnapshot(*resumePath)
 		if rerr != nil {
 			return rerr
@@ -144,14 +148,12 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *ckptDir != "" {
-			cfg.Checkpoint = cocoa.CheckpointSpec{EveryTicks: *ckptEvery, Dir: *ckptDir}
-		}
+		cfg.CheckpointDir = *ckptDir
 		if tracer != nil {
 			cfg.Trace = tracer
 		}
 		logger.Info("resuming from snapshot", "path", *resumePath,
-			"tick", snap.TickIndex, "sim_s", snap.SimNowS, "label", snap.Label)
+			"tick", snap.TickIndex, "sim_s", snap.SimNowS)
 		team, err = cocoa.ResumeTeam(cfg, snap)
 	} else {
 		team, err = cocoa.NewTeam(cfg)
@@ -170,7 +172,7 @@ func run(args []string, w io.Writer) error {
 		evWriter = eventlog.NewWriter(evFile)
 		team.Observe(evWriter.Observer())
 	}
-	res, err := team.Run()
+	res, err := team.RunContext(ctx)
 	if err != nil {
 		return err
 	}

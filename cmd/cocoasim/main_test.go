@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
 	"cocoa"
+	"cocoa/internal/checkpoint/difftest"
 )
 
 // fastArgs shrinks a run so the CLI tests stay quick.
@@ -21,7 +24,7 @@ func fastArgs(extra ...string) []string {
 
 func TestRunCoCoAMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-mode", "cocoa"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-mode", "cocoa"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -34,7 +37,7 @@ func TestRunCoCoAMode(t *testing.T) {
 
 func TestRunOdometryMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-mode", "odometry"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-mode", "odometry"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -48,7 +51,7 @@ func TestRunOdometryMode(t *testing.T) {
 
 func TestRunRFMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-mode", "rf"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-mode", "rf"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mode=rf-only") {
@@ -58,7 +61,7 @@ func TestRunRFMode(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-csv"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-csv"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -72,28 +75,28 @@ func TestRunCSV(t *testing.T) {
 
 func TestRunRejectsBadMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-mode", "teleport"), &buf); err == nil {
+	if err := run(context.Background(), fastArgs("-mode", "teleport"), &buf); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-no-such-flag"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"-no-such-flag"}, &buf); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-equipped", "999"), &buf); err == nil {
+	if err := run(context.Background(), fastArgs("-equipped", "999"), &buf); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestRunJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-json"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-json"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -109,7 +112,7 @@ func TestRunSeriesFiles(t *testing.T) {
 	series := dir + "/series.csv"
 	robots := dir + "/robots.csv"
 	var buf bytes.Buffer
-	if err := run(fastArgs("-series", series, "-robots-out", robots), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-series", series, "-robots-out", robots), &buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{series, robots} {
@@ -125,14 +128,14 @@ func TestRunSeriesFiles(t *testing.T) {
 
 func TestRunSeriesFileError(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-series", "/no/such/dir/x.csv"), &buf); err == nil {
+	if err := run(context.Background(), fastArgs("-series", "/no/such/dir/x.csv"), &buf); err == nil {
 		t.Fatal("unwritable series path accepted")
 	}
 }
 
 func TestRunUncoordinated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-no-coordination"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-no-coordination"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "1.0x savings") {
@@ -144,7 +147,7 @@ func TestRunEventsFile(t *testing.T) {
 	dir := t.TempDir()
 	events := dir + "/events.jsonl"
 	var buf bytes.Buffer
-	if err := run(fastArgs("-events", events), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-events", events), &buf); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(events)
@@ -163,19 +166,19 @@ func TestRunEventsFile(t *testing.T) {
 func TestRunLocalizerBackends(t *testing.T) {
 	for _, backend := range []string{"particle", "ekf"} {
 		var buf bytes.Buffer
-		if err := run(fastArgs("-localizer", backend), &buf); err != nil {
+		if err := run(context.Background(), fastArgs("-localizer", backend), &buf); err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
 	}
 	var buf bytes.Buffer
-	if err := run(fastArgs("-localizer", "psychic"), &buf); err == nil {
+	if err := run(context.Background(), fastArgs("-localizer", "psychic"), &buf); err == nil {
 		t.Fatal("unknown localizer accepted")
 	}
 }
 
 func TestRunRoughTerrain(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-mode", "odometry", "-terrain", "3"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-mode", "odometry", "-terrain", "3"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mean error over time") {
@@ -185,7 +188,7 @@ func TestRunRoughTerrain(t *testing.T) {
 
 func TestRunPrintConfig(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-print-config", "-T", "50", "-robots", "30", "-equipped", "15", "-seed", "7"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-print-config", "-T", "50", "-robots", "30", "-equipped", "15", "-seed", "7"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var cfg cocoa.Config
@@ -202,19 +205,34 @@ func TestRunPrintConfig(t *testing.T) {
 	}
 }
 
+// An interrupted run with -checkpoint leaves a snapshot that -resume
+// completes to the uninterrupted run's exact output; an uninterrupted run
+// leaves nothing.
 func TestRunCheckpointAndResume(t *testing.T) {
 	dir := t.TempDir()
+	ckpt := dir + "/latest.ckpt"
 	var full bytes.Buffer
-	if err := run(fastArgs("-mode", "cocoa",
-		"-checkpoint", dir, "-checkpoint-every", "30", "-json"), &full); err != nil {
+	if err := run(context.Background(), fastArgs("-mode", "cocoa", "-checkpoint", dir, "-json"), &full); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := dir + "/latest.ckpt"
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("checkpointing run left no snapshot: %v", err)
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("uninterrupted run left a snapshot: %v", err)
+	}
+
+	var partial bytes.Buffer
+	err := run(difftest.PollCanceled(20), fastArgs("-mode", "cocoa", "-checkpoint", dir, "-json"), &partial)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err=%v, want context.Canceled", err)
+	}
+	snap, err := cocoa.ReadSnapshot(ckpt)
+	if err != nil {
+		t.Fatalf("interrupted run left no snapshot: %v", err)
+	}
+	if snap.TickIndex < 1 || snap.TickIndex >= 120 {
+		t.Fatalf("snapshot at tick %d, want mid-run", snap.TickIndex)
 	}
 	var resumed bytes.Buffer
-	if err := run([]string{"-resume", ckpt, "-json"}, &resumed); err != nil {
+	if err := run(context.Background(), []string{"-resume", ckpt, "-json"}, &resumed); err != nil {
 		t.Fatal(err)
 	}
 	if full.String() != resumed.String() {
@@ -225,7 +243,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 
 func TestRunResumeMissingSnapshot(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-resume", t.TempDir() + "/nope.ckpt"}, &buf)
+	err := run(context.Background(), []string{"-resume", t.TempDir() + "/nope.ckpt"}, &buf)
 	if err == nil {
 		t.Fatal("resume from a missing snapshot succeeded")
 	}
@@ -237,7 +255,7 @@ func TestRunResumeCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err := run([]string{"-resume", path}, &buf)
+	err := run(context.Background(), []string{"-resume", path}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("corrupt snapshot: err=%v, want a checkpoint format error", err)
 	}
@@ -247,7 +265,7 @@ func TestRunTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/run.trace.json"
 	var buf bytes.Buffer
-	if err := run(fastArgs("-trace-out", path, "-json"), &buf); err != nil {
+	if err := run(context.Background(), fastArgs("-trace-out", path, "-json"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -272,7 +290,7 @@ func TestRunTraceOut(t *testing.T) {
 
 func TestRunTraceOutUnwritable(t *testing.T) {
 	var buf bytes.Buffer
-	err := run(fastArgs("-trace-out", t.TempDir()+"/no/such/dir/t.json", "-json"), &buf)
+	err := run(context.Background(), fastArgs("-trace-out", t.TempDir()+"/no/such/dir/t.json", "-json"), &buf)
 	if err == nil {
 		t.Fatal("unwritable -trace-out accepted")
 	}
@@ -280,10 +298,10 @@ func TestRunTraceOutUnwritable(t *testing.T) {
 
 func TestRunRejectsBadLogFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(fastArgs("-log-format", "yaml"), &buf); err == nil {
+	if err := run(context.Background(), fastArgs("-log-format", "yaml"), &buf); err == nil {
 		t.Error("unknown -log-format accepted")
 	}
-	if err := run(fastArgs("-log-level", "loud"), &buf); err == nil {
+	if err := run(context.Background(), fastArgs("-log-level", "loud"), &buf); err == nil {
 		t.Error("unknown -log-level accepted")
 	}
 }

@@ -130,20 +130,17 @@ func RunScratch(ctx context.Context, cfg Config, sc *Scratch) (*Result, error) {
 	return icocoa.RunScratch(ctx, cfg, sc)
 }
 
-// Checkpoint/resume: a run with Config.Checkpoint set persists a snapshot
-// of its deterministic state every EveryTicks sampling ticks; ResumeFrom
-// continues an interrupted run from such a snapshot with a Result
-// byte-identical to an uninterrupted run's. See DESIGN.md §14 for the
-// replay-and-verify model.
-type (
-	// CheckpointSpec configures mid-run snapshotting (Config.Checkpoint):
-	// a cadence in sampling ticks and the directory that holds the
-	// atomically-replaced latest.ckpt.
-	CheckpointSpec = icocoa.CheckpointSpec
-	// Snapshot is one captured interruption point: the run's config, the
-	// capture tick, the partial result, and per-subsystem state digests.
-	Snapshot = checkpoint.Snapshot
-)
+// Checkpoint/resume: a run with Config.CheckpointDir set that is
+// interrupted (its context canceled) writes one snapshot of its
+// deterministic state, CheckpointFile, into that directory at the
+// sampling tick where it stops; an uninterrupted run writes nothing.
+// ResumeFrom continues an interrupted run from such a snapshot with a
+// Result byte-identical to an uninterrupted run's. See DESIGN.md §14 for
+// the replay-and-verify model.
+//
+// Snapshot is one captured interruption point: the run's config, the
+// capture tick, and per-subsystem state digests.
+type Snapshot = checkpoint.Snapshot
 
 // ErrSnapshotCorrupt classifies snapshot decoding failures (truncated or
 // corrupted bytes, wrong version): errors.Is(err, ErrSnapshotCorrupt).
@@ -173,15 +170,11 @@ func NewTrace() *Trace { return obs.NewTrace() }
 // Trace.WriteJSON, verifying phases and begin/end span balance.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) { return obs.ReadTrace(r) }
 
-// Checkpoint file-sink constants: a checkpointing run atomically replaces
-// CheckpointFile in its Checkpoint.Dir; EveryTicks <= 0 means
-// DefaultCheckpointEveryTicks.
-const (
-	CheckpointFile              = icocoa.CheckpointFile
-	DefaultCheckpointEveryTicks = icocoa.DefaultCheckpointEveryTicks
-)
+// CheckpointFile is the snapshot an interrupted run writes into its
+// Config.CheckpointDir.
+const CheckpointFile = icocoa.CheckpointFile
 
-// ReadSnapshot loads a snapshot file written by a checkpointing run.
+// ReadSnapshot loads a snapshot file written by an interrupted run.
 // Corrupt input fails with an error wrapping ErrSnapshotCorrupt — never a
 // panic.
 func ReadSnapshot(path string) (*Snapshot, error) { return checkpoint.ReadFile(path) }
@@ -198,14 +191,14 @@ func ResumeFrom(ctx context.Context, snap *Snapshot) (*Result, error) {
 
 // ConfigFromSnapshot decodes and validates the run configuration embedded
 // in snap — for callers that want to inspect or operationally adjust the
-// run (e.g. re-arm Checkpoint) before resuming it with ResumeTeam.
+// run (e.g. set CheckpointDir) before resuming it with ResumeTeam.
 func ConfigFromSnapshot(snap *Snapshot) (Config, error) {
 	return icocoa.ConfigFromSnapshot(snap)
 }
 
 // ResumeTeam builds the team that continues snap under cfg (normally
 // ConfigFromSnapshot's output, optionally with operational fields like
-// Checkpoint overridden). Running it replays, verifies, and completes the
+// CheckpointDir overridden). Running it replays, verifies, and completes the
 // run; semantic config tampering is caught by digest verification.
 func ResumeTeam(cfg Config, snap *Snapshot) (*Team, error) {
 	return icocoa.ResumeTeam(cfg, snap)

@@ -1,12 +1,11 @@
 // Package checkpoint implements the versioned snapshot codec behind the
 // simulator's checkpoint/resume subsystem.
 //
-// A Snapshot captures everything needed to continue a run mid-flight with
-// byte-identical results: the full run configuration, the interruption
-// point (sampling-tick index and virtual clock), the partial Result at
-// that point, and one digest per deterministic subsystem (event engine,
-// RNG stream tree, belief grids, MAC medium, mobility legs, fault chains,
-// per-robot state). Resume replays the run deterministically from tick
+// A Snapshot captures everything needed to continue an interrupted run
+// with byte-identical results: the full run configuration, the
+// interruption point (sampling-tick index and virtual clock), and one
+// digest per deterministic subsystem (event engine, RNG stream tree,
+// belief grids, MAC medium, mobility legs, fault chains, per-robot state). Resume replays the run deterministically from tick
 // zero and checks the live digests against the snapshot's at the recorded
 // tick — a mismatch is reported as a *DivergenceError naming the
 // subsystems that differ, which is what makes long runs bisectable (see
@@ -37,7 +36,7 @@ const (
 	// snapshot is only meaningful to the code revision that wrote it
 	// (digest layouts track the simulator's internals), so there is no
 	// cross-version migration — see DESIGN.md §14.
-	Version   = 1
+	Version   = 2
 	headerLen = len(magic) + 2 + 4 + 4
 
 	// maxPayload bounds the decoded payload so a corrupt length field
@@ -103,19 +102,14 @@ type Digest struct {
 	Sum  uint64 `json:"sum"`
 }
 
-// Snapshot is one mid-run capture point.
+// Snapshot is one interruption point of a run.
 type Snapshot struct {
 	// TickIndex is the 1-based sampling tick after which the snapshot was
 	// taken; SimNowS is the virtual clock at that tick.
 	TickIndex int     `json:"tick"`
 	SimNowS   float64 `json:"sim_now_s"`
-	// Label is free-form provenance (a job ID, an experiment name).
-	Label string `json:"label,omitempty"`
 	// ConfigJSON is the run's full configuration; resume replays it.
 	ConfigJSON json.RawMessage `json:"config"`
-	// ResultJSON is the partial result at the capture point, for offline
-	// inspection; resume rebuilds it by replay and never reads it.
-	ResultJSON json.RawMessage `json:"result,omitempty"`
 	// Digests fingerprint every deterministic subsystem at the capture
 	// point, in a fixed order.
 	Digests []Digest `json:"digests"`
@@ -206,8 +200,10 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 
 // WriteFile atomically persists the snapshot at path: the bytes land in a
 // temporary file in the same directory and replace path with a rename, so
-// a reader (or a crash) never observes a half-written snapshot. Parent
-// directories are created as needed.
+// a reader (or a process that dies mid-write) never observes a
+// half-written snapshot. Neither the file nor its directory is synced, so
+// the guarantee covers process death, not a host crash. Parent directories
+// are created as needed.
 func WriteFile(path string, s *Snapshot) error {
 	b, err := Marshal(s)
 	if err != nil {

@@ -15,9 +15,7 @@ func sample() *Snapshot {
 	return &Snapshot{
 		TickIndex:  7,
 		SimNowS:    70.5,
-		Label:      "unit",
 		ConfigJSON: []byte(`{"robots":4}`),
-		ResultJSON: []byte(`{"avg_error":[0.5]}`),
 		Digests: []Digest{
 			{Name: "sim", Sum: 0xdeadbeef},
 			{Name: "rng", Sum: 42},
@@ -35,10 +33,10 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if got.TickIndex != s.TickIndex || got.SimNowS != s.SimNowS || got.Label != s.Label {
+	if got.TickIndex != s.TickIndex || got.SimNowS != s.SimNowS {
 		t.Fatalf("header fields lost: got %+v want %+v", got, s)
 	}
-	if string(got.ConfigJSON) != string(s.ConfigJSON) || string(got.ResultJSON) != string(s.ResultJSON) {
+	if string(got.ConfigJSON) != string(s.ConfigJSON) {
 		t.Fatalf("payload fields lost")
 	}
 	if len(got.Digests) != 2 || got.Digests[0] != s.Digests[0] || got.Digests[1] != s.Digests[1] {
@@ -132,6 +130,12 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[8:], Version+1)
 		return b
 	}, "unsupported snapshot version")
+	// Version 1 carried the unread partial result and a label; its frames
+	// are rejected, not half-read.
+	corrupt("version 1", func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[8:], 1)
+		return b
+	}, "unsupported snapshot version 1")
 	corrupt("huge length", func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[10:], maxPayload+1)
 		return b

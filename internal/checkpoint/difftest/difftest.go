@@ -6,15 +6,20 @@
 // histograms; wall-clock spans are inherently nondeterministic and are
 // excluded, matching the comparison the cocoaexp debug path uses).
 //
-// The harness runs the config three ways:
+// The harness runs the config four ways:
 //
 //  1. an oracle run, untouched by checkpointing;
 //  2. one instrumented run that captures a wire-encoded snapshot at every
-//     sampling tick and must still finish byte-identical to the oracle
-//     (proof that observing the run does not perturb it);
+//     sampling tick through the OnCheckpoint test hook and must still
+//     finish byte-identical to the oracle (proof that observing the run
+//     does not perturb it);
 //  3. one resume per captured snapshot — each decoded from its wire bytes
 //     and continued to completion via ResumeFrom, modelling a process
-//     that died right after persisting that checkpoint.
+//     that died right after persisting that checkpoint;
+//  4. a few runs through the production path, Config.CheckpointDir with
+//     the context canceled at a sampled tick: the latest.ckpt each leaves
+//     must be byte-equal to the hook's capture at that tick and resume to
+//     the oracle.
 //
 // The harness lives in its own package so any test — the suite here, the
 // serve restart test, future scenario suites — can assert the same
@@ -22,8 +27,13 @@
 package difftest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"cocoa/internal/checkpoint"
@@ -73,6 +83,48 @@ func Run(t testing.TB, cfg cocoa.Config) {
 				snap.TickIndex, oracleTel, resTel)
 		}
 	}
+
+	// The production interrupt path, at the first, middle and last tick.
+	for _, k := range []int{1, (len(snaps) + 1) / 2, len(snaps)} {
+		wire := interruptRun(t, ctx, cfg, k)
+		if !bytes.Equal(wire, snaps[k-1]) {
+			t.Fatalf("difftest: snapshot written on interrupt at tick %d differs from the hook's capture", k)
+		}
+		snap, err := checkpoint.Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("difftest: decode interrupt snapshot: %v", err)
+		}
+		if resBytes, _ := resumeRun(t, ctx, snap); !bytes.Equal(resBytes, oracleBytes) {
+			t.Fatalf("difftest: resume from interrupt at tick %d diverged from oracle result bytes", k)
+		}
+	}
+}
+
+// interruptRun executes cfg with a CheckpointDir, cancels its context
+// from the hook at tick k, and returns the latest.ckpt the run left.
+func interruptRun(t testing.TB, ctx context.Context, cfg cocoa.Config, k int) []byte {
+	t.Helper()
+	cfg.CheckpointDir = t.TempDir()
+	team, err := cocoa.NewTeam(cfg)
+	if err != nil {
+		t.Fatalf("difftest: build interrupt team: %v", err)
+	}
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	team.OnCheckpoint(func(s *checkpoint.Snapshot) error {
+		if s.TickIndex == k {
+			cancel()
+		}
+		return nil
+	})
+	if _, err := team.RunContext(rctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("difftest: run canceled at tick %d: err=%v, want context.Canceled", k, err)
+	}
+	wire, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, cocoa.CheckpointFile))
+	if err != nil {
+		t.Fatalf("difftest: interrupt at tick %d left no snapshot: %v", k, err)
+	}
+	return wire
 }
 
 // oracleRun executes cfg untouched and returns its result bytes and
@@ -98,8 +150,7 @@ func capturePass(t testing.TB, ctx context.Context, cfg cocoa.Config) ([][]byte,
 		t.Fatalf("difftest: build capture team: %v", err)
 	}
 	var snaps [][]byte
-	team.SetCheckpointLabel("difftest")
-	team.OnCheckpoint(1, func(s *checkpoint.Snapshot) error {
+	team.OnCheckpoint(func(s *checkpoint.Snapshot) error {
 		b, err := checkpoint.Marshal(s)
 		if err != nil {
 			return err
@@ -112,6 +163,35 @@ func capturePass(t testing.TB, ctx context.Context, cfg cocoa.Config) ([][]byte,
 		t.Fatalf("difftest: capture run: %v", err)
 	}
 	return snaps, resultBytes(t, res), telDelta(t, before)
+}
+
+// PollCanceled returns a context that cancels itself on its k-th Err
+// poll. The simulation loop polls Err once at the end of every sampling
+// tick, so a run (or a serial sweep) under it is interrupted mid-flight
+// at a fixed point with no timing involved — the tests' stand-in for
+// SIGINT when the run is built out of reach of OnCheckpoint.
+func PollCanceled(k int64) context.Context {
+	return &pollCanceled{Context: context.Background(), done: make(chan struct{}), k: k}
+}
+
+type pollCanceled struct {
+	context.Context
+	done  chan struct{}
+	polls atomic.Int64
+	k     int64
+}
+
+func (c *pollCanceled) Done() <-chan struct{} { return c.done }
+
+func (c *pollCanceled) Err() error {
+	n := c.polls.Add(1)
+	if n == c.k {
+		close(c.done)
+	}
+	if n >= c.k {
+		return context.Canceled
+	}
+	return nil
 }
 
 // resumeRun continues snap to completion and returns the resumed run's

@@ -54,7 +54,7 @@ func fuzzSetup() error {
 			fuzzOracle.err = err
 			return
 		}
-		team.OnCheckpoint(1, func(s *checkpoint.Snapshot) error {
+		team.OnCheckpoint(func(s *checkpoint.Snapshot) error {
 			w, err := checkpoint.Marshal(s)
 			if err != nil {
 				return err

@@ -11,79 +11,17 @@ import (
 	"cocoa/internal/sim"
 )
 
-// CheckpointSpec configures mid-run snapshotting (Config.Checkpoint).
-//
-// A snapshot is taken after every EveryTicks-th sampling tick and
-// atomically replaces Dir/latest.ckpt, so the file always holds the most
-// recent consistent capture point. Resume replays the run from tick zero
-// and verifies the replayed state against the snapshot's digests at the
-// capture tick (see internal/checkpoint and DESIGN.md §14) — byte-identity
-// of the resumed Result holds by construction, and a digest mismatch
-// surfaces as a *checkpoint.DivergenceError instead of silently wrong
-// numbers.
-//
-// The spec is deliberately excluded from the Config's JSON form (and
-// therefore from Result bytes and from the snapshot's embedded config):
-// where and how often a run checkpoints is an operational property of the
-// process executing it, not of the experiment, so two runs differing only
-// here stay byte-identical and a resumed run re-checkpoints only if its
-// operator asks again.
-type CheckpointSpec struct {
-	// EveryTicks is the snapshot cadence in sampling ticks; 0 with a
-	// non-empty Dir means DefaultCheckpointEveryTicks.
-	EveryTicks int
-	// Dir is the directory holding latest.ckpt; created on first write.
-	Dir string
-}
+// CheckpointFile is the snapshot a run with Config.CheckpointDir writes
+// into that directory when it is interrupted.
+const CheckpointFile = "latest.ckpt"
 
-// Enabled reports whether the spec asks for snapshotting.
-func (s CheckpointSpec) Enabled() bool { return s.EveryTicks != 0 || s.Dir != "" }
-
-const (
-	// DefaultCheckpointEveryTicks is the snapshot cadence when a spec
-	// names a directory but no cadence.
-	DefaultCheckpointEveryTicks = 60
-	// CheckpointFile is the file name the default sink maintains in
-	// CheckpointSpec.Dir.
-	CheckpointFile = "latest.ckpt"
-)
-
-// OnCheckpoint arms a custom checkpoint sink on a team that has not run
-// yet: after every everyTicks-th sampling tick (minimum 1) a snapshot is
-// captured and handed to fn. It overrides Config.Checkpoint's default
-// file sink. fn runs on the event loop; returning an error stops the run
-// and RunContext returns that error — returning checkpoint.ErrStop is the
-// idiomatic "stop here, the snapshot is the output" (the differential
-// harness's interrupt model).
-func (t *Team) OnCheckpoint(everyTicks int, fn func(*checkpoint.Snapshot) error) {
-	if everyTicks < 1 {
-		everyTicks = 1
-	}
-	t.ckptEvery = everyTicks
-	t.ckptHook = fn
-}
-
-// SetCheckpointLabel attaches free-form provenance (a job ID, an
-// experiment name) to every snapshot this team captures.
-func (t *Team) SetCheckpointLabel(label string) { t.ckptLabel = label }
-
-// armCheckpoints resolves Config.Checkpoint into the default file sink.
-// A sink installed through OnCheckpoint wins.
-func (t *Team) armCheckpoints() {
-	if t.ckptHook != nil || !t.cfg.Checkpoint.Enabled() {
-		return
-	}
-	spec := t.cfg.Checkpoint
-	every := spec.EveryTicks
-	if every <= 0 {
-		every = DefaultCheckpointEveryTicks
-	}
-	path := filepath.Join(spec.Dir, CheckpointFile)
-	t.ckptEvery = every
-	t.ckptHook = func(s *checkpoint.Snapshot) error {
-		return checkpoint.WriteFile(path, s)
-	}
-}
+// OnCheckpoint arms a test hook on a team that has not run yet: after
+// every sampling tick a snapshot is captured and handed to fn. fn runs on
+// the event loop; returning an error stops the run and RunContext returns
+// that error — returning checkpoint.ErrStop is the idiomatic "stop here,
+// the snapshot is the output" (the differential harness's interrupt
+// model). The hook is independent of Config.CheckpointDir.
+func (t *Team) OnCheckpoint(fn func(*checkpoint.Snapshot) error) { t.ckptHook = fn }
 
 // maxSampleTicks is how many sampling ticks a run of cfg executes (ticks
 // fire at SampleIntervalS, 2·SampleIntervalS, …, up to DurationS
@@ -94,10 +32,9 @@ func maxSampleTicks(cfg Config) int {
 
 // onSampleTick runs the checkpoint machinery at the end of every sampling
 // tick: first verify a pending resume snapshot if this is its tick, then
-// capture if the cadence says so. Any error stops the event loop and is
-// surfaced by RunContext.
+// hand a capture to the OnCheckpoint hook. Any error stops the event loop
+// and is surfaced by RunContext.
 func (t *Team) onSampleTick(res *Result, now sim.Time) {
-	t.ticks++
 	if t.verify != nil && t.ticks == t.verify.TickIndex {
 		snap := t.verify
 		t.verify = nil
@@ -107,46 +44,45 @@ func (t *Team) onSampleTick(res *Result, now sim.Time) {
 			return
 		}
 	}
-	if t.ckptHook != nil && t.ckptEvery > 0 && t.ticks%t.ckptEvery == 0 {
-		if err := t.capture(res, now); err != nil {
+	if t.ckptHook != nil {
+		if err := t.capture(res, now, t.ckptHook); err != nil {
 			t.ckptErr = err
 			t.sim.Stop()
 		}
 	}
 }
 
-// capture takes a snapshot at the current tick and hands it to the sink.
-func (t *Team) capture(res *Result, now sim.Time) error {
-	snap, err := t.snapshotAt(res, now)
-	if err != nil {
-		return err
+// onInterrupt runs at the sampling tick where a canceled run stops: with a
+// CheckpointDir it writes the run's only snapshot there. A resumed run
+// that has not yet verified its snapshot leaves the existing file alone
+// rather than replace it with an unverified capture.
+func (t *Team) onInterrupt(res *Result, now sim.Time) {
+	if t.cfg.CheckpointDir == "" || t.verify != nil || t.ckptErr != nil {
+		return
 	}
-	if t.tracer != nil {
-		t.tracer.Instant(0, "checkpoint", float64(now), map[string]any{
-			"tick": t.ticks, "label": t.ckptLabel,
-		})
+	path := filepath.Join(t.cfg.CheckpointDir, CheckpointFile)
+	if err := t.capture(res, now, func(s *checkpoint.Snapshot) error {
+		return checkpoint.WriteFile(path, s)
+	}); err != nil {
+		t.ckptErr = err
 	}
-	return t.ckptHook(snap)
 }
 
-// snapshotAt materializes the snapshot for the just-completed tick.
-func (t *Team) snapshotAt(res *Result, now sim.Time) (*checkpoint.Snapshot, error) {
+// capture takes a snapshot at the current tick and hands it to sink.
+func (t *Team) capture(res *Result, now sim.Time, sink func(*checkpoint.Snapshot) error) error {
 	cfgJSON, err := json.Marshal(t.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("cocoa: checkpoint config: %w", err)
+		return fmt.Errorf("cocoa: checkpoint config: %w", err)
 	}
-	resJSON, err := json.Marshal(res)
-	if err != nil {
-		return nil, fmt.Errorf("cocoa: checkpoint result: %w", err)
+	if t.tracer != nil {
+		t.tracer.Instant(0, "checkpoint", float64(now), map[string]any{"tick": t.ticks})
 	}
-	return &checkpoint.Snapshot{
+	return sink(&checkpoint.Snapshot{
 		TickIndex:  t.ticks,
 		SimNowS:    float64(now),
-		Label:      t.ckptLabel,
 		ConfigJSON: cfgJSON,
-		ResultJSON: resJSON,
 		Digests:    t.digests(res),
-	}, nil
+	})
 }
 
 // stateHasher is the capability every digestable subsystem implements.
@@ -303,7 +239,7 @@ func ConfigFromSnapshot(snap *checkpoint.Snapshot) (Config, error) {
 // ResumeTeamScratch builds the replay team continuing snap under cfg on a
 // reusable run slot (nil sc degenerates to a fresh team). cfg is normally
 // ConfigFromSnapshot's output, optionally with operational fields (e.g.
-// Checkpoint) overridden; semantic divergence from the snapshot's config
+// CheckpointDir) overridden; semantic divergence from the snapshot's config
 // is caught by digest verification at the capture tick, so a tampered cfg
 // cannot silently masquerade as a resumed run. Running the returned team
 // replays from tick zero, verifies against the snapshot at its tick, and

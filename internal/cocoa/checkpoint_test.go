@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cocoa/internal/checkpoint"
@@ -24,48 +25,35 @@ func ckptTestConfig() Config {
 	return cfg
 }
 
-func TestCheckpointSpecEnabled(t *testing.T) {
-	if (CheckpointSpec{}).Enabled() {
-		t.Fatalf("zero spec enabled")
-	}
-	if !(CheckpointSpec{Dir: "x"}).Enabled() || !(CheckpointSpec{EveryTicks: 3, Dir: "x"}).Enabled() {
-		t.Fatalf("non-zero spec not enabled")
-	}
-}
-
-func TestConfigValidateCheckpoint(t *testing.T) {
-	cfg := ckptTestConfig()
-	cfg.Checkpoint = CheckpointSpec{EveryTicks: -1}
-	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("negative EveryTicks: err=%v", err)
-	}
-	cfg.Checkpoint = CheckpointSpec{EveryTicks: 5}
-	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("EveryTicks without Dir: err=%v", err)
-	}
-	cfg.Checkpoint = CheckpointSpec{EveryTicks: 5, Dir: t.TempDir()}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+// stopAt returns an OnCheckpoint hook that stores the tick-k snapshot in
+// *snap and stops the run there.
+func stopAt(k int, snap **checkpoint.Snapshot) func(*checkpoint.Snapshot) error {
+	return func(s *checkpoint.Snapshot) error {
+		if s.TickIndex < k {
+			return nil
+		}
+		*snap = s
+		return checkpoint.ErrStop
 	}
 }
 
 // TestCheckpointSpecExcludedFromJSON pins the design decision that
-// checkpointing is operational, not experimental: the spec must not leak
-// into the config's JSON form, or resumed/checkpointed runs would stop
-// being byte-comparable to plain ones.
+// checkpointing is operational, not experimental: CheckpointDir must not
+// leak into the config's JSON form, or resumed/checkpointed runs would
+// stop being byte-comparable to plain ones.
 func TestCheckpointSpecExcludedFromJSON(t *testing.T) {
 	cfg := ckptTestConfig()
 	plain, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Checkpoint = CheckpointSpec{EveryTicks: 1, Dir: "/somewhere"}
+	cfg.CheckpointDir = "/somewhere"
 	withSpec, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(plain) != string(withSpec) {
-		t.Fatalf("Checkpoint spec leaks into config JSON")
+		t.Fatalf("CheckpointDir leaks into config JSON")
 	}
 }
 
@@ -85,10 +73,7 @@ func TestErrStopInterruptsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap *checkpoint.Snapshot
-	team.OnCheckpoint(5, func(s *checkpoint.Snapshot) error {
-		snap = s
-		return checkpoint.ErrStop
-	})
+	team.OnCheckpoint(stopAt(5, &snap))
 	res, err := team.RunContext(context.Background())
 	if res != nil || !errors.Is(err, checkpoint.ErrStop) {
 		t.Fatalf("res=%v err=%v, want nil + ErrStop", res, err)
@@ -106,10 +91,10 @@ func TestErrStopInterruptsRun(t *testing.T) {
 	}
 }
 
-// TestFileSink drives the Config.Checkpoint path end to end: the run
-// maintains Dir/latest.ckpt, and the final file resumes byte-identically.
+// TestFileSink drives Config.CheckpointDir end to end: a run canceled at
+// tick k leaves latest.ckpt at tick k, and it resumes byte-identically; an
+// uninterrupted run leaves no file at all.
 func TestFileSink(t *testing.T) {
-	dir := t.TempDir()
 	cfg := ckptTestConfig()
 	oracle, err := Run(cfg)
 	if err != nil {
@@ -117,48 +102,115 @@ func TestFileSink(t *testing.T) {
 	}
 	oracleBytes, _ := json.Marshal(oracle)
 
-	cfg.Checkpoint = CheckpointSpec{EveryTicks: 4, Dir: dir}
+	cfg.CheckpointDir = t.TempDir()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBytes, _ := json.Marshal(res)
-	if string(resBytes) != string(oracleBytes) {
-		t.Fatalf("checkpointing to a file sink perturbed the run")
+	if resBytes, _ := json.Marshal(res); string(resBytes) != string(oracleBytes) {
+		t.Fatalf("a checkpoint directory perturbed the run")
+	}
+	path := filepath.Join(cfg.CheckpointDir, CheckpointFile)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("uninterrupted run wrote a snapshot: %v", err)
 	}
 
-	snap, err := checkpoint.ReadFile(filepath.Join(dir, CheckpointFile))
-	if err != nil {
-		t.Fatalf("read latest.ckpt: %v", err)
-	}
-	// latest.ckpt holds the last cadence hit: tick 12 for EveryTicks=4
-	// over 12 ticks.
-	if snap.TickIndex != 12 {
-		t.Fatalf("latest.ckpt at tick %d, want 12", snap.TickIndex)
+	snap := interruptAt(t, cfg, 5)
+	if snap.TickIndex != 5 {
+		t.Fatalf("latest.ckpt at tick %d, want 5", snap.TickIndex)
 	}
 	resumed, err := ResumeFrom(context.Background(), snap)
 	if err != nil {
 		t.Fatalf("ResumeFrom(latest.ckpt): %v", err)
 	}
-	resumedBytes, _ := json.Marshal(resumed)
-	if string(resumedBytes) != string(oracleBytes) {
-		t.Fatalf("resume from file sink snapshot diverged from oracle")
+	if resumedBytes, _ := json.Marshal(resumed); string(resumedBytes) != string(oracleBytes) {
+		t.Fatalf("resume from interrupt snapshot diverged from oracle")
+	}
+
+	// A snapshot that cannot be written is reported with the cancellation.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointDir = blocker
+	team, err := NewTeam(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runCanceledAt(t, team, 5); !strings.Contains(err.Error(), "checkpoint:") {
+		t.Fatalf("err=%v, want the failed snapshot write reported", err)
 	}
 }
 
-// TestFileSinkDefaultCadence: a spec naming only a directory snapshots at
-// the default cadence — which exceeds this short run's 12 ticks, so no
-// file appears, and that is the documented behavior (long runs are the
-// target of the default).
-func TestFileSinkDefaultCadence(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ckptTestConfig()
-	cfg.Checkpoint = CheckpointSpec{Dir: dir}
-	if _, err := Run(cfg); err != nil {
+// interruptAt runs cfg (which must set CheckpointDir), cancels it at tick
+// k, and returns the snapshot the interrupted run left in CheckpointDir.
+func interruptAt(t *testing.T, cfg Config, k int) *checkpoint.Snapshot {
+	t.Helper()
+	team, err := NewTeam(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, CheckpointFile)); !os.IsNotExist(err) {
-		t.Fatalf("12-tick run hit the %d-tick default cadence", DefaultCheckpointEveryTicks)
+	runCanceledAt(t, team, k)
+	snap, err := checkpoint.ReadFile(filepath.Join(cfg.CheckpointDir, CheckpointFile))
+	if err != nil {
+		t.Fatalf("read latest.ckpt: %v", err)
+	}
+	return snap
+}
+
+// runCanceledAt runs team with its context canceled from the OnCheckpoint
+// hook at tick k, requires the run to stop with context.Canceled, and
+// returns its error.
+func runCanceledAt(t *testing.T, team *Team, k int) error {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	team.OnCheckpoint(func(s *checkpoint.Snapshot) error {
+		if s.TickIndex == k {
+			cancel()
+		}
+		return nil
+	})
+	_, err := team.RunContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	return err
+}
+
+// TestInterruptBeforeVerifyKeepsSnapshot: a resumed run canceled before
+// it reaches its snapshot's tick has verified nothing, so it must leave
+// the snapshot it resumed from in place; canceled after that tick, it
+// replaces it with the later, verified state.
+func TestInterruptBeforeVerifyKeepsSnapshot(t *testing.T) {
+	cfg := ckptTestConfig()
+	cfg.CheckpointDir = t.TempDir()
+	snap := interruptAt(t, cfg, 8)
+	path := filepath.Join(cfg.CheckpointDir, CheckpointFile)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resumeCanceledAt := func(k int) {
+		t.Helper()
+		team, err := ResumeTeam(cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runCanceledAt(t, team, k)
+	}
+	resumeCanceledAt(3)
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(want) {
+		t.Fatalf("interrupt before the verify tick replaced the snapshot (err=%v)", err)
+	}
+	resumeCanceledAt(10)
+	later, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if later.TickIndex != 10 {
+		t.Fatalf("interrupt after the verify tick left tick %d, want 10", later.TickIndex)
 	}
 }
 
@@ -171,10 +223,7 @@ func TestDivergenceDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap *checkpoint.Snapshot
-	team.OnCheckpoint(6, func(s *checkpoint.Snapshot) error {
-		snap = s
-		return checkpoint.ErrStop
-	})
+	team.OnCheckpoint(stopAt(6, &snap))
 	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
 		t.Fatal(err)
 	}
@@ -202,10 +251,7 @@ func TestLayoutDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap *checkpoint.Snapshot
-	team.OnCheckpoint(3, func(s *checkpoint.Snapshot) error {
-		snap = s
-		return checkpoint.ErrStop
-	})
+	team.OnCheckpoint(stopAt(3, &snap))
 	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
 		t.Fatal(err)
 	}
@@ -280,10 +326,7 @@ func TestResumeTeamScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap *checkpoint.Snapshot
-	team.OnCheckpoint(7, func(s *checkpoint.Snapshot) error {
-		snap = s
-		return checkpoint.ErrStop
-	})
+	team.OnCheckpoint(stopAt(7, &snap))
 	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
 		t.Fatal(err)
 	}
@@ -328,10 +371,7 @@ func TestVerifyTickNeverReached(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap *checkpoint.Snapshot
-	team.OnCheckpoint(12, func(s *checkpoint.Snapshot) error {
-		snap = s
-		return checkpoint.ErrStop
-	})
+	team.OnCheckpoint(stopAt(12, &snap))
 	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
 		t.Fatal(err)
 	}
@@ -342,35 +382,6 @@ func TestVerifyTickNeverReached(t *testing.T) {
 	short.DurationS = 115
 	if _, err := ResumeTeam(short, snap); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("tick-beyond-short-run: %v", err)
-	}
-}
-
-// TestCheckpointLabelCarried: the label survives the wire round trip.
-func TestCheckpointLabelCarried(t *testing.T) {
-	cfg := ckptTestConfig()
-	team, err := NewTeam(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire []byte
-	team.SetCheckpointLabel("job-000042")
-	team.OnCheckpoint(2, func(s *checkpoint.Snapshot) error {
-		b, err := checkpoint.Marshal(s)
-		if err != nil {
-			return err
-		}
-		wire = b
-		return checkpoint.ErrStop
-	})
-	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Label != "job-000042" {
-		t.Fatalf("label %q lost", snap.Label)
 	}
 }
 
@@ -392,10 +403,7 @@ func TestResumeIgnoresRetiredConfigKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap *checkpoint.Snapshot
-	team.OnCheckpoint(7, func(s *checkpoint.Snapshot) error {
-		snap = s
-		return checkpoint.ErrStop
-	})
+	team.OnCheckpoint(stopAt(7, &snap))
 	if _, err := team.RunContext(context.Background()); !errors.Is(err, checkpoint.ErrStop) {
 		t.Fatal(err)
 	}

@@ -192,19 +192,20 @@ type Config struct {
 	// default) sizes the pool to GOMAXPROCS; 1 forces serial application.
 	UpdateWorkers int
 
-	// Checkpoint enables mid-run snapshotting: after every EveryTicks-th
-	// sampling tick the run's state is captured and atomically written to
-	// Dir/latest.ckpt, ready for ResumeFrom. The zero value disables
-	// snapshotting entirely. The field is excluded from JSON — and hence
-	// from Result bytes and from the config embedded in snapshots —
-	// because checkpoint placement is an operational property of the
-	// process running the simulation, not of the experiment: two runs
-	// differing only here are byte-identical (see DESIGN.md §14).
-	Checkpoint CheckpointSpec `json:"-"`
+	// CheckpointDir, when non-empty, makes an interrupted run resumable:
+	// the run that stops because its context was canceled writes one
+	// snapshot, CheckpointDir/latest.ckpt, at the sampling tick where it
+	// stops, ready for ResumeFrom. An uninterrupted run writes nothing.
+	// The field is excluded from JSON — and hence from Result bytes and
+	// from the config embedded in snapshots — because where a run may be
+	// resumed from is an operational property of the process running the
+	// simulation, not of the experiment: two runs differing only here are
+	// byte-identical (see DESIGN.md §14).
+	CheckpointDir string `json:"-"`
 
 	// Progress, when non-nil, receives the run's live position: the
 	// simulation loop publishes (sampling tick, total ticks) through one
-	// atomic store per tick. Like Checkpoint it is excluded from JSON —
+	// atomic store per tick. Like CheckpointDir it is excluded from JSON —
 	// it describes how the hosting process watches the run, not the
 	// experiment — and it is strictly write-only for the simulation, so
 	// runs with and without it are byte-identical (DESIGN.md §15).
@@ -337,10 +338,6 @@ func (c Config) Validate() error {
 		return configErrorf("TerrainCellM", "must be positive with terrain enabled")
 	case c.UpdateWorkers < 0:
 		return configErrorf("UpdateWorkers", "negative UpdateWorkers")
-	case c.Checkpoint.EveryTicks < 0:
-		return configErrorf("Checkpoint", "negative EveryTicks")
-	case c.Checkpoint.EveryTicks > 0 && c.Checkpoint.Dir == "":
-		return configErrorf("Checkpoint", "EveryTicks set without Dir")
 	}
 	if err := c.Radio.Validate(); err != nil {
 		return &ConfigError{Field: "Radio", Reason: err.Error()}

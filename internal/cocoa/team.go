@@ -2,6 +2,7 @@ package cocoa
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -87,16 +88,14 @@ type Team struct {
 	// Checkpoint machinery (see checkpoint.go). root is the run's root RNG
 	// stream, retained so digests can fingerprint the whole stream tree;
 	// ticks counts completed sampling ticks; ckptHook receives a snapshot
-	// every ckptEvery ticks; verify holds the snapshot a resumed run must
-	// match at its capture tick; ckptErr carries a capture/verify failure
-	// out of the event loop.
-	root      *sim.RNG
-	ticks     int
-	ckptEvery int
-	ckptHook  func(*checkpoint.Snapshot) error
-	ckptLabel string
-	verify    *checkpoint.Snapshot
-	ckptErr   error
+	// after every tick (a test hook); verify holds the snapshot a resumed
+	// run must match at its capture tick; ckptErr carries a capture/verify
+	// failure out of the event loop.
+	root     *sim.RNG
+	ticks    int
+	ckptHook func(*checkpoint.Snapshot) error
+	verify   *checkpoint.Snapshot
+	ckptErr  error
 
 	// Controller-reporting counters (Config.EnableReporting).
 	reportsSent      int
@@ -403,9 +402,11 @@ func (t *Team) Run() (*Result, error) {
 // RunContext executes the deployment under ctx and collects the result. A
 // team can run only once.
 //
-// Cancellation is observed cooperatively at every metric-sampling tick (one
-// simulated SampleIntervalS, microseconds of wall time): the event loop
-// stops and ctx.Err() is returned, discarding the partial run. The check
+// Cancellation is observed cooperatively at the end of every
+// metric-sampling tick (one simulated SampleIntervalS, microseconds of
+// wall time): the event loop stops and ctx.Err() is returned, discarding
+// the partial run — after writing a snapshot of that tick into
+// Config.CheckpointDir, when one is set. The check
 // reads ctx without touching the event calendar or any RNG stream, so a run
 // that is never canceled is byte-identical to one executed without a
 // context — the service path and the direct path produce the same Result.
@@ -456,18 +457,15 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	// Metric sampling and odometry stepping, once per sample interval. The
-	// same tick doubles as the cancellation point: checking ctx here adds
-	// no events and consumes no randomness, so an uncanceled run cannot
-	// diverge from a context-free one.
+	// same tick doubles as the cancellation point, checked at its end so a
+	// canceled run stops exactly on the state a replay verifies at that
+	// tick: checking ctx adds no events and consumes no randomness, so an
+	// uncanceled run cannot diverge from a context-free one.
 	done := ctx.Done()
 	dt := float64(cfg.SampleIntervalS)
-	t.armCheckpoints()
-	// Live progress: the loop owns its own tick counter (t.ticks only
-	// advances when checkpoint machinery is armed) and publishes position
-	// with one atomic store per tick — write-only, so it cannot perturb
-	// the run.
+	// Live progress is published with one atomic store per tick —
+	// write-only, so it cannot perturb the run.
 	totalTicks := maxSampleTicks(cfg)
-	progressTick := 0
 	t.progress.SetTicks(0, totalTicks)
 	if t.tracer != nil {
 		t.tracer.SetThreadName(0, "event-loop")
@@ -476,28 +474,31 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 		})
 	}
 	t.sim.EachTick(cfg.SampleIntervalS, cfg.SampleIntervalS, func(now sim.Time) {
-		if done != nil && ctx.Err() != nil {
-			t.sim.Stop()
-			return
-		}
 		t.stepRobots(now, dt)
 		// Refresh the MAC's spatial index with the tick's new positions
 		// (no-op under the scan path; consumes no randomness either way).
 		t.med.UpdatePositions()
 		t.sample(res, now)
-		progressTick++
-		t.progress.SetTicks(progressTick, totalTicks)
+		t.ticks++
+		t.progress.SetTicks(t.ticks, totalTicks)
 		// Checkpoint machinery: verify a pending resume snapshot at its
-		// tick, then capture on the configured cadence. Both read state
-		// without mutating it (digests are side-effect free), so runs
-		// with checkpointing on, off, or resumed stay byte-identical.
+		// tick, then feed the test hook. Both read state without mutating
+		// it (digests are side-effect free), so runs with checkpointing
+		// on, off, or resumed stay byte-identical.
 		if t.verify != nil || t.ckptHook != nil {
 			t.onSampleTick(res, now)
+		}
+		if done != nil && ctx.Err() != nil {
+			t.onInterrupt(res, now)
+			t.sim.Stop()
 		}
 	})
 
 	t.sim.RunUntil(cfg.DurationS)
 	if err := ctx.Err(); err != nil {
+		if t.ckptErr != nil {
+			err = errors.Join(err, t.ckptErr)
+		}
 		return nil, err
 	}
 	if t.ckptErr != nil {

@@ -77,14 +77,12 @@ type Options struct {
 	// done is strictly increasing from 1 to total on a fully successful
 	// fan-out.
 	Progress func(done, total int)
-	// CheckpointDir, when non-empty, makes every run of a Runs/RunsEach
-	// fan-out checkpoint into its own subdirectory run-<index>/ beneath it
-	// (see cocoa.CheckpointSpec). Checkpointing is operational: it never
-	// changes result bytes at any parallelism level.
+	// CheckpointDir, when non-empty, gives every run of a Runs/RunsEach
+	// fan-out its own subdirectory run-<index>/ beneath it as its
+	// Config.CheckpointDir: a run interrupted by ctx leaves its snapshot
+	// there. Checkpointing is operational: it never changes result bytes
+	// at any parallelism level.
 	CheckpointDir string
-	// CheckpointEvery is the snapshot cadence in sampling ticks for
-	// CheckpointDir; <= 0 means cocoa.DefaultCheckpointEveryTicks.
-	CheckpointEvery int
 	// Gauge, when non-nil, receives the fan-out's live position: SetRun
 	// after each completed job, and (for Runs/RunsEach) the executing
 	// run's tick position via cocoa's Config.Progress. Concurrent runs
@@ -100,16 +98,12 @@ type Options struct {
 }
 
 // withCheckpoint returns cfg with the fan-out's operational taps applied
-// for job i: the checkpoint spec (a no-op without a CheckpointDir) and the
-// shared progress gauge.
+// for job i: the checkpoint directory (none without a CheckpointDir) and
+// the shared progress gauge.
 func (o Options) withCheckpoint(cfg cocoa.Config, i int) cocoa.Config {
 	cfg.Progress = o.Gauge
-	if o.CheckpointDir == "" {
-		return cfg
-	}
-	cfg.Checkpoint = cocoa.CheckpointSpec{
-		EveryTicks: o.CheckpointEvery,
-		Dir:        filepath.Join(o.CheckpointDir, fmt.Sprintf("run-%04d", i)),
+	if o.CheckpointDir != "" {
+		cfg.CheckpointDir = filepath.Join(o.CheckpointDir, fmt.Sprintf("run-%04d", i))
 	}
 	return cfg
 }

@@ -66,27 +66,29 @@ type Options struct {
 	Logger *slog.Logger
 
 	// CheckpointDir, when non-empty, makes every simulation run of the
-	// experiment persist resumable snapshots beneath it, one run-<index>/
-	// subdirectory per sweep run (see cocoa.CheckpointSpec). Operational
-	// only: results stay byte-identical with or without it.
+	// experiment that ctx interrupts leave a resumable snapshot beneath
+	// it, one run-<index>/ subdirectory per sweep run (see
+	// cocoa.Config.CheckpointDir). Operational only: results stay
+	// byte-identical with or without it.
 	CheckpointDir string
-	// CheckpointEvery is the snapshot cadence in sampling ticks for
-	// CheckpointDir; <= 0 means cocoa.DefaultCheckpointEveryTicks.
-	CheckpointEvery int
+}
+
+// engine returns the experiment engine options every fan-out shares.
+func (o Options) engine() runner.Options {
+	return runner.Options{
+		Parallelism:   o.Parallelism,
+		Progress:      o.Progress,
+		Gauge:         o.Gauge,
+		Logger:        o.Logger,
+		CheckpointDir: o.CheckpointDir,
+	}
 }
 
 // runAll executes prepared sweep configs on the experiment engine,
 // returning results in config order. Cancellation of ctx aborts queued and
 // in-flight runs; a nil ctx means context.Background().
 func (o Options) runAll(ctx context.Context, cfgs []cocoa.Config) ([]*cocoa.Result, error) {
-	return runner.Runs(ctx, runner.Options{
-		Parallelism:     o.Parallelism,
-		Progress:        o.Progress,
-		Gauge:           o.Gauge,
-		Logger:          o.Logger,
-		CheckpointDir:   o.CheckpointDir,
-		CheckpointEvery: o.CheckpointEvery,
-	}, cfgs)
+	return runner.Runs(ctx, o.engine(), cfgs)
 }
 
 // runEach executes prepared sweep configs like runAll but streams each
@@ -95,14 +97,7 @@ func (o Options) runAll(ctx context.Context, cfgs []cocoa.Config) ([]*cocoa.Resu
 // rather than the run's whole time series. fn may run concurrently up to
 // the parallelism cap; distinct calls always carry distinct indices.
 func (o Options) runEach(ctx context.Context, cfgs []cocoa.Config, fn func(i int, res *cocoa.Result) error) error {
-	return runner.RunsEach(ctx, runner.Options{
-		Parallelism:     o.Parallelism,
-		Progress:        o.Progress,
-		Gauge:           o.Gauge,
-		Logger:          o.Logger,
-		CheckpointDir:   o.CheckpointDir,
-		CheckpointEvery: o.CheckpointEvery,
-	}, cfgs, fn)
+	return runner.RunsEach(ctx, o.engine(), cfgs, fn)
 }
 
 // ctxErr is the early-exit cancellation check for runners whose work does

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -91,21 +92,19 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Instance A: accept the job, wait for its first snapshot, then
+	// Instance A: accept the job, wait until it is 40 ticks in, then
 	// hard-stop (an already-expired drain context cancels in-flight work,
-	// exactly what a deadline-killed daemon does on SIGTERM).
-	a := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir, CheckpointEveryTicks: 40})
+	// exactly what a deadline-killed daemon does on SIGTERM); the canceled
+	// run writes its snapshot at the tick where it stops.
+	a := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
 	j, err := a.Submit(JobRequest{Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(stateDir, j.ID(), cocoa.CheckpointFile)
-	for deadline := time.Now().Add(60 * time.Second); ; {
-		if _, err := os.Stat(ckpt); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot at %s", ckpt)
+	for deadline := time.Now().Add(60 * time.Second); j.Status().Tick < 40; {
+		if st := j.Status(); st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job never reached tick 40: state %s tick %d", st.State, st.Tick)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -124,7 +123,7 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 	ageStateDir(t, filepath.Join(stateDir, j.ID()))
 
 	// Instance B: recover, resume, finish.
-	b := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir, CheckpointEveryTicks: 40})
+	b := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
 	ids, err := b.RecoverJobs()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +248,7 @@ func ageStateDir(t *testing.T, dir string) {
 // their directory; only process-interrupted jobs keep it.
 func TestStateDirLifecycle(t *testing.T) {
 	stateDir := t.TempDir()
-	s := New(Config{Workers: 2, QueueDepth: 8, StateDir: stateDir, CheckpointEveryTicks: 40})
+	s := New(Config{Workers: 2, QueueDepth: 8, StateDir: stateDir})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
@@ -284,7 +283,9 @@ func TestStateDirLifecycle(t *testing.T) {
 		waitGone(t, filepath.Join(stateDir, j.ID()))
 	})
 
-	t.Run("deadline retains", func(t *testing.T) {
+	// A job past its own deadline has failed for good: keeping its state
+	// would rerun it, with a fresh deadline, after every restart.
+	t.Run("deadline releases", func(t *testing.T) {
 		cfg := slowCfg(5)
 		j, err := s.Submit(JobRequest{Config: &cfg, TimeoutS: 0.05})
 		if err != nil {
@@ -294,19 +295,63 @@ func TestStateDirLifecycle(t *testing.T) {
 		if st.State != StateFailed {
 			t.Fatalf("state %s (%s)", st.State, st.Error)
 		}
-		// Retention is decided by the settler after the terminal
-		// transition; give it a moment before asserting presence.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, err := os.Stat(filepath.Join(stateDir, j.ID(), "job.json")); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("deadline-killed job lost its state directory")
-			}
-			time.Sleep(5 * time.Millisecond)
+		waitGone(t, filepath.Join(stateDir, j.ID()))
+		fresh := New(Config{Workers: 1, StateDir: stateDir})
+		defer fresh.Shutdown(context.Background())
+		if ids, err := fresh.RecoverJobs(); err != nil || len(ids) != 0 {
+			t.Fatalf("fresh server recovered %v (err=%v), want nothing", ids, err)
 		}
 	})
+}
+
+// A recovered job whose latest.ckpt is an older wire version reruns from
+// its job.json alone and still serves the uninterrupted run's bytes.
+func TestRecoverOldSnapshotVersionReruns(t *testing.T) {
+	stateDir := t.TempDir()
+	cfg := quickCfg(9)
+	res, err := cocoa.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(stateDir, "job-000001")
+	if err := writeJobRecord(dir, jobRecord{ID: "job-000001", Request: JobRequest{Config: &cfg}}); err != nil {
+		t.Fatal(err)
+	}
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := checkpoint.Marshal(&checkpoint.Snapshot{TickIndex: 1, SimNowS: 1, ConfigJSON: cfgJSON,
+		Digests: []checkpoint.Digest{{Name: "sim", Sum: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame header is an 8-byte magic, then the little-endian u16
+	// version; the CRC covers only the payload.
+	binary.LittleEndian.PutUint16(wire[8:], 1)
+	if err := os.WriteFile(filepath.Join(dir, cocoa.CheckpointFile), wire, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
+	defer s.Shutdown(context.Background())
+	ids, err := s.RecoverJobs()
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("recovered %v (err=%v), want one job", ids, err)
+	}
+	j, _ := s.Job(ids[0])
+	if st := waitJobTerminal(t, j, StateQueued, StateResumed); st.State != StateDone {
+		t.Fatalf("state %s (%s)", st.State, st.Error)
+	}
+	if got, _ := j.Result(); !bytes.Equal(got, want) {
+		t.Fatal("rerun from job.json differs from the uninterrupted run")
+	}
+	waitGone(t, dir)
 }
 
 // RecoverJobs housekeeping: garbage directories are discarded, unrelated

@@ -79,16 +79,20 @@ type Config struct {
 	// RetryAfter is the backpressure hint returned with 429/503 responses;
 	// 0 means 1 second.
 	RetryAfter time.Duration
-	// StateDir, when non-empty, makes jobs durable: every accepted job's
-	// request is persisted beneath it at submission, raw-config jobs
-	// additionally checkpoint their simulation state there while running
-	// (see cocoa.CheckpointSpec), and a restarted daemon re-enqueues the
-	// survivors with RecoverJobs — resuming raw-config jobs from their
-	// snapshots instead of tick zero. Empty keeps the service fully
-	// in-memory, exactly as before.
+	// StateDir, when non-empty, makes jobs durable across process death:
+	// every accepted job's request is persisted beneath it as job.json at
+	// submission, a raw-config job interrupted by drain hard-cancel writes
+	// a snapshot there at the tick where it stops, and a restarted daemon
+	// re-enqueues the survivors with RecoverJobs. A recovered job replays
+	// from tick zero either way — job.json alone reruns it byte-identically
+	// — and a snapshot adds a digest check against the revision that wrote
+	// it. Files are renamed into place without fsync, so the guarantee
+	// covers a killed process, not a host crash. Empty keeps the service
+	// fully in-memory.
 	StateDir string
-	// CheckpointEveryTicks is the snapshot cadence (sampling ticks) for
-	// durable raw-config jobs; <= 0 means cocoa.DefaultCheckpointEveryTicks.
+	// Deprecated: CheckpointEveryTicks is ignored. Snapshots are taken
+	// only when a run is interrupted; the field is kept only because the
+	// repository benchmark (perfbench/service.go) still sets it.
 	CheckpointEveryTicks int
 	// Logger receives the service's structured log records (job lifecycle,
 	// request access lines). nil discards them — the service never falls
@@ -736,12 +740,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // runConfig executes a raw-config job. With a state directory the run
-// checkpoints into it, and — when a snapshot from a previous process is
-// already there — resumes from that snapshot instead of tick zero. Every
-// resume is digest-verified replay (see internal/checkpoint), so a stale
-// or tampered snapshot fails loudly rather than silently diverging; any
-// other resume-path problem (missing/corrupt snapshot file) falls back to
-// a fresh run, which is always correct, just slower.
+// may leave a snapshot there if it is interrupted, and — when a snapshot
+// from a previous process is already there — the rerun verifies against
+// it: replay from tick zero, digest-checked at the snapshot's tick (see
+// internal/checkpoint), so a stale or tampered snapshot fails loudly
+// rather than silently diverging. A missing, corrupt or older-format
+// snapshot falls back to a plain rerun of the job's config, which yields
+// the same bytes without the check.
 func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byte, error) {
 	// Observability taps: the run publishes its tick position through the
 	// job's gauge, and records spans when the submission asked for a
@@ -763,14 +768,11 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 		return json.Marshal(res)
 	}
 	if j.stateDir != "" {
-		cfg.Checkpoint = cocoa.CheckpointSpec{
-			EveryTicks: s.cfg.CheckpointEveryTicks,
-			Dir:        j.stateDir,
-		}
+		cfg.CheckpointDir = j.stateDir
 		if snap, err := cocoa.ReadSnapshot(filepath.Join(j.stateDir, cocoa.CheckpointFile)); err == nil {
 			rcfg, cerr := cocoa.ConfigFromSnapshot(snap)
 			if cerr == nil {
-				rcfg.Checkpoint = cfg.Checkpoint
+				rcfg.CheckpointDir = cfg.CheckpointDir
 				rcfg.Progress = cfg.Progress
 				rcfg.Trace = cfg.Trace
 				team, terr := cocoa.ResumeTeam(rcfg, snap)
@@ -793,17 +795,15 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 }
 
 // finishState applies the durable-state retention policy when a job
-// settles. Jobs that ended on their own terms — done, failed on a real
-// error, or canceled by the user — release their directory. Jobs killed
-// by the process (drain hard-cancel) or by their deadline keep it, so a
-// restarted daemon can pick them back up where the snapshot left off.
+// settles. Jobs that ended on their own terms — done, failed (including a
+// job past its own deadline), or canceled by the user — release their
+// directory. Only jobs the server itself stopped (drain hard-cancel) keep
+// it, so a restarted daemon can pick them back up.
 func (s *Server) finishState(j *Job, err error) {
 	if j.stateDir == "" {
 		return
 	}
-	interrupted := errors.Is(err, context.DeadlineExceeded) ||
-		(errors.Is(err, context.Canceled) && !j.userCanceled())
-	if !interrupted {
+	if !errors.Is(err, context.Canceled) || j.userCanceled() {
 		os.RemoveAll(j.stateDir)
 	}
 }
@@ -850,9 +850,9 @@ func readJobRecord(dir string) (jobRecord, error) {
 }
 
 // RecoverJobs re-enqueues the jobs a previous process left behind in
-// StateDir, in job-ID order, and returns the recovered IDs. Raw-config
-// jobs resume from their latest snapshot (digest-verified); experiment
-// jobs rerun from their persisted request. The sequence counter is
+// StateDir, in job-ID order, and returns the recovered IDs. Every job
+// reruns from its persisted request; a raw-config job that left a snapshot
+// is digest-verified against it on the way. The sequence counter is
 // restored above the highest recovered ID so new submissions never
 // collide with recovered directories. Unreadable entries are discarded.
 // If the queue fills mid-recovery, recovery stops and the remaining
