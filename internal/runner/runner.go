@@ -212,9 +212,10 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 // The engine keeps a small process-wide free list of run slots so scratch
 // reuse spans fan-out calls, not just the runs within one: an experiment
 // suite that calls Runs per sweep still recycles the previous sweep's
-// simulators, streams, and grids. The list is capped — each scratch
-// retains its high-water memory, so hoarding one per historical worker
-// would defeat the purpose.
+// simulators, streams, and grids, and a service executing one run per job
+// (BorrowScratch) recycles the previous job's. The list is capped — each
+// scratch retains its high-water memory, so hoarding one per historical
+// worker would defeat the purpose.
 var (
 	scratchMu   sync.Mutex
 	scratchFree []*cocoa.Scratch
@@ -266,6 +267,21 @@ func scratchPool(workers, n int) (pool chan *cocoa.Scratch, release func()) {
 		}
 	}
 	return pool, release
+}
+
+// BorrowScratch lends one run slot from the process-wide free list to a
+// caller that executes single runs outside a fan-out, such as a service
+// job. The caller owns sc exclusively until it calls release, which parks
+// the slot for the next borrower, and must not touch sc afterwards: any
+// sc.ReleaseResult comes first. Results built on a borrowed slot are
+// byte-identical to fresh runs.
+func BorrowScratch() (sc *cocoa.Scratch, release func()) {
+	pool, parkAll := scratchPool(1, 1)
+	sc = <-pool
+	return sc, func() {
+		pool <- sc
+		parkAll()
+	}
 }
 
 // Runs executes every configuration through cocoa.RunContext on the pool

@@ -6,10 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -392,7 +395,8 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
+	logs := &captureHandler{}
+	s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir, Logger: slog.New(logs)})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -410,6 +414,31 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 			t.Errorf("%s not discarded", gone)
 		}
 	}
+	// Every discarded directory leaves a Warn record naming the job and
+	// why it could not be recovered.
+	warned := map[string]string{}
+	for _, r := range logs.records() {
+		if r.Level == slog.LevelWarn && r.Message == "discarding unrecoverable job" {
+			attrs := map[string]string{}
+			r.Attrs(func(a slog.Attr) bool {
+				attrs[a.Key] = a.Value.String()
+				return true
+			})
+			warned[attrs["job"]] = attrs["reason"]
+		}
+	}
+	for id, reason := range map[string]string{
+		"job-000007": "unreadable job record",
+		"job-000002": `job record names "job-000001"`,
+		"job-000003": "unknown experiment",
+	} {
+		if !strings.Contains(warned[id], reason) {
+			t.Errorf("%s: warn reason %q, want it to mention %q", id, warned[id], reason)
+		}
+	}
+	if len(warned) != 3 {
+		t.Errorf("warned about %d jobs, want 3: %v", len(warned), warned)
+	}
 	for _, kept := range []string{"notajob", "job-file"} {
 		if _, err := os.Stat(filepath.Join(stateDir, kept)); err != nil {
 			t.Errorf("unrelated entry %s disturbed: %v", kept, err)
@@ -423,4 +452,31 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 	if want := fmt.Sprintf("job-%06d", 8); j.ID() != want {
 		t.Fatalf("first post-recovery ID %s, want %s", j.ID(), want)
 	}
+}
+
+// captureHandler is a slog.Handler that keeps every record it handles, for
+// tests that assert on levels and attributes rather than formatted text.
+type captureHandler struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *captureHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *captureHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// WithAttrs and WithGroup drop the bound attributes: the records a test
+// inspects carry theirs inline.
+func (h *captureHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *captureHandler) WithGroup(string) slog.Handler      { return h }
+
+func (h *captureHandler) records() []slog.Record {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]slog.Record(nil), h.recs...)
 }

@@ -787,10 +787,16 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 			}
 		}
 	}
-	res, err := cocoa.RunContext(ctx, cfg)
+	// A fresh run recycles a run slot from the engine's free list instead
+	// of allocating cold; the Result's buffers go back to the slot once
+	// marshalled.
+	sc, release := runner.BorrowScratch()
+	defer release()
+	res, err := cocoa.RunScratch(ctx, cfg, sc)
 	if err != nil {
 		return nil, err
 	}
+	defer sc.ReleaseResult(res)
 	return finish(res)
 }
 
@@ -854,7 +860,9 @@ func readJobRecord(dir string) (jobRecord, error) {
 // reruns from its persisted request; a raw-config job that left a snapshot
 // is digest-verified against it on the way. The sequence counter is
 // restored above the highest recovered ID so new submissions never
-// collide with recovered directories. Unreadable entries are discarded.
+// collide with recovered directories. Unrecoverable entries (an unreadable
+// or mismatched job.json, an invalid request, a failed enqueue) are
+// deleted, each with a Warn record naming the job and the reason.
 // If the queue fills mid-recovery, recovery stops and the remaining
 // directories stay on disk for the next restart.
 func (s *Server) RecoverJobs() ([]string, error) {
@@ -890,23 +898,33 @@ func (s *Server) RecoverJobs() ([]string, error) {
 	var recovered []string
 	for _, id := range ids {
 		dir := filepath.Join(s.cfg.StateDir, id)
-		rec, err := readJobRecord(dir)
-		if err != nil || rec.ID != id {
+		// discard deletes a directory that cannot be recovered, leaving a
+		// Warn record of which job was lost and why.
+		discard := func(reason string) {
+			s.log.Warn("discarding unrecoverable job", "job", id, "reason", reason)
 			os.RemoveAll(dir)
+		}
+		rec, err := readJobRecord(dir)
+		if err != nil {
+			discard("unreadable job record: " + err.Error())
+			continue
+		}
+		if rec.ID != id {
+			discard(fmt.Sprintf("job record names %q", rec.ID))
 			continue
 		}
 		j := &Job{kind: "config", state: StateQueued, total: 1,
 			changed: make(chan struct{}), resumed: true, progress: &obs.Progress{}}
 		exec, err := s.buildExec(rec.Request, j)
 		if err != nil {
-			os.RemoveAll(dir)
+			discard("invalid request: " + err.Error())
 			continue
 		}
 		if _, err := s.enqueue(rec.Request, j, exec, id); err != nil {
 			if errors.Is(err, runner.ErrQueueFull) || errors.Is(err, ErrDraining) {
 				return recovered, nil
 			}
-			os.RemoveAll(dir)
+			discard("enqueue: " + err.Error())
 			continue
 		}
 		recovered = append(recovered, id)
