@@ -77,6 +77,12 @@ func (sc *Scratch) begin(seed int64) (*sim.Simulator, *sim.RNG) {
 // prior a fresh grid starts from) and allocating otherwise. The handed-out
 // grid is always in StatsIncremental mode, NewGrid's default; the caller
 // re-applies any reference override.
+//
+// On a miss every free grid has a geometry this team will never ask for (a
+// team uses one geometry), so the free grids are dropped before the new one
+// is appended. The arena therefore never holds more grids than the largest
+// team built through the scratch, all of one geometry, however many
+// geometries the scratch has served.
 func (sc *Scratch) grid(cfg Config) (*bayes.Grid, error) {
 	for i := sc.gridsUsed; i < len(sc.grids); i++ {
 		g := sc.grids[i]
@@ -93,10 +99,8 @@ func (sc *Scratch) grid(cfg Config) (*bayes.Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.grids = append(sc.grids, g)
-	last := len(sc.grids) - 1
-	sc.grids[last] = sc.grids[sc.gridsUsed]
-	sc.grids[sc.gridsUsed] = g
+	clear(sc.grids[sc.gridsUsed:])
+	sc.grids = append(sc.grids[:sc.gridsUsed], g)
 	sc.gridsUsed++
 	return g, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cocoa/internal/faults"
+	"cocoa/internal/geom"
 )
 
 // scratchVariants is the configuration matrix the byte-identity suite runs:
@@ -113,6 +114,69 @@ func TestScratchRecyclesResultBuffers(t *testing.T) {
 	}
 	if &res2.Times[0] != times0 || &res2.PerRobot[0][0] != per0 {
 		t.Error("recycled Result reallocated its buffers")
+	}
+}
+
+// The grid arena's retained memory is bounded by the largest team built
+// through the scratch, not by the number of geometries it has served: a
+// long-lived slot fed a stream of distinct geometries (a service taking raw
+// configs from clients) must not accumulate one team's worth of grids per
+// geometry.
+func TestScratchGridArenaBounded(t *testing.T) {
+	paper := testConfig()
+	coarse := testConfig()
+	coarse.NumRobots = 16
+	coarse.NumEquipped = 8
+	coarse.GridCellM = 8
+	small := testConfig()
+	small.NumRobots = 6
+	small.NumEquipped = 3
+	small.Area = geom.Square(120)
+	geometries := []Config{paper, coarse, small}
+
+	sc := NewScratch()
+	maxGrids, maxCells := 0, 0
+	for round := 0; round < 3; round++ {
+		for i, cfg := range geometries {
+			// Step the cell size slightly each round so every round brings
+			// geometries the scratch has never seen.
+			cfg.GridCellM += 0.25 * float64(round)
+			if _, err := NewTeamScratch(cfg, sc); err != nil {
+				t.Fatal(err)
+			}
+			if sc.gridsUsed == 0 {
+				t.Fatalf("round %d geometry %d: team drew no grids from the arena", round, i)
+			}
+			nx, ny := sc.grids[0].Dims()
+			maxGrids = max(maxGrids, sc.gridsUsed)
+			maxCells = max(maxCells, sc.gridsUsed*nx*ny)
+
+			if len(sc.grids) > maxGrids {
+				t.Errorf("round %d geometry %d: arena holds %d grids, largest team used %d",
+					round, i, len(sc.grids), maxGrids)
+			}
+			cells, stale := 0, 0
+			for _, g := range sc.grids {
+				if g.Area() != cfg.Area || g.CellSize() != cfg.GridCellM {
+					stale++
+				}
+				gx, gy := g.Dims()
+				cells += gx * gy
+			}
+			if stale > 0 {
+				t.Errorf("round %d geometry %d: arena retains %d grids of stale geometries", round, i, stale)
+			}
+			if cells > maxCells {
+				t.Errorf("round %d geometry %d: arena holds %d cells, largest team used %d",
+					round, i, cells, maxCells)
+			}
+			for _, g := range sc.grids[len(sc.grids):cap(sc.grids)] {
+				if g != nil {
+					t.Errorf("round %d geometry %d: dropped grid still reachable from the arena's backing array", round, i)
+					break
+				}
+			}
+		}
 	}
 }
 
