@@ -14,8 +14,10 @@ test:
 vet:
 	$(GO) vet ./...
 
+# race runs the whole suite under the race detector in a random test order,
+# so a hidden dependence between tests of any package fails here.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # fuzz gives each native fuzz target a short budget beyond its checked-in
 # corpus. Go only allows one -fuzz per invocation, so targets run in
@@ -32,9 +34,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 
 # shuffle reruns the stateful service/runner suites twice in random order:
-# the runner and serve packages keep cross-test state (scratch pools, a
-# process-global telemetry registry, daemon state dirs), so any hidden
-# test-order dependence shows up here instead of flaking in CI.
+# the runner and serve packages keep cross-test state (the process-wide
+# run-slot free list, the runner/serve job counters, daemon state dirs), and
+# the second pass catches state one run leaks into the next.
 shuffle:
 	$(GO) test -count=2 -shuffle=on ./internal/runner ./internal/serve
 
@@ -56,10 +58,11 @@ serve-smoke:
 	$(GO) run ./cmd/cocoad -smoke internal/scenario/testdata/golden_odometry.json
 
 # check is the gate a change must pass before it lands: static analysis,
-# the full suite under the race detector (the experiment engine fans runs
-# out across goroutines, so -race is not optional here), a short fuzz pass
-# over the serialization/loss-channel/LUT/RNG-seeding targets, a one-iteration
-# benchmark smoke so bench-only code paths cannot rot between bench runs,
+# the full suite under the race detector in shuffled order (the experiment
+# engine fans runs out across goroutines, so -race is not optional here), a
+# short fuzz pass over the serialization/loss-channel/LUT/RNG-seeding
+# targets, a one-iteration benchmark smoke so bench-only code paths cannot
+# rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
 # floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the
 # order-sensitive service suites. Performance is gated by the repeated,

@@ -6,18 +6,8 @@ import (
 	"io"
 	"os"
 
-	"cocoa/internal/serve"
 	"cocoa/internal/telemetry"
 )
-
-// startDebugServer serves the shared diagnostics mux (expvar + pprof,
-// see internal/serve.DebugMux) on its own listener, returning the actual
-// listen address so ":0" works in tests. The server runs for the
-// remaining process lifetime; there is nothing to shut down cleanly
-// mid-suite.
-func startDebugServer(addr string) (string, error) {
-	return serve.StartDebugServer(addr)
-}
 
 // writeTelemetrySnapshot serializes the final registry state to path as
 // indented JSON. Snapshot ordering is name-sorted, so repeated runs of
@@ -36,11 +26,14 @@ func writeTelemetrySnapshot(path string) error {
 // printTelemetryDelta appends one experiment's instrument deltas to the
 // progress stream. Only sim-deterministic quantities are printed —
 // counters and histogram counts/means, never wall-clock span totals — so
-// the table is identical at any parallelism level.
+// the table is identical at any parallelism level. Two counters measure
+// the run slots rather than the runs and are left out: cocoa.scratch_reuse
+// and sim.arena_chunks depend on how warm the process-wide run-slot free
+// list already is, which earlier experiments and -parallel decide.
 func printTelemetryDelta(w io.Writer, d telemetry.Snapshot) {
 	wrote := false
 	for _, c := range d.Counters {
-		if c.Value == 0 {
+		if c.Value == 0 || c.Name == "cocoa.scratch_reuse" || c.Name == "sim.arena_chunks" {
 			continue
 		}
 		if !wrote {

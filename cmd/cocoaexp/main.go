@@ -40,6 +40,7 @@ import (
 	"cocoa/internal/checkpoint"
 	"cocoa/internal/obs"
 	"cocoa/internal/runner"
+	"cocoa/internal/serve"
 	"cocoa/internal/telemetry"
 )
 
@@ -92,7 +93,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		telemetry.Default.SetEnabled(true)
 	}
 	if *debugAddr != "" {
-		actual, err := startDebugServer(*debugAddr)
+		// Serves expvar + pprof for the rest of the process; the actual
+		// address is logged so ":0" works.
+		actual, err := serve.StartDebugServer(*debugAddr)
 		if err != nil {
 			return err
 		}

@@ -46,20 +46,6 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// Telemetry instruments: beacon applications broken down by the density
-// mode the cell loop specialized to, plus the lazy-normalization outcome
-// (how many applies deferred the renorm vs forced one) and numerical
-// collapse resets.
-var (
-	telApplyNearest  = telemetry.Default.Counter("bayes.apply.nearest")
-	telApplyLerp     = telemetry.Default.Counter("bayes.apply.lerp")
-	telApplyGeneric  = telemetry.Default.Counter("bayes.apply.generic")
-	telRenormTaken   = telemetry.Default.Counter("bayes.renorm_taken")
-	telRenormDefer   = telemetry.Default.Counter("bayes.renorm_deferred")
-	telCollapseReset = telemetry.Default.Counter("bayes.collapse_resets")
-	telStatsResum    = telemetry.Default.Counter("bayes.stats_resum")
-)
-
 // DistanceDensity is the consumer-side view of a calibrated distance PDF
 // (satisfied by caltable's PDF types).
 type DistanceDensity interface {
@@ -149,6 +135,18 @@ type Grid struct {
 	// ratio is nearestRatios' per-apply buffer of bin multipliers; it is
 	// not part of the belief state.
 	ratio []float64
+
+	// tel is the grid's run telemetry (see Publish). Reset leaves it
+	// alone — Reset starts every window, and the counts span the run.
+	tel gridTel
+}
+
+// gridTel counts applies by density mode, renorms forced vs deferred,
+// numerical collapse resets, and incremental-statistics re-sums.
+type gridTel struct {
+	applyNearest, applyLerp, applyGeneric int
+	renormTaken, renormDeferred           int
+	collapseResets, statsResum            int
 }
 
 // maxCells caps a grid's cell count (32 MiB of float64 belief per robot).
@@ -216,6 +214,20 @@ func (g *Grid) Reset() {
 	g.plogp = g.sumP * math.Log(u)
 	g.plogpOK = true
 }
+
+// Publish adds the grid's counts since NewGrid or ResetTelemetry to reg.
+func (g *Grid) Publish(reg *telemetry.Registry) {
+	reg.Add("bayes.apply.nearest", g.tel.applyNearest)
+	reg.Add("bayes.apply.lerp", g.tel.applyLerp)
+	reg.Add("bayes.apply.generic", g.tel.applyGeneric)
+	reg.Add("bayes.renorm_taken", g.tel.renormTaken)
+	reg.Add("bayes.renorm_deferred", g.tel.renormDeferred)
+	reg.Add("bayes.collapse_resets", g.tel.collapseResets)
+	reg.Add("bayes.stats_resum", g.tel.statsResum)
+}
+
+// ResetTelemetry zeroes the counts, for a grid recycled into a new run.
+func (g *Grid) ResetTelemetry() { g.tel = gridTel{} }
 
 // Dims returns the grid dimensions in cells.
 func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
@@ -378,18 +390,18 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 
 	switch {
 	case haveLUT && nearest:
-		telApplyNearest.Inc()
+		g.tel.applyNearest++
 	case haveLUT:
-		telApplyLerp.Inc()
+		g.tel.applyLerp++
 	default:
-		telApplyGeneric.Inc()
+		g.tel.applyGeneric++
 	}
 
 	mass := g.mass - removed + added
 	if mass <= 0 || math.IsNaN(mass) || math.IsInf(mass, 0) {
 		// Numerical collapse: fall back to uniform rather than emit NaNs.
 		// Reset restores the closed-form uniform accumulators too.
-		telCollapseReset.Inc()
+		g.tel.collapseResets++
 		g.Reset()
 		g.beacons = 1
 		return
@@ -402,10 +414,10 @@ func (g *Grid) ApplyBeacon(beaconPos geom.Vec2, pdf DistanceDensity) {
 	g.plogpOK = false
 	g.beacons++
 	if mass > massRenormHigh || mass < massRenormLow {
-		telRenormTaken.Inc()
+		g.tel.renormTaken++
 		g.Renormalize()
 	} else {
-		telRenormDefer.Inc()
+		g.tel.renormDeferred++
 	}
 }
 
@@ -672,7 +684,7 @@ func (g *Grid) Estimate() geom.Vec2 {
 	if g.statsOps >= statsResumEvery ||
 		math.IsNaN(g.sumX) || math.IsInf(g.sumX, 0) ||
 		math.IsNaN(g.sumY) || math.IsInf(g.sumY, 0) {
-		telStatsResum.Inc()
+		g.tel.statsResum++
 		g.resumMoments()
 	}
 	tot := g.sumP
@@ -758,7 +770,7 @@ func (g *Grid) Entropy() float64 {
 		return g.entropyEager()
 	}
 	if !g.plogpOK {
-		telStatsResum.Inc()
+		g.tel.statsResum++
 		g.resumPlogp()
 	}
 	return (g.plogpSum*math.Log(g.mass) - g.plogp) / g.mass
@@ -785,7 +797,7 @@ func (g *Grid) TotalProbability() float64 {
 		return g.totalProbabilityEager()
 	}
 	if g.statsOps >= statsResumEvery {
-		telStatsResum.Inc()
+		g.tel.statsResum++
 		g.resumMoments()
 	}
 	return g.sumP / g.mass

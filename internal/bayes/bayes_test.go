@@ -9,6 +9,7 @@ import (
 	"cocoa/internal/geom"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
+	"cocoa/internal/telemetry"
 )
 
 func newGrid(t *testing.T) *Grid {
@@ -106,6 +107,56 @@ func TestThreeBeaconsTrilaterate(t *testing.T) {
 	}
 	if err := g.MAP().Dist(truth); err > 6 {
 		t.Errorf("MAP error = %.2f m, want < 6", err)
+	}
+}
+
+// The grid counts every apply by density mode and renorm outcome, and its
+// incremental-statistics re-sums; the counts span Reset (a run resets its
+// grid every window) until ResetTelemetry.
+func TestGridTelemetry(t *testing.T) {
+	g := newGrid(t)
+	opts := caltable.DefaultOptions()
+	opts.Samples = 20000
+	tab, err := caltable.Calibrate(radio.DefaultModel(), opts, sim.NewRNG(5).Stream("cal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdf, ok := tab.Lookup(-70)
+	if !ok {
+		t.Fatal("no PDF at -70 dBm")
+	}
+	const n = 70 // past statsResumEvery, so Estimate re-sums
+	for i := 0; i < n; i++ {
+		g.ApplyBeacon(geom.Vec2{X: 100, Y: 100}, pdf)
+		g.ApplyBeacon(geom.Vec2{X: 50, Y: 60}, caltable.GaussianPDF{Mu: 30, Sigma: 3})
+	}
+	g.Estimate()
+	g.Entropy()
+	g.Reset()
+	count := func() map[string]int64 {
+		reg := telemetry.NewRegistry()
+		g.Publish(reg)
+		out := map[string]int64{}
+		for _, c := range reg.Snapshot().Counters {
+			out[c.Name] = c.Value
+		}
+		return out
+	}
+	c := count()
+	if applies := c["bayes.apply.nearest"] + c["bayes.apply.lerp"] + c["bayes.apply.generic"]; applies != 2*n {
+		t.Errorf("applies by mode sum to %d, want %d: %v", applies, 2*n, c)
+	}
+	if renorms := c["bayes.renorm_taken"] + c["bayes.renorm_deferred"] + c["bayes.collapse_resets"]; renorms != 2*n {
+		t.Errorf("renorm outcomes sum to %d, want %d: %v", renorms, 2*n, c)
+	}
+	if c["bayes.stats_resum"] < 2 {
+		t.Errorf("stats_resum = %d, want the Estimate and Entropy re-sums", c["bayes.stats_resum"])
+	}
+	g.ResetTelemetry()
+	for name, v := range count() {
+		if v != 0 {
+			t.Errorf("after ResetTelemetry %s = %d", name, v)
+		}
 	}
 }
 

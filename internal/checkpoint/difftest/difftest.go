@@ -2,9 +2,8 @@
 // checkpoint/resume guarantee: for a given config it proves that
 // interrupting the run at EVERY sampling tick and resuming from the
 // snapshot yields a Result byte-identical to the uninterrupted run — and
-// that the resumed runs leave the same telemetry deltas (counters and
-// histograms; wall-clock spans are inherently nondeterministic and are
-// excluded, matching the comparison the cocoaexp debug path uses).
+// that the resumed runs count the same telemetry (each team's own
+// counters and histograms, read through Team.Telemetry).
 //
 // The harness runs the config four ways:
 //
@@ -38,7 +37,6 @@ import (
 
 	"cocoa/internal/checkpoint"
 	"cocoa/internal/cocoa"
-	"cocoa/internal/telemetry"
 )
 
 // Run asserts the checkpoint/resume contract for cfg: every sampling tick
@@ -47,12 +45,6 @@ import (
 func Run(t testing.TB, cfg cocoa.Config) {
 	t.Helper()
 	ctx := context.Background()
-
-	// Telemetry must be live so the resumed runs' instrument deltas can be
-	// compared against the oracle's.
-	wasEnabled := telemetry.Default.Enabled()
-	telemetry.Default.SetEnabled(true)
-	defer telemetry.Default.SetEnabled(wasEnabled)
 
 	oracleBytes, oracleTel := oracleRun(t, ctx, cfg)
 
@@ -94,8 +86,12 @@ func Run(t testing.TB, cfg cocoa.Config) {
 		if err != nil {
 			t.Fatalf("difftest: decode interrupt snapshot: %v", err)
 		}
-		if resBytes, _ := resumeRun(t, ctx, snap); !bytes.Equal(resBytes, oracleBytes) {
+		resBytes, resTel := resumeRun(t, ctx, snap)
+		if !bytes.Equal(resBytes, oracleBytes) {
 			t.Fatalf("difftest: resume from interrupt at tick %d diverged from oracle result bytes", k)
+		}
+		if resTel != oracleTel {
+			t.Fatalf("difftest: resume from interrupt at tick %d left different telemetry", k)
 		}
 	}
 }
@@ -128,23 +124,25 @@ func interruptRun(t testing.TB, ctx context.Context, cfg cocoa.Config, k int) []
 }
 
 // oracleRun executes cfg untouched and returns its result bytes and
-// deterministic telemetry delta.
+// telemetry.
 func oracleRun(t testing.TB, ctx context.Context, cfg cocoa.Config) ([]byte, string) {
 	t.Helper()
-	before := telemetry.Default.Snapshot()
-	res, err := cocoa.RunContext(ctx, cfg)
+	team, err := cocoa.NewTeam(cfg)
+	if err != nil {
+		t.Fatalf("difftest: build oracle team: %v", err)
+	}
+	res, err := team.RunContext(ctx)
 	if err != nil {
 		t.Fatalf("difftest: oracle run: %v", err)
 	}
-	return resultBytes(t, res), telDelta(t, before)
+	return resultBytes(t, res), telString(t, team)
 }
 
 // capturePass executes cfg once with a snapshot captured at every
 // sampling tick, returning the wire bytes per tick plus the run's result
-// bytes and telemetry delta.
+// bytes and telemetry.
 func capturePass(t testing.TB, ctx context.Context, cfg cocoa.Config) ([][]byte, []byte, string) {
 	t.Helper()
-	before := telemetry.Default.Snapshot()
 	team, err := cocoa.NewTeam(cfg)
 	if err != nil {
 		t.Fatalf("difftest: build capture team: %v", err)
@@ -162,7 +160,7 @@ func capturePass(t testing.TB, ctx context.Context, cfg cocoa.Config) ([][]byte,
 	if err != nil {
 		t.Fatalf("difftest: capture run: %v", err)
 	}
-	return snaps, resultBytes(t, res), telDelta(t, before)
+	return snaps, resultBytes(t, res), telString(t, team)
 }
 
 // PollCanceled returns a context that cancels itself on its k-th Err
@@ -194,16 +192,23 @@ func (c *pollCanceled) Err() error {
 	return nil
 }
 
-// resumeRun continues snap to completion and returns the resumed run's
-// result bytes and telemetry delta.
+// resumeRun continues snap to completion, as cocoa.ResumeFrom does, and
+// returns the resumed run's result bytes and telemetry.
 func resumeRun(t testing.TB, ctx context.Context, snap *checkpoint.Snapshot) ([]byte, string) {
 	t.Helper()
-	before := telemetry.Default.Snapshot()
-	res, err := cocoa.ResumeFrom(ctx, snap)
+	cfg, err := cocoa.ConfigFromSnapshot(snap)
+	if err != nil {
+		t.Fatalf("difftest: decode snapshot config at tick %d: %v", snap.TickIndex, err)
+	}
+	team, err := cocoa.ResumeTeam(cfg, snap)
+	if err != nil {
+		t.Fatalf("difftest: build resume team at tick %d: %v", snap.TickIndex, err)
+	}
+	res, err := team.RunContext(ctx)
 	if err != nil {
 		t.Fatalf("difftest: resume from tick %d: %v", snap.TickIndex, err)
 	}
-	return resultBytes(t, res), telDelta(t, before)
+	return resultBytes(t, res), telString(t, team)
 }
 
 // resultBytes is the byte-identity standard: the canonical JSON encoding
@@ -217,20 +222,13 @@ func resultBytes(t testing.TB, res *cocoa.Result) []byte {
 	return b
 }
 
-// telDelta renders the deterministic slice of the telemetry delta since
-// before: counters and histograms, sorted by name by the registry. Spans
-// measure wall time and gauges are levels, not per-run flows; both are
-// excluded.
-func telDelta(t testing.TB, before telemetry.Snapshot) string {
+// telString renders a finished team's telemetry (name-sorted counters and
+// histograms) for comparison.
+func telString(t testing.TB, team *cocoa.Team) string {
 	t.Helper()
-	d := telemetry.Diff(before, telemetry.Default.Snapshot())
-	det := struct {
-		Counters   []telemetry.CounterValue   `json:"counters"`
-		Histograms []telemetry.HistogramValue `json:"histograms"`
-	}{d.Counters, d.Histograms}
-	b, err := json.Marshal(det)
+	b, err := json.Marshal(team.Telemetry())
 	if err != nil {
-		t.Fatalf("difftest: encode telemetry delta: %v", err)
+		t.Fatalf("difftest: encode telemetry: %v", err)
 	}
 	return string(b)
 }

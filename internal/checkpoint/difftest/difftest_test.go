@@ -33,16 +33,15 @@ func suiteConfigs() map[string]cocoa.Config {
 // TestResumeEveryTick is the differential resume suite: for every config
 // and worker-pool width, interrupting at every sampling tick and resuming
 // must reproduce the uninterrupted run byte-for-byte (result and
-// deterministic telemetry).
+// telemetry). Each run's telemetry is its own team's, so the cases run in
+// parallel.
 func TestResumeEveryTick(t *testing.T) {
 	for name, cfg := range suiteConfigs() {
 		for _, workers := range []int{1, 8} {
 			cfg := cfg
 			cfg.UpdateWorkers = workers
-			// No t.Parallel(): the harness diffs the process-global
-			// telemetry registry, so concurrent runs would pollute each
-			// other's deltas.
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				t.Parallel()
 				Run(t, cfg)
 			})
 		}

@@ -9,7 +9,6 @@ import (
 
 	"cocoa/internal/cocoa"
 	"cocoa/internal/scenario"
-	"cocoa/internal/telemetry"
 )
 
 // The spatial neighbor index (DESIGN.md §12) is a performance device with a
@@ -63,37 +62,29 @@ func TestIndexEquivalenceRegistry(t *testing.T) {
 	}
 }
 
-// volatileCounter reports instruments that legitimately differ between the
-// two index settings or across scheduling: the index's own instruments,
-// per-receiver visit counts (pruning is the index's whole point), frame
-// pool hit rates (sync.Pool is GC-scheduling dependent), and process-level
-// runner/arena bookkeeping. Everything else is simulation-deterministic
-// and must match exactly.
+// volatileCounter reports counters that legitimately differ between the
+// two index settings: the index's own work and the per-receiver visit
+// counts (pruning is the index's whole point). Everything else is
+// simulation-deterministic and must match exactly.
 func volatileCounter(name string) bool {
-	for _, prefix := range []string{"mac.index_", "mac.pool_", "runner.", "serve."} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return name == "mac.receiver_visits" || name == "sim.arena_chunks"
+	return strings.HasPrefix(name, "mac.index_") || name == "mac.receiver_visits"
 }
 
 // TestIndexEquivalenceTelemetry compares full telemetry snapshots of a
 // fault-injected run (crashes exercise Detach/re-Attach compaction) under
 // both index settings: every sim-deterministic counter must agree.
 func TestIndexEquivalenceTelemetry(t *testing.T) {
-	wasEnabled := telemetry.Default.Enabled()
-	defer telemetry.Default.SetEnabled(wasEnabled)
-	telemetry.Default.SetEnabled(true)
-
+	t.Parallel()
 	snap := func(ctx context.Context) map[string]int64 {
-		before := telemetry.Default.Snapshot()
-		if _, err := cocoa.RunContext(ctx, scenario.QuickFamilies()["faults"]); err != nil {
+		team, err := cocoa.NewTeamContext(ctx, scenario.QuickFamilies()["faults"])
+		if err != nil {
 			t.Fatal(err)
 		}
-		d := telemetry.Diff(before, telemetry.Default.Snapshot())
+		if _, err := team.RunContext(ctx); err != nil {
+			t.Fatal(err)
+		}
 		out := map[string]int64{}
-		for _, c := range d.Counters {
+		for _, c := range team.Telemetry().Counters {
 			if !volatileCounter(c.Name) {
 				out[c.Name] = c.Value
 			}

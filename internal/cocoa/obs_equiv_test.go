@@ -2,7 +2,6 @@ package cocoa
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -12,19 +11,16 @@ import (
 
 // The observability layer inherits telemetry's prime directive: progress
 // publication and span tracing record, they never steer. Attaching both
-// must not perturb a single bit of any Result — nor any telemetry
-// counter — at any intra-run worker count. (make check runs this under
+// must not perturb a single bit of any Result — nor the run's telemetry —
+// at any intra-run worker count. (make check runs this under
 // -race, which also exercises the progress gauge against concurrent
 // readers of the serve layer's shape.)
 func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
-	wasEnabled := telemetry.Default.Enabled()
-	defer telemetry.Default.SetEnabled(wasEnabled)
-	telemetry.Default.SetEnabled(true)
-
+	t.Parallel()
 	type outcome struct {
 		result     *Result
 		resultJSON string
-		counters   map[string]int64
+		telemetry  telemetry.Snapshot
 	}
 	run := func(workers int, withObs bool) outcome {
 		cfg := testConfig()
@@ -35,20 +31,7 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 			cfg.Progress = progress
 			cfg.Trace = obs.NewTrace()
 		}
-		before := telemetry.Default.Snapshot()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := telemetry.Diff(before, telemetry.Default.Snapshot())
-		counters := map[string]int64{}
-		for _, c := range d.Counters {
-			counters[c.Name] = c.Value
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b, res, tel := runTelemetry(t, cfg, nil)
 		if withObs {
 			// The run must have actually published and recorded.
 			tick, total := progress.Ticks()
@@ -66,7 +49,7 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 				t.Errorf("workers=%d: trace does not round-trip balanced: %v", workers, err)
 			}
 		}
-		return outcome{result: res, resultJSON: string(b), counters: counters}
+		return outcome{result: res, resultJSON: string(b), telemetry: tel}
 	}
 
 	for _, workers := range []int{1, 8} {
@@ -81,15 +64,9 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(off.result, on.result) {
 			t.Errorf("UpdateWorkers=%d: Result structs differ with progress+tracing attached (observer handles leaked into Result.Config?)", workers)
 		}
-		for name, v := range off.counters {
-			if on.counters[name] != v {
-				t.Errorf("UpdateWorkers=%d: counter %s: off=%d on=%d", workers, name, v, on.counters[name])
-			}
-		}
-		for name, v := range on.counters {
-			if _, ok := off.counters[name]; !ok {
-				t.Errorf("UpdateWorkers=%d: counter %s: off=absent on=%d", workers, name, v)
-			}
+		if !reflect.DeepEqual(off.telemetry, on.telemetry) {
+			t.Errorf("UpdateWorkers=%d: telemetry differs with progress+tracing attached\noff: %+v\non:  %+v",
+				workers, off.telemetry, on.telemetry)
 		}
 	}
 }

@@ -98,7 +98,6 @@ func (t *Team) crashRobot(r *robot) {
 	}
 	r.crashed = true
 	t.crashes++
-	telCrashes.Inc()
 	r.nic.PowerOff()
 	// Compaction: a crashed radio is detached from the medium so surviving
 	// robots' frames stop paying (and stop drawing per-receiver noise for)
@@ -115,7 +114,7 @@ func (t *Team) recoverRobot(r *robot) {
 		return
 	}
 	r.crashed = false
-	telRecoveries.Inc()
+	t.recoveries++
 	t.med.Attach(r.id, r.nic)
 	r.nic.Wake()
 	t.emitSimple(EventRecover, r.id)

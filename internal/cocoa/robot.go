@@ -163,14 +163,12 @@ func (r *robot) onBeacon(f mac.Frame, rssiDBm float64, lookup func(float64) (bay
 	}
 	r.pending = append(r.pending, pendingBeacon{pos: b.Pos, pdf: pdf})
 	r.beaconsApplied++
-	telBeaconsQueued.Inc()
 }
 
 // applyPending folds the queued beacons into the localizer in arrival
 // (FIFO) order. Each robot's queue is applied by exactly one goroutine, so
 // the posterior a robot reaches is independent of the worker count.
 func (r *robot) applyPending() {
-	telBeaconsApplied.Add(int64(len(r.pending)))
 	for i := range r.pending {
 		r.loc.ApplyBeacon(r.pending[i].pos, r.pending[i].pdf)
 		r.pending[i] = pendingBeacon{} // release the PDF reference
@@ -192,10 +190,8 @@ func (r *robot) finalizeWindow() {
 		r.reckoner.Reanchor(fix)
 		r.haveFix = true
 		r.fixes++
-		telFixes.Inc()
 	} else {
 		r.missedWindows++
-		telFixMisses.Inc()
 	}
 	r.loc.Reset()
 }

@@ -5,13 +5,7 @@ import (
 
 	"cocoa/internal/bayes"
 	"cocoa/internal/sim"
-	"cocoa/internal/telemetry"
 )
-
-// telScratchReuse counts teams assembled on a warm scratch — each increment
-// is one replication that recycled the previous run's simulator, RNG
-// streams, and belief grids instead of reallocating them.
-var telScratchReuse = telemetry.Default.Counter("cocoa.scratch_reuse")
 
 // Scratch is the reusable memory of one run slot. A sweep worker that
 // executes replications back to back creates one Scratch and builds every
@@ -48,7 +42,7 @@ type Scratch struct {
 	results []*Result
 
 	// runs counts teams built through this scratch, to tell a cold first
-	// use from a warm reuse.
+	// use from a warm reuse (a team's cocoa.scratch_reuse).
 	runs int
 }
 
@@ -62,9 +56,6 @@ func NewScratch() *Scratch {
 // and the grid arena, and returns the simulator plus the root RNG for the
 // run's seed.
 func (sc *Scratch) begin(seed int64) (*sim.Simulator, *sim.RNG) {
-	if sc.runs > 0 {
-		telScratchReuse.Inc()
-	}
 	sc.runs++
 	sc.sim.Reset()
 	sc.rngs.Recycle()
@@ -92,6 +83,7 @@ func (sc *Scratch) grid(cfg Config) (*bayes.Grid, error) {
 			sc.gridsUsed++
 			g.SetStatsMode(bayes.StatsIncremental)
 			g.Reset()
+			g.ResetTelemetry()
 			return g, nil
 		}
 	}

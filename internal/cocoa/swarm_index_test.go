@@ -6,22 +6,20 @@ import (
 
 	"cocoa/internal/cocoa"
 	"cocoa/internal/scenario"
-	"cocoa/internal/telemetry"
 )
 
-// visitStats runs cfg under ctx with telemetry on and returns the MAC's
-// receiver visits and sent-frame counters — both sim-deterministic.
+// visitStats runs cfg under ctx and returns the run's MAC receiver visits
+// and sent-frame counters — both sim-deterministic.
 func visitStats(t *testing.T, ctx context.Context, cfg cocoa.Config) (visits, sent int64) {
 	t.Helper()
-	wasEnabled := telemetry.Default.Enabled()
-	defer telemetry.Default.SetEnabled(wasEnabled)
-	telemetry.Default.SetEnabled(true)
-	before := telemetry.Default.Snapshot()
-	if _, err := cocoa.RunContext(ctx, cfg); err != nil {
+	team, err := cocoa.NewTeamContext(ctx, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := telemetry.Diff(before, telemetry.Default.Snapshot())
-	for _, c := range d.Counters {
+	if _, err := team.RunContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range team.Telemetry().Counters {
 		switch c.Name {
 		case "mac.receiver_visits":
 			visits = c.Value
@@ -41,6 +39,7 @@ func visitStats(t *testing.T, ctx context.Context, cfg cocoa.Config) (visits, se
 // counters are sim-deterministic, so this is a hard floor, not a timing
 // flake.
 func TestIndexPruningFactor(t *testing.T) {
+	t.Parallel()
 	cfg := scenario.SwarmConfig(1000)
 	cfg.DurationS = 40
 	cfg.Calibration.Samples = 60000
@@ -63,6 +62,7 @@ func TestIndexPruningFactor(t *testing.T) {
 // crashed permanently mid-run, the per-frame visit count must drop well
 // below the healthy baseline — under both index settings.
 func TestCrashedSwarmVisitsDrop(t *testing.T) {
+	t.Parallel()
 	for _, index := range []struct {
 		name string
 		ctx  context.Context

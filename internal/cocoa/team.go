@@ -27,31 +27,11 @@ import (
 	"cocoa/internal/terrain"
 )
 
-// Telemetry instruments for the coordination layer: beacon traffic into
-// the localizers, the worker-pool flush shape, crash lifecycle, and a
-// virtual-clock span measuring each beacon window in *simulated* seconds.
+// Bounds of the robots busy at each flush (the worker pool's fan-out) and
+// of the per-robot queue length a flush drains.
 var (
-	telBeaconsSent    = telemetry.Default.Counter("cocoa.beacons_sent")
-	telBeaconsQueued  = telemetry.Default.Counter("cocoa.beacons_queued")
-	telBeaconsApplied = telemetry.Default.Counter("cocoa.beacons_applied")
-	telFixes          = telemetry.Default.Counter("cocoa.fixes")
-	telFixMisses      = telemetry.Default.Counter("cocoa.fix_misses")
-	telSyncs          = telemetry.Default.Counter("cocoa.syncs_received")
-	telCrashes        = telemetry.Default.Counter("cocoa.crashes")
-	telRecoveries     = telemetry.Default.Counter("cocoa.recoveries")
-	telFlushes        = telemetry.Default.Counter("cocoa.flushes")
-	// cocoa.flush_busy_robots is the number of robots with queued beacons
-	// at each flush point — the worker pool's fan-out width.
-	telFlushBusy = telemetry.Default.Histogram("cocoa.flush_busy_robots",
-		[]float64{0, 1, 2, 4, 8, 16, 32, 64})
-	// cocoa.beacon_queue_depth is the per-robot queue length drained by a
-	// flush.
-	telQueueDepth = telemetry.Default.Histogram("cocoa.beacon_queue_depth",
-		[]float64{0, 1, 2, 4, 8, 16, 32})
-	// cocoa.window_sim measures each beacon window in simulated time: with
-	// clock skew and crashes the *effective* window a run experienced is an
-	// observable, not a config echo.
-	telWindowSim = telemetry.Default.Span("cocoa.window_sim")
+	flushBusyBounds  = []float64{0, 1, 2, 4, 8, 16, 32, 64}
+	queueDepthBounds = []float64{0, 1, 2, 4, 8, 16, 32}
 )
 
 // Team is one assembled deployment, ready to run.
@@ -77,9 +57,10 @@ type Team struct {
 	// Fault injection (Config.Faults). links holds the per-robot channel
 	// filters so finish can collect their counters; outages is the crash
 	// schedule armed in Run.
-	links   []*faults.Link
-	outages []faults.Outage
-	crashes int
+	links      []*faults.Link
+	outages    []faults.Outage
+	crashes    int
+	recoveries int
 
 	// scratch is the run slot this team was built on (nil for fresh
 	// construction); RunContext recycles Result buffers through it.
@@ -101,6 +82,13 @@ type Team struct {
 	reportsSent      int
 	reportsDelivered int
 	reportHops       int
+
+	// Run telemetry not counted elsewhere (see Telemetry); flushBusy
+	// observes once per flush, and scratchReuse is 1 on a warm run slot.
+	beaconsSent  int
+	flushBusy    telemetry.Tally
+	queueDepth   telemetry.Tally
+	scratchReuse int
 
 	// Observability taps (Config.Progress / Config.Trace). Both are
 	// write-only for the run — nothing below reads them back — so they
@@ -157,7 +145,9 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 	}
 	var root *sim.RNG
 	var s *sim.Simulator
+	scratchReuse := 0
 	if sc != nil {
+		scratchReuse = min(sc.runs, 1)
 		s, root = sc.begin(cfg.Seed)
 	} else {
 		root = sim.NewRNG(cfg.Seed)
@@ -189,6 +179,10 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 		root:     root,
 		progress: cfg.Progress,
 		tracer:   cfg.Trace,
+
+		flushBusy:    telemetry.NewTally(flushBusyBounds),
+		queueDepth:   telemetry.NewTally(queueDepthBounds),
+		scratchReuse: scratchReuse,
 	}
 	t.updateWorkers = cfg.UpdateWorkers
 	if t.updateWorkers == 0 {
@@ -281,7 +275,6 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 			if sp, ok := d.Payload.(SyncPayload); ok {
 				r.scheduleKnown = true
 				r.syncsReceived++
-				telSyncs.Inc()
 				// Resynchronize the robot's timers to the Sync robot.
 				r.syncedThisPeriod = true
 				r.clockErr = 0
@@ -400,7 +393,8 @@ func (t *Team) Run() (*Result, error) {
 }
 
 // RunContext executes the deployment under ctx and collects the result. A
-// team can run only once.
+// team can run only once. On every return it publishes its Telemetry into
+// telemetry.Default if that registry is enabled.
 //
 // Cancellation is observed cooperatively at the end of every
 // metric-sampling tick (one simulated SampleIntervalS, microseconds of
@@ -415,6 +409,11 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("cocoa: team already ran")
 	}
 	t.ran = true
+	defer func() {
+		if telemetry.Default.Enabled() {
+			t.publish(telemetry.Default)
+		}
+	}()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -685,7 +684,7 @@ func (t *Team) sendBeacon(r *robot) {
 		payload.Secondary = true
 	}
 	if r.nic.Send(network.KindBeacon, network.BeaconBytes, payload) == nil {
-		telBeaconsSent.Inc()
+		t.beaconsSent++
 		// Guard the args map: building it unconditionally would allocate
 		// even when tracing is off.
 		if t.tracer != nil {
@@ -707,12 +706,11 @@ func (t *Team) flushBeaconQueues() {
 	var busy []*robot
 	for _, r := range t.robots {
 		if len(r.pending) > 0 {
-			telQueueDepth.ObserveInt(len(r.pending))
+			t.queueDepth.Observe(len(r.pending))
 			busy = append(busy, r)
 		}
 	}
-	telFlushes.Inc()
-	telFlushBusy.ObserveInt(len(busy))
+	t.flushBusy.Observe(len(busy))
 	// Trace the belief updates serially, before the worker fan-out: the
 	// robots' queue depths are still intact here, and emitting from the
 	// single-threaded event loop keeps the event order deterministic at
@@ -758,7 +756,6 @@ func (t *Team) flushBeaconQueues() {
 func (t *Team) endWindow(w sim.Time) {
 	cfg := t.cfg
 	now := t.sim.Now()
-	telWindowSim.StartSim(float64(w)).EndSim(float64(now))
 	t.emitSimple(EventWindowEnd, -1)
 	// Apply the window's queued beacons before any localizer readout below.
 	t.flushBeaconQueues()
@@ -869,6 +866,41 @@ func (t *Team) finish(res *Result) {
 		res.FaultDrops += l.Drops()
 		res.RSSIOutliers += l.Outliers()
 	}
+}
+
+// Telemetry returns the run's counts (the series it publishes into
+// telemetry.Default), read from its own objects. Valid after RunContext.
+func (t *Team) Telemetry() telemetry.Snapshot {
+	reg := telemetry.NewRegistry()
+	t.publish(reg)
+	return reg.Snapshot()
+}
+
+// publish adds the run's counts to reg.
+func (t *Team) publish(reg *telemetry.Registry) {
+	t.sim.Publish(reg)
+	t.med.Publish(reg)
+	for _, r := range t.robots {
+		r.nic.Publish(reg)
+		if g, ok := r.loc.(*bayes.Grid); ok {
+			g.Publish(reg)
+		}
+		reg.Add("cocoa.beacons_queued", r.beaconsApplied)
+		reg.Add("cocoa.beacons_applied", r.beaconsApplied-len(r.pending)) // queued, less still pending
+		reg.Add("cocoa.fixes", r.fixes)
+		reg.Add("cocoa.fix_misses", r.missedWindows)
+		reg.Add("cocoa.syncs_received", r.syncsReceived)
+	}
+	for _, l := range t.links {
+		l.Publish(reg)
+	}
+	reg.Add("cocoa.beacons_sent", t.beaconsSent)
+	reg.Add("cocoa.crashes", t.crashes)
+	reg.Add("cocoa.recoveries", t.recoveries)
+	reg.Add("cocoa.flushes", t.flushBusy.Count())
+	reg.AddTally("cocoa.flush_busy_robots", &t.flushBusy)
+	reg.AddTally("cocoa.beacon_queue_depth", &t.queueDepth)
+	reg.Add("cocoa.scratch_reuse", t.scratchReuse)
 }
 
 // Run is the package-level convenience: assemble and run in one call.

@@ -27,6 +27,7 @@ import (
 	"cocoa/internal/odometry"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
+	"cocoa/internal/telemetry"
 )
 
 // Config describes one Cooperative Positioning run.
@@ -174,6 +175,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The baseline's grid work is published like a CoCoA run's.
+	defer func() {
+		if telemetry.Default.Enabled() {
+			grid.Publish(telemetry.Default)
+		}
+	}()
 
 	res := &Result{}
 	dt := float64(cfg.SampleIntervalS)

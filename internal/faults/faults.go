@@ -22,14 +22,6 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// Telemetry instruments: injected-fault activity by fault kind. The
-// network layer separately attributes fault drops to frame kinds; these
-// count what each fault *source* did.
-var (
-	telLossDrops = telemetry.Default.Counter("faults.drops.loss")
-	telOutliers  = telemetry.Default.Counter("faults.outliers")
-)
-
 // Config enables and parameterizes each fault source. The zero value
 // injects nothing.
 type Config struct {
@@ -142,7 +134,6 @@ func NewLink(cfg Config, lossRng, outlierRng *sim.RNG, outlierKind int) *Link {
 func (l *Link) Incoming(kind int, rssiDBm float64) (float64, bool) {
 	if l.ge != nil && l.ge.Drop() {
 		l.drops++
-		telLossDrops.Inc()
 		return rssiDBm, true
 	}
 	if l.outlierProb > 0 && (l.outlierKind == 0 || kind == l.outlierKind) {
@@ -152,7 +143,6 @@ func (l *Link) Incoming(kind int, rssiDBm float64) (float64, bool) {
 				spike = -spike
 			}
 			l.outliers++
-			telOutliers.Inc()
 			return rssiDBm + spike, false
 		}
 	}
@@ -164,6 +154,12 @@ func (l *Link) Drops() int { return l.drops }
 
 // Outliers returns the number of RSSI spikes injected.
 func (l *Link) Outliers() int { return l.outliers }
+
+// Publish adds what each fault source did to reg (faults.*).
+func (l *Link) Publish(reg *telemetry.Registry) {
+	reg.Add("faults.drops.loss", l.drops)
+	reg.Add("faults.outliers", l.outliers)
+}
 
 // Outage is one robot's crash interval: the robot is down in
 // [StartS, EndS). EndS past the run duration means it never recovers.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cocoa/internal/sim"
+	"cocoa/internal/telemetry"
 )
 
 func TestBurstyMatchesTargetLossRate(t *testing.T) {
@@ -130,6 +131,11 @@ func TestLinkDropsAndSpikes(t *testing.T) {
 	}
 	if rssi != -70 {
 		t.Errorf("non-beacon frame RSSI perturbed to %v", rssi)
+	}
+	reg := telemetry.NewRegistry()
+	l.Publish(reg)
+	if d, o := reg.Counter("faults.drops.loss").Value(), reg.Counter("faults.outliers").Value(); d != int64(l.Drops()) || o != int64(l.Outliers()) {
+		t.Errorf("published drops=%d outliers=%d, link counts %d and %d", d, o, l.Drops(), l.Outliers())
 	}
 }
 

@@ -24,6 +24,7 @@ type workloadTrace struct {
 	Stats  Stats
 	Frames [][]Frame
 	RSSIs  [][]float64
+	tel    medTel
 }
 
 // runChurnWorkload drives one medium through a deterministic schedule of
@@ -97,7 +98,7 @@ func runChurnWorkload(t *testing.T, idx NeighborIndex, seed int64) workloadTrace
 
 	s.RunUntil(dur)
 
-	tr := workloadTrace{Stats: med.Stats()}
+	tr := workloadTrace{Stats: med.Stats(), tel: med.tel}
 	for _, ep := range eps {
 		tr.Frames = append(tr.Frames, ep.got)
 		tr.RSSIs = append(tr.RSSIs, ep.rssis)
@@ -132,21 +133,10 @@ func TestGridScanEquivalence(t *testing.T) {
 // same-work: on a spread-out swarm the per-frame receiver visits must drop
 // by a large factor. Deterministic counters, not wall time, prove the claim.
 func TestGridPrunesVisits(t *testing.T) {
-	wasEnabled := telemetry.Default.Enabled()
-	telemetry.Default.SetEnabled(true)
-	defer telemetry.Default.SetEnabled(wasEnabled)
-	visits := telemetry.Default.Counter("mac.receiver_visits")
-	skips := telemetry.Default.Counter("mac.index_bulk_skips")
-
-	v0 := visits.Value()
+	t.Parallel()
 	scan := runChurnWorkload(t, IndexScan, 5)
-	scanVisits := visits.Value() - v0
-
-	v0 = visits.Value()
-	s0 := skips.Value()
 	grid := runChurnWorkload(t, IndexGrid, 5)
-	gridVisits := visits.Value() - v0
-	gridSkips := skips.Value() - s0
+	scanVisits, gridVisits, gridSkips := scan.tel.visits, grid.tel.visits, grid.tel.indexSkips
 
 	if !reflect.DeepEqual(scan.Stats, grid.Stats) {
 		t.Fatalf("stats diverged\nscan: %+v\ngrid: %+v", scan.Stats, grid.Stats)
@@ -196,6 +186,27 @@ func TestDetachCompacts(t *testing.T) {
 		if got := st.Delivered + st.Collided + st.BelowSense + st.MissedAsleep; got != n/2-1 {
 			t.Errorf("idx %d: %d receiver outcomes for %d live receivers", idx, got, n/2-1)
 		}
+		med.UpdatePositions()
+		reg := telemetry.NewRegistry()
+		med.Publish(reg)
+		tel := med.tel
+		for name, want := range map[string]int{
+			"mac.sent": st.Sent, "mac.delivered": st.Delivered, "mac.collided": st.Collided,
+			"mac.below_sense": st.BelowSense, "mac.missed_asleep": st.MissedAsleep,
+			"mac.dropped_busy": st.DroppedBusy, "mac.backoffs": st.BackoffEvents,
+			"mac.rssi_gate_skips": tel.gateSkips, "mac.receiver_visits": n/2 - 1,
+			"mac.pool_hits": tel.poolHits, "mac.pool_misses": tel.poolMisses,
+			"mac.index_cells_scanned": tel.indexCells, "mac.index_candidates": tel.indexCands,
+			"mac.index_bulk_skips": tel.indexSkips, "mac.index_moves": tel.indexMoves,
+			"mac.index_rebuilds": tel.indexRebuilds,
+		} {
+			if got := reg.Counter(name).Value(); got != int64(want) {
+				t.Errorf("idx %d: %s = %d, want %d", idx, name, got, want)
+			}
+		}
+		if idx == IndexGrid && (tel.indexRebuilds != 1 || tel.indexCells == 0 || tel.poolMisses == 0) {
+			t.Errorf("idx %d: index work not counted: %+v", idx, tel)
+		}
 		for i := n / 2; i < n; i++ {
 			if len(eps[i].got) != 0 || eps[i].rxDepth != 0 {
 				t.Errorf("idx %d: detached station %d still reached", idx, i)
@@ -207,12 +218,8 @@ func TestDetachCompacts(t *testing.T) {
 // TestDetachVisitsDrop is the regression test for the crashed-swarm cost
 // model: detaching half the stations must halve the per-frame visits.
 func TestDetachVisitsDrop(t *testing.T) {
-	wasEnabled := telemetry.Default.Enabled()
-	telemetry.Default.SetEnabled(true)
-	defer telemetry.Default.SetEnabled(wasEnabled)
-	visits := telemetry.Default.Counter("mac.receiver_visits")
-
-	perFrame := func(detachHalf bool) int64 {
+	t.Parallel()
+	perFrame := func(detachHalf bool) int {
 		s := sim.New()
 		med, err := NewMedium(s, DefaultConfig(radio.DefaultModel()), sim.NewRNG(1).Stream("mac"))
 		if err != nil {
@@ -227,12 +234,11 @@ func TestDetachVisitsDrop(t *testing.T) {
 				med.Detach(i)
 			}
 		}
-		v0 := visits.Value()
 		if err := med.Send(0, Frame{Kind: 1, Bytes: 56}); err != nil {
 			t.Fatal(err)
 		}
 		s.RunUntil(1)
-		return visits.Value() - v0
+		return med.tel.visits
 	}
 
 	full := perFrame(false)

@@ -21,38 +21,6 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// Telemetry instruments. These mirror (and extend) Stats process-wide:
-// Stats stays the per-run result surface, the telemetry counters aggregate
-// across every concurrent run for live observability.
-var (
-	telSent         = telemetry.Default.Counter("mac.sent")
-	telDelivered    = telemetry.Default.Counter("mac.delivered")
-	telCollided     = telemetry.Default.Counter("mac.collided")
-	telBelowSense   = telemetry.Default.Counter("mac.below_sense")
-	telMissedAsleep = telemetry.Default.Counter("mac.missed_asleep")
-	telDroppedBusy  = telemetry.Default.Counter("mac.dropped_busy")
-	telBackoffs     = telemetry.Default.Counter("mac.backoffs")
-	// mac.rssi_gate_skips counts receivers skipped by the squared-distance
-	// plausibility gate before any noise is drawn — the PR 3 fast path
-	// whose rate explains why dense deployments stay cheap.
-	telGateSkips  = telemetry.Default.Counter("mac.rssi_gate_skips")
-	telPoolHits   = telemetry.Default.Counter("mac.pool_hits")
-	telPoolMisses = telemetry.Default.Counter("mac.pool_misses")
-	// mac.receiver_visits counts stations individually examined per frame
-	// (the per-receiver loop body). With the spatial index enabled only the
-	// 3x3-neighborhood candidates are visited, so this counter — not wall
-	// time — is the deterministic measure of what the index saves.
-	telVisits = telemetry.Default.Counter("mac.receiver_visits")
-	// Spatial-index instruments (all zero under IndexScan). These counters
-	// depend on which index is configured, so they are exempt from the
-	// index-on/off telemetry-equality contract the mac.* counters above obey.
-	telIndexCells   = telemetry.Default.Counter("mac.index_cells_scanned")
-	telIndexCands   = telemetry.Default.Counter("mac.index_candidates")
-	telIndexSkips   = telemetry.Default.Counter("mac.index_bulk_skips")
-	telIndexMoves   = telemetry.Default.Counter("mac.index_moves")
-	telIndexRebuild = telemetry.Default.Counter("mac.index_rebuilds")
-)
-
 // Frame is a broadcast MAC frame. Payload is opaque to the MAC.
 type Frame struct {
 	From    int // sender node ID
@@ -246,6 +214,23 @@ type Medium struct {
 	// grid is the spatial neighbor index; nil selects the brute-force scan
 	// (IndexScan, or IndexGrid over a radio model with unbounded brackets).
 	grid *gridIndex
+	// tel holds the run telemetry stats does not (see Publish).
+	tel medTel
+}
+
+// medTel counts MAC work beyond the Stats outcomes, for run telemetry.
+type medTel struct {
+	// gateSkips counts receivers the squared-distance plausibility gate
+	// skips before any noise is drawn: why dense deployments stay cheap.
+	gateSkips int
+	// visits counts stations individually examined per frame. The index
+	// visits only 3x3-neighborhood candidates, so this count — not wall
+	// time — is the deterministic measure of what the index saves.
+	visits               int
+	poolHits, poolMisses int
+	// Spatial-index work (zero under IndexScan), exempt from the index
+	// on/off telemetry-equality contract the other counts obey.
+	indexCells, indexCands, indexSkips, indexMoves, indexRebuilds int
 }
 
 // NewMedium builds a medium over the given simulator. The RNG stream drives
@@ -371,10 +356,10 @@ func (m *Medium) UpdatePositions() {
 	if m.grid == nil {
 		return
 	}
-	telIndexRebuild.Inc()
+	m.tel.indexRebuilds++
 	for _, st := range m.ordered {
 		if m.grid.update(st) {
-			telIndexMoves.Inc()
+			m.tel.indexMoves++
 		}
 	}
 }
@@ -386,12 +371,32 @@ func (m *Medium) UpdatePosition(id int) {
 		return
 	}
 	if st, ok := m.stations[id]; ok && m.grid.update(st) {
-		telIndexMoves.Inc()
+		m.tel.indexMoves++
 	}
 }
 
 // Stats returns a copy of the MAC counters.
 func (m *Medium) Stats() Stats { return m.stats }
+
+// Publish adds the run's mac.* counts to reg: Stats plus medTel.
+func (m *Medium) Publish(reg *telemetry.Registry) {
+	reg.Add("mac.sent", m.stats.Sent)
+	reg.Add("mac.delivered", m.stats.Delivered)
+	reg.Add("mac.collided", m.stats.Collided)
+	reg.Add("mac.below_sense", m.stats.BelowSense)
+	reg.Add("mac.missed_asleep", m.stats.MissedAsleep)
+	reg.Add("mac.dropped_busy", m.stats.DroppedBusy)
+	reg.Add("mac.backoffs", m.stats.BackoffEvents)
+	reg.Add("mac.rssi_gate_skips", m.tel.gateSkips)
+	reg.Add("mac.receiver_visits", m.tel.visits)
+	reg.Add("mac.pool_hits", m.tel.poolHits)
+	reg.Add("mac.pool_misses", m.tel.poolMisses)
+	reg.Add("mac.index_cells_scanned", m.tel.indexCells)
+	reg.Add("mac.index_candidates", m.tel.indexCands)
+	reg.Add("mac.index_bulk_skips", m.tel.indexSkips)
+	reg.Add("mac.index_moves", m.tel.indexMoves)
+	reg.Add("mac.index_rebuilds", m.tel.indexRebuilds)
+}
 
 // Config returns the medium's configuration.
 func (m *Medium) Config() Config { return m.cfg }
@@ -418,11 +423,9 @@ func (m *Medium) attempt(st *station, f Frame, attempt, cw int) {
 	}
 	if attempt >= m.cfg.MaxAttempts {
 		m.stats.DroppedBusy++
-		telDroppedBusy.Inc()
 		return
 	}
 	m.stats.BackoffEvents++
-	telBackoffs.Inc()
 	backoff := sim.Time(m.rng.Intn(cw)+1) * m.cfg.SlotS
 	next := cw * 2
 	if next > m.cfg.MaxCW {
@@ -467,7 +470,7 @@ func (m *Medium) carrierBusyGrid(st *station, pos geom.Vec2, now sim.Time) bool 
 		}
 	}
 	k := m.grid.keyOf(pos)
-	telIndexCells.Add(9)
+	m.tel.indexCells += 9
 	for dy := int64(-1); dy <= 1; dy++ {
 		for dx := int64(-1); dx <= 1; dx++ {
 			for _, tx := range m.grid.txCells.get(gridKey{k.x + dx, k.y + dy}) {
@@ -509,7 +512,6 @@ func (m *Medium) transmit(st *station, f Frame) {
 		st.own = append(st.own, tx)
 	}
 	m.stats.Sent++
-	telSent.Inc()
 	m.stats.BytesOnAir += totalBytes
 	m.stats.AirtimeS += dur
 
@@ -539,13 +541,12 @@ func (m *Medium) transmit(st *station, f Frame) {
 	// including the transmitter itself when attached) then run the ordinary
 	// per-station decision in the same ascending-ID order as the scan.
 	cands := m.grid.collect(tx.pos, m.pruneFar2)
-	telIndexCells.Add(9)
-	telIndexCands.Add(int64(len(cands)))
+	m.tel.indexCells += 9
+	m.tel.indexCands += len(cands)
 	if skipped := len(m.ordered) - len(cands); skipped > 0 {
 		m.stats.BelowSense += skipped
-		telBelowSense.Add(int64(skipped))
-		telGateSkips.Add(int64(skipped))
-		telIndexSkips.Add(int64(skipped))
+		m.tel.gateSkips += skipped
+		m.tel.indexSkips += skipped
 	}
 	for _, rcv := range cands {
 		if rcv == st {
@@ -559,20 +560,18 @@ func (m *Medium) transmit(st *station, f Frame) {
 // survive the begin-of-frame checks are resolved by finishReceptions when
 // the frame leaves the air.
 func (m *Medium) beginReception(rcv *station, tx *transmission) {
-	telVisits.Inc()
+	m.tel.visits++
 	// Hard out-of-range cutoff: when even a +5-sigma fluctuation cannot
 	// reach sensitivity, skip the receiver without drawing noise.
 	d2 := rcv.ep.Position().Dist2(tx.pos)
 	if d2 >= m.plausFar2 {
 		m.stats.BelowSense++
-		telBelowSense.Inc()
-		telGateSkips.Inc()
+		m.tel.gateSkips++
 		return
 	}
 	d := math.Sqrt(d2)
 	if d2 > m.plausNear2 && m.cfg.Model.MaxPlausibleRSSI(d) < m.cfg.Model.SensitivityDBm {
 		m.stats.BelowSense++
-		telBelowSense.Inc()
 		return
 	}
 	rssi := m.cfg.Model.SampleRSSI(d, m.rng)
@@ -580,12 +579,10 @@ func (m *Medium) beginReception(rcv *station, tx *transmission) {
 	// meaningfully interfere; skip them entirely.
 	if rssi < m.cfg.Model.SensitivityDBm {
 		m.stats.BelowSense++
-		telBelowSense.Inc()
 		return
 	}
 	if !rcv.ep.Listening() {
 		m.stats.MissedAsleep++
-		telMissedAsleep.Inc()
 		return
 	}
 
@@ -619,14 +616,11 @@ func (m *Medium) finishReceptions(tx *transmission) {
 		switch {
 		case rec.corrupted:
 			m.stats.Collided++
-			telCollided.Inc()
 		case !rcv.ep.Listening():
 			// The radio went to sleep mid-frame.
 			m.stats.MissedAsleep++
-			telMissedAsleep.Inc()
 		default:
 			m.stats.Delivered++
-			telDelivered.Inc()
 			rcv.ep.Deliver(tx.frame, rec.rssi)
 		}
 		m.releaseReception(rec)
@@ -639,10 +633,10 @@ func (m *Medium) newReception() *reception {
 	if n := len(m.freeRec); n > 0 {
 		rec := m.freeRec[n-1]
 		m.freeRec = m.freeRec[:n-1]
-		telPoolHits.Inc()
+		m.tel.poolHits++
 		return rec
 	}
-	telPoolMisses.Inc()
+	m.tel.poolMisses++
 	return &reception{}
 }
 
@@ -656,10 +650,10 @@ func (m *Medium) newTransmission() *transmission {
 	if n := len(m.freeTx); n > 0 {
 		tx := m.freeTx[n-1]
 		m.freeTx = m.freeTx[:n-1]
-		telPoolHits.Inc()
+		m.tel.poolHits++
 		return tx
 	}
-	telPoolMisses.Inc()
+	m.tel.poolMisses++
 	return &transmission{}
 }
 

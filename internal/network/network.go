@@ -17,29 +17,6 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// Telemetry instruments: deliveries up the stack and fault-filter drops,
-// the latter broken down by frame kind so a lossy run shows *what* the
-// bursty channel ate (beacons vs SYNC vs unicast data).
-var (
-	telSent       = telemetry.Default.Counter("network.sent")
-	telDelivered  = telemetry.Default.Counter("network.delivered")
-	telSendErrs   = telemetry.Default.Counter("network.send_errors")
-	telFaultDrops = telemetry.Default.Counter("network.fault_drops")
-	// telDropsByKind is indexed by frame kind (KindBeacon..KindAck);
-	// index 0 catches unknown kinds.
-	telDropsByKind = [...]*telemetry.Counter{
-		telemetry.Default.Counter("network.fault_drops.other"),
-		telemetry.Default.Counter("network.fault_drops.beacon"),
-		telemetry.Default.Counter("network.fault_drops.join_query"),
-		telemetry.Default.Counter("network.fault_drops.join_reply"),
-		telemetry.Default.Counter("network.fault_drops.sync"),
-		telemetry.Default.Counter("network.fault_drops.data"),
-		telemetry.Default.Counter("network.fault_drops.hello"),
-		telemetry.Default.Counter("network.fault_drops.unicast"),
-		telemetry.Default.Counter("network.fault_drops.ack"),
-	}
-)
-
 // Frame kinds used across the CoCoA stack. They share one registry so the
 // NIC can dispatch received frames to the right protocol handler.
 const (
@@ -116,11 +93,19 @@ type NIC struct {
 	handlers map[int]Handler
 	faults   FaultFilter
 
-	sent       int
-	received   int
-	sendErrs   int
-	faultDrops int
+	sent     int // frames handed to the MAC
+	received int // frames delivered up the stack
+	sendErrs int // sends rejected because the radio was not awake
+	// faultDrops counts fault-filter drops by frame kind (index 0: unknown
+	// kinds), showing *what* a lossy channel ate. SetFaultFilter allocates
+	// it, so a fault-free NIC stays as small as one without the breakdown.
+	faultDrops *[len(dropKindNames)]int
 }
+
+// dropKindNames suffixes the network.fault_drops.* series, indexed like
+// NIC.faultDrops.
+var dropKindNames = [...]string{"other", "beacon", "join_query", "join_reply",
+	"sync", "data", "hello", "unicast", "ack"}
 
 var _ mac.Endpoint = (*NIC)(nil)
 
@@ -158,10 +143,35 @@ func (n *NIC) Handle(kind int, h Handler) { n.handlers[kind] = h }
 // default) delivers every decoded frame untouched. The energy meter still
 // bills the reception of a fault-dropped frame: the radio spent the Rx
 // power before the corrupted payload failed its checksum.
-func (n *NIC) SetFaultFilter(f FaultFilter) { n.faults = f }
+func (n *NIC) SetFaultFilter(f FaultFilter) {
+	n.faults = f
+	if f != nil && n.faultDrops == nil {
+		n.faultDrops = new([len(dropKindNames)]int)
+	}
+}
 
 // FaultDrops reports frames eaten by the fault filter after MAC decode.
-func (n *NIC) FaultDrops() int { return n.faultDrops }
+func (n *NIC) FaultDrops() (total int) {
+	if n.faultDrops != nil {
+		for _, d := range n.faultDrops {
+			total += d
+		}
+	}
+	return total
+}
+
+// Publish adds the NIC's run counts to reg (network.*).
+func (n *NIC) Publish(reg *telemetry.Registry) {
+	reg.Add("network.sent", n.sent)
+	reg.Add("network.delivered", n.received)
+	reg.Add("network.send_errors", n.sendErrs)
+	reg.Add("network.fault_drops", n.FaultDrops())
+	if n.faultDrops != nil {
+		for k, d := range n.faultDrops {
+			reg.Add("network.fault_drops."+dropKindNames[k], d)
+		}
+	}
+}
 
 // Sleep puts the radio into sleep mode. Frames arriving while asleep are
 // lost; Send fails.
@@ -186,22 +196,11 @@ func (n *NIC) setMode(m Mode) {
 func (n *NIC) Send(kind, payloadBytes int, payload any) error {
 	if n.mode != ModeAwake {
 		n.sendErrs++
-		telSendErrs.Inc()
 		return fmt.Errorf("nic %d: send while %v", n.id, n.mode)
 	}
 	n.sent++
-	telSent.Inc()
 	return n.med.Send(n.id, mac.Frame{Kind: kind, Bytes: payloadBytes, Payload: payload})
 }
-
-// Sent and Received report per-NIC frame counters.
-func (n *NIC) Sent() int { return n.sent }
-
-// Received reports the number of frames delivered up the stack.
-func (n *NIC) Received() int { return n.received }
-
-// SendErrors reports sends rejected because the radio was not awake.
-func (n *NIC) SendErrors() int { return n.sendErrs }
 
 // Position implements mac.Endpoint.
 func (n *NIC) Position() geom.Vec2 { return n.pos() }
@@ -240,19 +239,16 @@ func (n *NIC) Deliver(f mac.Frame, rssiDBm float64) {
 	if n.faults != nil {
 		rssi, drop := n.faults.Incoming(f.Kind, rssiDBm)
 		if drop {
-			n.faultDrops++
-			telFaultDrops.Inc()
 			k := f.Kind
-			if k < 0 || k >= len(telDropsByKind) {
+			if k < 0 || k >= len(n.faultDrops) {
 				k = 0
 			}
-			telDropsByKind[k].Inc()
+			n.faultDrops[k]++
 			return
 		}
 		rssiDBm = rssi
 	}
 	n.received++
-	telDelivered.Inc()
 	if h, ok := n.handlers[f.Kind]; ok {
 		h(f, rssiDBm)
 	}

@@ -9,6 +9,7 @@ import (
 	"cocoa/internal/mac"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
+	"cocoa/internal/telemetry"
 )
 
 type testBed struct {
@@ -70,8 +71,8 @@ func TestSendDeliverRoundTrip(t *testing.T) {
 	if rssis[0] > -30 || rssis[0] < -98 {
 		t.Errorf("implausible RSSI %v", rssis[0])
 	}
-	if a.Sent() != 1 || c.Received() != 1 {
-		t.Errorf("counters: sent=%d received=%d", a.Sent(), c.Received())
+	if a.sent != 1 || c.received != 1 {
+		t.Errorf("counters: sent=%d received=%d", a.sent, c.received)
 	}
 }
 
@@ -84,8 +85,8 @@ func TestUnhandledKindDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.sim.Run()
-	if c.Received() != 1 {
-		t.Errorf("Received = %d, want 1 (counted even if unhandled)", c.Received())
+	if c.received != 1 {
+		t.Errorf("Received = %d, want 1 (counted even if unhandled)", c.received)
 	}
 }
 
@@ -96,8 +97,8 @@ func TestSendWhileAsleepFails(t *testing.T) {
 	if err := a.Send(KindBeacon, BeaconBytes, nil); err == nil {
 		t.Fatal("send while asleep succeeded")
 	}
-	if a.SendErrors() != 1 {
-		t.Errorf("SendErrors = %d, want 1", a.SendErrors())
+	if a.sendErrs != 1 {
+		t.Errorf("SendErrors = %d, want 1", a.sendErrs)
 	}
 	a.PowerOff()
 	if err := a.Send(KindBeacon, BeaconBytes, nil); err == nil {
@@ -234,7 +235,7 @@ func TestFaultFilterInterceptsDelivery(t *testing.T) {
 	b := newBed(t, 10)
 	a := b.nic(0, geom.Vec2{})
 	c := b.nic(1, geom.Vec2{X: 15})
-	c.SetFaultFilter(&scriptedFilter{drop: map[int]bool{0: true}, rssiAdd: 7})
+	c.SetFaultFilter(&scriptedFilter{drop: map[int]bool{0: true, 2: true}, rssiAdd: 7})
 
 	var rssis []float64
 	c.Handle(KindBeacon, func(_ mac.Frame, rssi float64) { rssis = append(rssis, rssi) })
@@ -256,11 +257,24 @@ func TestFaultFilterInterceptsDelivery(t *testing.T) {
 	if c.FaultDrops() != 1 {
 		t.Errorf("FaultDrops = %d, want 1", c.FaultDrops())
 	}
-	if c.Received() != 1 {
-		t.Errorf("Received = %d, want 1 (drops are not receptions)", c.Received())
+	if c.received != 1 {
+		t.Errorf("Received = %d, want 1 (drops are not receptions)", c.received)
 	}
 	if rssis[0] > -30+7 || rssis[0] < -98+7 {
 		t.Errorf("perturbed RSSI %v outside shifted plausible band", rssis[0])
+	}
+	// A frame of an unknown kind is dropped into the "other" series.
+	c.Deliver(mac.Frame{Kind: 99}, -50)
+	reg := telemetry.NewRegistry()
+	a.Publish(reg)
+	c.Publish(reg)
+	for name, want := range map[string]int64{
+		"network.sent": 2, "network.delivered": 1, "network.send_errors": 0,
+		"network.fault_drops": 2, "network.fault_drops.beacon": 1, "network.fault_drops.other": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -277,6 +291,11 @@ func TestNilFaultFilterIsTransparent(t *testing.T) {
 	b.sim.Run()
 	if got != 1 || c.FaultDrops() != 0 {
 		t.Errorf("nil filter: delivered=%d drops=%d", got, c.FaultDrops())
+	}
+	reg := telemetry.NewRegistry()
+	c.Publish(reg)
+	if snap := reg.Snapshot(); len(snap.Counters) != 4 {
+		t.Errorf("filterless NIC published %v, want only the four unbroken-down series", snap.Counters)
 	}
 }
 

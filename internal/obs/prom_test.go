@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"cocoa/internal/telemetry"
 )
@@ -15,17 +16,17 @@ import (
 func testSnapshot(t *testing.T) telemetry.Snapshot {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	reg.SetEnabled(true)
 	c := reg.Counter("cocoa.sim.windows")
 	c.Add(7)
 	g := reg.Gauge("cocoa.pool.size")
 	g.Set(3)
-	h := reg.Histogram("cocoa.mac.backoff_slots", []float64{1, 4, 16})
-	for _, v := range []float64{0.5, 2, 2, 40} {
-		h.Observe(v)
+	tl := telemetry.NewTally([]float64{1, 4, 16})
+	for _, v := range []int{0, 2, 2, 40} {
+		tl.Observe(v)
 	}
-	sp := reg.Span("cocoa.window.sim")
-	sp.StartSim(0).EndSim(2)
+	reg.AddTally("cocoa.mac.backoff_slots", &tl)
+	sp := reg.Span("cocoa.job.wall")
+	sp.Observe(2 * time.Second)
 	return reg.Snapshot()
 }
 
@@ -51,11 +52,11 @@ func TestWriteMetricsRendersEveryKind(t *testing.T) {
 		`cocoa_mac_backoff_slots_bucket{le="4"} 3`,
 		`cocoa_mac_backoff_slots_bucket{le="16"} 3`,
 		`cocoa_mac_backoff_slots_bucket{le="+Inf"} 4`,
-		"cocoa_mac_backoff_slots_sum 44.5",
+		"cocoa_mac_backoff_slots_sum 44",
 		"cocoa_mac_backoff_slots_count 4",
-		"# TYPE cocoa_window_sim_ns summary",
-		"cocoa_window_sim_ns_count 1",
-		"# TYPE cocoa_window_sim_ns_max gauge",
+		"# TYPE cocoa_job_wall_ns summary",
+		"cocoa_job_wall_ns_count 1",
+		"# TYPE cocoa_job_wall_ns_max gauge",
 		"# HELP cocoad_jobs Jobs by state.",
 		"# TYPE cocoad_jobs gauge",
 		`cocoad_jobs{state="running"} 1`,
@@ -155,7 +156,6 @@ func TestRuntimeSamples(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.SetEnabled(true)
 	reg.Counter("cocoa.test.hits").Add(2)
 	h := Handler(reg, func() []Sample {
 		return []Sample{{Name: "extra_gauge", Type: "gauge", Value: 9}}

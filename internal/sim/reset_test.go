@@ -1,12 +1,29 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"cocoa/internal/telemetry"
+)
 
 // Reset must rewind the simulator to a fresh-constructed state: clock at
 // zero, empty calendar, and a second run over the recycled storage behaves
-// exactly like a first run.
+// exactly like a first run — its published counts included, except the
+// arena chunks the second run no longer allocates.
 func TestSimulatorReset(t *testing.T) {
 	s := New()
+	counts := func() map[string]int64 {
+		reg := telemetry.NewRegistry()
+		s.Publish(reg)
+		snap := reg.Snapshot()
+		out := map[string]int64{"heap_depth.count": snap.Histograms[0].Count,
+			"heap_depth.sum": int64(snap.Histograms[0].Sum)}
+		for _, c := range snap.Counters {
+			out[c.Name] = c.Value
+		}
+		return out
+	}
 	runOnce := func() (fired []Time, processed uint64) {
 		for _, at := range []Time{3, 1, 2} {
 			at := at
@@ -21,6 +38,13 @@ func TestSimulatorReset(t *testing.T) {
 	}
 
 	fired1, proc1 := runOnce()
+	// Calendar depth after each of the five At calls: 1, 2, 3, 4, then 4
+	// again (the Cancel removed one).
+	want := map[string]int64{"sim.events_scheduled": 5, "sim.events_dispatched": 3,
+		"sim.events_canceled": 1, "sim.arena_chunks": 1, "heap_depth.count": 5, "heap_depth.sum": 14}
+	if got := counts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("first run published %v, want %v", got, want)
+	}
 	if s.Now() != 10 || s.Pending() != 1 {
 		t.Fatalf("pre-reset: now=%v pending=%d, want 10 and 1", s.Now(), s.Pending())
 	}
@@ -32,6 +56,10 @@ func TestSimulatorReset(t *testing.T) {
 	}
 
 	fired2, proc2 := runOnce()
+	want["sim.arena_chunks"] = 0
+	if got := counts(); !reflect.DeepEqual(got, want) {
+		t.Errorf("run after Reset published %v, want %v", got, want)
+	}
 	if len(fired1) != 3 || len(fired2) != 3 {
 		t.Fatalf("fired %d then %d events, want 3 and 3", len(fired1), len(fired2))
 	}

@@ -16,17 +16,8 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// Telemetry instruments (no-ops until the telemetry registry is enabled).
-// The engine only records — nothing here feeds back into scheduling — so
-// runs are byte-identical with telemetry on or off.
-var (
-	telScheduled = telemetry.Default.Counter("sim.events_scheduled")
-	telDispatch  = telemetry.Default.Counter("sim.events_dispatched")
-	telCanceled  = telemetry.Default.Counter("sim.events_canceled")
-	telChunks    = telemetry.Default.Counter("sim.arena_chunks")
-	telHeapDepth = telemetry.Default.Histogram("sim.heap_depth",
-		[]float64{0, 8, 64, 512, 4096, 32768})
-)
+// heapDepthBounds buckets sim.heap_depth, the calendar depth at each At.
+var heapDepthBounds = []float64{0, 8, 64, 512, 4096, 32768}
 
 // Time is a point in virtual time, in seconds since the simulation start.
 type Time = float64
@@ -126,11 +117,17 @@ type Simulator struct {
 
 	// processed counts events executed, for diagnostics and tests.
 	processed uint64
+
+	// Run telemetry (see Publish); seq and processed double as the
+	// scheduled and dispatched counts. Nothing here feeds back.
+	canceled  int
+	newChunks int
+	heapDepth telemetry.Tally
 }
 
 // New returns an empty simulator with the clock at zero.
 func New() *Simulator {
-	return &Simulator{chunkIdx: -1}
+	return &Simulator{chunkIdx: -1, heapDepth: telemetry.NewTally(heapDepthBounds)}
 }
 
 // Now returns the current virtual time.
@@ -171,6 +168,8 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.processed = 0
+	s.canceled, s.newChunks = 0, 0
+	s.heapDepth = telemetry.NewTally(heapDepthBounds)
 	s.stopped = false
 }
 
@@ -180,6 +179,16 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
+
+// Publish adds the run's sim.* counts to reg. A simulator recycled through
+// Reset allocates fewer arena chunks than a fresh one.
+func (s *Simulator) Publish(reg *telemetry.Registry) {
+	reg.Add("sim.events_scheduled", int(s.seq))
+	reg.Add("sim.events_dispatched", int(s.processed))
+	reg.Add("sim.events_canceled", s.canceled)
+	reg.Add("sim.arena_chunks", s.newChunks)
+	reg.AddTally("sim.heap_depth", &s.heapDepth)
+}
 
 // Schedule arranges for fn to run delay seconds from now. A zero delay runs
 // the event after all events already scheduled for the current instant.
@@ -207,12 +216,12 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		case len(s.chunks) < maxRetainedChunks:
 			s.arena = make([]Event, arenaChunk)
 			s.chunks = append(s.chunks, s.arena)
-			telChunks.Inc()
+			s.newChunks++
 		default:
 			// Past the retention cap: untracked, dropped for the GC when
 			// the next block replaces it (the pre-reuse behavior).
 			s.arena = make([]Event, arenaChunk)
-			telChunks.Inc()
+			s.newChunks++
 		}
 		s.arenaPos = 0
 	}
@@ -221,8 +230,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 	*e = Event{time: t, seq: s.seq, fn: fn, index: -1}
 	s.seq++
 	heap.Push(&s.queue, e)
-	telScheduled.Inc()
-	telHeapDepth.ObserveInt(len(s.queue))
+	s.heapDepth.Observe(len(s.queue))
 	return e
 }
 
@@ -237,7 +245,7 @@ func (s *Simulator) Cancel(e *Event) {
 	if e.index >= 0 {
 		heap.Remove(&s.queue, e.index)
 	}
-	telCanceled.Inc()
+	s.canceled++
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -257,7 +265,6 @@ func (s *Simulator) Step() bool {
 		}
 		s.now = e.time
 		s.processed++
-		telDispatch.Inc()
 		e.canceled = true // mark fired so Cancel after firing is a no-op
 		fn := e.fn
 		e.fn = nil // let the GC reclaim the closure before the chunk dies

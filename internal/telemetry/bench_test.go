@@ -1,15 +1,19 @@
 package telemetry
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
-// The benchmarks below quantify the per-record cost in both registry
-// states. DESIGN.md §10 quotes these numbers; re-measure with
+// The benchmarks below quantify the per-record cost of the registered
+// instruments and of a run-owned Tally. DESIGN.md §10 quotes these
+// numbers; re-measure with
 //
-//	go test -bench 'Benchmark(Counter|Histogram|Span)' -benchmem ./internal/telemetry/
+//	go test -bench 'Benchmark(Counter|Span|Tally)' -benchmem ./internal/telemetry/
 //
 // Every one of them must report 0 B/op and 0 allocs/op.
 
-func BenchmarkCounterIncDisabled(b *testing.B) {
+func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("c")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -17,20 +21,8 @@ func BenchmarkCounterIncDisabled(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterIncEnabled(b *testing.B) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	c := r.Counter("c")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterIncEnabledParallel(b *testing.B) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	c := r.Counter("c")
+func BenchmarkCounterIncParallel(b *testing.B) {
+	c := NewRegistry().Counter("c")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -39,55 +31,32 @@ func BenchmarkCounterIncEnabledParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkHistogramObserveDisabled(b *testing.B) {
-	h := NewRegistry().Histogram("h", []float64{1, 8, 64, 512})
+func BenchmarkTallyObserve(b *testing.B) {
+	tl := NewTally([]float64{1, 8, 64, 512})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i & 1023))
+		tl.Observe(i & 1023)
 	}
 }
 
-func BenchmarkHistogramObserveEnabled(b *testing.B) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	h := r.Histogram("h", []float64{1, 8, 64, 512})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i & 1023))
-	}
-}
-
-func BenchmarkSpanSimDisabled(b *testing.B) {
+func BenchmarkSpanWall(b *testing.B) {
 	s := NewRegistry().Span("s")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.StartSim(0).EndSim(1)
-	}
-}
-
-func BenchmarkSpanSimEnabled(b *testing.B) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	s := r.Span("s")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.StartSim(0).EndSim(1)
-	}
-}
-
-func BenchmarkSpanWallEnabled(b *testing.B) {
-	r := NewRegistry()
-	r.SetEnabled(true)
-	s := r.Span("s")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Start().End()
 	}
 }
 
+func BenchmarkSpanObserve(b *testing.B) {
+	s := NewRegistry().Span("s")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Observe(time.Microsecond)
+	}
+}
+
 func BenchmarkSnapshot(b *testing.B) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	for i := 0; i < 32; i++ {
 		r.Counter(string(rune('a' + i%26)))
 	}

@@ -1,34 +1,25 @@
 // Package telemetry is the runtime observability layer of the CoCoA stack:
-// a process-wide registry of named counters, gauges, fixed-bucket
-// histograms, and spans that the simulation engine, the MAC, the NIC/fault
-// layer, the Bayesian localizer, and the experiment runner all report into.
+// a registry of named counters, gauges, fixed-bucket histograms and spans,
+// into which simulation runs publish their own counts when they end.
 //
-// Design constraints, in priority order:
+// Two kinds of reporter feed a registry:
 //
-//  1. Zero behavioral coupling. Telemetry only ever *records*; nothing in
-//     the stack reads a telemetry value to make a decision, so simulation
-//     results are byte-identical with telemetry enabled or disabled, at any
-//     parallelism (an equivalence test in internal/cocoa pins this).
-//  2. No-op when disabled. The registry starts disabled; every record
-//     operation first loads one shared atomic flag and returns. Experiment
-//     sweeps that never ask for telemetry pay one predictable branch per
-//     instrumented site.
-//  3. Allocation-free when enabled. Record operations are plain atomic
-//     adds (CAS loops for float accumulators); no maps, no interface
-//     boxing, no closures on the hot path. Benchmarks in this package
-//     enforce 0 allocs/op for every instrument.
+//   - A simulation run counts each event once, in plain fields of the
+//     objects that own the run's state (simulator, MAC medium, NICs, fault
+//     links, belief grids, team), with a Tally per histogram. Concurrent
+//     runs share nothing while they execute. When a run ends, its layers
+//     add those fields into Default by name (Registry.Add, AddTally) if
+//     Default is enabled — the flag means "runs publish here" and is read
+//     once per run — so run-layer series move when runs end.
+//   - The experiment runner and the cocoad service keep a few registered
+//     instruments that fire per job, not per event. They record
+//     unconditionally with lock-free atomic adds and 0 allocs/op, which
+//     this package's benchmarks enforce.
 //
-// Instruments are registered once (package-level vars in the instrumented
-// packages, resolved against Default at init) and then shared by every
-// concurrent run in the process: a parallel sweep aggregates into the same
-// counters a serial one does. Snapshot returns a stable, name-sorted view
-// suitable for JSON serialization, expvar publication, and delta tables.
-//
-// Spans support two clocks. Start/End measure wall time (worker queue
-// waits, per-run wall time). StartSim/EndSim measure *virtual* time: the
-// caller passes sim.Now() at both edges, so a span can report how much
-// simulated time an activity covered (e.g. a beacon window) even though
-// the engine executes it in microseconds of wall time.
+// Telemetry only records; nothing in the stack reads a telemetry value to
+// make a decision, so results are byte-identical with publication on or
+// off (internal/cocoa tests pin this). Snapshot returns a stable,
+// name-sorted view for JSON, expvar, Prometheus and delta tables.
 package telemetry
 
 import (
@@ -41,8 +32,8 @@ import (
 	"time"
 )
 
-// Registry holds the process's named instruments. Metric registration
-// (Counter, Gauge, ...) locks; recording never does.
+// Registry holds named instruments. Registration (Counter, Gauge, ...)
+// locks; recording never does.
 type Registry struct {
 	enabled atomic.Bool
 
@@ -53,8 +44,9 @@ type Registry struct {
 	spans      map[string]*Span
 }
 
-// Default is the process-wide registry every instrumented package reports
-// into. cmd/cocoaexp enables it when -telemetry or -debug-addr is given.
+// Default is the process-wide registry: the runner and serve instruments
+// live here, and simulation runs publish here when it is enabled
+// (cmd/cocoaexp enables it for -telemetry or -debug-addr, cocoad always).
 var Default = NewRegistry()
 
 // NewRegistry returns an empty, disabled registry.
@@ -67,70 +59,56 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetEnabled turns recording on or off. Disabling does not clear recorded
-// values; Reset does.
+// SetEnabled turns run publication on or off: a simulation run checks
+// Enabled once, when it ends. Registered instruments record regardless.
+// Disabling does not clear recorded values; Reset does.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether recording is on.
+// Enabled reports whether runs publish into the registry.
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
+
+// lookup returns m[name], registering mk() under it on first use.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
 
 // Counter returns the named monotonic counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{on: &r.enabled}
-	r.counters[name] = c
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{on: &r.enabled}
-	r.gauges[name] = g
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it with the
 // given ascending upper bounds on first use (an implicit +Inf bucket is
 // appended). Later calls ignore bounds and return the existing histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
-		return h
-	}
-	for i := 1; i < len(bounds); i++ {
-		if !(bounds[i] > bounds[i-1]) {
-			panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending: %v", name, bounds))
+	return lookup(r, r.histograms, name, func() *Histogram {
+		for i := 1; i < len(bounds); i++ {
+			if !(bounds[i] > bounds[i-1]) {
+				panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending: %v", name, bounds))
+			}
 		}
-	}
-	h := &Histogram{
-		on:      &r.enabled,
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	r.histograms[name] = h
-	return h
+		return &Histogram{
+			bounds:  append([]float64(nil), bounds...),
+			buckets: make([]atomic.Int64, len(bounds)+1),
+		}
+	})
 }
 
 // Span returns the named span, creating it on first use.
 func (r *Registry) Span(name string) *Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.spans[name]; ok {
-		return s
-	}
-	s := &Span{on: &r.enabled}
-	r.spans[name] = s
-	return s
+	return lookup(r, r.spans, name, func() *Span { return &Span{} })
 }
 
 // Reset zeroes every registered instrument. The instruments themselves
@@ -160,74 +138,41 @@ func (r *Registry) Reset() {
 
 // Counter is a monotonic event count.
 type Counter struct {
-	on *atomic.Bool
-	v  atomic.Int64
+	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if c.on.Load() {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be >= 0; monotonicity is the caller's contract).
-func (c *Counter) Add(n int64) {
-	if c.on.Load() {
-		c.v.Add(n)
-	}
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a last-write-wins instantaneous value.
 type Gauge struct {
-	on *atomic.Bool
-	v  atomic.Int64
+	v atomic.Int64
 }
 
 // Set records the current value.
-func (g *Gauge) Set(v int64) {
-	if g.on.Load() {
-		g.v.Store(v)
-	}
-}
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g.on.Load() {
-		g.v.Add(delta)
-	}
-}
+func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the last recorded value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket distribution: bounds[i] is the inclusive
-// upper edge of bucket i, and one final bucket catches everything above
-// the last bound. Sum accumulates the raw observations.
+// Histogram is a fixed-bucket distribution, fed by finished runs' tallies
+// (Registry.AddTally): bounds[i] is the inclusive upper edge of bucket i,
+// and one final bucket catches everything above the last bound.
 type Histogram struct {
-	on      *atomic.Bool
 	bounds  []float64
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sum     atomicFloat
 }
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if !h.on.Load() {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// ObserveInt records one integer value (sugar for depth-style metrics).
-func (h *Histogram) ObserveInt(v int) { h.Observe(float64(v)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -235,63 +180,28 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
-// Span accumulates durations of a named activity: count, total, and max.
-// Wall-clock timings come from Start/End; virtual-clock (sim-time) timings
-// from StartSim/EndSim with the caller's sim.Now() values.
+// Span accumulates wall-clock durations of a named activity: count,
+// total, and max.
 type Span struct {
-	on      *atomic.Bool
 	count   atomic.Int64
 	totalNs atomic.Int64
 	maxNs   atomic.Int64
 }
 
-// Timing is an in-flight span measurement. The zero Timing (returned when
-// the registry is disabled) makes End a no-op.
+// Timing is an in-flight span measurement.
 type Timing struct {
 	s    *Span
 	wall time.Time
-	sim  float64
 }
 
 // Start begins a wall-clock timing.
-func (s *Span) Start() Timing {
-	if !s.on.Load() {
-		return Timing{}
-	}
-	return Timing{s: s, wall: time.Now()}
-}
+func (s *Span) Start() Timing { return Timing{s: s, wall: time.Now()} }
 
 // End completes a wall-clock timing.
-func (t Timing) End() {
-	if t.s == nil {
-		return
-	}
-	t.s.record(time.Since(t.wall).Nanoseconds())
-}
-
-// StartSim begins a virtual-clock timing at the given sim time (seconds).
-func (s *Span) StartSim(now float64) Timing {
-	if !s.on.Load() {
-		return Timing{}
-	}
-	return Timing{s: s, sim: now}
-}
-
-// EndSim completes a virtual-clock timing at the given sim time. Durations
-// are stored in nanoseconds of simulated time.
-func (t Timing) EndSim(now float64) {
-	if t.s == nil {
-		return
-	}
-	t.s.record(int64((now - t.sim) * 1e9))
-}
+func (t Timing) End() { t.s.record(time.Since(t.wall).Nanoseconds()) }
 
 // Observe records an externally measured wall duration.
-func (s *Span) Observe(d time.Duration) {
-	if s.on.Load() {
-		s.record(d.Nanoseconds())
-	}
-}
+func (s *Span) Observe(d time.Duration) { s.record(d.Nanoseconds()) }
 
 func (s *Span) record(ns int64) {
 	if ns < 0 {
@@ -402,9 +312,7 @@ type HistogramValue struct {
 	Buckets []BucketValue `json:"buckets"`
 }
 
-// SpanValue is one span's snapshot. Totals are nanoseconds — wall
-// nanoseconds for Start/End spans, simulated nanoseconds for
-// StartSim/EndSim spans.
+// SpanValue is one span's snapshot. Totals are wall nanoseconds.
 type SpanValue struct {
 	Name    string `json:"name"`
 	Count   int64  `json:"count"`

@@ -10,31 +10,8 @@ import (
 	"time"
 )
 
-func TestDisabledRecordsNothing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1, 2})
-	s := r.Span("s")
-
-	c.Inc()
-	c.Add(5)
-	g.Set(7)
-	g.Add(3)
-	h.Observe(1.5)
-	s.Start().End()
-	s.StartSim(1).EndSim(2)
-	s.Observe(time.Second)
-
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || s.Count() != 0 {
-		t.Fatalf("disabled registry recorded: c=%d g=%d h=%d s=%d",
-			c.Value(), g.Value(), h.Count(), s.Count())
-	}
-}
-
 func TestCounterGaugeEnabled(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	c := r.Counter("c")
 	c.Inc()
 	c.Add(4)
@@ -53,13 +30,20 @@ func TestCounterGaugeEnabled(t *testing.T) {
 	}
 }
 
+// observe publishes the values into r's named histogram the way a run
+// does: through a tally over bounds.
+func observe(r *Registry, name string, bounds []float64, vs ...int) *Histogram {
+	tl := NewTally(bounds)
+	for _, v := range vs {
+		tl.Observe(v)
+	}
+	r.AddTally(name, &tl)
+	return r.Histogram(name, bounds)
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
-	h := r.Histogram("depth", []float64{1, 4, 16})
-	for _, v := range []float64{0, 1, 2, 4, 5, 100} {
-		h.Observe(v)
-	}
+	observe(r, "depth", []float64{1, 4, 16}, 0, 1, 2, 4, 5, 100)
 	snap := r.Snapshot()
 	if len(snap.Histograms) != 1 {
 		t.Fatalf("histograms = %d, want 1", len(snap.Histograms))
@@ -91,17 +75,15 @@ func TestHistogramRejectsBadBounds(t *testing.T) {
 	NewRegistry().Histogram("bad", []float64{2, 1})
 }
 
-func TestSpanWallAndSim(t *testing.T) {
+func TestSpanWallAndObserve(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	s := r.Span("win")
-	tm := s.StartSim(100)
-	tm.EndSim(103)
+	s.Observe(3 * time.Second)
 	if got := s.Count(); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}
 	if got := s.TotalNs(); got != 3e9 {
-		t.Errorf("total = %d ns, want 3e9 (3 simulated seconds)", got)
+		t.Errorf("total = %d ns, want 3e9", got)
 	}
 	w := r.Span("wall")
 	wt := w.Start()
@@ -110,7 +92,7 @@ func TestSpanWallAndSim(t *testing.T) {
 		t.Errorf("wall span count=%d total=%d", w.Count(), w.TotalNs())
 	}
 	// Negative durations clamp to zero rather than corrupting totals.
-	s.StartSim(10).EndSim(5)
+	s.Observe(-5 * time.Second)
 	if got := s.TotalNs(); got != 3e9 {
 		t.Errorf("total after negative duration = %d, want unchanged 3e9", got)
 	}
@@ -118,12 +100,11 @@ func TestSpanWallAndSim(t *testing.T) {
 
 func TestSnapshotStableOrder(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	for _, name := range []string{"z", "a", "m"} {
 		r.Counter(name).Inc()
 		r.Gauge("g." + name).Set(1)
-		r.Histogram("h."+name, []float64{1}).Observe(0)
-		r.Span("s." + name).StartSim(0).EndSim(1)
+		observe(r, "h."+name, []float64{1}, 0)
+		r.Span("s." + name).Observe(time.Second)
 	}
 	snap := r.Snapshot()
 	names := func(n int, get func(int) string) []string {
@@ -176,15 +157,13 @@ func TestSnapshotStableOrder(t *testing.T) {
 
 func TestResetZeroesEverything(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	c := r.Counter("c")
 	c.Add(9)
 	g := r.Gauge("g")
 	g.Set(4)
-	h := r.Histogram("h", []float64{1})
-	h.Observe(0.5)
+	h := observe(r, "h", []float64{1}, 1)
 	s := r.Span("s")
-	s.StartSim(0).EndSim(2)
+	s.Observe(2 * time.Second)
 	r.Reset()
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || s.Count() != 0 || s.TotalNs() != 0 {
 		t.Error("Reset left residue")
@@ -198,20 +177,18 @@ func TestResetZeroesEverything(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{10})
 	s := r.Span("s")
 	c.Add(3)
 	g.Set(5)
-	h.Observe(4)
-	s.StartSim(0).EndSim(1)
+	observe(r, "h", []float64{10}, 4)
+	s.Observe(time.Second)
 	before := r.Snapshot()
 	c.Add(2)
 	g.Set(9)
-	h.Observe(20)
-	s.StartSim(0).EndSim(2)
+	observe(r, "h", []float64{10}, 20)
+	s.Observe(2 * time.Second)
 	d := Diff(before, r.Snapshot())
 	if d.Counters[0].Value != 2 {
 		t.Errorf("counter delta = %d, want 2", d.Counters[0].Value)
@@ -227,11 +204,10 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// Recording from many goroutines must lose nothing (and stay race-free
-// under -race, which make check runs).
+// Recording and publishing from many goroutines must lose nothing (and
+// stay race-free under -race, which make check runs).
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
-	r.SetEnabled(true)
 	c := r.Counter("c")
 	h := r.Histogram("h", []float64{50})
 	var wg sync.WaitGroup
@@ -242,7 +218,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				h.Observe(float64(i % 100))
+				observe(r, "h", []float64{50}, i%100)
 			}
 		}()
 	}
@@ -258,25 +234,65 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// The hot-path contract: recording allocates nothing, enabled or not.
+// The hot-path contract: recording allocates nothing.
 func TestRecordingDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	h := r.Histogram("h", []float64{1, 2, 4})
 	s := r.Span("s")
-	for _, enabled := range []bool{false, true} {
-		r.SetEnabled(enabled)
-		if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
-			t.Errorf("Counter.Inc enabled=%v allocates %v/op", enabled, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { h.Observe(1.5) }); n != 0 {
-			t.Errorf("Histogram.Observe enabled=%v allocates %v/op", enabled, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { s.StartSim(1).EndSim(2) }); n != 0 {
-			t.Errorf("Span sim timing enabled=%v allocates %v/op", enabled, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { s.Start().End() }); n != 0 {
-			t.Errorf("Span wall timing enabled=%v allocates %v/op", enabled, n)
-		}
+	tl := NewTally([]float64{1, 2, 4})
+	if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
+		t.Errorf("Counter.Inc allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Start().End() }); n != 0 {
+		t.Errorf("Span wall timing allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tl.Observe(3) }); n != 0 {
+		t.Errorf("Tally.Observe allocates %v/op", n)
+	}
+}
+
+// Each publication of a tally or a count adds into the named instrument;
+// a histogram registered under other bounds keeps them.
+func TestRegistryAddTally(t *testing.T) {
+	r := NewRegistry()
+	tl := NewTally([]float64{1, 4, 16})
+	for _, v := range []int{0, 1, 2, 4, 5, 100} {
+		tl.Observe(v)
+	}
+	if tl.Count() != 6 {
+		t.Errorf("tally count = %d, want 6", tl.Count())
+	}
+	r.AddTally("tally", &tl)
+	r.AddTally("tally", &tl)
+	if got := r.Histogram("tally", nil); got.Count() != 12 || got.Sum() != 224 {
+		t.Errorf("after two publications count=%d sum=%v, want 12 and 224", got.Count(), got.Sum())
+	}
+	// A histogram already registered under other bounds keeps them.
+	other := r.Histogram("other", []float64{1})
+	r.AddTally("other", &tl)
+	if other.Count() != 0 {
+		t.Errorf("mismatched tally merged: count %d", other.Count())
+	}
+	r.Add("c", 3)
+	r.Add("c", 4)
+	if got := r.Counter("c").Value(); got != 7 {
+		t.Errorf("counter after Add 3 and 4 = %d, want 7", got)
+	}
+}
+
+func TestTallyRejectsBadBounds(t *testing.T) {
+	long := make([]float64, maxTallyBuckets)
+	for i := range long {
+		long[i] = float64(i)
+	}
+	for _, bounds := range [][]float64{{2, 1}, {1, 1}, long} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bounds %v accepted", bounds)
+				}
+			}()
+			NewTally(bounds)
+		}()
 	}
 }
