@@ -30,7 +30,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTabulateAgreement -fuzztime=$(FUZZTIME) ./internal/caltable
 	$(GO) test -run='^$$' -fuzz=FuzzGridIndex -fuzztime=$(FUZZTIME) ./internal/mac
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 
 # shuffle reruns the stateful service/runner suites twice in random order:

@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +36,6 @@ import (
 	"time"
 
 	"cocoa"
-	"cocoa/internal/checkpoint"
 	"cocoa/internal/obs"
 	"cocoa/internal/runner"
 	"cocoa/internal/serve"
@@ -73,8 +71,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		traceOut  = fs.String("trace", "", "write a runtime execution trace to this file")
 		telemOut  = fs.String("telemetry", "", "enable runtime telemetry and write the final snapshot as JSON to this file")
 		debugAddr = fs.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060")
-		ckptDir   = fs.String("checkpoint", "", "on interrupt (SIGINT/SIGTERM), persist resumable snapshots beneath this directory, one run-<index>/latest.ckpt per in-flight sweep run")
-		resumeCk  = fs.String("resume", "", "resume one interrupted run from this snapshot file and print its summary (ignores -fig)")
 	)
 	logOpts := obs.AddLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -83,10 +79,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	logger, err := logOpts.NewLogger(stderr)
 	if err != nil {
 		return err
-	}
-
-	if *resumeCk != "" {
-		return resumeRun(ctx, *resumeCk, w)
 	}
 
 	if *telemOut != "" || *debugAddr != "" {
@@ -122,7 +114,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		opts.CalibrationSamples = 60000
 		opts.GridCellM = 4
 	}
-	opts.CheckpointDir = *ckptDir
 	opts.Parallelism = *parallel
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = cocoa.MaxParallelism()
@@ -172,35 +163,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// resumeRun continues one interrupted simulation run from a snapshot file:
-// provenance first (capture tick, per-subsystem digests), then the
-// completed run's summary. A replay that no longer matches the snapshot is
-// reported as the divergence it is — per diverged subsystem — rather than
-// as a generic failure.
-func resumeRun(ctx context.Context, path string, w io.Writer) error {
-	snap, err := cocoa.ReadSnapshot(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "snapshot %s: tick %d, t=%.0fs\n", path, snap.TickIndex, snap.SimNowS)
-	for _, d := range snap.Digests {
-		fmt.Fprintf(w, "  digest %-10s %016x\n", d.Name, d.Sum)
-	}
-	res, err := cocoa.ResumeFrom(ctx, snap)
-	if err != nil {
-		var div *checkpoint.DivergenceError
-		if errors.As(err, &div) {
-			fmt.Fprintf(w, "replay DIVERGED at tick %d; mismatched subsystems: %s\n",
-				div.Tick, strings.Join(div.Subsystems, ", "))
-			fmt.Fprintln(w, "(the snapshot was written by different simulation code, or nondeterminism crept in)")
-		}
-		return err
-	}
-	fmt.Fprintf(w, "resumed to completion: mean error %.2f m over %d samples\n",
-		res.MeanError(), len(res.Times))
 	return nil
 }
 

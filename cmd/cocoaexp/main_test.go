@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cocoa"
-	"cocoa/internal/checkpoint"
-	"cocoa/internal/checkpoint/difftest"
 )
 
 func TestRunSingleFigureQuick(t *testing.T) {
@@ -172,99 +169,59 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-// interruptSweep runs the quick Figure 9 sweep serially with -checkpoint,
-// interrupts it in its first run, and returns the one snapshot it leaves.
-func interruptSweep(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run(difftest.PollCanceled(20), []string{"-quick", "-fig", "9", "-parallel", "1", "-checkpoint", dir}, &buf)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted sweep: err=%v, want context.Canceled", err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "run-*", "latest.ckpt"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("interrupted serial sweep left snapshots %v (err=%v), want one", matches, err)
-	}
-	return matches[0]
+// pollCanceled is a context that cancels itself on its k-th Err poll. The
+// simulation loop polls Err once at the end of every sampling tick, so a
+// serial sweep under it is interrupted mid-flight at a fixed point, with
+// no timing involved: the stand-in for SIGINT.
+type pollCanceled struct {
+	context.Context
+	done  chan struct{}
+	polls atomic.Int64
+	k     int64
 }
 
-// TestRunCheckpointSweepAndResume drives the operational loop end to end:
-// an uninterrupted sweep's output is unchanged by -checkpoint and leaves no
-// snapshot; an interrupted one leaves the in-flight run's snapshot, and
-// -resume reports its provenance and completes it to the uninterrupted
-// run's result.
-func TestRunCheckpointSweepAndResume(t *testing.T) {
-	dir := t.TempDir()
-	var plain, ckpt bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "9", "-parallel", "1"}, &plain); err != nil {
+func newPollCanceled(k int64) *pollCanceled {
+	return &pollCanceled{Context: context.Background(), done: make(chan struct{}), k: k}
+}
+
+func (c *pollCanceled) Done() <-chan struct{} { return c.done }
+
+func (c *pollCanceled) Err() error {
+	n := c.polls.Add(1)
+	if n == c.k {
+		close(c.done)
+	}
+	if n >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// An interrupted sweep fails with context.Canceled before printing its
+// figure, and running it again prints the uninterrupted sweep's output.
+func TestRunInterruptedSweepReruns(t *testing.T) {
+	args := []string{"-quick", "-fig", "9", "-parallel", "1"}
+	var partial bytes.Buffer
+	if err := run(newPollCanceled(20), args, &partial); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted sweep: err=%v, want context.Canceled", err)
+	}
+	if strings.Contains(partial.String(), "Figure") {
+		t.Errorf("interrupted sweep printed its figure:\n%s", partial.String())
+	}
+	var plain, rerun bytes.Buffer
+	if err := run(context.Background(), args, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-quick", "-fig", "9", "-parallel", "1",
-		"-checkpoint", dir}, &ckpt); err != nil {
+	if err := run(context.Background(), args, &rerun); err != nil {
 		t.Fatal(err)
 	}
 	stripWall := func(s string) string {
-		i := strings.Index(s, "total wall time")
-		if i >= 0 {
+		if i := strings.Index(s, "total wall time"); i >= 0 {
 			return s[:i]
 		}
 		return s
 	}
-	if stripWall(plain.String()) != stripWall(ckpt.String()) {
-		t.Fatalf("checkpointing changed experiment output:\n%s\n%s", plain.String(), ckpt.String())
-	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "run-*", "latest.ckpt")); len(matches) != 0 {
-		t.Fatalf("uninterrupted sweep left snapshots %v", matches)
-	}
-
-	path := interruptSweep(t)
-	snap, err := cocoa.ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := cocoa.ConfigFromSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := cocoa.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-resume", path}, &out); err != nil {
-		t.Fatalf("resume: %v\n%s", err, out.String())
-	}
-	want := fmt.Sprintf("resumed to completion: mean error %.2f m over %d samples", full.MeanError(), len(full.Times))
-	for _, s := range []string{"digest sim", "digest rng", want} {
-		if !strings.Contains(out.String(), s) {
-			t.Errorf("resume output missing %q:\n%s", s, out.String())
-		}
-	}
-}
-
-// TestRunResumeDivergenceReport corrupts a snapshot digest and requires
-// the CLI to name the diverged subsystem instead of failing opaquely.
-func TestRunResumeDivergenceReport(t *testing.T) {
-	path := interruptSweep(t)
-	snap, err := checkpoint.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range snap.Digests {
-		if snap.Digests[i].Name == "robots" {
-			snap.Digests[i].Sum ^= 1
-		}
-	}
-	if err := checkpoint.WriteFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	err = run(context.Background(), []string{"-resume", path}, &out)
-	if err == nil {
-		t.Fatal("tampered snapshot resumed successfully")
-	}
-	if !strings.Contains(out.String(), "DIVERGED") || !strings.Contains(out.String(), "robots") {
-		t.Errorf("divergence not reported by subsystem:\n%s", out.String())
+	if stripWall(plain.String()) != stripWall(rerun.String()) {
+		t.Fatalf("rerun output differs:\n%s\n%s", plain.String(), rerun.String())
 	}
 }

@@ -39,7 +39,8 @@ func writeFile(path string, fn func(io.Writer) error) error {
 
 func main() {
 	// Interrupt or SIGTERM stops the run cooperatively at its next
-	// sampling tick; with -checkpoint it leaves a resumable snapshot.
+	// sampling tick; an interrupted run writes no output. Rerunning the
+	// same flags reproduces the run from the start.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -72,8 +73,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		robotsFile  = fs.String("robots-out", "", "also write the per-robot error matrix CSV to this file")
 		sampleEvery = fs.Int("every", 60, "series print cadence in samples (non-CSV)")
 		printConfig = fs.Bool("print-config", false, "print the assembled Config as JSON and exit (pipe into cocoad)")
-		ckptDir     = fs.String("checkpoint", "", "on interrupt (SIGINT/SIGTERM), persist a resumable snapshot (latest.ckpt) into this directory")
-		resumePath  = fs.String("resume", "", "resume from this snapshot file instead of starting a new run (other config flags are ignored)")
 		traceOut    = fs.String("trace-out", "", "record a span timeline and write it as Chrome trace-event JSON to this file (load in Perfetto)")
 	)
 	logOpts := obs.AddLogFlags(fs)
@@ -121,8 +120,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("unknown mode %q (want odometry | rf | cocoa)", *mode)
 	}
 
-	cfg.CheckpointDir = *ckptDir
-
 	if *printConfig {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -135,29 +132,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		cfg.Trace = tracer
 	}
 
-	var team *cocoa.Team
-	if *resumePath != "" {
-		// Resume mode: the snapshot's embedded config replaces the flag
-		// assembly above wholesale; only the operational checkpoint flag
-		// carries over (so a resumed run interrupted again leaves a snapshot).
-		snap, rerr := cocoa.ReadSnapshot(*resumePath)
-		if rerr != nil {
-			return rerr
-		}
-		cfg, err = cocoa.ConfigFromSnapshot(snap)
-		if err != nil {
-			return err
-		}
-		cfg.CheckpointDir = *ckptDir
-		if tracer != nil {
-			cfg.Trace = tracer
-		}
-		logger.Info("resuming from snapshot", "path", *resumePath,
-			"tick", snap.TickIndex, "sim_s", snap.SimNowS)
-		team, err = cocoa.ResumeTeam(cfg, snap)
-	} else {
-		team, err = cocoa.NewTeam(cfg)
-	}
+	team, err := cocoa.NewTeam(cfg)
 	if err != nil {
 		return err
 	}
@@ -174,6 +149,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	res, err := team.RunContext(ctx)
 	if err != nil {
+		if evFile != nil {
+			// An interrupted or failed run leaves no partial event log.
+			evFile.Close()
+			os.Remove(*eventsFile)
+		}
 		return err
 	}
 	if evWriter != nil {

@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cocoa"
-	"cocoa/internal/checkpoint/difftest"
 )
 
 // fastArgs shrinks a run so the CLI tests stay quick.
@@ -205,59 +206,77 @@ func TestRunPrintConfig(t *testing.T) {
 	}
 }
 
-// An interrupted run with -checkpoint leaves a snapshot that -resume
-// completes to the uninterrupted run's exact output; an uninterrupted run
-// leaves nothing.
-func TestRunCheckpointAndResume(t *testing.T) {
+// pollCanceled is a context that cancels itself on its k-th Err poll. The
+// simulation loop polls Err once at the end of every sampling tick, so a
+// run under it is interrupted mid-flight at a fixed point, with no timing
+// involved: the stand-in for SIGINT.
+type pollCanceled struct {
+	context.Context
+	done  chan struct{}
+	polls atomic.Int64
+	k     int64
+}
+
+func newPollCanceled(k int64) *pollCanceled {
+	return &pollCanceled{Context: context.Background(), done: make(chan struct{}), k: k}
+}
+
+func (c *pollCanceled) Done() <-chan struct{} { return c.done }
+
+func (c *pollCanceled) Err() error {
+	n := c.polls.Add(1)
+	if n == c.k {
+		close(c.done)
+	}
+	if n >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// An interrupted run returns context.Canceled and writes none of its
+// output files: no summary, no series, no per-robot matrix, no trace and
+// no partial event log. Running the same flags again is the whole of
+// recovery, and it prints the uninterrupted run's exact output.
+func TestRunInterruptedWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := dir + "/latest.ckpt"
-	var full bytes.Buffer
-	if err := run(context.Background(), fastArgs("-mode", "cocoa", "-checkpoint", dir, "-json"), &full); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("uninterrupted run left a snapshot: %v", err)
-	}
+	outputs := []string{"series.csv", "robots.csv", "events.jsonl", "run.trace.json"}
+	args := fastArgs("-mode", "cocoa", "-json",
+		"-series", filepath.Join(dir, outputs[0]),
+		"-robots-out", filepath.Join(dir, outputs[1]),
+		"-events", filepath.Join(dir, outputs[2]),
+		"-trace-out", filepath.Join(dir, outputs[3]))
 
 	var partial bytes.Buffer
-	err := run(difftest.PollCanceled(20), fastArgs("-mode", "cocoa", "-checkpoint", dir, "-json"), &partial)
+	err := run(newPollCanceled(20), args, &partial)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err=%v, want context.Canceled", err)
 	}
-	snap, err := cocoa.ReadSnapshot(ckpt)
+	if partial.Len() != 0 {
+		t.Errorf("interrupted run printed %q", partial.String())
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("interrupted run left no snapshot: %v", err)
-	}
-	if snap.TickIndex < 1 || snap.TickIndex >= 120 {
-		t.Fatalf("snapshot at tick %d, want mid-run", snap.TickIndex)
-	}
-	var resumed bytes.Buffer
-	if err := run(context.Background(), []string{"-resume", ckpt, "-json"}, &resumed); err != nil {
 		t.Fatal(err)
 	}
-	if full.String() != resumed.String() {
-		t.Fatalf("resumed summary differs from the full run's:\n%s\n%s",
-			full.String(), resumed.String())
+	for _, e := range entries {
+		t.Errorf("interrupted run left %s", e.Name())
 	}
-}
 
-func TestRunResumeMissingSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-resume", t.TempDir() + "/nope.ckpt"}, &buf)
-	if err == nil {
-		t.Fatal("resume from a missing snapshot succeeded")
-	}
-}
-
-func TestRunResumeCorruptSnapshot(t *testing.T) {
-	path := t.TempDir() + "/bad.ckpt"
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+	var rerun, full bytes.Buffer
+	if err := run(context.Background(), args, &rerun); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-resume", path}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("corrupt snapshot: err=%v, want a checkpoint format error", err)
+	if err := run(context.Background(), fastArgs("-mode", "cocoa", "-json"), &full); err != nil {
+		t.Fatal(err)
+	}
+	if rerun.String() != full.String() {
+		t.Fatalf("rerun summary differs from an uninterrupted run's:\n%s\n%s", rerun.String(), full.String())
+	}
+	for _, name := range outputs {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("rerun did not write %s: %v", name, err)
+		}
 	}
 }
 

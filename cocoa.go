@@ -26,7 +26,6 @@ import (
 	"io"
 
 	"cocoa/internal/caltable"
-	"cocoa/internal/checkpoint"
 	icocoa "cocoa/internal/cocoa"
 	"cocoa/internal/energy"
 	"cocoa/internal/faults"
@@ -130,22 +129,6 @@ func RunScratch(ctx context.Context, cfg Config, sc *Scratch) (*Result, error) {
 	return icocoa.RunScratch(ctx, cfg, sc)
 }
 
-// Checkpoint/resume: a run with Config.CheckpointDir set that is
-// interrupted (its context canceled) writes one snapshot of its
-// deterministic state, CheckpointFile, into that directory at the
-// sampling tick where it stops; an uninterrupted run writes nothing.
-// ResumeFrom continues an interrupted run from such a snapshot with a
-// Result byte-identical to an uninterrupted run's. See DESIGN.md §14 for
-// the replay-and-verify model.
-//
-// Snapshot is one captured interruption point: the run's config, the
-// capture tick, and per-subsystem state digests.
-type Snapshot = checkpoint.Snapshot
-
-// ErrSnapshotCorrupt classifies snapshot decoding failures (truncated or
-// corrupted bytes, wrong version): errors.Is(err, ErrSnapshotCorrupt).
-var ErrSnapshotCorrupt = checkpoint.ErrCorrupt
-
 // Observability: a run with Config.Progress set publishes its live tick
 // position through a lock-free gauge, and one with Config.Trace set
 // records a span timeline exportable as Chrome trace-event JSON (load it
@@ -169,40 +152,6 @@ func NewTrace() *Trace { return obs.NewTrace() }
 // ReadTrace strictly decodes Chrome trace-event JSON written by
 // Trace.WriteJSON, verifying phases and begin/end span balance.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) { return obs.ReadTrace(r) }
-
-// CheckpointFile is the snapshot an interrupted run writes into its
-// Config.CheckpointDir.
-const CheckpointFile = icocoa.CheckpointFile
-
-// ReadSnapshot loads a snapshot file written by an interrupted run.
-// Corrupt input fails with an error wrapping ErrSnapshotCorrupt — never a
-// panic.
-func ReadSnapshot(path string) (*Snapshot, error) { return checkpoint.ReadFile(path) }
-
-// ResumeFrom continues the run captured in snap to completion: the
-// embedded config is replayed deterministically from tick zero, the
-// replayed state is verified against the snapshot's digests at its capture
-// tick (a mismatch fails with *checkpoint.DivergenceError naming the
-// diverged subsystems), and the full-run Result — byte-identical to an
-// uninterrupted run of the same config — is returned.
-func ResumeFrom(ctx context.Context, snap *Snapshot) (*Result, error) {
-	return icocoa.ResumeFrom(ctx, snap)
-}
-
-// ConfigFromSnapshot decodes and validates the run configuration embedded
-// in snap — for callers that want to inspect or operationally adjust the
-// run (e.g. set CheckpointDir) before resuming it with ResumeTeam.
-func ConfigFromSnapshot(snap *Snapshot) (Config, error) {
-	return icocoa.ConfigFromSnapshot(snap)
-}
-
-// ResumeTeam builds the team that continues snap under cfg (normally
-// ConfigFromSnapshot's output, optionally with operational fields like
-// CheckpointDir overridden). Running it replays, verifies, and completes the
-// run; semantic config tampering is caught by digest verification.
-func ResumeTeam(cfg Config, snap *Snapshot) (*Team, error) {
-	return icocoa.ResumeTeam(cfg, snap)
-}
 
 // Config validation errors. Validate (and therefore NewTeam, Run,
 // RunContext) reports configuration problems as a *ConfigError wrapping

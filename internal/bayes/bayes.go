@@ -38,7 +38,6 @@
 package bayes
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 	"math"
 
@@ -538,7 +537,7 @@ func densityCells(cells, cx []float64, pdf DistanceDensity, bx, dy2, rInner2, rO
 // takes — the same product the per-cell update would form — and 0 marks a
 // bin at or below the floor, or NaN, whose cells stay untouched. The
 // buffer is scratch: it grows to the longest table the grid has seen and
-// is neither hashed nor checkpointed.
+// carries nothing from one update to the next.
 func (g *Grid) nearestRatios(dens []float64) []float64 {
 	if cap(g.ratio) < len(dens) {
 		g.ratio = make([]float64, len(dens))
@@ -811,26 +810,4 @@ func (g *Grid) totalProbabilityEager() float64 {
 		s += pi
 	}
 	return s / g.mass
-}
-
-// HashState folds the grid's complete belief state — every cell plus the
-// incremental statistics accumulators — into h, for checkpoint digests.
-// It reads raw fields only (no lazy re-sum), so hashing never perturbs
-// the incremental/eager equivalence the grid maintains.
-func (g *Grid) HashState(h *checkpoint.Hasher) {
-	h.Int(g.nx)
-	h.Int(g.ny)
-	h.Int(g.beacons)
-	h.Int(int(g.statsMode))
-	h.Int(g.statsOps)
-	h.F64(g.mass)
-	h.F64(g.sumP)
-	h.F64(g.sumX)
-	h.F64(g.sumY)
-	h.F64(g.plogp)
-	h.F64(g.plogpSum)
-	h.Bool(g.plogpOK)
-	for _, p := range g.p {
-		h.F64(p)
-	}
 }

@@ -192,27 +192,16 @@ type Config struct {
 	// default) sizes the pool to GOMAXPROCS; 1 forces serial application.
 	UpdateWorkers int
 
-	// CheckpointDir, when non-empty, makes an interrupted run resumable:
-	// the run that stops because its context was canceled writes one
-	// snapshot, CheckpointDir/latest.ckpt, at the sampling tick where it
-	// stops, ready for ResumeFrom. An uninterrupted run writes nothing.
-	// The field is excluded from JSON — and hence from Result bytes and
-	// from the config embedded in snapshots — because where a run may be
-	// resumed from is an operational property of the process running the
-	// simulation, not of the experiment: two runs differing only here are
-	// byte-identical (see DESIGN.md §14).
-	CheckpointDir string `json:"-"`
-
 	// Progress, when non-nil, receives the run's live position: the
 	// simulation loop publishes (sampling tick, total ticks) through one
-	// atomic store per tick. Like CheckpointDir it is excluded from JSON —
-	// it describes how the hosting process watches the run, not the
-	// experiment — and it is strictly write-only for the simulation, so
-	// runs with and without it are byte-identical (DESIGN.md §15).
+	// atomic store per tick. It is excluded from JSON — it describes how
+	// the hosting process watches the run, not the experiment — and it is
+	// strictly write-only for the simulation, so runs with and without it
+	// are byte-identical (DESIGN.md §15).
 	Progress *obs.Progress `json:"-"`
 
 	// Trace, when non-nil, records the run's span timeline (run →
-	// sampling-window → {mac-frame, belief-update, checkpoint}) on the
+	// sampling-window → {mac-frame, belief-update}) on the
 	// simulation's virtual clock for export as Chrome trace-event JSON.
 	// Excluded from JSON for the same reason as Progress; the recorder is
 	// append-only and nothing in the run reads it back, so tracing never
@@ -308,6 +297,10 @@ func (c Config) Validate() error {
 		return configErrorf("Area", "%v x %v m is not finite", c.Area.Width(), c.Area.Height())
 	case c.VMax <= 0.1:
 		return configErrorf("VMax", "%v must exceed the paper's 0.1 m/s floor", c.VMax)
+	case c.RestMinS < 0:
+		return configErrorf("RestMinS", "negative rest time %v s", c.RestMinS)
+	case c.RestMaxS < c.RestMinS:
+		return configErrorf("RestMaxS", "%v s is below RestMinS %v s", c.RestMaxS, c.RestMinS)
 	case c.BeaconPeriodS <= 0:
 		return configErrorf("BeaconPeriodS", "must be positive")
 	case c.TransmitPeriodS <= 0 || c.TransmitPeriodS >= c.BeaconPeriodS:

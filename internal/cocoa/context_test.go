@@ -31,6 +31,8 @@ func TestValidateReturnsConfigError(t *testing.T) {
 		{"duration", "DurationS", func(c *Config) { c.DurationS = -1 }},
 		{"grid", "GridCellM", func(c *Config) { c.GridCellM = 0 }},
 		{"radio", "Radio", func(c *Config) { c.Radio.PathLossExp = -1 }},
+		{"negative rest", "RestMinS", func(c *Config) { c.RestMinS = -1 }},
+		{"inverted rest", "RestMaxS", func(c *Config) { c.RestMinS, c.RestMaxS = 5, 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,15 +2,14 @@ package cocoa
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"cocoa/internal/bayes"
 	"cocoa/internal/caltable"
-	"cocoa/internal/checkpoint"
 	"cocoa/internal/ekf"
 	"cocoa/internal/faults"
 	"cocoa/internal/geom"
@@ -66,17 +65,8 @@ type Team struct {
 	// construction); RunContext recycles Result buffers through it.
 	scratch *Scratch
 
-	// Checkpoint machinery (see checkpoint.go). root is the run's root RNG
-	// stream, retained so digests can fingerprint the whole stream tree;
-	// ticks counts completed sampling ticks; ckptHook receives a snapshot
-	// after every tick (a test hook); verify holds the snapshot a resumed
-	// run must match at its capture tick; ckptErr carries a capture/verify
-	// failure out of the event loop.
-	root     *sim.RNG
-	ticks    int
-	ckptHook func(*checkpoint.Snapshot) error
-	verify   *checkpoint.Snapshot
-	ckptErr  error
+	// ticks counts completed sampling ticks, for the progress gauge.
+	ticks int
 
 	// Controller-reporting counters (Config.EnableReporting).
 	reportsSent      int
@@ -176,7 +166,6 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 		rng:      root.Stream("team"),
 		clockRng: root.Stream("clock"),
 		scratch:  sc,
-		root:     root,
 		progress: cfg.Progress,
 		tracer:   cfg.Trace,
 
@@ -399,11 +388,10 @@ func (t *Team) Run() (*Result, error) {
 // Cancellation is observed cooperatively at the end of every
 // metric-sampling tick (one simulated SampleIntervalS, microseconds of
 // wall time): the event loop stops and ctx.Err() is returned, discarding
-// the partial run — after writing a snapshot of that tick into
-// Config.CheckpointDir, when one is set. The check
-// reads ctx without touching the event calendar or any RNG stream, so a run
-// that is never canceled is byte-identical to one executed without a
-// context — the service path and the direct path produce the same Result.
+// the partial run. The check reads ctx without touching the event calendar
+// or any RNG stream, so a run that is never canceled is byte-identical to
+// one executed without a context — the service path and the direct path
+// produce the same Result.
 func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	if t.ran {
 		return nil, fmt.Errorf("cocoa: team already ran")
@@ -456,9 +444,8 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	// Metric sampling and odometry stepping, once per sample interval. The
-	// same tick doubles as the cancellation point, checked at its end so a
-	// canceled run stops exactly on the state a replay verifies at that
-	// tick: checking ctx adds no events and consumes no randomness, so an
+	// same tick doubles as the cancellation point, checked at its end:
+	// checking ctx adds no events and consumes no randomness, so an
 	// uncanceled run cannot diverge from a context-free one.
 	done := ctx.Done()
 	dt := float64(cfg.SampleIntervalS)
@@ -480,41 +467,27 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 		t.sample(res, now)
 		t.ticks++
 		t.progress.SetTicks(t.ticks, totalTicks)
-		// Checkpoint machinery: verify a pending resume snapshot at its
-		// tick, then feed the test hook. Both read state without mutating
-		// it (digests are side-effect free), so runs with checkpointing
-		// on, off, or resumed stay byte-identical.
-		if t.verify != nil || t.ckptHook != nil {
-			t.onSampleTick(res, now)
-		}
 		if done != nil && ctx.Err() != nil {
-			t.onInterrupt(res, now)
 			t.sim.Stop()
 		}
 	})
 
 	t.sim.RunUntil(cfg.DurationS)
 	if err := ctx.Err(); err != nil {
-		if t.ckptErr != nil {
-			err = errors.Join(err, t.ckptErr)
-		}
 		return nil, err
-	}
-	if t.ckptErr != nil {
-		return nil, t.ckptErr
-	}
-	if t.verify != nil {
-		// The run ended before reaching the snapshot's tick — the snapshot
-		// does not belong to this configuration.
-		return nil, &checkpoint.FormatError{
-			Reason: fmt.Sprintf("snapshot tick %d never reached (run sampled %d ticks)", t.verify.TickIndex, t.ticks),
-		}
 	}
 	t.finish(res)
 	// Close the run span (and any sampling-window whose scheduled end fell
 	// past DurationS) so every exported trace is balanced.
 	t.tracer.CloseOpen(float64(t.sim.Now()))
 	return res, nil
+}
+
+// maxSampleTicks is how many sampling ticks a run of cfg executes (ticks
+// fire at SampleIntervalS, 2·SampleIntervalS, …, up to DurationS
+// inclusive).
+func maxSampleTicks(cfg Config) int {
+	return int(math.Floor(float64(cfg.DurationS)/float64(cfg.SampleIntervalS) + 1e-9))
 }
 
 // trackedIDs returns the robots whose localization error the experiment

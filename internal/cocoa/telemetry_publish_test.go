@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"cocoa/internal/checkpoint"
 	"cocoa/internal/telemetry"
 )
 
@@ -102,7 +101,7 @@ func TestTelemetryPublishAttribution(t *testing.T) {
 	}
 }
 
-// A run publishes on every exit — here a checkpoint hook stopping it
+// A run publishes on every exit — here a cancellation stopping it
 // mid-run — exactly once: running a team a second time is an error that
 // publishes nothing.
 func TestTelemetryPublishedOnEveryExit(t *testing.T) {
@@ -111,15 +110,18 @@ func TestTelemetryPublishedOnEveryExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	team.OnCheckpoint(func(s *checkpoint.Snapshot) error {
-		if s.TickIndex == 5 {
-			return checkpoint.ErrStop
+	// The first fix cancels the run, which stops at the end of that
+	// sampling tick.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	team.Observe(func(e Event) {
+		if e.Kind == EventFix {
+			cancel()
 		}
-		return nil
 	})
 	before := telemetry.Default.Snapshot()
-	if _, err := team.Run(); !errors.Is(err, checkpoint.ErrStop) {
-		t.Fatalf("stopped run: err = %v, want ErrStop", err)
+	if _, err := team.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run: err = %v, want context.Canceled", err)
 	}
 	stopped := telemetry.Diff(before, telemetry.Default.Snapshot())
 	if got, want := nonzero(stopped), nonzero(team.Telemetry()); len(want) == 0 || !reflect.DeepEqual(got, want) {

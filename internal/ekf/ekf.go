@@ -15,7 +15,6 @@
 package ekf
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 	"math"
 
@@ -197,21 +196,4 @@ func (f *Filter) Estimate() geom.Vec2 { return geom.Vec2{X: f.x, Y: f.y} }
 // the covariance trace), for diagnostics.
 func (f *Filter) Uncertainty() float64 {
 	return math.Sqrt(math.Max(0, f.pxx+f.pyy))
-}
-
-// HashState folds the filter state — mean, covariance, bootstrap buffer —
-// into h, for checkpoint digests.
-func (f *Filter) HashState(h *checkpoint.Hasher) {
-	h.F64(f.x)
-	h.F64(f.y)
-	h.F64(f.pxx)
-	h.F64(f.pxy)
-	h.F64(f.pyy)
-	h.Int(f.beacons)
-	h.Bool(f.booted)
-	h.Int(len(f.bootAnchors))
-	for _, a := range f.bootAnchors {
-		h.F64(a.X)
-		h.F64(a.Y)
-	}
 }

@@ -6,7 +6,6 @@
 package energy
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 
 	"cocoa/internal/sim"
@@ -178,19 +177,4 @@ func (m *Meter) Breakdown() map[State]sim.Time {
 		out[k] = v
 	}
 	return out
-}
-
-// HashState folds the meter's ledger — current radio state, accrual
-// cursor, per-state durations, total energy, transition count — into h,
-// for checkpoint digests. It does not accrue (no Flush): hashing must not
-// move the ledger, and the un-accrued tail is a pure function of state
-// and lastAt, which are both hashed.
-func (m *Meter) HashState(h *checkpoint.Hasher) {
-	h.Int(int(m.state))
-	h.F64(float64(m.lastAt))
-	for s := Off; s <= Tx; s++ {
-		h.F64(float64(m.durations[s]))
-	}
-	h.F64(m.joules)
-	h.Int(m.transitions)
 }

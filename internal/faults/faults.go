@@ -13,7 +13,6 @@
 package faults
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 	"math"
 	"sort"
@@ -209,20 +208,4 @@ func CrashSchedule(c Config, n, spareID int, durationS float64, rng *sim.RNG) []
 		out[i] = Outage{Robot: id, StartS: start, EndS: end}
 	}
 	return out
-}
-
-// HashState folds the link filter's state — the Gilbert–Elliott chain
-// position and the drop/outlier counters — into h, for checkpoint
-// digests. The driving RNG streams are digested through the run's stream
-// tree.
-func (l *Link) HashState(h *checkpoint.Hasher) {
-	h.Bool(l.ge != nil)
-	if l.ge != nil {
-		h.Bool(l.ge.bad)
-		h.Int(l.ge.frames)
-		h.Int(l.ge.badFrames)
-		h.Int(l.ge.dropped)
-	}
-	h.Int(l.drops)
-	h.Int(l.outliers)
 }

@@ -10,7 +10,6 @@
 package mac
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 	"math"
 	"sort"
@@ -693,42 +692,5 @@ func (m *Medium) reap(tx *transmission) {
 			m.inflight = append(m.inflight[:i], m.inflight[i+1:]...)
 			return
 		}
-	}
-}
-
-// HashState folds the medium's deterministic mid-run state into h, for
-// checkpoint digests: the aggregate counters, every attached station's
-// in-progress receptions, and the transmissions in flight. The MAC's RNG
-// stream is digested through the run's stream tree.
-func (m *Medium) HashState(h *checkpoint.Hasher) {
-	h.Int(m.stats.Sent)
-	h.Int(m.stats.DroppedBusy)
-	h.Int(m.stats.Delivered)
-	h.Int(m.stats.Collided)
-	h.Int(m.stats.BelowSense)
-	h.Int(m.stats.MissedAsleep)
-	h.Int(m.stats.BytesOnAir)
-	h.F64(float64(m.stats.AirtimeS))
-	h.Int(m.stats.TxRequests)
-	h.Int(m.stats.BackoffEvents)
-	h.Int(len(m.ordered))
-	for _, st := range m.ordered {
-		h.Int(st.id)
-		h.Int(len(st.active))
-		for _, rc := range st.active {
-			h.F64(rc.rssi)
-			h.Bool(rc.corrupted)
-		}
-		h.Int(len(st.own))
-	}
-	h.Int(len(m.inflight))
-	for _, tx := range m.inflight {
-		h.Int(tx.frame.From)
-		h.Int(tx.frame.Kind)
-		h.Int(tx.frame.Bytes)
-		h.F64(float64(tx.start))
-		h.F64(float64(tx.end))
-		h.F64(tx.pos.X)
-		h.F64(tx.pos.Y)
 	}
 }

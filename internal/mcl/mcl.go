@@ -8,7 +8,6 @@
 package mcl
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 	"math"
 
@@ -188,17 +187,4 @@ func (f *Filter) ESS() float64 {
 		return 0
 	}
 	return 1 / s
-}
-
-// HashState folds the particle cloud — positions, weights, and the beacon
-// count — into h, for checkpoint digests. The filter's RNG stream is
-// digested separately through the run's stream tree.
-func (f *Filter) HashState(h *checkpoint.Hasher) {
-	h.Int(f.beacons)
-	h.Int(len(f.xs))
-	for i := range f.xs {
-		h.F64(f.xs[i])
-		h.F64(f.ys[i])
-		h.F64(f.ws[i])
-	}
 }

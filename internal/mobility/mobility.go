@@ -8,7 +8,6 @@
 package mobility
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 
 	"cocoa/internal/geom"
@@ -227,26 +226,4 @@ func (w *Waypoint) HoldUntil(now, until sim.Time) {
 	if !(w.restUntil > until) {
 		w.restUntil = until
 	}
-}
-
-// HashState folds the walker's full kinematic state — current position,
-// leg endpoints and cached leg constants, rest timer — into h, for
-// checkpoint digests.
-func (w *Waypoint) HashState(h *checkpoint.Hasher) {
-	h.F64(w.pos.X)
-	h.F64(w.pos.Y)
-	h.F64(float64(w.lastT))
-	h.F64(w.origin.X)
-	h.F64(w.origin.Y)
-	h.F64(float64(w.legT))
-	h.F64(w.dest.X)
-	h.F64(w.dest.Y)
-	h.F64(w.speed)
-	h.F64(float64(w.restUntil))
-	h.Bool(w.resting)
-	h.Int(w.legs)
-	h.F64(w.legD)
-	h.F64(float64(w.arrive))
-	h.F64(w.ux)
-	h.F64(w.uy)
 }

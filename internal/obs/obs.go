@@ -16,7 +16,7 @@
 //     one atomic store per tick, safe to read from any goroutine, with an
 //     ETA derived at read time.
 //   - Run tracing: Trace records hierarchical spans (run → window →
-//     {mac-frame, belief-update, checkpoint}) on the simulation's virtual
+//     {mac-frame, belief-update}) on the simulation's virtual
 //     clock and serializes them as Chrome trace-event JSON, loadable in
 //     Perfetto or chrome://tracing. ReadTrace is the strict decoder that
 //     round-trips the format and verifies begin/end balance.

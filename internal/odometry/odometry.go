@@ -13,7 +13,6 @@
 package odometry
 
 import (
-	"cocoa/internal/checkpoint"
 	"fmt"
 	"math"
 
@@ -149,13 +148,3 @@ func (d *DeadReckoner) Reanchor(est geom.Vec2) {
 // HeadingBias returns the accumulated heading error in radians, exposed
 // for tests and diagnostics.
 func (d *DeadReckoner) HeadingBias() float64 { return d.headingBias }
-
-// HashState folds the reckoner's estimate and heading-error state into h,
-// for checkpoint digests.
-func (d *DeadReckoner) HashState(h *checkpoint.Hasher) {
-	h.F64(d.est.X)
-	h.F64(d.est.Y)
-	h.F64(d.headingBias)
-	h.F64(d.lastHeading)
-	h.Bool(d.moved)
-}

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -77,12 +76,6 @@ type Options struct {
 	// done is strictly increasing from 1 to total on a fully successful
 	// fan-out.
 	Progress func(done, total int)
-	// CheckpointDir, when non-empty, gives every run of a Runs/RunsEach
-	// fan-out its own subdirectory run-<index>/ beneath it as its
-	// Config.CheckpointDir: a run interrupted by ctx leaves its snapshot
-	// there. Checkpointing is operational: it never changes result bytes
-	// at any parallelism level.
-	CheckpointDir string
 	// Gauge, when non-nil, receives the fan-out's live position: SetRun
 	// after each completed job, and (for Runs/RunsEach) the executing
 	// run's tick position via cocoa's Config.Progress. Concurrent runs
@@ -95,17 +88,6 @@ type Options struct {
 	// engine never logs on the success path — sweeps run thousands of
 	// jobs and the Progress/Gauge channels already carry liveness.
 	Logger *slog.Logger
-}
-
-// withCheckpoint returns cfg with the fan-out's operational taps applied
-// for job i: the checkpoint directory (none without a CheckpointDir) and
-// the shared progress gauge.
-func (o Options) withCheckpoint(cfg cocoa.Config, i int) cocoa.Config {
-	cfg.Progress = o.Gauge
-	if o.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(o.CheckpointDir, fmt.Sprintf("run-%04d", i))
-	}
-	return cfg
 }
 
 // logJobError emits the per-failure debug record when a Logger is wired.
@@ -301,7 +283,9 @@ func Runs(ctx context.Context, opts Options, cfgs []cocoa.Config) ([]*cocoa.Resu
 	return Map(ctx, opts, len(cfgs), func(jctx context.Context, i int) (*cocoa.Result, error) {
 		sc := <-pool
 		defer func() { pool <- sc }()
-		return cocoa.RunScratch(jctx, opts.withCheckpoint(cfgs[i], i), sc)
+		cfg := cfgs[i]
+		cfg.Progress = opts.Gauge
+		return cocoa.RunScratch(jctx, cfg, sc)
 	})
 }
 
@@ -318,7 +302,9 @@ func RunsEach(ctx context.Context, opts Options, cfgs []cocoa.Config, fn func(i 
 	_, err := Map(ctx, opts, len(cfgs), func(jctx context.Context, i int) (struct{}, error) {
 		sc := <-pool
 		defer func() { pool <- sc }()
-		res, err := cocoa.RunScratch(jctx, opts.withCheckpoint(cfgs[i], i), sc)
+		cfg := cfgs[i]
+		cfg.Progress = opts.Gauge
+		res, err := cocoa.RunScratch(jctx, cfg, sc)
 		if err != nil {
 			return struct{}{}, err
 		}

@@ -64,23 +64,15 @@ type Options struct {
 	// Logger, when non-nil, receives the engine's per-failure debug
 	// records (runner.Options.Logger).
 	Logger *slog.Logger
-
-	// CheckpointDir, when non-empty, makes every simulation run of the
-	// experiment that ctx interrupts leave a resumable snapshot beneath
-	// it, one run-<index>/ subdirectory per sweep run (see
-	// cocoa.Config.CheckpointDir). Operational only: results stay
-	// byte-identical with or without it.
-	CheckpointDir string
 }
 
 // engine returns the experiment engine options every fan-out shares.
 func (o Options) engine() runner.Options {
 	return runner.Options{
-		Parallelism:   o.Parallelism,
-		Progress:      o.Progress,
-		Gauge:         o.Gauge,
-		Logger:        o.Logger,
-		CheckpointDir: o.CheckpointDir,
+		Parallelism: o.Parallelism,
+		Progress:    o.Progress,
+		Gauge:       o.Gauge,
+		Logger:      o.Logger,
 	}
 }
 

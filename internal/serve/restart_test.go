@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"log/slog"
 	"net/http"
 	"os"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"cocoa"
-	"cocoa/internal/checkpoint"
 )
 
 // slowCfg is a deployment heavy enough (dense grid, 40 robots) that its
@@ -77,10 +77,10 @@ func waitGone(t *testing.T, path string) {
 }
 
 // The restart guarantee end to end, in-process: a daemon hard-stopped
-// mid-job leaves a snapshot behind; a new daemon over the same state
-// directory recovers the job, resumes it from the snapshot, and serves
-// result bytes identical to an uninterrupted direct run — with no
-// goroutine left behind by either instance.
+// mid-job leaves the job's job.json behind; a new daemon over the same
+// state directory recovers the job, runs it again from that record alone,
+// and serves result bytes identical to an uninterrupted direct run — with
+// no goroutine left behind by either instance.
 func TestRestartResumesDrainKilledJob(t *testing.T) {
 	before := runtime.NumGoroutine()
 	stateDir := t.TempDir()
@@ -97,14 +97,12 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 
 	// Instance A: accept the job, wait until it is 40 ticks in, then
 	// hard-stop (an already-expired drain context cancels in-flight work,
-	// exactly what a deadline-killed daemon does on SIGTERM); the canceled
-	// run writes its snapshot at the tick where it stops.
+	// exactly what a deadline-killed daemon does on SIGTERM).
 	a := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
 	j, err := a.Submit(JobRequest{Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(stateDir, j.ID(), cocoa.CheckpointFile)
 	for deadline := time.Now().Add(60 * time.Second); j.Status().Tick < 40; {
 		if st := j.Status(); st.State.Terminal() || time.Now().After(deadline) {
 			t.Fatalf("job never reached tick 40: state %s tick %d", st.State, st.Tick)
@@ -118,14 +116,19 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 	if st.State != StateCanceled {
 		t.Fatalf("after hard drain: state %s (%s), want canceled", st.State, st.Error)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
+	// The job's directory holds its request and nothing else.
+	entries, err := os.ReadDir(filepath.Join(stateDir, j.ID()))
+	if err != nil {
 		t.Fatalf("drain-killed job lost its state: %v", err)
 	}
-	// Leave the state directory as an older release would have: its job
-	// record and snapshot configs carry the retired reference selectors.
-	ageStateDir(t, filepath.Join(stateDir, j.ID()))
+	if len(entries) != 1 || entries[0].Name() != "job.json" {
+		t.Fatalf("drain-killed job's directory holds %v, want job.json alone", entries)
+	}
+	// Leave the job record as an older release would have: its config
+	// carries the retired reference selectors.
+	ageJobRecord(t, filepath.Join(stateDir, j.ID()))
 
-	// Instance B: recover, resume, finish.
+	// Instance B: recover, rerun, finish.
 	b := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
 	ids, err := b.RecoverJobs()
 	if err != nil {
@@ -224,9 +227,9 @@ func withRetiredKeys(t *testing.T, b []byte) []byte {
 	return out
 }
 
-// ageStateDir rewrites a job's job.json and snapshot with the retired
-// config keys, as releases that still had them wrote them.
-func ageStateDir(t *testing.T, dir string) {
+// ageJobRecord rewrites a job's job.json with the retired config keys, as
+// releases that still had them wrote it.
+func ageJobRecord(t *testing.T, dir string) {
 	t.Helper()
 	rec := filepath.Join(dir, "job.json")
 	b, err := os.ReadFile(rec)
@@ -234,15 +237,6 @@ func ageStateDir(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(rec, withRetiredKeys(t, b), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(dir, cocoa.CheckpointFile)
-	snap, err := checkpoint.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.ConfigJSON = withRetiredKeys(t, snap.ConfigJSON)
-	if err := checkpoint.WriteFile(ckpt, snap); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -307,10 +301,36 @@ func TestStateDirLifecycle(t *testing.T) {
 	})
 }
 
-// A recovered job whose latest.ckpt is an older wire version reruns from
-// its job.json alone and still serves the uninterrupted run's bytes.
+// olderSnapshot frames a snapshot the way releases that wrote latest.ckpt
+// did: the magic "cocoackp", a little-endian u16 wire version, the u32
+// payload length, the payload's CRC32 (IEEE), then the JSON payload
+// carrying the config, the capture tick and state digests.
+func olderSnapshot(t *testing.T, version uint16, cfg cocoa.Config) []byte {
+	t.Helper()
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(map[string]any{
+		"tick": 1, "sim_now_s": 1, "config": json.RawMessage(cfgJSON),
+		"digests": []map[string]any{{"name": "sim", "sum": 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := []byte("cocoackp")
+	b = binary.LittleEndian.AppendUint16(b, version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// A job killed outright (SIGKILL, OOM) leaves job.json alone; one left by
+// a release that wrote snapshots also holds latest.ckpt, in either wire
+// version it used. Every such job recovers from job.json alone, serves the
+// uninterrupted run's bytes, and its directory, snapshot included, is
+// removed when it settles.
 func TestRecoverOldSnapshotVersionReruns(t *testing.T) {
-	stateDir := t.TempDir()
 	cfg := quickCfg(9)
 	res, err := cocoa.Run(cfg)
 	if err != nil {
@@ -320,41 +340,39 @@ func TestRecoverOldSnapshotVersionReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, version := range []uint16{0, 1, 2} {
+		name := fmt.Sprintf("v%d", version)
+		if version == 0 {
+			name = "killed"
+		}
+		t.Run(name, func(t *testing.T) {
+			stateDir := t.TempDir()
+			dir := filepath.Join(stateDir, "job-000001")
+			if err := writeJobRecord(dir, jobRecord{ID: "job-000001", Request: JobRequest{Config: &cfg}}); err != nil {
+				t.Fatal(err)
+			}
+			if version > 0 {
+				if err := os.WriteFile(filepath.Join(dir, "latest.ckpt"), olderSnapshot(t, version, cfg), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	dir := filepath.Join(stateDir, "job-000001")
-	if err := writeJobRecord(dir, jobRecord{ID: "job-000001", Request: JobRequest{Config: &cfg}}); err != nil {
-		t.Fatal(err)
+			s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
+			defer s.Shutdown(context.Background())
+			ids, err := s.RecoverJobs()
+			if err != nil || len(ids) != 1 {
+				t.Fatalf("recovered %v (err=%v), want one job", ids, err)
+			}
+			j, _ := s.Job(ids[0])
+			if st := waitJobTerminal(t, j, StateQueued, StateResumed); st.State != StateDone || !st.Resumed {
+				t.Fatalf("state %s resumed=%v (%s)", st.State, st.Resumed, st.Error)
+			}
+			if got, _ := j.Result(); !bytes.Equal(got, want) {
+				t.Fatal("rerun from job.json differs from the uninterrupted run")
+			}
+			waitGone(t, dir)
+		})
 	}
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := checkpoint.Marshal(&checkpoint.Snapshot{TickIndex: 1, SimNowS: 1, ConfigJSON: cfgJSON,
-		Digests: []checkpoint.Digest{{Name: "sim", Sum: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The frame header is an 8-byte magic, then the little-endian u16
-	// version; the CRC covers only the payload.
-	binary.LittleEndian.PutUint16(wire[8:], 1)
-	if err := os.WriteFile(filepath.Join(dir, cocoa.CheckpointFile), wire, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
-	defer s.Shutdown(context.Background())
-	ids, err := s.RecoverJobs()
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("recovered %v (err=%v), want one job", ids, err)
-	}
-	j, _ := s.Job(ids[0])
-	if st := waitJobTerminal(t, j, StateQueued, StateResumed); st.State != StateDone {
-		t.Fatalf("state %s (%s)", st.State, st.Error)
-	}
-	if got, _ := j.Result(); !bytes.Equal(got, want) {
-		t.Fatal("rerun from job.json differs from the uninterrupted run")
-	}
-	waitGone(t, dir)
 }
 
 // RecoverJobs housekeeping: garbage directories are discarded, unrelated

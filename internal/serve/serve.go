@@ -81,18 +81,16 @@ type Config struct {
 	RetryAfter time.Duration
 	// StateDir, when non-empty, makes jobs durable across process death:
 	// every accepted job's request is persisted beneath it as job.json at
-	// submission, a raw-config job interrupted by drain hard-cancel writes
-	// a snapshot there at the tick where it stops, and a restarted daemon
-	// re-enqueues the survivors with RecoverJobs. A recovered job replays
-	// from tick zero either way — job.json alone reruns it byte-identically
-	// — and a snapshot adds a digest check against the revision that wrote
-	// it. Files are renamed into place without fsync, so the guarantee
-	// covers a killed process, not a host crash. Empty keeps the service
-	// fully in-memory.
+	// submission, and a restarted daemon re-enqueues the jobs still there
+	// with RecoverJobs. A run is a pure function of its request, so a
+	// recovered job simply runs again from the start and serves the bytes
+	// an uninterrupted run would have. job.json is renamed into place
+	// without fsync, so the guarantee covers a killed process, not a host
+	// crash. Empty keeps the service fully in-memory.
 	StateDir string
-	// Deprecated: CheckpointEveryTicks is ignored. Snapshots are taken
-	// only when a run is interrupted; the field is kept only because the
-	// repository benchmark (perfbench/service.go) still sets it.
+	// Deprecated: CheckpointEveryTicks is ignored; the service takes no
+	// snapshots. The field is kept only because the repository benchmark
+	// (perfbench/service.go) still sets it.
 	CheckpointEveryTicks int
 	// Logger receives the service's structured log records (job lifecycle,
 	// request access lines). nil discards them — the service never falls
@@ -171,7 +169,7 @@ type JobStatus struct {
 	// has progress to extrapolate from.
 	EtaS float64 `json:"eta_s,omitempty"`
 	// Resumed marks a job recovered from a previous process's state
-	// directory (its execution state is "resumed" while it replays).
+	// directory (its execution state is "resumed" while it reruns).
 	Resumed bool `json:"resumed,omitempty"`
 	// TraceAvailable reports that the job recorded a span trace, served at
 	// GET /v1/jobs/{id}/trace once the job is done.
@@ -739,14 +737,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// runConfig executes a raw-config job. With a state directory the run
-// may leave a snapshot there if it is interrupted, and — when a snapshot
-// from a previous process is already there — the rerun verifies against
-// it: replay from tick zero, digest-checked at the snapshot's tick (see
-// internal/checkpoint), so a stale or tampered snapshot fails loudly
-// rather than silently diverging. A missing, corrupt or older-format
-// snapshot falls back to a plain rerun of the job's config, which yields
-// the same bytes without the check.
+// runConfig executes a raw-config job on a run slot borrowed from the
+// engine's free list; a recovered job takes the same path as a fresh one.
 func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byte, error) {
 	// Observability taps: the run publishes its tick position through the
 	// job's gauge, and records spans when the submission asked for a
@@ -757,39 +749,8 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 	if j.trace != nil {
 		j.trace.SetProcessName(j.id)
 	}
-	finish := func(res *cocoa.Result) ([]byte, error) {
-		if j.trace != nil {
-			var buf bytes.Buffer
-			if err := j.trace.WriteJSON(&buf); err != nil {
-				return nil, fmt.Errorf("serve: serialize trace: %w", err)
-			}
-			j.setTrace(buf.Bytes())
-		}
-		return json.Marshal(res)
-	}
-	if j.stateDir != "" {
-		cfg.CheckpointDir = j.stateDir
-		if snap, err := cocoa.ReadSnapshot(filepath.Join(j.stateDir, cocoa.CheckpointFile)); err == nil {
-			rcfg, cerr := cocoa.ConfigFromSnapshot(snap)
-			if cerr == nil {
-				rcfg.CheckpointDir = cfg.CheckpointDir
-				rcfg.Progress = cfg.Progress
-				rcfg.Trace = cfg.Trace
-				team, terr := cocoa.ResumeTeam(rcfg, snap)
-				if terr == nil {
-					j.logger().Info("resuming from snapshot", "tick", snap.TickIndex)
-					res, rerr := team.RunContext(ctx)
-					if rerr != nil {
-						return nil, rerr
-					}
-					return finish(res)
-				}
-			}
-		}
-	}
-	// A fresh run recycles a run slot from the engine's free list instead
-	// of allocating cold; the Result's buffers go back to the slot once
-	// marshalled.
+	// The run recycles a run slot instead of allocating cold; the Result's
+	// buffers go back to the slot once marshalled.
 	sc, release := runner.BorrowScratch()
 	defer release()
 	res, err := cocoa.RunScratch(ctx, cfg, sc)
@@ -797,7 +758,14 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 		return nil, err
 	}
 	defer sc.ReleaseResult(res)
-	return finish(res)
+	if j.trace != nil {
+		var buf bytes.Buffer
+		if err := j.trace.WriteJSON(&buf); err != nil {
+			return nil, fmt.Errorf("serve: serialize trace: %w", err)
+		}
+		j.setTrace(buf.Bytes())
+	}
+	return json.Marshal(res)
 }
 
 // finishState applies the durable-state retention policy when a job
@@ -823,7 +791,7 @@ type jobRecord struct {
 
 // writeJobRecord persists rec into dir as job.json, wiping any stale
 // contents first — a fresh submission must never inherit a previous
-// process's snapshot under a recycled job ID.
+// process's files under a recycled job ID.
 func writeJobRecord(dir string, rec jobRecord) error {
 	if err := os.RemoveAll(dir); err != nil {
 		return err
@@ -857,8 +825,9 @@ func readJobRecord(dir string) (jobRecord, error) {
 
 // RecoverJobs re-enqueues the jobs a previous process left behind in
 // StateDir, in job-ID order, and returns the recovered IDs. Every job
-// reruns from its persisted request; a raw-config job that left a snapshot
-// is digest-verified against it on the way. The sequence counter is
+// reruns from its persisted request; any other file in its directory
+// (such as a snapshot an older release wrote) is ignored and removed with
+// the directory when the job settles. The sequence counter is
 // restored above the highest recovered ID so new submissions never
 // collide with recovered directories. Unrecoverable entries (an unreadable
 // or mismatched job.json, an invalid request, a failed enqueue) are

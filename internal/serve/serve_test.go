@@ -194,6 +194,10 @@ func TestSubmitErrorMapping(t *testing.T) {
 	// worker, now a validation error naming the field.
 	inf := quickCfg(1)
 	inf.Area = cocoa.Rect{Min: cocoa.Vec2{X: -1e308, Y: -1e308}, Max: cocoa.Vec2{X: 1e308, Y: 1e308}}
+	// A rest range the mobility model rejects: once a 202 and a job that
+	// failed later, now a validation error naming the field.
+	rest := quickCfg(1)
+	rest.RestMinS, rest.RestMaxS = 5, 1
 	cfg := quickCfg(1)
 	cases := []struct {
 		name      string
@@ -204,6 +208,7 @@ func TestSubmitErrorMapping(t *testing.T) {
 	}{
 		{"invalid config", JobRequest{Config: &bad}, http.StatusBadRequest, "NumRobots", ""},
 		{"infinite area", JobRequest{Config: &inf}, http.StatusBadRequest, "Area", ""},
+		{"inverted rest range", JobRequest{Config: &rest}, http.StatusBadRequest, "RestMaxS", ""},
 		{"neither", JobRequest{}, http.StatusBadRequest, "", "exactly one"},
 		{"both", JobRequest{Config: &cfg, Experiment: "fig9"}, http.StatusBadRequest, "", "exactly one"},
 		{"unknown experiment", JobRequest{Experiment: "fig99"}, http.StatusBadRequest, "", "unknown experiment"},

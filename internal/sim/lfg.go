@@ -9,7 +9,7 @@ package sim
 // from only a handful of times, so seeding is a hot path here even though
 // it is a one-off cost for typical users.
 //
-// Three changes make it fast while keeping every draw bit-identical:
+// Two changes make it fast while keeping every draw bit-identical:
 //
 //  1. The seeding LCG x_k = 48271^k·x₀ mod (2³¹−1) is evaluated by jump
 //     ahead: post-Seed word i is
@@ -25,9 +25,6 @@ package sim
 //     feed drops below the low-water mark low, reusing the feed-wrap
 //     compare, so a stream pays only for the words it reads; after 334
 //     draws every word has been read and low is 0.
-//  3. HashState reads the logical state through state, which computes
-//     still-pending words on the fly, so fingerprints do not depend on how
-//     far materialization has progressed.
 //
 // The seeding constants (math/rand's rngCooked table) are not copied from
 // the stdlib source file: they are recovered algebraically at init by
@@ -94,7 +91,7 @@ type lfgSource struct {
 	tap, feed int
 	// low is the lowest materialized feed word: vec[i] for i < low, and
 	// their tap partners vec[i+lfgTap] for i ≥ lfgFeed−lfgTap, are still
-	// pending (see state). 0 once every word has been materialized.
+	// pending (see refill). 0 once every word has been materialized.
 	low int
 	x0  uint64 // canonical seeding LCG start value
 	vec [lfgLen]int64
@@ -173,16 +170,6 @@ func (s *lfgSource) refill() {
 		seedWords(s.vec[p+lfgTap:s.low+lfgTap], p+lfgTap, s.x0)
 	}
 	s.low = lo
-}
-
-// state writes the logical state vector into dst without materializing
-// anything: pending words are computed, the rest copied from vec.
-func (s *lfgSource) state(dst *[lfgLen]int64) {
-	*dst = s.vec
-	seedWords(dst[:s.low], 0, s.x0)
-	if s.low > lfgFeed-lfgTap {
-		seedWords(dst[lfgFeed:s.low+lfgTap], lfgFeed, s.x0)
-	}
 }
 
 // initLehmerPow fills lehmerPow by stepping the seeding LCG from x₀ = 1,

@@ -3,8 +3,6 @@ package sim
 import (
 	"math/rand"
 	"testing"
-
-	"cocoa/internal/checkpoint"
 )
 
 // schrageSeedrand is the stdlib's original Schrage-decomposition step,
@@ -167,11 +165,11 @@ func lfgOracle(seed int64) *lfgSource {
 	return s
 }
 
-// stateDigest fingerprints a source the way a checkpoint does.
+// stateDigest fingerprints a source as the stream of seed.
 func stateDigest(seed int64, s *lfgSource) uint64 {
-	h := checkpoint.NewHasher()
-	(&RNG{seed: uint64(seed), src: s}).HashState(h)
-	return h.Sum()
+	f := newFingerprint()
+	f.stream(&RNG{seed: uint64(seed), src: s})
+	return uint64(f)
 }
 
 // checkAgainstOracle requires got's taps, logical state and state digest to
@@ -191,7 +189,7 @@ func checkAgainstOracle(t *testing.T, seed int64, draws int, got, oracle *lfgSou
 		}
 	}
 	if g, w := stateDigest(seed, got), stateDigest(seed, oracle); g != w {
-		t.Fatalf("seed %d after %d draws: HashState %#x, oracle %#x", seed, draws, g, w)
+		t.Fatalf("seed %d after %d draws: state digest %#x, oracle %#x", seed, draws, g, w)
 	}
 }
 
@@ -217,7 +215,7 @@ func drawCompare(t *testing.T, seed int64, k int, int63 bool, got, oracle *lfgSo
 // materialization (334) and the feed/tap wraps, with Uint64 and Int63
 // interleaved: after each prefix the on-demand source must agree with
 // math/rand on the outputs and with the serial oracle on taps, logical
-// state and HashState.
+// state and state digest.
 func TestLFGLazyMatchesEagerOracle(t *testing.T) {
 	seeds := []int64{0, 1, -7, 42, lehmerM, 2 * lehmerM,
 		-9223372036854775808, 9223372036854775807}

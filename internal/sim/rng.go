@@ -4,8 +4,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-
-	"cocoa/internal/checkpoint"
 )
 
 // RNG wraps math/rand with the distributions the CoCoA models need and with
@@ -15,19 +13,14 @@ import (
 type RNG struct {
 	seed uint64
 	r    *rand.Rand
-	// src is the stream's lagged-Fibonacci source, retained so HashState
-	// can fingerprint the full generator state (rand.Rand keeps no state
-	// of its own beyond the source for the distributions used here).
+	// src is the stream's lagged-Fibonacci source, the whole generator
+	// state (rand.Rand keeps none of its own for the distributions used
+	// here). r offers no accessor for it, so the state-pin tests read it
+	// through this field.
 	src *lfgSource
 	// pool, when non-nil, is the RNGPool this stream and every stream
 	// derived from it draw their storage from.
 	pool *RNGPool
-	// root points at the run's root stream (nil on a root itself), and a
-	// root's streams lists every stream derived under it in creation
-	// order. Stream creation order is a pure function of the run config,
-	// so HashTree fingerprints the whole tree deterministically.
-	root    *RNG
-	streams []*RNG
 }
 
 // NewRNG returns a root random stream for the given seed. The underlying
@@ -37,32 +30,6 @@ type RNG struct {
 func NewRNG(seed int64) *RNG {
 	src := newSource(seed)
 	return &RNG{seed: uint64(seed), r: rand.New(src), src: src}
-}
-
-// HashState folds this stream's full generator state — the derivation seed
-// plus the lagged-Fibonacci feedback vector and taps — into h. Words the
-// source has not materialized yet are hashed at their post-Seed values, so
-// the digest is the one an eagerly seeded source would give.
-func (g *RNG) HashState(h *checkpoint.Hasher) {
-	h.U64(g.seed)
-	h.Int(g.src.tap)
-	h.Int(g.src.feed)
-	var vec [lfgLen]int64
-	g.src.state(&vec)
-	for _, v := range vec {
-		h.I64(v)
-	}
-}
-
-// HashTree folds the state of this root stream and of every stream derived
-// under it, in creation order. Call it on the run's root stream to
-// fingerprint the complete randomness state of a run.
-func (g *RNG) HashTree(h *checkpoint.Hasher) {
-	g.HashState(h)
-	h.Int(len(g.streams))
-	for _, c := range g.streams {
-		c.HashState(h)
-	}
 }
 
 // streamSeed derives the sub-stream seed for Stream: FNV-64a over the parent
@@ -98,23 +65,13 @@ func streamSeedN(seed uint64, name string, n int) uint64 {
 }
 
 // make materializes a stream for the derived seed s, drawing storage from
-// the parent's pool when it has one, and registers it on the run's root
-// stream so HashTree covers it.
+// the parent's pool when it has one.
 func (g *RNG) make(s uint64) *RNG {
-	root := g
-	if g.root != nil {
-		root = g.root
-	}
-	var child *RNG
 	if g.pool != nil {
-		child = g.pool.get(s)
-	} else {
-		src := newSource(int64(s))
-		child = &RNG{seed: s, r: rand.New(src), src: src}
+		return g.pool.get(s)
 	}
-	child.root = root
-	root.streams = append(root.streams, child)
-	return child
+	src := newSource(int64(s))
+	return &RNG{seed: s, r: rand.New(src), src: src}
 }
 
 // Stream derives an independent named sub-stream. The derivation hashes the
@@ -154,17 +111,8 @@ func NewRNGPool() *RNGPool {
 }
 
 // Root returns the pool-backed equivalent of NewRNG(seed): a root stream
-// whose derived sub-streams also draw from the pool. The recycled stream's
-// registry is truncated so the new run's stream tree starts empty.
-func (p *RNGPool) Root(seed int64) *RNG {
-	g := p.get(uint64(seed))
-	g.root = nil
-	for i := range g.streams {
-		g.streams[i] = nil
-	}
-	g.streams = g.streams[:0]
-	return g
-}
+// whose derived sub-streams also draw from the pool.
+func (p *RNGPool) Root(seed int64) *RNG { return p.get(uint64(seed)) }
 
 // get hands out the next free pooled stream reseeded to s, growing the pool
 // when every retained stream is in use.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"cocoa/internal/checkpoint"
-)
+import "testing"
 
 // drawSome exercises every distribution once and returns the samples, so a
 // pooled stream can be compared draw-for-draw against a fresh one.
@@ -26,11 +22,6 @@ func drawSome(g *RNG) [6]float64 {
 // full materialization (334), so the next round reseeds half-materialized
 // streams.
 func TestRNGPoolBitIdenticalToFresh(t *testing.T) {
-	tree := func(g *RNG) uint64 {
-		h := checkpoint.NewHasher()
-		g.HashTree(h)
-		return h.Sum()
-	}
 	p := NewRNGPool()
 	for round, draws := range []int{0, 15, 16, 17, 272, 273, 274, 333, 334, 335, 0} {
 		seed := []int64{42, -7}[round%2]
@@ -47,7 +38,16 @@ func TestRNGPoolBitIdenticalToFresh(t *testing.T) {
 		for n := 0; n < 3; n++ {
 			streams = append(streams, [2]*RNG{pooled.StreamN("odometry", n), fresh.StreamN("odometry", n)})
 		}
-		if tree(pooled) != tree(fresh) {
+		// tree fingerprints one side's root and derived streams, in
+		// creation order.
+		tree := func(side int, root *RNG) uint64 {
+			derived := make([]*RNG, len(streams))
+			for i, s := range streams {
+				derived[i] = s[side]
+			}
+			return treeFingerprint(root, derived...)
+		}
+		if tree(0, pooled) != tree(1, fresh) {
 			t.Fatalf("round %d: reseeded tree digest differs from fresh", round)
 		}
 		for i, s := range streams {
@@ -57,7 +57,7 @@ func TestRNGPoolBitIdenticalToFresh(t *testing.T) {
 				}
 			}
 		}
-		if tree(pooled) != tree(fresh) {
+		if tree(0, pooled) != tree(1, fresh) {
 			t.Fatalf("round %d: tree digest after %d draws differs from fresh", round, draws)
 		}
 		// One more stream per round checks the distributions on a reseed;
