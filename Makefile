@@ -32,12 +32,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 
-# shuffle reruns the stateful service/runner suites twice in random order:
-# the runner and serve packages keep cross-test state (the process-wide
-# run-slot free list, the runner/serve job counters, daemon state dirs), and
-# the second pass catches state one run leaks into the next.
+# shuffle reruns the stateful cocoa/runner/service suites twice in random
+# order: these packages keep cross-test state (cocoa's process-wide run-slot
+# and Result free lists, the runner/serve job counters, daemon state dirs),
+# and the second pass catches state one run leaks into the next.
 shuffle:
-	$(GO) test -count=2 -shuffle=on ./internal/runner ./internal/serve
+	$(GO) test -count=2 -shuffle=on ./internal/cocoa ./internal/runner ./internal/serve
 
 # cover prints per-package statement coverage; cover-check additionally
 # enforces the floors in coverage_floor.txt (see cmd/covergate). Floors

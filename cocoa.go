@@ -102,32 +102,18 @@ func Run(cfg Config) (*Result, error) { return icocoa.Run(cfg) }
 // execution — it never feeds the simulation's randomness or event order —
 // so a run that completes is byte-identical to Run(cfg) whether ctx
 // carried a live deadline or not. A nil ctx means context.Background().
+//
+// Back-to-back runs recycle each other's simulator, RNG streams and belief
+// grids through a small process-wide free list, with byte-identical
+// results; see ReleaseResult to recycle a finished Result's buffers too.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return icocoa.RunContext(ctx, cfg)
 }
 
-// Scratch is a reusable run slot: teams built through the same scratch
-// recycle the previous run's simulator, RNG streams, and belief grids
-// instead of reallocating them, with byte-identical results. See
-// NewTeamScratch and RunScratch.
-type Scratch = icocoa.Scratch
-
-// NewScratch returns an empty run slot for NewTeamScratch / RunScratch.
-func NewScratch() *Scratch { return icocoa.NewScratch() }
-
-// NewTeamScratch is NewTeam on a reusable run slot. Building a team on a
-// scratch invalidates the previous team built on the same scratch; a nil
-// scratch degenerates to NewTeam exactly.
-func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
-	return icocoa.NewTeamScratch(cfg, sc)
-}
-
-// RunScratch assembles and runs a deployment on a reusable run slot — the
-// replication-loop sibling of RunContext. Results are byte-identical to
-// RunContext(ctx, cfg); only the memory is recycled.
-func RunScratch(ctx context.Context, cfg Config, sc *Scratch) (*Result, error) {
-	return icocoa.RunScratch(ctx, cfg, sc)
-}
+// ReleaseResult hands a Result's buffers back for reuse by a later run.
+// Call it at most once per Result, and only once nothing will read it
+// again: a later run overwrites it in place. Releasing is optional.
+func ReleaseResult(res *Result) { icocoa.ReleaseResult(res) }
 
 // Observability: a run with Config.Progress set publishes its live tick
 // position through a lock-free gauge, and one with Config.Trace set
@@ -161,19 +147,6 @@ var ErrInvalidConfig = icocoa.ErrInvalidConfig
 
 // ConfigError identifies the Config field that failed validation and why.
 type ConfigError = icocoa.ConfigError
-
-// Submit starts cfg on its own goroutine and returns a handle to the
-// eventual result: Done to select on, Result to wait, Cancel to abort the
-// simulation cooperatively. Submit is the asynchronous sibling of
-// RunContext for callers multiplexing many runs.
-func Submit(ctx context.Context, cfg Config) *RunHandle {
-	return runner.Go(ctx, func(jctx context.Context) (*Result, error) {
-		return icocoa.RunContext(jctx, cfg)
-	})
-}
-
-// RunHandle is one asynchronously executing simulation run.
-type RunHandle = runner.Handle[*Result]
 
 // Square returns a side x side deployment area anchored at the origin.
 func Square(side float64) Rect { return geom.Square(side) }

@@ -1,7 +1,9 @@
 package cocoa_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"cocoa"
@@ -26,6 +28,45 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 	if s := res.EnergySavings(); s <= 1 {
 		t.Errorf("EnergySavings = %v", s)
+	}
+}
+
+// RunContext recycles run slots and released Results, invisibly: after a
+// warm run of a different geometry it returns exactly what a team of its
+// own (NewTeam) returns.
+func TestPublicRunContextMatchesNewTeam(t *testing.T) {
+	cfg := cocoa.DefaultConfig()
+	cfg.NumRobots = 12
+	cfg.NumEquipped = 6
+	cfg.BeaconPeriodS = 50
+	cfg.DurationS = 150
+	cfg.GridCellM = 4
+	cfg.Calibration.Samples = 60000
+	warm := cfg
+	warm.NumRobots = 8
+	warm.NumEquipped = 4
+	warm.GridCellM = 8
+	warm.Seed = 99
+
+	team, err := cocoa.NewTeam(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := team.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cocoa.RunContext(context.Background(), warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cocoa.ReleaseResult(res)
+	got, err := cocoa.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("RunContext after a warm run differs from a NewTeam run")
 	}
 }
 

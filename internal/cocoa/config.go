@@ -319,6 +319,10 @@ func (c Config) Validate() error {
 		return configErrorf("DurationS", "must be positive")
 	case c.SampleIntervalS <= 0:
 		return configErrorf("SampleIntervalS", "must be positive")
+	case c.SampleIntervalS > c.DurationS:
+		// A run with no sampling tick has an empty error series (MeanError
+		// NaN), so it measures nothing.
+		return configErrorf("SampleIntervalS", "%v s exceeds DurationS %v s", c.SampleIntervalS, c.DurationS)
 	case c.ClockDriftSigmaS < 0:
 		return configErrorf("ClockDriftSigmaS", "negative clock drift")
 	case c.FailEquippedCount < 0 || c.FailEquippedCount >= c.NumEquipped && c.FailEquippedCount > 0:

@@ -29,6 +29,7 @@ func TestValidateReturnsConfigError(t *testing.T) {
 		{"equipped", "NumEquipped", func(c *Config) { c.NumEquipped = c.NumRobots + 1 }},
 		{"period", "BeaconPeriodS", func(c *Config) { c.BeaconPeriodS = 0 }},
 		{"duration", "DurationS", func(c *Config) { c.DurationS = -1 }},
+		{"no sampling tick", "SampleIntervalS", func(c *Config) { c.DurationS, c.SampleIntervalS = 0.5, 1 }},
 		{"grid", "GridCellM", func(c *Config) { c.GridCellM = 0 }},
 		{"radio", "Radio", func(c *Config) { c.Radio.PathLossExp = -1 }},
 		{"negative rest", "RestMinS", func(c *Config) { c.RestMinS = -1 }},

@@ -2,9 +2,9 @@ package cocoa
 
 import "context"
 
-// WithScanIndex returns a context under which RunContext and RunScratch
-// build teams whose MAC finds receivers by the O(n) reference scan instead
-// of the spatial grid index.
+// WithScanIndex returns a context under which RunContext builds teams whose
+// MAC finds receivers by the O(n) reference scan instead of the spatial
+// grid index.
 func WithScanIndex(ctx context.Context) context.Context {
 	ref := referenceFrom(ctx)
 	ref.scan = true
@@ -15,12 +15,12 @@ func WithScanIndex(ctx context.Context) context.Context {
 // WithScanIndex and WithEagerStats), for tests that read the team back
 // after the run.
 func NewTeamContext(ctx context.Context, cfg Config) (*Team, error) {
-	return newTeam(cfg, nil, referenceFrom(ctx))
+	return newTeam(cfg, newSlot(), referenceFrom(ctx))
 }
 
-// WithEagerStats returns a context under which RunContext and RunScratch
-// build grid localizers that read their statistics by full-grid scans
-// instead of the incremental accumulators.
+// WithEagerStats returns a context under which RunContext builds grid
+// localizers that read their statistics by full-grid scans instead of the
+// incremental accumulators.
 func WithEagerStats(ctx context.Context) context.Context {
 	ref := referenceFrom(ctx)
 	ref.eager = true

@@ -1,0 +1,189 @@
+package cocoa
+
+import (
+	"context"
+	"sync"
+
+	"cocoa/internal/bayes"
+	"cocoa/internal/sim"
+)
+
+// slot is the reusable memory of one run. Every team is built on a slot,
+// and a team built on a slot that already served a run recycles that run's
+// expensive state instead of reallocating it:
+//
+//   - the discrete-event simulator (calendar heap and event arena),
+//   - every named RNG stream (each carries a ~5 KB lagged-Fibonacci state
+//     vector, reseeded in place — see sim.RNGPool),
+//   - the per-robot belief grids (reused via bayes.Grid.Reset whenever the
+//     area and cell size match).
+//
+// Reuse is invisible in the results: a reseed is a complete stream reset and
+// Grid.Reset restores the exact uniform prior, so a run on a warm slot is
+// byte-identical to one on a new slot (pinned by TestScratchByteIdentity).
+//
+// A slot serves one live team at a time: building a team on it invalidates
+// the previous team built on it. A slot is not safe for concurrent use.
+type slot struct {
+	sim  *sim.Simulator
+	rngs *sim.RNGPool
+
+	// grids is the belief-grid arena: grids[:gridsUsed] are handed out to
+	// the current team, the rest are free for reuse.
+	grids     []*bayes.Grid
+	gridsUsed int
+
+	// runs counts teams built on this slot, to tell a cold first use from a
+	// warm reuse (a team's cocoa.scratch_reuse).
+	runs int
+}
+
+// newSlot returns an empty slot. The first team built on it allocates
+// everything; later teams recycle.
+func newSlot() *slot {
+	return &slot{sim: sim.New(), rngs: sim.NewRNGPool()}
+}
+
+// begin opens a new run on the slot: it recycles the simulator, the stream
+// pool, and the grid arena, and returns the simulator plus the root RNG for
+// the run's seed.
+func (s *slot) begin(seed int64) (*sim.Simulator, *sim.RNG) {
+	s.runs++
+	s.sim.Reset()
+	s.rngs.Recycle()
+	s.gridsUsed = 0
+	return s.sim, s.rngs.Root(seed)
+}
+
+// grid hands out a belief grid for the given geometry, reusing a retained
+// one when its dimensions match (Grid.Reset restores the exact uniform
+// prior a new grid starts from) and allocating otherwise. The handed-out
+// grid is always in StatsIncremental mode, NewGrid's default; the caller
+// re-applies any reference override.
+//
+// On a miss every free grid has a geometry this team will never ask for (a
+// team uses one geometry), so the free grids are dropped before the new one
+// is appended. The arena therefore never holds more grids than the largest
+// team built on the slot, all of one geometry, however many geometries the
+// slot has served.
+func (s *slot) grid(cfg Config) (*bayes.Grid, error) {
+	for i := s.gridsUsed; i < len(s.grids); i++ {
+		g := s.grids[i]
+		if g.Area() == cfg.Area && g.CellSize() == cfg.GridCellM {
+			s.grids[i] = s.grids[s.gridsUsed]
+			s.grids[s.gridsUsed] = g
+			s.gridsUsed++
+			g.SetStatsMode(bayes.StatsIncremental)
+			g.Reset()
+			g.ResetTelemetry()
+			return g, nil
+		}
+	}
+	g, err := bayes.NewGrid(cfg.Area, cfg.GridCellM)
+	if err != nil {
+		return nil, err
+	}
+	clear(s.grids[s.gridsUsed:])
+	s.grids = append(s.grids[:s.gridsUsed], g)
+	s.gridsUsed++
+	return g, nil
+}
+
+// maxParked bounds each of a slotPool's free lists. Each parked slot
+// retains its high-water memory, so hoarding one per historical worker
+// would defeat the purpose; more concurrent runs than this still get one
+// slot each, and the surplus is dropped for the GC when they end.
+const maxParked = 4
+
+// slotPool is a capped free list of slots and of released Results. The
+// package-level Run/RunContext borrow from the process-wide instance,
+// runSlots, so recycling spans every run in the process: consecutive
+// replications of a sweep, consecutive sweeps, and consecutive service
+// jobs. Which slot a run draws is scheduling-dependent, but slot identity
+// never influences results.
+type slotPool struct {
+	mu      sync.Mutex
+	slots   []*slot
+	results []*Result
+}
+
+// runSlots is the process-wide pool every package-level run borrows from.
+var runSlots slotPool
+
+// get pops the most recently parked slot, or returns a new one.
+func (p *slotPool) get() *slot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.slots)
+	if n == 0 {
+		return newSlot()
+	}
+	s := p.slots[n-1]
+	p.slots[n-1] = nil
+	p.slots = p.slots[:n-1]
+	return s
+}
+
+// put parks s for the next get, unless the free list is full.
+func (p *slotPool) put(s *slot) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.slots) < maxParked {
+		p.slots = append(p.slots, s)
+	}
+}
+
+// release parks res for the next run's Result, unless the free list is
+// full. A nil res is a no-op.
+func (p *slotPool) release(res *Result) {
+	if res == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.results) < maxParked {
+		p.results = append(p.results, res)
+	}
+}
+
+// result returns an empty Result for a run of cfg tracking the given
+// robots: a released one rewound with its buffer capacities intact, or a
+// new one.
+func (p *slotPool) result(cfg Config, tracked []int) *Result {
+	p.mu.Lock()
+	n := len(p.results)
+	if n == 0 {
+		p.mu.Unlock()
+		return newResult(cfg, tracked)
+	}
+	res := p.results[n-1]
+	p.results[n-1] = nil
+	p.results = p.results[:n-1]
+	p.mu.Unlock()
+	res.reset(cfg, tracked)
+	return res
+}
+
+// run assembles cfg on a borrowed slot and runs it under ctx, parking the
+// slot again on every exit.
+func (p *slotPool) run(ctx context.Context, cfg Config) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s := p.get()
+	defer p.put(s)
+	team, err := newTeam(cfg, s, referenceFrom(ctx))
+	if err != nil {
+		return nil, err
+	}
+	return team.run(ctx, p)
+}
+
+// ReleaseResult hands res's buffers back for reuse by a later run. Call it
+// at most once per Result, and only once nothing will read res again: a
+// later run overwrites it in place. Releasing is optional; a Result that is
+// never released is simply collected. A nil res is a no-op.
+func ReleaseResult(res *Result) { runSlots.release(res) }

@@ -61,10 +61,6 @@ type Team struct {
 	crashes    int
 	recoveries int
 
-	// scratch is the run slot this team was built on (nil for fresh
-	// construction); RunContext recycles Result buffers through it.
-	scratch *Scratch
-
 	// ticks counts completed sampling ticks, for the progress gauge.
 	ticks int
 
@@ -91,19 +87,12 @@ type Team struct {
 // NewTeam assembles a deployment from the configuration. The calibration
 // phase (PDF Table construction) runs here, before the mission starts,
 // exactly as the paper's offline calibration does.
+//
+// The team gets a run slot of its own, never shared or parked, so it stays
+// readable (Telemetry, Table) for as long as the caller holds it. Callers
+// that only want the Result should use RunContext, which recycles slots.
 func NewTeam(cfg Config) (*Team, error) {
-	return NewTeamScratch(cfg, nil)
-}
-
-// NewTeamScratch assembles a deployment on a reusable run slot: the
-// simulator, the RNG streams, and the belief grids come from the scratch,
-// recycled from the previous run built through it. The assembled team is
-// byte-identical in behavior to a NewTeam one — reuse only changes where
-// the memory comes from. Building a team on a scratch invalidates the
-// previous team built on the same scratch (see Scratch). A nil scratch
-// degenerates to NewTeam exactly.
-func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
-	return newTeam(cfg, sc, reference{})
+	return newTeam(cfg, newSlot(), reference{})
 }
 
 // reference selects slow reference implementations in place of the
@@ -112,8 +101,8 @@ func NewTeamScratch(cfg Config, sc *Scratch) (*Team, error) {
 // (bayes.StatsEager) instead of the incremental accumulators. Both exist
 // only as oracles — results are byte-identical under scan and agree within
 // 1e-9 under eager (DESIGN.md §12, §13) — so only the differential test
-// suites select them, through a context that RunContext and RunScratch read
-// (see export_test.go). The zero value is the production setup.
+// suites select them, through a context that RunContext reads (see
+// export_test.go). The zero value is the production setup.
 type reference struct {
 	scan  bool
 	eager bool
@@ -128,21 +117,14 @@ func referenceFrom(ctx context.Context) reference {
 	return ref
 }
 
-// newTeam is NewTeamScratch with an explicit reference selection.
-func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
+// newTeam assembles cfg on run slot sl under an explicit reference
+// selection.
+func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var root *sim.RNG
-	var s *sim.Simulator
-	scratchReuse := 0
-	if sc != nil {
-		scratchReuse = min(sc.runs, 1)
-		s, root = sc.begin(cfg.Seed)
-	} else {
-		root = sim.NewRNG(cfg.Seed)
-		s = sim.New()
-	}
+	scratchReuse := min(sl.runs, 1)
+	s, root := sl.begin(cfg.Seed)
 
 	macCfg := mac.DefaultConfig(cfg.Radio)
 	if !ref.scan {
@@ -165,7 +147,6 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 		med:      med,
 		rng:      root.Stream("team"),
 		clockRng: root.Stream("clock"),
-		scratch:  sc,
 		progress: cfg.Progress,
 		tracer:   cfg.Trace,
 
@@ -239,7 +220,7 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 		}
 
 		if !r.equipped {
-			r.loc, err = newLocalizer(cfg, root, id, sc, ref.eager)
+			r.loc, err = newLocalizer(cfg, root, id, sl, ref.eager)
 			if err != nil {
 				return nil, err
 			}
@@ -334,9 +315,9 @@ func newTeam(cfg Config, sc *Scratch, ref reference) (*Team, error) {
 }
 
 // newLocalizer builds the configured RF estimation backend for one robot.
-// Grid localizers draw from the scratch's grid arena when sc is non-nil,
-// and read their statistics by full scans when eager is set.
-func newLocalizer(cfg Config, root *sim.RNG, id int, sc *Scratch, eager bool) (Localizer, error) {
+// Grid localizers draw from the slot's grid arena, and read their
+// statistics by full scans when eager is set.
+func newLocalizer(cfg Config, root *sim.RNG, id int, sl *slot, eager bool) (Localizer, error) {
 	switch cfg.Localizer {
 	case LocalizerParticle:
 		mc := mcl.DefaultConfig(cfg.Area)
@@ -345,13 +326,7 @@ func newLocalizer(cfg Config, root *sim.RNG, id int, sc *Scratch, eager bool) (L
 	case LocalizerEKF:
 		return ekf.New(ekf.DefaultConfig(cfg.Area))
 	default:
-		var g *bayes.Grid
-		var err error
-		if sc != nil {
-			g, err = sc.grid(cfg)
-		} else {
-			g, err = bayes.NewGrid(cfg.Area, cfg.GridCellM)
-		}
+		g, err := sl.grid(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -393,6 +368,11 @@ func (t *Team) Run() (*Result, error) {
 // one executed without a context — the service path and the direct path
 // produce the same Result.
 func (t *Team) RunContext(ctx context.Context) (*Result, error) {
+	return t.run(ctx, &runSlots)
+}
+
+// run is RunContext drawing its Result from p's released ones.
+func (t *Team) run(ctx context.Context, p *slotPool) (*Result, error) {
 	if t.ran {
 		return nil, fmt.Errorf("cocoa: team already ran")
 	}
@@ -410,14 +390,7 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	}
 	cfg := t.cfg
 
-	tracked := t.trackedIDs()
-	var res *Result
-	if t.scratch != nil {
-		res = t.scratch.takeResult(cfg, tracked)
-	}
-	if res == nil {
-		res = newResult(cfg, tracked)
-	}
+	res := p.result(cfg, t.trackedIDs())
 
 	if cfg.Mode != ModeOdometryOnly {
 		t.scheduleWindow(0)
@@ -885,16 +858,12 @@ func Run(cfg Config) (*Result, error) {
 // RunContext assembles and runs a deployment in one call under ctx.
 // Cancellation and deadlines are observed between the assembly phase and
 // the run, and cooperatively at every sampling tick inside the run.
+//
+// The deployment is built on a run slot borrowed from a small process-wide
+// free list and parked again when the run returns, so back-to-back runs
+// recycle each other's simulator, RNG streams and belief grids instead of
+// reallocating them. Results are byte-identical either way; pass a Result
+// that is no longer needed to ReleaseResult to recycle its buffers too.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	team, err := newTeam(cfg, nil, referenceFrom(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return team.RunContext(ctx)
+	return runSlots.run(ctx, cfg)
 }

@@ -10,11 +10,14 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// runTelemetry builds cfg on sc (nil: a fresh team), runs it, and returns
-// the Result's JSON bytes, the Result, and the run's own telemetry.
-func runTelemetry(t *testing.T, cfg Config, sc *Scratch) ([]byte, *Result, telemetry.Snapshot) {
+// runTelemetry builds cfg on sl (nil: NewTeam's own new slot), runs it, and
+// returns the Result's JSON bytes, the Result, and the run's own telemetry.
+func runTelemetry(t *testing.T, cfg Config, sl *slot) ([]byte, *Result, telemetry.Snapshot) {
 	t.Helper()
-	team, err := NewTeamScratch(cfg, sc)
+	if sl == nil {
+		sl = newSlot()
+	}
+	team, err := newTeam(cfg, sl, reference{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +163,7 @@ func TestTelemetryMirrorsResult(t *testing.T) {
 // adopts them rather than carrying the previous run's counts.
 func TestTelemetryGridCountersSurviveRun(t *testing.T) {
 	t.Parallel()
-	sc := NewScratch()
+	sc := newSlot()
 	for run := 0; run < 2; run++ {
 		_, _, tel := runTelemetry(t, testConfig(), sc)
 		c := counterMap(tel)
@@ -175,14 +178,14 @@ func TestTelemetryGridCountersSurviveRun(t *testing.T) {
 }
 
 // slotDependent names the counters that legitimately differ between a
-// fresh run and one on a recycled run slot: the arena chunks a warm
+// run on a new slot and one on a recycled run slot: the arena chunks a warm
 // simulator no longer allocates, and the reuse count itself.
 func slotDependent(name string) bool {
 	return name == "sim.arena_chunks" || name == "cocoa.scratch_reuse"
 }
 
-// A run on a recycled Scratch publishes the same counters and histograms
-// as a fresh run of the same config, except the slot-dependent two.
+// A run on a recycled slot publishes the same counters and histograms as a
+// run of the same config on a new slot, except the slot-dependent two.
 func TestTelemetryRecycledSlot(t *testing.T) {
 	t.Parallel()
 	strip := func(s telemetry.Snapshot) telemetry.Snapshot {
@@ -197,7 +200,7 @@ func TestTelemetryRecycledSlot(t *testing.T) {
 	}
 	cfg := faultyConfig()
 	_, _, fresh := runTelemetry(t, cfg, nil)
-	sc := NewScratch()
+	sc := newSlot()
 	other := testConfig()
 	other.Seed = 99
 	runTelemetry(t, other, sc) // warm the slot with a different run

@@ -78,30 +78,3 @@ func TestRunsEachPropagatesFnError(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
-
-// BorrowScratch lends slots from the same capped free list the fan-outs
-// use: a released slot is the next one lent, and releasing more slots than
-// the cap parks only the cap's worth.
-func TestBorrowScratchRecyclesSlots(t *testing.T) {
-	sc, release := BorrowScratch()
-	release()
-	again, release := BorrowScratch()
-	if again != sc {
-		t.Fatal("a released slot was not the next one lent")
-	}
-	release()
-
-	releases := make([]func(), maxFreeScratches+2)
-	for i := range releases {
-		_, releases[i] = BorrowScratch()
-	}
-	for _, r := range releases {
-		r()
-	}
-	scratchMu.Lock()
-	parked := len(scratchFree)
-	scratchMu.Unlock()
-	if parked != maxFreeScratches {
-		t.Fatalf("%d slots parked, want the cap %d", parked, maxFreeScratches)
-	}
-}

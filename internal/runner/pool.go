@@ -36,7 +36,7 @@ var (
 
 // Handle is one asynchronously executing job: a future for its result plus
 // a cancellation lever. The zero value is invalid; handles come from
-// Pool.TrySubmit or Go.
+// Pool.TrySubmit.
 type Handle[T any] struct {
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -65,23 +65,6 @@ func (h *Handle[T]) Cancel() { h.cancel() }
 func (h *Handle[T]) complete(v T, err error) {
 	h.val, h.err = v, err
 	close(h.done)
-}
-
-// Go runs fn on its own goroutine and returns its handle — the unbounded
-// sibling of Pool.TrySubmit for callers that manage admission themselves.
-// A nil ctx means context.Background().
-func Go[T any](ctx context.Context, fn func(ctx context.Context) (T, error)) *Handle[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	jctx, cancel := context.WithCancel(ctx)
-	h := &Handle[T]{cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer cancel()
-		v, err := fn(jctx)
-		h.complete(v, err)
-	}()
-	return h
 }
 
 // PoolStats is a point-in-time view of a pool's occupancy.

@@ -9,51 +9,6 @@ import (
 	"cocoa/internal/cocoa"
 )
 
-func TestGoReturnsResult(t *testing.T) {
-	h := Go(context.Background(), func(ctx context.Context) (int, error) {
-		return 42, nil
-	})
-	v, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 {
-		t.Fatalf("Result = %d, want 42", v)
-	}
-	select {
-	case <-h.Done():
-	default:
-		t.Error("Done not closed after Result returned")
-	}
-}
-
-func TestGoNilContextAndError(t *testing.T) {
-	boom := errors.New("boom")
-	h := Go[int](nil, func(ctx context.Context) (int, error) {
-		if ctx == nil {
-			t.Error("nil ctx passed through to job")
-		}
-		return 0, boom
-	})
-	if _, err := h.Result(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestGoCancelStopsJob(t *testing.T) {
-	started := make(chan struct{})
-	h := Go(context.Background(), func(ctx context.Context) (int, error) {
-		close(started)
-		<-ctx.Done()
-		return 0, ctx.Err()
-	})
-	<-started
-	h.Cancel()
-	if _, err := h.Result(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestPoolRunsSubmittedJobs(t *testing.T) {
 	p := NewPool[int](2, 4)
 	defer p.Close()

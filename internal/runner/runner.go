@@ -191,125 +191,39 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 	return out, nil
 }
 
-// The engine keeps a small process-wide free list of run slots so scratch
-// reuse spans fan-out calls, not just the runs within one: an experiment
-// suite that calls Runs per sweep still recycles the previous sweep's
-// simulators, streams, and grids, and a service executing one run per job
-// (BorrowScratch) recycles the previous job's. The list is capped — each
-// scratch retains its high-water memory, so hoarding one per historical
-// worker would defeat the purpose.
-var (
-	scratchMu   sync.Mutex
-	scratchFree []*cocoa.Scratch
-)
-
-// maxFreeScratches bounds the cross-sweep scratch free list. Sweeps with
-// more workers than this still get one scratch per worker; the surplus is
-// simply dropped for the GC when the sweep ends.
-const maxFreeScratches = 4
-
-// scratchPool hands one cocoa.Scratch per execution slot to the jobs of a
-// fan-out, so consecutive runs on the same slot recycle their simulator,
-// RNG streams, and belief grids (see cocoa.Scratch). Which scratch a job
-// draws is scheduling-dependent, but scratch identity never influences
-// results — scratch-built runs are byte-identical to fresh ones — so the
-// fan-out's determinism guarantee is untouched. The returned release
-// function parks the slots back on the process-wide free list.
-func scratchPool(workers, n int) (pool chan *cocoa.Scratch, release func()) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	pool = make(chan *cocoa.Scratch, workers)
-	scratchMu.Lock()
-	for i := 0; i < workers; i++ {
-		if k := len(scratchFree); k > 0 {
-			pool <- scratchFree[k-1]
-			scratchFree[k-1] = nil
-			scratchFree = scratchFree[:k-1]
-			continue
-		}
-		pool <- cocoa.NewScratch()
-	}
-	scratchMu.Unlock()
-	release = func() {
-		scratchMu.Lock()
-		defer scratchMu.Unlock()
-		for {
-			select {
-			case sc := <-pool:
-				if len(scratchFree) < maxFreeScratches {
-					scratchFree = append(scratchFree, sc)
-				}
-			default:
-				return
-			}
-		}
-	}
-	return pool, release
-}
-
-// BorrowScratch lends one run slot from the process-wide free list to a
-// caller that executes single runs outside a fan-out, such as a service
-// job. The caller owns sc exclusively until it calls release, which parks
-// the slot for the next borrower, and must not touch sc afterwards: any
-// sc.ReleaseResult comes first. Results built on a borrowed slot are
-// byte-identical to fresh runs.
-func BorrowScratch() (sc *cocoa.Scratch, release func()) {
-	pool, parkAll := scratchPool(1, 1)
-	sc = <-pool
-	return sc, func() {
-		pool <- sc
-		parkAll()
-	}
-}
-
 // Runs executes every configuration through cocoa.RunContext on the pool
 // and returns the results in configuration order. Each run is fully
 // deterministic in its Config (including Seed), so the output is identical
 // at any parallelism level; the per-job context lets a canceled sweep abort
 // in-flight simulations instead of letting them run to completion.
 //
-// Consecutive runs on the same worker share a cocoa.Scratch, recycling the
-// previous run's simulator, streams, and grids. Results are never recycled
-// here — the returned slice stays valid indefinitely; callers that drop
-// each Result after reading it can use RunsEach to recycle those buffers
-// too.
+// The returned Results stay valid indefinitely; callers that drop each
+// Result after reading it can use RunsEach to recycle its buffers too.
 func Runs(ctx context.Context, opts Options, cfgs []cocoa.Config) ([]*cocoa.Result, error) {
-	pool, release := scratchPool(opts.Parallelism, len(cfgs))
-	defer release()
 	return Map(ctx, opts, len(cfgs), func(jctx context.Context, i int) (*cocoa.Result, error) {
-		sc := <-pool
-		defer func() { pool <- sc }()
 		cfg := cfgs[i]
 		cfg.Progress = opts.Gauge
-		return cocoa.RunScratch(jctx, cfg, sc)
+		return cocoa.RunContext(jctx, cfg)
 	})
 }
 
 // RunsEach executes every configuration like Runs but streams each Result
-// to fn instead of retaining it: after fn(i, res) returns, res is recycled
-// into the worker's scratch and must not be used again. fn may be invoked
+// to fn instead of retaining it: after fn(i, res) returns, res is handed to
+// cocoa.ReleaseResult and must not be used again. fn may be invoked
 // concurrently (up to opts.Parallelism calls at once) and in any order; i
 // identifies the configuration. An fn error fails its job exactly as a run
 // error does. This is the full-reuse path for aggregating sweeps — cross-
 // seed statistics need one scalar per run, not the run's whole time series.
 func RunsEach(ctx context.Context, opts Options, cfgs []cocoa.Config, fn func(i int, res *cocoa.Result) error) error {
-	pool, release := scratchPool(opts.Parallelism, len(cfgs))
-	defer release()
 	_, err := Map(ctx, opts, len(cfgs), func(jctx context.Context, i int) (struct{}, error) {
-		sc := <-pool
-		defer func() { pool <- sc }()
 		cfg := cfgs[i]
 		cfg.Progress = opts.Gauge
-		res, err := cocoa.RunScratch(jctx, cfg, sc)
+		res, err := cocoa.RunContext(jctx, cfg)
 		if err != nil {
 			return struct{}{}, err
 		}
 		err = fn(i, res)
-		sc.ReleaseResult(res)
+		cocoa.ReleaseResult(res)
 		return struct{}{}, err
 	})
 	return err

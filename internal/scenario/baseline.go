@@ -29,6 +29,7 @@ func RunBaselineCoopPos(ctx context.Context, opts Options) ([]BaselineRow, error
 	// CoCoA, the paper's default setup; the other systems mirror its scale.
 	cocoaCfg := cocoa.DefaultConfig()
 	opts.apply(&cocoaCfg)
+	cocoaCfg.Progress = opts.Gauge
 
 	jobs := []func(context.Context) (BaselineRow, error){
 		func(jctx context.Context) (BaselineRow, error) {
@@ -71,6 +72,7 @@ func RunBaselineCoopPos(ctx context.Context, opts Options) ([]BaselineRow, error
 			odoCfg := cocoa.DefaultConfig()
 			odoCfg.Mode = cocoa.ModeOdometryOnly
 			opts.apply(&odoCfg)
+			odoCfg.Progress = opts.Gauge
 			res, err := cocoa.RunContext(jctx, odoCfg)
 			if err != nil {
 				return BaselineRow{}, err
@@ -85,10 +87,7 @@ func RunBaselineCoopPos(ctx context.Context, opts Options) ([]BaselineRow, error
 		},
 	}
 
-	return runner.Map(ctx, runner.Options{
-		Parallelism: opts.Parallelism,
-		Progress:    opts.Progress,
-	}, len(jobs), func(jctx context.Context, i int) (BaselineRow, error) {
+	return runner.Map(ctx, opts.engine(), len(jobs), func(jctx context.Context, i int) (BaselineRow, error) {
 		return jobs[i](jctx)
 	})
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"testing"
+
+	"cocoa/internal/obs"
 )
 
 func TestAblationLocalizer(t *testing.T) {
@@ -76,9 +78,19 @@ func TestExtensionClockSkew(t *testing.T) {
 }
 
 func TestBaselineCoopPos(t *testing.T) {
-	rows, err := RunBaselineCoopPos(context.Background(), fastOpts())
+	opts := fastOpts()
+	opts.Gauge = &obs.Progress{}
+	rows, err := RunBaselineCoopPos(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The experiment reports through the gauge like every sweep: its
+	// fan-out position, and the tick position of its CoCoA runs.
+	if done, total := opts.Gauge.Run(); done != 3 || total != 3 {
+		t.Errorf("gauge Run() = (%d, %d), want (3, 3)", done, total)
+	}
+	if _, total := opts.Gauge.Ticks(); total == 0 {
+		t.Error("gauge never saw a run's tick position")
 	}
 	if len(rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rows))

@@ -89,8 +89,8 @@ func RunReplication(ctx context.Context, opts Options, seeds int) (Replication, 
 		cfgs[s] = cfg
 	}
 	// Each seed contributes one scalar, so the runs stream through the
-	// full-reuse path: every Result's buffers are recycled into its
-	// worker's scratch the moment the mean is extracted.
+	// full-reuse path: every Result's buffers are released for the next
+	// run the moment the mean is extracted.
 	vals := make([]float64, seeds)
 	err := opts.runEach(ctx, cfgs, func(i int, res *cocoa.Result) error {
 		vals[i] = res.MeanError()

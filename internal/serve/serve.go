@@ -737,8 +737,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// runConfig executes a raw-config job on a run slot borrowed from the
-// engine's free list; a recovered job takes the same path as a fresh one.
+// runConfig executes a raw-config job; a recovered job takes the same path
+// as a fresh one.
 func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byte, error) {
 	// Observability taps: the run publishes its tick position through the
 	// job's gauge, and records spans when the submission asked for a
@@ -749,15 +749,12 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 	if j.trace != nil {
 		j.trace.SetProcessName(j.id)
 	}
-	// The run recycles a run slot instead of allocating cold; the Result's
-	// buffers go back to the slot once marshalled.
-	sc, release := runner.BorrowScratch()
-	defer release()
-	res, err := cocoa.RunScratch(ctx, cfg, sc)
+	res, err := cocoa.RunContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer sc.ReleaseResult(res)
+	// The Result's buffers are recycled once marshalled.
+	defer cocoa.ReleaseResult(res)
 	if j.trace != nil {
 		var buf bytes.Buffer
 		if err := j.trace.WriteJSON(&buf); err != nil {

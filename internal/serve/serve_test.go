@@ -198,6 +198,11 @@ func TestSubmitErrorMapping(t *testing.T) {
 	// failed later, now a validation error naming the field.
 	rest := quickCfg(1)
 	rest.RestMinS, rest.RestMaxS = 5, 1
+	// A run shorter than one sampling tick: once a 202 whose result bytes
+	// depended on the run slot's warmth, now a validation error.
+	tickless := quickCfg(1)
+	tickless.Mode = cocoa.ModeOdometryOnly
+	tickless.DurationS = 0.5
 	cfg := quickCfg(1)
 	cases := []struct {
 		name      string
@@ -209,6 +214,7 @@ func TestSubmitErrorMapping(t *testing.T) {
 		{"invalid config", JobRequest{Config: &bad}, http.StatusBadRequest, "NumRobots", ""},
 		{"infinite area", JobRequest{Config: &inf}, http.StatusBadRequest, "Area", ""},
 		{"inverted rest range", JobRequest{Config: &rest}, http.StatusBadRequest, "RestMaxS", ""},
+		{"no sampling tick", JobRequest{Config: &tickless}, http.StatusBadRequest, "SampleIntervalS", ""},
 		{"neither", JobRequest{}, http.StatusBadRequest, "", "exactly one"},
 		{"both", JobRequest{Config: &cfg, Experiment: "fig9"}, http.StatusBadRequest, "", "exactly one"},
 		{"unknown experiment", JobRequest{Experiment: "fig99"}, http.StatusBadRequest, "", "unknown experiment"},
