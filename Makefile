@@ -32,12 +32,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 
-# shuffle reruns the stateful cocoa/runner/service suites twice in random
-# order: these packages keep cross-test state (cocoa's process-wide run-slot
-# and Result free lists, the runner/serve job counters, daemon state dirs),
-# and the second pass catches state one run leaks into the next.
+# shuffle reruns the stateful suites twice in random order: these packages
+# keep cross-test state (cocoa's process-wide run-slot and Result free
+# lists, which every NewTeam team of the root package and cocoasim also
+# borrows from and parks into, the runner/serve job counters, daemon state
+# dirs), and the second pass catches state one run leaks into the next.
 shuffle:
-	$(GO) test -count=2 -shuffle=on ./internal/cocoa ./internal/runner ./internal/serve
+	$(GO) test -count=2 -shuffle=on . ./cmd/cocoasim ./internal/cocoa ./internal/runner ./internal/serve
 
 # cover prints per-package statement coverage; cover-check additionally
 # enforces the floors in coverage_floor.txt (see cmd/covergate). Floors

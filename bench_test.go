@@ -386,7 +386,10 @@ func BenchmarkSwarmSim1000(b *testing.B) { benchmarkSwarm(b, 1000) }
 // 1000-robot swarm, cycling eight config seeds as the swarm-1000 workload
 // does: per-robot RNG stream derivation and seeding, robot and MAC
 // allocation. Every seed's calibration table is built before the timer,
-// so the loop never calibrates.
+// so the loop never calibrates. Its teams never run, so they never park
+// their run slots: once the free list is drained, every construction is
+// on a new slot, and this measures cold construction, not the warm-slot
+// NewTeam the swarm-1000 workload times.
 func BenchmarkNewTeamSwarm1000(b *testing.B) {
 	cfgs := make([]cocoa.Config, 8)
 	for i := range cfgs {

@@ -88,7 +88,9 @@ const (
 func DefaultConfig() Config { return icocoa.DefaultConfig() }
 
 // NewTeam assembles a deployment (including the offline calibration
-// phase).
+// phase) on a run slot from the free list RunContext draws from; running
+// the team parks the slot again. The team's Telemetry and Table stay
+// readable after the run however many runs reuse the slot.
 func NewTeam(cfg Config) (*Team, error) { return icocoa.NewTeam(cfg) }
 
 // Run assembles and runs a deployment in one call. It is RunContext with

@@ -31,9 +31,10 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 }
 
-// RunContext recycles run slots and released Results, invisibly: after a
-// warm run of a different geometry it returns exactly what a team of its
-// own (NewTeam) returns.
+// The two public paths recycle run slots and released Results invisibly:
+// after a warm run of a different geometry, a NewTeam team and RunContext
+// return the same Result. (The in-package TestScratchByteIdentity compares
+// a warm slot with a new one.)
 func TestPublicRunContextMatchesNewTeam(t *testing.T) {
 	cfg := cocoa.DefaultConfig()
 	cfg.NumRobots = 12
@@ -47,7 +48,16 @@ func TestPublicRunContextMatchesNewTeam(t *testing.T) {
 	warm.NumEquipped = 4
 	warm.GridCellM = 8
 	warm.Seed = 99
+	warmUp := func() {
+		t.Helper()
+		res, err := cocoa.RunContext(context.Background(), warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cocoa.ReleaseResult(res)
+	}
 
+	warmUp()
 	team, err := cocoa.NewTeam(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,17 +66,13 @@ func TestPublicRunContextMatchesNewTeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cocoa.RunContext(context.Background(), warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cocoa.ReleaseResult(res)
+	warmUp()
 	got, err := cocoa.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("RunContext after a warm run differs from a NewTeam run")
+		t.Error("RunContext after a warm run differs from a NewTeam run after one")
 	}
 }
 

@@ -137,12 +137,13 @@ type Grid struct {
 
 	// tel is the grid's run telemetry (see Publish). Reset leaves it
 	// alone — Reset starts every window, and the counts span the run.
-	tel gridTel
+	tel GridCounts
 }
 
-// gridTel counts applies by density mode, renorms forced vs deferred,
-// numerical collapse resets, and incremental-statistics re-sums.
-type gridTel struct {
+// GridCounts is a grid's run telemetry: applies by density mode, renorms
+// forced vs deferred, numerical collapse resets, and incremental-statistics
+// re-sums. As a value (see Counts) it outlives the grid's next run.
+type GridCounts struct {
 	applyNearest, applyLerp, applyGeneric int
 	renormTaken, renormDeferred           int
 	collapseResets, statsResum            int
@@ -215,18 +216,25 @@ func (g *Grid) Reset() {
 }
 
 // Publish adds the grid's counts since NewGrid or ResetTelemetry to reg.
-func (g *Grid) Publish(reg *telemetry.Registry) {
-	reg.Add("bayes.apply.nearest", g.tel.applyNearest)
-	reg.Add("bayes.apply.lerp", g.tel.applyLerp)
-	reg.Add("bayes.apply.generic", g.tel.applyGeneric)
-	reg.Add("bayes.renorm_taken", g.tel.renormTaken)
-	reg.Add("bayes.renorm_deferred", g.tel.renormDeferred)
-	reg.Add("bayes.collapse_resets", g.tel.collapseResets)
-	reg.Add("bayes.stats_resum", g.tel.statsResum)
+func (g *Grid) Publish(reg *telemetry.Registry) { g.tel.Publish(reg) }
+
+// Counts returns a copy of the grid's counts since NewGrid or
+// ResetTelemetry.
+func (g *Grid) Counts() GridCounts { return g.tel }
+
+// Publish adds the counts to reg.
+func (c *GridCounts) Publish(reg *telemetry.Registry) {
+	reg.Add("bayes.apply.nearest", c.applyNearest)
+	reg.Add("bayes.apply.lerp", c.applyLerp)
+	reg.Add("bayes.apply.generic", c.applyGeneric)
+	reg.Add("bayes.renorm_taken", c.renormTaken)
+	reg.Add("bayes.renorm_deferred", c.renormDeferred)
+	reg.Add("bayes.collapse_resets", c.collapseResets)
+	reg.Add("bayes.stats_resum", c.statsResum)
 }
 
 // ResetTelemetry zeroes the counts, for a grid recycled into a new run.
-func (g *Grid) ResetTelemetry() { g.tel = gridTel{} }
+func (g *Grid) ResetTelemetry() { g.tel = GridCounts{} }
 
 // Dims returns the grid dimensions in cells.
 func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }

@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -133,16 +134,16 @@ func TestGridTelemetry(t *testing.T) {
 	g.Estimate()
 	g.Entropy()
 	g.Reset()
-	count := func() map[string]int64 {
+	count := func(publish func(*telemetry.Registry)) map[string]int64 {
 		reg := telemetry.NewRegistry()
-		g.Publish(reg)
+		publish(reg)
 		out := map[string]int64{}
 		for _, c := range reg.Snapshot().Counters {
 			out[c.Name] = c.Value
 		}
 		return out
 	}
-	c := count()
+	c := count(g.Publish)
 	if applies := c["bayes.apply.nearest"] + c["bayes.apply.lerp"] + c["bayes.apply.generic"]; applies != 2*n {
 		t.Errorf("applies by mode sum to %d, want %d: %v", applies, 2*n, c)
 	}
@@ -152,11 +153,15 @@ func TestGridTelemetry(t *testing.T) {
 	if c["bayes.stats_resum"] < 2 {
 		t.Errorf("stats_resum = %d, want the Estimate and Entropy re-sums", c["bayes.stats_resum"])
 	}
+	kept := g.Counts()
 	g.ResetTelemetry()
-	for name, v := range count() {
+	for name, v := range count(g.Publish) {
 		if v != 0 {
 			t.Errorf("after ResetTelemetry %s = %d", name, v)
 		}
+	}
+	if got := count(kept.Publish); !reflect.DeepEqual(got, c) {
+		t.Errorf("Counts copy reads %v after ResetTelemetry, want %v", got, c)
 	}
 }
 

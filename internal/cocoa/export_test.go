@@ -11,10 +11,13 @@ func WithScanIndex(ctx context.Context) context.Context {
 	return context.WithValue(ctx, referenceKey{}, ref)
 }
 
-// NewTeamContext is NewTeam under the reference selection ctx carries (see
-// WithScanIndex and WithEagerStats), for tests that read the team back
-// after the run.
+// NewTeamContext is NewTeam on a new slot, the cold reference a recycled
+// slot is compared with, under the reference selection ctx carries (see
+// WithScanIndex and WithEagerStats).
 func NewTeamContext(ctx context.Context, cfg Config) (*Team, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return newTeam(cfg, newSlot(), referenceFrom(ctx))
 }
 

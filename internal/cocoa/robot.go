@@ -68,6 +68,10 @@ type robot struct {
 	loc      Localizer // nil for equipped robots and odometry-only mode
 	reckoner *odometry.DeadReckoner
 
+	// gridCounts is loc's telemetry when loc is a slot-owned belief grid,
+	// copied when the run ends (see Team.keepCounts).
+	gridCounts bayes.GridCounts
+
 	// estimate is the robot's current believed position; haveFix reports
 	// whether an RF fix ever succeeded.
 	estimate geom.Vec2

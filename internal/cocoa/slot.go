@@ -22,8 +22,13 @@ import (
 // Grid.Reset restores the exact uniform prior, so a run on a warm slot is
 // byte-identical to one on a new slot (pinned by TestScratchByteIdentity).
 //
-// A slot serves one live team at a time: building a team on it invalidates
-// the previous team built on it. A slot is not safe for concurrent use.
+// A slot serves one team at a time. The team borrows it from a slotPool when
+// it is built (slotPool.team) and parks it again when it runs (Team.run, the
+// only parking site); a team that never runs keeps it until collected.
+// Building the next team on the slot overwrites the previous team's
+// simulator, streams and grids, so a run copies the counts the slot owns
+// into its team before parking (Team.keepCounts). A slot is not safe for
+// concurrent use.
 type slot struct {
 	sim  *sim.Simulator
 	rngs *sim.RNGPool
@@ -95,19 +100,20 @@ func (s *slot) grid(cfg Config) (*bayes.Grid, error) {
 // slot each, and the surplus is dropped for the GC when they end.
 const maxParked = 4
 
-// slotPool is a capped free list of slots and of released Results. The
-// package-level Run/RunContext borrow from the process-wide instance,
-// runSlots, so recycling spans every run in the process: consecutive
-// replications of a sweep, consecutive sweeps, and consecutive service
-// jobs. Which slot a run draws is scheduling-dependent, but slot identity
-// never influences results.
+// slotPool is a capped free list of slots and of released Results. NewTeam
+// and the package-level Run/RunContext borrow from the process-wide
+// instance, runSlots, so recycling spans every run in the process:
+// consecutive replications of a sweep, consecutive sweeps, consecutive
+// service jobs, and consecutive NewTeam teams. Which slot a run draws is
+// scheduling-dependent, but slot identity never influences results.
 type slotPool struct {
 	mu      sync.Mutex
 	slots   []*slot
 	results []*Result
 }
 
-// runSlots is the process-wide pool every package-level run borrows from.
+// runSlots is the process-wide pool every NewTeam and package-level run
+// borrows from.
 var runSlots slotPool
 
 // get pops the most recently parked slot, or returns a new one.
@@ -164,8 +170,16 @@ func (p *slotPool) result(cfg Config, tracked []int) *Result {
 	return res
 }
 
-// run assembles cfg on a borrowed slot and runs it under ctx, parking the
-// slot again on every exit.
+// team assembles cfg on a slot borrowed from p; running the team parks the
+// slot in p again. A config that fails Validate borrows nothing.
+func (p *slotPool) team(cfg Config, ref reference) (*Team, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return newTeam(cfg, p.get(), ref)
+}
+
+// run assembles cfg on a borrowed slot and runs it under ctx.
 func (p *slotPool) run(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -173,9 +187,7 @@ func (p *slotPool) run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := p.get()
-	defer p.put(s)
-	team, err := newTeam(cfg, s, referenceFrom(ctx))
+	team, err := p.team(cfg, referenceFrom(ctx))
 	if err != nil {
 		return nil, err
 	}

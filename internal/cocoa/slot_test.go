@@ -45,8 +45,8 @@ func scratchVariants() map[string]Config {
 	}
 }
 
-// A run on a recycled slot must be byte-identical to a NewTeam run (on a
-// slot of its own) of the same config — including when the slot is warm
+// A run on a recycled slot must be byte-identical to a run on a new slot
+// (NewTeamContext) of the same config — including when the slot is warm
 // from a run of a *different* config, so recycled streams, grids, and
 // result buffers all carry state that must be fully overwritten.
 func TestScratchByteIdentity(t *testing.T) {
@@ -74,7 +74,7 @@ func TestScratchByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(fresh, got) {
-				t.Errorf("recycled-slot result differs from NewTeam run")
+				t.Errorf("recycled-slot result differs from a new-slot run")
 			}
 			// Second pass on the now-warm slot with a released result:
 			// exercises grid reuse (matching geometry) and result recycling.
@@ -84,14 +84,14 @@ func TestScratchByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(fresh, again) {
-				t.Errorf("second slot reuse diverged from NewTeam run")
+				t.Errorf("second slot reuse diverged from a new-slot run")
 			}
 		})
 	}
 }
 
-// runNewTeam runs cfg on a NewTeam-built team under the reference selection
-// ctx carries.
+// runNewTeam runs cfg on a team built on a new slot under the reference
+// selection ctx carries.
 func runNewTeam(t *testing.T, ctx context.Context, cfg Config) *Result {
 	t.Helper()
 	team, err := NewTeamContext(ctx, cfg)
@@ -134,7 +134,7 @@ func TestSlotPoolRecyclesSlots(t *testing.T) {
 
 // Concurrent runs on one pool each hold a slot and a Result of their own:
 // goroutines interleaving two geometries and releasing every Result still
-// get NewTeam's bytes.
+// get a new slot's bytes.
 func TestSlotPoolConcurrentRuns(t *testing.T) {
 	a := testConfig()
 	a.DurationS = 100
@@ -160,7 +160,7 @@ func TestSlotPoolConcurrentRuns(t *testing.T) {
 					return
 				}
 				if got, err := json.Marshal(res); err != nil || !bytes.Equal(got, want[i]) {
-					t.Errorf("goroutine %d run %d: result differs from NewTeam run (err %v)", g, k, err)
+					t.Errorf("goroutine %d run %d: result differs from a new-slot run (err %v)", g, k, err)
 				}
 				p.release(res)
 			}
@@ -169,6 +169,89 @@ func TestSlotPoolConcurrentRuns(t *testing.T) {
 	wg.Wait()
 	if len(p.slots) > maxParked || len(p.results) > maxParked {
 		t.Errorf("%d slots and %d results parked, cap %d", len(p.slots), len(p.results), maxParked)
+	}
+}
+
+// A NewTeam team parks its slot when it runs, and the next NewTeam reuses
+// it, yet the first team's Telemetry is unchanged by any later run: the
+// counts the slot owns were copied into the team before it was parked.
+// Runs on the process-wide pool, so it must not be parallel.
+func TestTeamTelemetrySurvivesSlotReuse(t *testing.T) {
+	cfg := testConfig()
+	cfg.DurationS = 150
+	a, err := NewTeam(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := a.Telemetry()
+	if c := counterMap(want); c["sim.events_dispatched"] == 0 || c["bayes.apply.nearest"]+c["bayes.apply.lerp"] == 0 {
+		t.Fatalf("degenerate run telemetry: %v", c)
+	}
+	for i := 0; i < 4; i++ {
+		other := cfg
+		other.Seed = 77 + int64(i)
+		if i%2 == 1 {
+			// Another geometry; the even runs recycle a's grids.
+			other.NumRobots = 8
+			other.NumEquipped = 4
+			other.GridCellM = 8
+		}
+		b, err := NewTeam(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && b.slot != a.slot {
+			t.Fatal("the next NewTeam did not reuse the slot the run parked")
+		}
+		if _, err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.Telemetry(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Telemetry changed after its slot served other teams\nbefore: %+v\nafter:  %+v", want, got)
+	}
+}
+
+// A config that fails Validate borrows no slot, and a built team's slot is
+// parked exactly once: when the team runs, on any exit, and not again on a
+// rejected second run.
+func TestSlotPoolParksOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.DurationS = 100
+	var p slotPool
+	parked := newSlot()
+	p.put(parked)
+	bad := cfg
+	bad.NumRobots = 0
+	if _, err := p.team(bad, reference{}); err == nil {
+		t.Fatal("invalid config built a team")
+	}
+	if len(p.slots) != 1 || p.slots[0] != parked {
+		t.Fatalf("invalid config changed the parked slots: %d parked", len(p.slots))
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ctx := range []context.Context{context.Background(), canceled} {
+		team, err := p.team(cfg, reference{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if team.slot != parked || len(p.slots) != 0 {
+			t.Fatalf("team did not borrow the parked slot (%d still parked)", len(p.slots))
+		}
+		_, err = team.run(ctx, &p)
+		if (err != nil) != (ctx == canceled) {
+			t.Fatalf("run: err = %v", err)
+		}
+		if _, err := team.run(ctx, &p); err == nil {
+			t.Fatal("second run of one team succeeded")
+		}
+		if len(p.slots) != 1 || p.slots[0] != parked {
+			t.Fatalf("after the run %d slots parked, want the team's one", len(p.slots))
+		}
 	}
 }
 
@@ -303,7 +386,7 @@ func TestScratchReuseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func() {
-		team, err := NewTeam(cfg)
+		team, err := NewTeamContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

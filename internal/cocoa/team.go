@@ -36,6 +36,7 @@ var (
 // Team is one assembled deployment, ready to run.
 type Team struct {
 	cfg      Config
+	slot     *slot
 	sim      *sim.Simulator
 	med      *mac.Medium
 	table    *caltable.Table
@@ -71,6 +72,9 @@ type Team struct {
 
 	// Run telemetry not counted elsewhere (see Telemetry); flushBusy
 	// observes once per flush, and scratchReuse is 1 on a warm run slot.
+	// simCounts is the slot-owned simulator's counts, copied when the run
+	// ends (see keepCounts).
+	simCounts    sim.Counters
 	beaconsSent  int
 	flushBusy    telemetry.Tally
 	queueDepth   telemetry.Tally
@@ -88,11 +92,15 @@ type Team struct {
 // phase (PDF Table construction) runs here, before the mission starts,
 // exactly as the paper's offline calibration does.
 //
-// The team gets a run slot of its own, never shared or parked, so it stays
-// readable (Telemetry, Table) for as long as the caller holds it. Callers
-// that only want the Result should use RunContext, which recycles slots.
+// The team is built on a run slot borrowed from the process-wide free list
+// that RunContext draws from, and running it parks the slot again, so
+// consecutive teams recycle each other's simulator, RNG streams and belief
+// grids. The team stays readable (Telemetry, Table) for as long as the
+// caller holds it: the counts the slot owns are copied into the team when
+// the run ends. A team that is never run keeps its slot until it is
+// collected.
 func NewTeam(cfg Config) (*Team, error) {
-	return newTeam(cfg, newSlot(), reference{})
+	return runSlots.team(cfg, reference{})
 }
 
 // reference selects slow reference implementations in place of the
@@ -117,12 +125,9 @@ func referenceFrom(ctx context.Context) reference {
 	return ref
 }
 
-// newTeam assembles cfg on run slot sl under an explicit reference
-// selection.
+// newTeam assembles cfg, which must be valid, on run slot sl under an
+// explicit reference selection.
 func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	scratchReuse := min(sl.runs, 1)
 	s, root := sl.begin(cfg.Seed)
 
@@ -143,6 +148,7 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 
 	t := &Team{
 		cfg:      cfg,
+		slot:     sl,
 		sim:      s,
 		med:      med,
 		rng:      root.Stream("team"),
@@ -358,7 +364,8 @@ func (t *Team) Run() (*Result, error) {
 
 // RunContext executes the deployment under ctx and collects the result. A
 // team can run only once. On every return it publishes its Telemetry into
-// telemetry.Default if that registry is enabled.
+// telemetry.Default if that registry is enabled, and parks its run slot for
+// the next team.
 //
 // Cancellation is observed cooperatively at the end of every
 // metric-sampling tick (one simulated SampleIntervalS, microseconds of
@@ -371,16 +378,20 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 	return t.run(ctx, &runSlots)
 }
 
-// run is RunContext drawing its Result from p's released ones.
+// run is RunContext drawing its Result from p's released ones and parking
+// the team's slot in p on every exit. It is the only place a slot is
+// parked.
 func (t *Team) run(ctx context.Context, p *slotPool) (*Result, error) {
 	if t.ran {
 		return nil, fmt.Errorf("cocoa: team already ran")
 	}
 	t.ran = true
 	defer func() {
+		t.keepCounts()
 		if telemetry.Default.Enabled() {
 			t.publish(telemetry.Default)
 		}
+		p.put(t.slot)
 	}()
 	if ctx == nil {
 		ctx = context.Background()
@@ -814,22 +825,37 @@ func (t *Team) finish(res *Result) {
 	}
 }
 
+// keepCounts copies the counts the run slot owns (the simulator's and the
+// belief grids') into the team, so Telemetry stays valid once the slot
+// serves another team.
+func (t *Team) keepCounts() {
+	t.simCounts = t.sim.Counters()
+	for _, r := range t.robots {
+		if g, ok := r.loc.(*bayes.Grid); ok {
+			r.gridCounts = g.Counts()
+		}
+	}
+}
+
 // Telemetry returns the run's counts (the series it publishes into
-// telemetry.Default), read from its own objects. Valid after RunContext.
+// telemetry.Default), read from the team's own objects and the copies
+// keepCounts took. Valid after RunContext, however many teams have reused
+// the slot since.
 func (t *Team) Telemetry() telemetry.Snapshot {
 	reg := telemetry.NewRegistry()
 	t.publish(reg)
 	return reg.Snapshot()
 }
 
-// publish adds the run's counts to reg.
+// publish adds the run's counts to reg. It reads nothing the run slot
+// owns.
 func (t *Team) publish(reg *telemetry.Registry) {
-	t.sim.Publish(reg)
+	t.simCounts.Publish(reg)
 	t.med.Publish(reg)
 	for _, r := range t.robots {
 		r.nic.Publish(reg)
-		if g, ok := r.loc.(*bayes.Grid); ok {
-			g.Publish(reg)
+		if _, ok := r.loc.(*bayes.Grid); ok {
+			r.gridCounts.Publish(reg)
 		}
 		reg.Add("cocoa.beacons_queued", r.beaconsApplied)
 		reg.Add("cocoa.beacons_applied", r.beaconsApplied-len(r.pending)) // queued, less still pending
@@ -860,10 +886,11 @@ func Run(cfg Config) (*Result, error) {
 // the run, and cooperatively at every sampling tick inside the run.
 //
 // The deployment is built on a run slot borrowed from a small process-wide
-// free list and parked again when the run returns, so back-to-back runs
-// recycle each other's simulator, RNG streams and belief grids instead of
-// reallocating them. Results are byte-identical either way; pass a Result
-// that is no longer needed to ReleaseResult to recycle its buffers too.
+// free list (the one NewTeam draws from) and parked again when the run
+// returns, so back-to-back runs recycle each other's simulator, RNG streams
+// and belief grids instead of reallocating them. Results are byte-identical
+// either way; pass a Result that is no longer needed to ReleaseResult to
+// recycle its buffers too.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return runSlots.run(ctx, cfg)
 }

@@ -1,6 +1,7 @@
 package cocoa
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -10,8 +11,10 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// runTelemetry builds cfg on sl (nil: NewTeam's own new slot), runs it, and
-// returns the Result's JSON bytes, the Result, and the run's own telemetry.
+// runTelemetry builds cfg on sl (nil: a new slot), runs it, and returns the
+// Result's JSON bytes, the Result, and the run's own telemetry. The run
+// parks sl in a pool of its own, so no other test can borrow it while the
+// caller still builds on it.
 func runTelemetry(t *testing.T, cfg Config, sl *slot) ([]byte, *Result, telemetry.Snapshot) {
 	t.Helper()
 	if sl == nil {
@@ -21,7 +24,7 @@ func runTelemetry(t *testing.T, cfg Config, sl *slot) ([]byte, *Result, telemetr
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := team.Run()
+	res, err := team.run(context.Background(), &slotPool{})
 	if err != nil {
 		t.Fatal(err)
 	}

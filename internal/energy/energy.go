@@ -100,7 +100,11 @@ type Meter struct {
 	state  State
 	lastAt sim.Time
 
-	durations   map[State]sim.Time
+	// durations is the time spent per state, indexed by State (only the
+	// Off..Tx constants are valid); accrued has bit s set once state s has
+	// been charged, even for zero time: the states Breakdown lists.
+	durations   [Tx + 1]sim.Time
+	accrued     uint8
 	joules      float64
 	transitions int
 }
@@ -109,10 +113,9 @@ type Meter struct {
 // start.
 func NewMeter(params Params, start sim.Time, initial State) *Meter {
 	return &Meter{
-		params:    params,
-		state:     initial,
-		lastAt:    start,
-		durations: make(map[State]sim.Time, 5),
+		params: params,
+		state:  initial,
+		lastAt: start,
 	}
 }
 
@@ -142,6 +145,7 @@ func (m *Meter) accrue(now sim.Time) {
 	}
 	dt := now - m.lastAt
 	m.durations[m.state] += dt
+	m.accrued |= 1 << m.state
 	m.joules += dt * m.params.Power(m.state)
 	m.lastAt = now
 }
@@ -170,11 +174,14 @@ func (m *Meter) CounterfactualNoSleepJ() float64 {
 		float64(m.transitions)*m.params.TransitionJ
 }
 
-// Breakdown returns a copy of the per-state duration table.
+// Breakdown returns a copy of the per-state duration table: every state
+// the meter has charged, even for zero time.
 func (m *Meter) Breakdown() map[State]sim.Time {
 	out := make(map[State]sim.Time, len(m.durations))
-	for k, v := range m.durations {
-		out[k] = v
+	for s := Off; s <= Tx; s++ {
+		if m.accrued&(1<<s) != 0 {
+			out[s] = m.durations[s]
+		}
 	}
 	return out
 }

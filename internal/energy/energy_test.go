@@ -2,8 +2,11 @@ package energy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"cocoa/internal/sim"
 )
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -165,6 +168,17 @@ func TestBreakdownIsCopy(t *testing.T) {
 	b[Idle] = 999
 	if got := m.Duration(Idle); got != 2 {
 		t.Errorf("mutating Breakdown() affected meter: %v", got)
+	}
+}
+
+// Breakdown lists exactly the states the meter has charged, a zero-time
+// charge included.
+func TestBreakdownListsChargedStates(t *testing.T) {
+	m := NewMeter(DefaultParams(), 0, Idle)
+	m.SetState(0, Sleep) // charges Idle for zero time
+	m.Flush(5)
+	if got, want := m.Breakdown(), map[State]sim.Time{Idle: 0, Sleep: 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Breakdown = %v, want %v", got, want)
 	}
 }
 

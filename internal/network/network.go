@@ -90,7 +90,7 @@ type NIC struct {
 	mode     Mode
 	txDepth  int
 	rxDepth  int
-	handlers map[int]Handler
+	handlers [len(dropKindNames)]Handler // by frame kind
 	faults   FaultFilter
 
 	sent     int // frames handed to the MAC
@@ -114,13 +114,12 @@ var _ mac.Endpoint = (*NIC)(nil)
 // robot's true position (the MAC needs it for propagation).
 func NewNIC(s *sim.Simulator, med *mac.Medium, params energy.Params, id int, pos func() geom.Vec2) *NIC {
 	n := &NIC{
-		id:       id,
-		sim:      s,
-		med:      med,
-		meter:    energy.NewMeter(params, s.Now(), energy.Idle),
-		pos:      pos,
-		mode:     ModeAwake,
-		handlers: make(map[int]Handler),
+		id:    id,
+		sim:   s,
+		med:   med,
+		meter: energy.NewMeter(params, s.Now(), energy.Idle),
+		pos:   pos,
+		mode:  ModeAwake,
 	}
 	med.Attach(id, n)
 	return n
@@ -135,8 +134,8 @@ func (n *NIC) Mode() Mode { return n.mode }
 // Meter exposes the NIC's energy ledger.
 func (n *NIC) Meter() *energy.Meter { return n.meter }
 
-// Handle registers the protocol handler for a frame kind, replacing any
-// previous handler.
+// Handle registers the protocol handler for a frame kind (one of the Kind
+// constants), replacing any previous handler.
 func (n *NIC) Handle(kind int, h Handler) { n.handlers[kind] = h }
 
 // SetFaultFilter installs the receive-path fault injector; nil (the
@@ -249,8 +248,8 @@ func (n *NIC) Deliver(f mac.Frame, rssiDBm float64) {
 		rssiDBm = rssi
 	}
 	n.received++
-	if h, ok := n.handlers[f.Kind]; ok {
-		h(f, rssiDBm)
+	if f.Kind >= 0 && f.Kind < len(n.handlers) && n.handlers[f.Kind] != nil {
+		n.handlers[f.Kind](f, rssiDBm)
 	}
 }
 

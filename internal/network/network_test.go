@@ -90,6 +90,22 @@ func TestUnhandledKindDropped(t *testing.T) {
 	}
 }
 
+// Frames of an out-of-range kind reach no handler and are still counted as
+// received, like an unhandled kind.
+func TestOutOfRangeKindDropped(t *testing.T) {
+	b := newBed(t, 3)
+	c := b.nic(1, geom.Vec2{})
+	for kind := KindBeacon; kind <= KindAck; kind++ {
+		c.Handle(kind, func(f mac.Frame, _ float64) { t.Errorf("kind %d handler got a kind %d frame", kind, f.Kind) })
+	}
+	for _, kind := range []int{-1, 99} {
+		c.Deliver(mac.Frame{Kind: kind}, -50)
+	}
+	if c.received != 2 {
+		t.Errorf("Received = %d, want 2", c.received)
+	}
+}
+
 func TestSendWhileAsleepFails(t *testing.T) {
 	b := newBed(t, 3)
 	a := b.nic(0, geom.Vec2{})

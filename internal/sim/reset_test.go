@@ -10,12 +10,13 @@ import (
 // Reset must rewind the simulator to a fresh-constructed state: clock at
 // zero, empty calendar, and a second run over the recycled storage behaves
 // exactly like a first run — its published counts included, except the
-// arena chunks the second run no longer allocates.
+// arena chunks the second run no longer allocates. A Counters copy taken
+// before the Reset keeps the first run's counts.
 func TestSimulatorReset(t *testing.T) {
 	s := New()
-	counts := func() map[string]int64 {
+	counts := func(c Counters) map[string]int64 {
 		reg := telemetry.NewRegistry()
-		s.Publish(reg)
+		c.Publish(reg)
 		snap := reg.Snapshot()
 		out := map[string]int64{"heap_depth.count": snap.Histograms[0].Count,
 			"heap_depth.sum": int64(snap.Histograms[0].Sum)}
@@ -42,7 +43,8 @@ func TestSimulatorReset(t *testing.T) {
 	// again (the Cancel removed one).
 	want := map[string]int64{"sim.events_scheduled": 5, "sim.events_dispatched": 3,
 		"sim.events_canceled": 1, "sim.arena_chunks": 1, "heap_depth.count": 5, "heap_depth.sum": 14}
-	if got := counts(); !reflect.DeepEqual(got, want) {
+	first := s.Counters()
+	if got := counts(first); !reflect.DeepEqual(got, want) {
 		t.Errorf("first run published %v, want %v", got, want)
 	}
 	if s.Now() != 10 || s.Pending() != 1 {
@@ -56,8 +58,11 @@ func TestSimulatorReset(t *testing.T) {
 	}
 
 	fired2, proc2 := runOnce()
+	if got := counts(first); !reflect.DeepEqual(got, want) {
+		t.Errorf("first run's copy reads %v after a Reset and a second run, want %v", got, want)
+	}
 	want["sim.arena_chunks"] = 0
-	if got := counts(); !reflect.DeepEqual(got, want) {
+	if got := counts(s.Counters()); !reflect.DeepEqual(got, want) {
 		t.Errorf("run after Reset published %v, want %v", got, want)
 	}
 	if len(fired1) != 3 || len(fired2) != 3 {

@@ -180,14 +180,26 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Publish adds the run's sim.* counts to reg. A simulator recycled through
+// Counters is a value copy of a run's sim.* counts. It stays publishable
+// after the simulator is Reset for another run.
+type Counters struct {
+	scheduled, dispatched, canceled, arenaChunks int
+	heapDepth                                    telemetry.Tally
+}
+
+// Counters returns the run's sim.* counts. A simulator recycled through
 // Reset allocates fewer arena chunks than a fresh one.
-func (s *Simulator) Publish(reg *telemetry.Registry) {
-	reg.Add("sim.events_scheduled", int(s.seq))
-	reg.Add("sim.events_dispatched", int(s.processed))
-	reg.Add("sim.events_canceled", s.canceled)
-	reg.Add("sim.arena_chunks", s.newChunks)
-	reg.AddTally("sim.heap_depth", &s.heapDepth)
+func (s *Simulator) Counters() Counters {
+	return Counters{int(s.seq), int(s.processed), s.canceled, s.newChunks, s.heapDepth}
+}
+
+// Publish adds the counts to reg.
+func (c *Counters) Publish(reg *telemetry.Registry) {
+	reg.Add("sim.events_scheduled", c.scheduled)
+	reg.Add("sim.events_dispatched", c.dispatched)
+	reg.Add("sim.events_canceled", c.canceled)
+	reg.Add("sim.arena_chunks", c.arenaChunks)
+	reg.AddTally("sim.heap_depth", &c.heapDepth)
 }
 
 // Schedule arranges for fn to run delay seconds from now. A zero delay runs
