@@ -21,22 +21,27 @@ func refCoord(v, cellM float64) int64 {
 	return int64(c)
 }
 
-// FuzzGridIndex churns a grid index with inserts, bounded and unbounded
-// moves, removals, and queries, cross-checking every query against the O(n)
-// reference: scan all stations, keep those whose indexed cell lies in the
-// 3x3 neighborhood, sort ascending by ID. The index must return exactly
-// that set in exactly that order — the property the MAC's byte-for-byte
-// equivalence rests on.
+// FuzzGridIndex churns a medium's grid index with attaches (fresh and
+// replacing), bounded and unbounded moves, detaches, and queries, all
+// through the Medium API so that rank renumbering is exercised too. Every
+// query is cross-checked against the O(n) reference: scan all stations,
+// keep those whose indexed cell lies in the 3x3 neighborhood, sort
+// ascending by ID. The index must return exactly that set in exactly that
+// order — the property the MAC's byte-for-byte equivalence rests on.
 func FuzzGridIndex(f *testing.F) {
 	// Seeds: plain churn, cell-boundary walking, negative coordinates,
-	// clamp-range extremes, and remove/re-insert cycling.
+	// and clamp-range extremes.
 	f.Add([]byte{0, 1, 10, 10, 3, 1, 0, 0})
 	f.Add([]byte{0, 1, 255, 255, 0, 2, 1, 1, 1, 2, 128, 0, 3, 0, 255, 255})
 	f.Add([]byte{0, 5, 0, 0, 1, 5, 0, 1, 1, 5, 1, 0, 3, 5, 0, 0, 2, 5, 0, 0, 3, 5, 0, 0})
 	f.Add([]byte{0, 9, 254, 254, 0, 8, 2, 2, 3, 9, 254, 254, 3, 8, 2, 2})
+	// Detaching the lowest ID of one shared bucket renumbers the others'
+	// ranks and swap-moves the bucket's last entry into the vacated slot.
+	f.Add([]byte{0, 1, 100, 100, 0, 2, 100, 100, 0, 3, 100, 100, 2, 1, 0, 0, 3, 0, 100, 100})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const cellM = 50.0
-		g := newGridIndex(cellM)
+		_, m := newTestMedium(t, 1)
+		m.grid = newGridIndex(cellM) // the fixed cell side the oracle mirrors
 
 		// Shadow model: id -> the position the station was last indexed at.
 		type shadow struct {
@@ -65,35 +70,26 @@ func FuzzGridIndex(f *testing.F) {
 			id := int(data[i+1] % 32)
 			p := geom.Vec2{X: decode(data[i+2]), Y: decode(data[i+3])}
 			switch op {
-			case 0: // insert (fresh ids only; the Medium replaces via remove+insert)
-				if _, ok := live[id]; ok {
-					continue
-				}
-				ep := &fakeEndpoint{pos: p, listening: true}
-				st := &station{id: id, ep: ep}
-				g.insert(st)
-				live[id] = &shadow{st: st, pos: p}
+			case 0: // attach; a live id is replaced by a new endpoint
+				m.Attach(id, &fakeEndpoint{pos: p, listening: true})
+				live[id] = &shadow{st: m.stations[id], pos: p}
 			case 1: // move + re-bucket
 				sh, ok := live[id]
 				if !ok {
 					continue
 				}
 				sh.st.ep.(*fakeEndpoint).pos = p
-				g.update(sh.st)
+				m.UpdatePosition(id)
 				sh.pos = p
-			case 2: // remove
-				sh, ok := live[id]
-				if !ok {
-					continue
-				}
-				g.remove(sh.st)
+			case 2: // detach
+				m.Detach(id)
 				delete(live, id)
 			case 3: // query: differential check against the O(n) scan
 				// Pruning disabled (+Inf): this oracle checks the pure
 				// 3x3-neighborhood set; the pruned variant is covered by
 				// TestCollectPrunesByIndexedPosition and the scenario
 				// byte-equivalence suite.
-				got := g.collect(p, math.Inf(1))
+				got := m.grid.collect(p, math.Inf(1), m.ordered)
 				kx, ky := refCoord(p.X, cellM), refCoord(p.Y, cellM)
 				var want []int
 				for wid, sh := range live {
@@ -113,23 +109,52 @@ func FuzzGridIndex(f *testing.F) {
 							p, j, st.id, want[j])
 					}
 				}
+				for w, word := range m.grid.marks {
+					if word != 0 {
+						t.Fatalf("query %v left rank bitset word %d set: %#x", p, w, word)
+					}
+				}
 			}
 		}
 
-		// Structural invariant after the churn: every live station is
-		// bucketed exactly once, under the key of its last indexed position.
+		// Structural invariant after the churn: the ordered list holds
+		// exactly the live stations in ascending ID, each station's rank is
+		// its index there, and every live station is bucketed exactly once,
+		// under the key of its last indexed position, in the slot it
+		// records, with its current rank.
+		if len(m.ordered) != len(live) {
+			t.Fatalf("%d stations ordered, %d live", len(m.ordered), len(live))
+		}
+		for i, st := range m.ordered {
+			if sh := live[st.id]; sh == nil || sh.st != st {
+				t.Fatalf("ordered[%d] is station %d, not the live one", i, st.id)
+			}
+			if st.rank != i {
+				t.Fatalf("station %d at ordered[%d] has rank %d", st.id, i, st.rank)
+			}
+			if i > 0 && m.ordered[i-1].id >= st.id {
+				t.Fatalf("ordered not ascending at %d: %d then %d", i, m.ordered[i-1].id, st.id)
+			}
+		}
 		seen := map[int]int{}
-		g.cells.forEach(func(key gridKey, b []cellEntry) {
-			for _, e := range b {
-				seen[e.id]++
-				if e.st.id != e.id {
-					t.Fatalf("entry id %d disagrees with station id %d", e.id, e.st.id)
+		m.grid.cells.forEach(func(key gridKey, b []cellEntry) {
+			for slot, e := range b {
+				st := e.st
+				seen[st.id]++
+				if sh := live[st.id]; sh == nil || sh.st != st {
+					t.Fatalf("bucketed station %d is detached or replaced", st.id)
 				}
-				if e.st.key != key {
-					t.Fatalf("station %d bucketed under %v but keyed %v", e.id, key, e.st.key)
+				if !st.gridded || st.key != key {
+					t.Fatalf("station %d bucketed under %v but keyed %v (gridded %v)", st.id, key, st.key, st.gridded)
 				}
-				if sh := live[e.id]; sh != nil && e.ipos != sh.pos {
-					t.Fatalf("station %d entry position %v, last indexed at %v", e.id, e.ipos, sh.pos)
+				if st.slot != slot {
+					t.Fatalf("station %d sits in slot %d but records slot %d", st.id, slot, st.slot)
+				}
+				if e.rank != st.rank || m.ordered[e.rank] != st {
+					t.Fatalf("station %d entry rank %d, station rank %d", st.id, e.rank, st.rank)
+				}
+				if e.ipos != live[st.id].pos {
+					t.Fatalf("station %d entry position %v, last indexed at %v", st.id, e.ipos, live[st.id].pos)
 				}
 			}
 		})

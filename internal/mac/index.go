@@ -2,7 +2,7 @@ package mac
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"cocoa/internal/geom"
 )
@@ -25,7 +25,10 @@ import (
 //     superset of all stations the scan would actually sample.
 //   - Candidates are visited in ascending station ID, the same order the
 //     scan uses, so the per-receiver draws from the MAC RNG stream land on
-//     the same receivers in the same order.
+//     the same receivers in the same order. Buckets are unordered; each
+//     entry carries its station's rank in Medium.ordered (the ID-sorted
+//     station list), and collect sets one bit per surviving rank and reads
+//     the bitset back in rank order, which is ascending ID.
 //   - collect pre-prunes candidates whose indexed position proves them
 //     beyond plausFar even after the maximal IndexSlackM drift. A pruned
 //     station would take beginReception's distance-gate branch, which
@@ -163,21 +166,22 @@ func (bg *bucketGrid[T]) grow(k gridKey) bool {
 	return true
 }
 
-// cellEntry is one bucketed station. The ID and last-indexed position are
-// stored inline so collect's distance filter and 9-way merge stream
-// contiguous 32-byte records instead of dereferencing scattered station
-// structs — at swarm scale the per-candidate cache miss, not the compare,
-// was the dominant cost. Only surviving candidates dereference st.
+// cellEntry is one bucketed station. The indexed position and the
+// station's rank in Medium.ordered are stored inline, so collect's distance
+// filter and its bitset marking stream contiguous 32-byte records instead
+// of dereferencing scattered station structs — at swarm scale the
+// per-candidate cache miss, not the compare, was the dominant cost.
 type cellEntry struct {
-	id   int
 	ipos geom.Vec2
+	rank int
 	st   *station
 }
 
 // gridIndex is the uniform spatial index over stations and in-flight
-// transmissions. Station buckets are kept sorted ascending by ID
-// (order-preserving insert and remove), so collect can merge the 3x3
-// neighborhood's buckets instead of re-sorting candidates every frame.
+// transmissions. Station buckets are unordered: each bucketed station
+// records its slot in its bucket (O(1) swap-remove and in-place position
+// refresh), and collect restores ascending-ID order through the rank
+// bitset.
 type gridIndex struct {
 	cellM float64 // cell side length in meters
 	inv   float64 // 1 / cellM
@@ -185,8 +189,10 @@ type gridIndex struct {
 	// txCells buckets in-flight transmissions by their frozen origin.
 	cells   bucketGrid[cellEntry]
 	txCells bucketGrid[*transmission]
-	cand    []*station  // scratch: collect's merged output
-	fbuf    []cellEntry // scratch: collect's filtered per-bucket runs
+	cand    []*station // scratch: collect's output
+	// marks is collect's rank bitset, one bit per attached station. It is
+	// all zero between calls and grows only when the medium does.
+	marks []uint64
 }
 
 func newGridIndex(cellM float64) *gridIndex {
@@ -209,36 +215,44 @@ func (g *gridIndex) keyOf(p geom.Vec2) gridKey {
 	return gridKey{g.coord(p.X), g.coord(p.Y)}
 }
 
-// entryCmp orders bucket entries by station ID for binary search.
-func entryCmp(e cellEntry, id int) int { return e.id - id }
-
-// bucketInsert adds e to the bucket for key, keeping it ID-sorted.
-func (g *gridIndex) bucketInsert(key gridKey, e cellEntry) {
-	b := g.cells.get(key)
-	i, _ := slices.BinarySearchFunc(b, e.id, entryCmp)
-	g.cells.put(key, slices.Insert(b, i, e))
-}
-
-// insert buckets st at its current endpoint position.
+// insert buckets st at its current endpoint position under its current
+// rank.
 func (g *gridIndex) insert(st *station) {
 	p := st.ep.Position()
-	st.key = g.keyOf(p)
-	st.gridded = true
-	g.bucketInsert(st.key, cellEntry{id: st.id, ipos: p, st: st})
+	g.place(st, g.keyOf(p), p)
 }
 
-// remove unbuckets st, preserving the bucket's ID order; a station not in
-// the grid is left alone. IDs are unique among bucketed stations (Attach
-// removes a replaced station before inserting its successor), so the entry
-// is found by ID.
+// place appends st's entry, indexed at p, to the bucket of key, p's cell.
+func (g *gridIndex) place(st *station, key gridKey, p geom.Vec2) {
+	st.key = key
+	st.gridded = true
+	b := g.cells.get(st.key)
+	st.slot = len(b)
+	g.cells.put(st.key, append(b, cellEntry{ipos: p, rank: st.rank, st: st}))
+}
+
+// remove unbuckets st by moving its bucket's last entry into its slot; a
+// station not in the grid is left alone.
 func (g *gridIndex) remove(st *station) {
 	if !st.gridded {
 		return
 	}
 	st.gridded = false
 	b := g.cells.get(st.key)
-	if i, ok := slices.BinarySearchFunc(b, st.id, entryCmp); ok {
-		g.cells.put(st.key, slices.Delete(b, i, i+1))
+	last := len(b) - 1
+	if st.slot != last {
+		b[st.slot] = b[last]
+		b[st.slot].st.slot = st.slot
+	}
+	b[last] = cellEntry{}
+	g.cells.put(st.key, b[:last])
+}
+
+// setRank copies st's rank into its bucket entry after Medium.ordered was
+// renumbered.
+func (g *gridIndex) setRank(st *station) {
+	if st.gridded {
+		g.cells.get(st.key)[st.slot].rank = st.rank
 	}
 }
 
@@ -254,16 +268,11 @@ func (g *gridIndex) update(st *station) bool {
 	p := st.ep.Position()
 	key := g.keyOf(p)
 	if key == st.key {
-		b := g.cells.get(key)
-		if i, ok := slices.BinarySearchFunc(b, st.id, entryCmp); ok {
-			b[i].ipos = p
-		}
+		g.cells.get(key)[st.slot].ipos = p
 		return false
 	}
 	g.remove(st)
-	st.key = key
-	st.gridded = true
-	g.bucketInsert(key, cellEntry{id: st.id, ipos: p, st: st})
+	g.place(st, key, p)
 	return true
 }
 
@@ -275,64 +284,35 @@ func (g *gridIndex) update(st *station) bool {
 // BelowSense skip as the out-of-neighborhood population, via
 // len(ordered) - len(candidates). Pass +Inf to disable pruning.
 //
-// Each bucket is already ID-sorted, so the neighborhood is assembled by
-// filtering each bucket into a contiguous scratch run and 9-way merging the
-// runs: no comparator calls, no per-transmission sort, and the merge's
-// min-scan touches only inline entry records. The returned slice is scratch
+// ordered is the medium's ID-sorted station list, whose indices are the
+// entries' ranks. Each surviving entry sets its rank's bit; reading the
+// bitset back word by word yields the candidates in rank order with no
+// comparator calls, no sort and no merge. The returned slice is scratch
 // memory owned by the index, valid until the next collect call.
-func (g *gridIndex) collect(p geom.Vec2, pruneFar2 float64) []*station {
+func (g *gridIndex) collect(p geom.Vec2, pruneFar2 float64, ordered []*station) []*station {
 	g.cand = g.cand[:0]
-	g.fbuf = g.fbuf[:0]
+	if words := (len(ordered) + 63) / 64; len(g.marks) < words {
+		g.marks = make([]uint64, words)
+	}
 	k := g.keyOf(p)
-	// heads caches each run's front ID so the min-scan compares a small
-	// stack array instead of re-loading entries every step.
-	var runs [9][]cellEntry
-	var heads [9]int
-	n := 0
 	for dy := int64(-1); dy <= 1; dy++ {
 		for dx := int64(-1); dx <= 1; dx++ {
 			b := g.cells.get(gridKey{k.x + dx, k.y + dy})
-			if len(b) == 0 {
-				continue
-			}
-			start := len(g.fbuf)
 			for i := range b {
 				if p.Dist2(b[i].ipos) < pruneFar2 {
-					g.fbuf = append(g.fbuf, b[i])
+					r := b[i].rank
+					g.marks[r>>6] |= 1 << (r & 63)
 				}
 			}
-			// A later bucket's append may grow fbuf and move earlier runs
-			// to a stale backing array; their contents stay valid — runs
-			// are read-only views consumed before the next collect call.
-			if run := g.fbuf[start:]; len(run) > 0 {
-				runs[n] = run
-				heads[n] = run[0].id
-				n++
-			}
 		}
 	}
-	for n > 1 {
-		best := 0
-		for i := 1; i < n; i++ {
-			if heads[i] < heads[best] {
-				best = i
-			}
+	for w, word := range g.marks {
+		if word == 0 {
+			continue
 		}
-		r := runs[best]
-		g.cand = append(g.cand, r[0].st)
-		if len(r) > 1 {
-			runs[best] = r[1:]
-			heads[best] = r[1].id
-		} else {
-			n--
-			runs[best] = runs[n]
-			heads[best] = heads[n]
-			runs[n] = nil
-		}
-	}
-	if n == 1 {
-		for i := range runs[0] {
-			g.cand = append(g.cand, runs[0][i].st)
+		g.marks[w] = 0
+		for base := w << 6; word != 0; word &= word - 1 {
+			g.cand = append(g.cand, ordered[base+bits.TrailingZeros64(word)])
 		}
 	}
 	return g.cand

@@ -12,6 +12,7 @@ package mac
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cocoa/internal/geom"
@@ -170,13 +171,17 @@ type station struct {
 	id     int
 	ep     Endpoint
 	active []*reception // receptions in progress at this station
+	// rank is the station's index in Medium.ordered.
+	rank int
 	// Spatial-index state (IndexGrid only): the cell the station is
-	// bucketed in, whether it currently is bucketed, and its own in-flight
-	// transmissions — the scan path reports a station busy on its own
-	// transmission regardless of distance, so the indexed carrier sense
-	// checks these directly instead of relying on a cell query.
+	// bucketed in, whether it currently is bucketed, its slot in that
+	// cell's bucket, and its own in-flight transmissions — the scan path
+	// reports a station busy on its own transmission regardless of
+	// distance, so the indexed carrier sense checks these directly instead
+	// of relying on a cell query.
 	key     gridKey
 	gridded bool
+	slot    int
 	own     []*transmission
 }
 
@@ -188,7 +193,8 @@ type Medium struct {
 	stations map[int]*station
 	// ordered lists stations in ascending ID order: per-receiver noise is
 	// drawn in this order, keeping runs deterministic (map iteration
-	// order would randomize the RNG stream).
+	// order would randomize the RNG stream). Each station's rank is its
+	// index here.
 	ordered  []*station
 	inflight []*transmission
 	stats    Stats
@@ -303,20 +309,15 @@ func rssiGate(f func(float64) float64, cross, threshold float64) (near2, far2 fl
 func (m *Medium) Attach(id int, ep Endpoint) {
 	st := &station{id: id, ep: ep}
 	if old, ok := m.stations[id]; ok {
-		for i, s := range m.ordered {
-			if s == old {
-				m.ordered[i] = st
-				break
-			}
-		}
+		st.rank = old.rank
+		m.ordered[st.rank] = st
 		if m.grid != nil {
 			m.grid.remove(old)
 		}
 	} else {
 		pos := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].id > id })
-		m.ordered = append(m.ordered, nil)
-		copy(m.ordered[pos+1:], m.ordered[pos:])
-		m.ordered[pos] = st
+		m.ordered = slices.Insert(m.ordered, pos, st)
+		m.renumber(pos)
 	}
 	m.stations[id] = st
 	if m.grid != nil {
@@ -336,12 +337,23 @@ func (m *Medium) Detach(id int) {
 		return
 	}
 	delete(m.stations, id)
-	i := sort.Search(len(m.ordered), func(i int) bool { return m.ordered[i].id >= id })
-	if i < len(m.ordered) && m.ordered[i] == st {
-		m.ordered = append(m.ordered[:i], m.ordered[i+1:]...)
-	}
+	m.ordered = slices.Delete(m.ordered, st.rank, st.rank+1)
 	if m.grid != nil {
 		m.grid.remove(st)
+	}
+	m.renumber(st.rank)
+}
+
+// renumber refreshes the ranks of ordered[from:] after an insertion or
+// removal at from. A team attaches in ascending ID, so building one only
+// ever renumbers the new tail station.
+func (m *Medium) renumber(from int) {
+	for i := from; i < len(m.ordered); i++ {
+		st := m.ordered[i]
+		st.rank = i
+		if m.grid != nil {
+			m.grid.setRank(st)
+		}
 	}
 }
 
@@ -539,7 +551,7 @@ func (m *Medium) transmit(st *station, f Frame) {
 	// The candidates (a superset of every station the scan would sample,
 	// including the transmitter itself when attached) then run the ordinary
 	// per-station decision in the same ascending-ID order as the scan.
-	cands := m.grid.collect(tx.pos, m.pruneFar2)
+	cands := m.grid.collect(tx.pos, m.pruneFar2, m.ordered)
 	m.tel.indexCells += 9
 	m.tel.indexCands += len(cands)
 	if skipped := len(m.ordered) - len(cands); skipped > 0 {

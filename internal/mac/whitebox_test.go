@@ -105,23 +105,24 @@ func TestGridIndexUnbucketedGuards(t *testing.T) {
 // TestCollectPrunesByIndexedPosition pins collect's pre-prune: a neighbor
 // whose indexed position lies at or beyond the prune radius is dropped from
 // the candidate set, one inside it survives in ID order, and +Inf disables
-// pruning entirely.
+// pruning entirely. The stations attach out of ID order, so their ranks are
+// renumbered before the query.
 func TestCollectPrunesByIndexedPosition(t *testing.T) {
-	g := newGridIndex(50)
+	_, m := newTestMedium(t, 1)
+	m.grid = newGridIndex(50)
 	mk := func(id int, p geom.Vec2) *station {
-		st := &station{id: id, ep: &fakeEndpoint{pos: p, listening: true}}
-		g.insert(st)
-		return st
+		m.Attach(id, &fakeEndpoint{pos: p, listening: true})
+		return m.stations[id]
 	}
-	self := mk(0, geom.Vec2{})
-	near := mk(1, geom.Vec2{X: 10})
 	mk(2, geom.Vec2{X: 40}) // same 3x3 neighborhood, beyond the prune radius
+	near := mk(1, geom.Vec2{X: 10})
+	self := mk(0, geom.Vec2{})
 
-	got := g.collect(geom.Vec2{}, 20*20)
+	got := m.grid.collect(geom.Vec2{}, 20*20, m.ordered)
 	if len(got) != 2 || got[0] != self || got[1] != near {
 		t.Fatalf("pruned collect returned %d candidates, want [self, near]", len(got))
 	}
-	if n := len(g.collect(geom.Vec2{}, math.Inf(1))); n != 3 {
+	if n := len(m.grid.collect(geom.Vec2{}, math.Inf(1), m.ordered)); n != 3 {
 		t.Fatalf("unpruned collect returned %d candidates, want 3", n)
 	}
 }

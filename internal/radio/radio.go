@@ -110,7 +110,7 @@ func (m Model) Validate() error {
 // MeanRSSI returns the deterministic (noise-free) received signal strength
 // in dBm at distance d meters. Distances below the reference distance clamp
 // to the reference.
-func (m Model) MeanRSSI(d float64) float64 {
+func (m *Model) MeanRSSI(d float64) float64 {
 	if d < m.ReferenceDist {
 		d = m.ReferenceDist
 	}
@@ -121,7 +121,7 @@ func (m Model) MeanRSSI(d float64) float64 {
 // destructive multipath fade at distance d. It is zero up to MultipathDist
 // and grows linearly beyond (capped at MaxSigmaDB), reflecting Figure 1's
 // two regimes: Gaussian behaviour near, fade-dominated behaviour far.
-func (m Model) FadeSigma(d float64) float64 {
+func (m *Model) FadeSigma(d float64) float64 {
 	if d <= m.MultipathDist {
 		return 0
 	}
@@ -139,7 +139,7 @@ func (m Model) FadeSigma(d float64) float64 {
 // small, destructive fades are deep, and it is exactly what destroys the
 // Gaussian shape of the distance PDF for weak signals (Figure 1(b)).
 // The result is clamped to the card's reporting range.
-func (m Model) SampleRSSI(d float64, rng *sim.RNG) float64 {
+func (m *Model) SampleRSSI(d float64, rng *sim.RNG) float64 {
 	r := rng.Normal(m.MeanRSSI(d), m.ShadowSigmaDB)
 	if fs := m.FadeSigma(d); fs > 0 {
 		r -= math.Abs(rng.Normal(0, fs))
@@ -153,7 +153,7 @@ func (m Model) SampleRSSI(d float64, rng *sim.RNG) float64 {
 // MaxPlausibleRSSI returns an upper envelope on any sampled RSSI at
 // distance d (mean plus five shadowing sigmas); the MAC uses it as a hard
 // out-of-range cutoff.
-func (m Model) MaxPlausibleRSSI(d float64) float64 {
+func (m *Model) MaxPlausibleRSSI(d float64) float64 {
 	return m.MeanRSSI(d) + 5*m.ShadowSigmaDB
 }
 
@@ -161,7 +161,7 @@ func (m Model) MaxPlausibleRSSI(d float64) float64 {
 // compares keep NaN propagation identical to the math.Min(math.Max(...))
 // they replace (a NaN fails both compares and passes through) while
 // avoiding two function calls on the MAC's per-reception path.
-func (m Model) ClampRSSI(r float64) float64 {
+func (m *Model) ClampRSSI(r float64) float64 {
 	if r < m.MinRSSIDBm {
 		return m.MinRSSIDBm
 	}

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -30,8 +29,6 @@ var ErrNegativeDelay = errors.New("sim: event scheduled in the past")
 // created through Simulator.Schedule or Simulator.At.
 type Event struct {
 	time     Time
-	seq      uint64
-	index    int // heap index, -1 when not queued
 	canceled bool
 	fn       func()
 }
@@ -42,43 +39,78 @@ func (e *Event) Time() Time { return e.time }
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// eventQueue is a min-heap ordered by (time, seq). The sequence number makes
-// event ordering fully deterministic for simultaneous events: ties fire in
-// scheduling order.
-type eventQueue []*Event
+// calEntry is one calendar slot. The (time, seq) key is stored inline
+// beside the event, so sifting compares contiguous entries and never
+// dereferences an event; the sequence number makes ordering fully
+// deterministic for simultaneous events: ties fire in scheduling order.
+type calEntry struct {
+	time Time
+	seq  uint64
+	ev   *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func (a *calEntry) before(b *calEntry) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+// calendar is a binary min-heap of entries ordered by (time, seq). Canceled
+// events keep their entries until they reach the top (see Simulator.Cancel);
+// the key is a total order, so every correct heap pops the same sequence.
+type calendar []calEntry
 
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*Event)
-	if !ok {
-		return // cannot happen: Push is only reached via heap.Push(*Event)
+// push adds x, sifting a hole up from the new leaf.
+func (q *calendar) push(x calEntry) {
+	h := append(*q, x)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !x.before(&h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
 	}
-	e.index = len(*q)
-	*q = append(*q, e)
+	h[j] = x
+	*q = h
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// pop removes and returns the top entry, moving the last leaf into the
+// vacated root.
+func (q *calendar) pop() calEntry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h[n] = calEntry{}
+	h = h[:n]
+	if n > 0 {
+		h.down(0, x)
+	}
+	*q = h
+	return top
+}
+
+// down places x at hole i or below it, moving smaller children up.
+func (h calendar) down(i int, x calEntry) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(&h[j]) {
+			j = r
+		}
+		if !h[j].before(&x) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
 }
 
 // arenaChunk is how many Events each arena block holds. Events are
@@ -100,9 +132,12 @@ const maxRetainedChunks = 256
 
 // Simulator owns the virtual clock and the event calendar.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	queue   eventQueue
+	now   Time
+	seq   uint64
+	queue calendar
+	// live counts queued events that are not canceled: the queue may also
+	// hold canceled entries not yet discarded.
+	live    int
 	stopped bool
 
 	// arena is the current Event allocation block; arenaPos indexes the
@@ -145,11 +180,10 @@ func (s *Simulator) Now() Time { return s.now }
 // has been discarded.
 func (s *Simulator) Reset() {
 	// Drop queued events (and their closures) but keep the heap's capacity.
-	for i := range s.queue {
-		s.queue[i] = nil
-	}
+	clear(s.queue)
 	s.queue = s.queue[:0]
-	// Clear every retained chunk so no stale closure or heap index
+	s.live = 0
+	// Clear every retained chunk so no stale closure or cancel mark
 	// survives into the slots the next run will hand out, then rewind the
 	// arena to the first one. An untracked overflow block (past the
 	// retention cap) is simply dropped here.
@@ -173,9 +207,9 @@ func (s *Simulator) Reset() {
 	s.stopped = false
 }
 
-// Pending returns the number of events waiting in the calendar, including
-// canceled events that have not yet been drained.
-func (s *Simulator) Pending() int { return len(s.queue) }
+// Pending returns the number of live events waiting in the calendar;
+// canceled events are never counted.
+func (s *Simulator) Pending() int { return s.live }
 
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
@@ -239,25 +273,58 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 	}
 	e := &s.arena[s.arenaPos]
 	s.arenaPos++
-	*e = Event{time: t, seq: s.seq, fn: fn, index: -1}
+	*e = Event{time: t, fn: fn}
+	s.queue.push(calEntry{time: t, seq: s.seq, ev: e})
 	s.seq++
-	heap.Push(&s.queue, e)
-	s.heapDepth.Observe(len(s.queue))
+	s.live++
+	s.heapDepth.Observe(s.live)
 	return e
 }
 
-// Cancel removes a scheduled event. Canceling an already-fired or
+// Cancel withdraws a scheduled event. Canceling an already-fired or
 // already-canceled event is a no-op.
+//
+// The event's calendar entry stays in place and is discarded when it
+// reaches the top or when the calendar is compacted (see retire), so cancel
+// churn cannot grow the calendar without bound.
 func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.canceled {
 		return
 	}
 	e.canceled = true
 	e.fn = nil // release the closure; canceled events never fire
-	if e.index >= 0 {
-		heap.Remove(&s.queue, e.index)
-	}
 	s.canceled++
+	s.retire()
+}
+
+// retire takes one event out of the live count. Once the calendar's
+// canceled entries outnumber its live ones, it drops every canceled entry
+// and re-heapifies the rest, so the calendar never holds more than twice
+// its live events.
+func (s *Simulator) retire() {
+	s.live--
+	if len(s.queue)-s.live <= s.live {
+		return
+	}
+	q := s.queue[:0]
+	for _, x := range s.queue {
+		if !x.ev.canceled {
+			q = append(q, x)
+		}
+	}
+	clear(s.queue[len(q):])
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i, q[i])
+	}
+	s.queue = q
+}
+
+// dropCanceled discards canceled entries from the top of the calendar, so
+// that afterwards the top, if any, is the next live event.
+func (s *Simulator) dropCanceled() {
+	for len(s.queue) > 0 && s.queue[0].ev.canceled {
+		s.queue.pop()
+	}
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -267,23 +334,20 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Step executes the single next event, advancing the clock to its time.
 // It returns false when the calendar is empty.
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e, ok := heap.Pop(&s.queue).(*Event)
-		if !ok {
-			return false // cannot happen: the queue only holds *Event
-		}
-		if e.canceled {
-			continue
-		}
-		s.now = e.time
-		s.processed++
-		e.canceled = true // mark fired so Cancel after firing is a no-op
-		fn := e.fn
-		e.fn = nil // let the GC reclaim the closure before the chunk dies
-		fn()
-		return true
+	s.dropCanceled()
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	x := s.queue.pop()
+	s.retire()
+	e := x.ev
+	s.now = x.time
+	s.processed++
+	e.canceled = true // mark fired so Cancel after firing is a no-op
+	fn := e.fn
+	e.fn = nil // let the GC reclaim the closure before the chunk dies
+	fn()
+	return true
 }
 
 // Run executes events until the calendar empties or Stop is called.
@@ -294,10 +358,13 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil executes events with time <= horizon, then sets the clock to the
-// horizon. Events scheduled beyond the horizon stay queued.
+// horizon. Events scheduled beyond the horizon stay queued. Canceled
+// entries are discarded before the horizon test, so a canceled top entry
+// inside the horizon never lets a live event beyond it fire.
 func (s *Simulator) RunUntil(horizon Time) {
 	s.stopped = false
 	for !s.stopped {
+		s.dropCanceled()
 		if len(s.queue) == 0 || s.queue[0].time > horizon {
 			break
 		}
