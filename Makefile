@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzCalendar -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzWaypointLeg -fuzztime=$(FUZZTIME) ./internal/mobility
 
 # shuffle reruns the stateful suites twice in random order: these packages
 # keep cross-test state (cocoa's process-wide run-slot and Result free
@@ -62,8 +63,8 @@ serve-smoke:
 # the full suite under the race detector in shuffled order (the experiment
 # engine fans runs out across goroutines, so -race is not optional here), a
 # short fuzz pass over the serialization/loss-channel/LUT/RNG-seeding/
-# event-calendar targets, a one-iteration benchmark smoke so bench-only
-# code paths cannot rot between bench runs,
+# event-calendar/motion-leg targets, a one-iteration benchmark smoke so
+# bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
 # floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the
 # order-sensitive service suites. Performance is gated by the repeated,

@@ -77,7 +77,8 @@ func (t *Team) emitSimple(kind EventKind, robot int) {
 // failRobot powers a robot off mid-run: it stops beaconing, forwarding,
 // and moving (a dead robot in the rubble). Localization state freezes. The
 // medium detaches the robot entirely: a dead radio is not a receiver, so
-// the MAC neither visits nor counts it for the rest of the run.
+// the MAC neither visits nor counts it for the rest of the run, and the
+// motion leg the MAC cached for it, which the hold bends, goes with it.
 func (t *Team) failRobot(now sim.Time, r *robot) {
 	if r.failed {
 		return

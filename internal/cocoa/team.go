@@ -214,8 +214,8 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 			return nil, err
 		}
 
-		r.nic = network.NewNIC(s, med, cfg.Energy, id, func() geom.Vec2 {
-			return r.way.Position(s.Now())
+		r.nic = network.NewNIC(s, med, cfg.Energy, id, func() (geom.Vec2, mobility.Leg) {
+			return r.way.Motion(s.Now())
 		})
 
 		if !needRF {

@@ -56,7 +56,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, func() geom.Vec2 { return geom.Vec2{} })
+	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, parked(geom.Vec2{}))
 	bad := DefaultConfig()
 	bad.DefaultTTL = 0
 	if _, err := New(s, nic, bad, root.Stream("uni"), func() geom.Vec2 { return geom.Vec2{} }); err == nil {

@@ -1,11 +1,13 @@
 package geounicast
 
 import (
+	"math"
 	"testing"
 
 	"cocoa/internal/energy"
 	"cocoa/internal/geom"
 	"cocoa/internal/mac"
+	"cocoa/internal/mobility"
 	"cocoa/internal/network"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
@@ -37,7 +39,7 @@ func newBed(t *testing.T, seed int64, positions []geom.Vec2) *bed {
 	b := &bed{sim: s}
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		a, err := New(s, nic, DefaultConfig(), root.StreamN("uni", i),
 			func() geom.Vec2 { return pos })
 		if err != nil {
@@ -171,7 +173,7 @@ func TestTTLBoundsForwarding(t *testing.T) {
 	var agents []*Agent
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		a, err := New(s, nic, cfg, root.StreamN("uni", i), func() geom.Vec2 { return pos })
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +212,7 @@ func TestStaleNeighborsNotUsed(t *testing.T) {
 	var agents []*Agent
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		a, err := New(s, nic, cfg, root.StreamN("uni", i), func() geom.Vec2 { return pos })
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +264,7 @@ func TestARQRecoversLostHop(t *testing.T) {
 	var nics []*network.NIC
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		a, err := New(s, nic, DefaultConfig(), root.StreamN("uni", i), func() geom.Vec2 { return pos })
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +310,7 @@ func TestARQGivesUp(t *testing.T) {
 	var nics []*network.NIC
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		a, err := New(s, nic, DefaultConfig(), root.StreamN("uni", i), func() geom.Vec2 { return pos })
 		if err != nil {
 			t.Fatal(err)
@@ -361,5 +363,13 @@ func TestARQDisabled(t *testing.T) {
 	cfg.AckTimeoutS = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("retries without a timeout accepted")
+	}
+}
+
+// parked is a motion source for a node that never moves: its leg holds
+// forever, so the medium reads it once.
+func parked(p geom.Vec2) func() (geom.Vec2, mobility.Leg) {
+	return func() (geom.Vec2, mobility.Leg) {
+		return p, mobility.Leg{Origin: p, Until: math.Inf(1)}
 	}
 }

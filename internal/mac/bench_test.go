@@ -34,31 +34,32 @@ func BenchmarkBroadcast(b *testing.B) {
 
 type benchEndpoint struct{ pos geom.Vec2 }
 
-func (e *benchEndpoint) Position() geom.Vec2    { return e.pos }
-func (e *benchEndpoint) Listening() bool        { return true }
-func (e *benchEndpoint) BeginTx()               {}
-func (e *benchEndpoint) EndTx()                 {}
-func (e *benchEndpoint) BeginRx()               {}
-func (e *benchEndpoint) EndRx()                 {}
-func (e *benchEndpoint) Deliver(Frame, float64) {}
+func (e *benchEndpoint) Motion() (geom.Vec2, mobility.Leg) { return e.pos, parkedLeg(e.pos) }
+func (e *benchEndpoint) Listening() bool                   { return true }
+func (e *benchEndpoint) BeginTx()                          {}
+func (e *benchEndpoint) EndTx()                            {}
+func (e *benchEndpoint) BeginRx()                          {}
+func (e *benchEndpoint) EndRx()                            {}
+func (e *benchEndpoint) Deliver(Frame, float64)            {}
 
 // swarmEndpoint backs a station with a live random-waypoint mobility
-// process, the same position source network.NIC gives the medium in a real
-// run (network itself would be an import cycle from here). Every position
-// probe pays the waypoint advance, so the benchmark charges the scan what
-// the full simulator pays per receiver visit.
+// process, the same motion source network.NIC gives the medium in a real
+// run (network itself would be an import cycle from here). The medium
+// evaluates each station's cached waypoint leg itself and asks the
+// waypoint again only when the leg ends, exactly as in the full simulator,
+// so the benchmark charges each receiver visit what a real run pays.
 type swarmEndpoint struct {
 	s *sim.Simulator
 	w *mobility.Waypoint
 }
 
-func (e *swarmEndpoint) Position() geom.Vec2    { return e.w.Position(e.s.Now()) }
-func (e *swarmEndpoint) Listening() bool        { return true }
-func (e *swarmEndpoint) BeginTx()               {}
-func (e *swarmEndpoint) EndTx()                 {}
-func (e *swarmEndpoint) BeginRx()               {}
-func (e *swarmEndpoint) EndRx()                 {}
-func (e *swarmEndpoint) Deliver(Frame, float64) {}
+func (e *swarmEndpoint) Motion() (geom.Vec2, mobility.Leg) { return e.w.Motion(e.s.Now()) }
+func (e *swarmEndpoint) Listening() bool                   { return true }
+func (e *swarmEndpoint) BeginTx()                          {}
+func (e *swarmEndpoint) EndTx()                            {}
+func (e *swarmEndpoint) BeginRx()                          {}
+func (e *swarmEndpoint) EndRx()                            {}
+func (e *swarmEndpoint) Deliver(Frame, float64)            {}
 
 // benchmarkSwarm measures one full beacon round — a one-second mobility
 // epoch, an incremental index refresh, then one 56-byte beacon from every

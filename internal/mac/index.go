@@ -215,10 +215,8 @@ func (g *gridIndex) keyOf(p geom.Vec2) gridKey {
 	return gridKey{g.coord(p.X), g.coord(p.Y)}
 }
 
-// insert buckets st at its current endpoint position under its current
-// rank.
-func (g *gridIndex) insert(st *station) {
-	p := st.ep.Position()
+// insert buckets st at its current position p under its current rank.
+func (g *gridIndex) insert(st *station, p geom.Vec2) {
 	g.place(st, g.keyOf(p), p)
 }
 
@@ -256,16 +254,15 @@ func (g *gridIndex) setRank(st *station) {
 	}
 }
 
-// update re-buckets st at its current endpoint position, reporting whether
-// it changed cells. The indexed position is refreshed even when the cell is
+// update re-buckets st at its current position p, reporting whether it
+// changed cells. The indexed position is refreshed even when the cell is
 // unchanged: collect's pre-prune bound (true position within IndexSlackM of
 // the entry's ipos) holds exactly because ipos is as fresh as the last
 // update sweep — the same cadence the cell-side slack already relies on.
-func (g *gridIndex) update(st *station) bool {
+func (g *gridIndex) update(st *station, p geom.Vec2) bool {
 	if !st.gridded {
 		return false
 	}
-	p := st.ep.Position()
 	key := g.keyOf(p)
 	if key == st.key {
 		g.cells.get(key)[st.slot].ipos = p

@@ -64,7 +64,9 @@ func runChurnWorkload(t *testing.T, idx NeighborIndex, seed int64) workloadTrace
 	}
 
 	// Bounded random walk: each station moves at most slackM between
-	// consecutive UpdatePositions sweeps — the index freshness contract.
+	// consecutive re-indexings — the index freshness contract. A fake jumps
+	// rather than following its reported leg, so each jump is re-synced
+	// with UpdatePosition (re-attaching reads the endpoint anyway).
 	moveRng := sim.NewRNG(seed).Stream("moves")
 	s.EachTick(moveDt, moveDt, func(now sim.Time) {
 		for i, ep := range eps {
@@ -80,9 +82,10 @@ func runChurnWorkload(t *testing.T, idx NeighborIndex, seed int64) workloadTrace
 			case !attached[i] && int(now*4+1)%8 == i%8:
 				med.Attach(i, ep)
 				attached[i] = true
+			case attached[i]:
+				med.UpdatePosition(i)
 			}
 		}
-		med.UpdatePositions()
 	})
 
 	frame := 0

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"cocoa/internal/geom"
+	"cocoa/internal/mobility"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
 	"cocoa/internal/telemetry"
@@ -32,8 +33,15 @@ type Frame struct {
 // Endpoint is the per-node attachment point the network layer implements.
 // The MAC drives radio-state energy accounting through Begin/End callbacks.
 type Endpoint interface {
-	// Position returns the node's current true position.
-	Position() geom.Vec2
+	// Motion returns the node's current true position and the motion leg
+	// it is on (mobility.Waypoint.Motion). The medium keeps the leg per
+	// station and evaluates it itself while the clock is before leg.Until,
+	// calling Motion again only once the leg has expired. An endpoint whose
+	// trajectory changes before its reported leg expires — it is moved by
+	// hand, or its waypoint is held with HoldUntil — must be re-read:
+	// Attach it again or call Medium.UpdatePosition, both of which call
+	// Motion. An endpoint that never moves reports a leg valid forever.
+	Motion() (geom.Vec2, mobility.Leg)
 	// Listening reports whether the radio can currently receive
 	// (awake, powered, not transmitting).
 	Listening() bool
@@ -156,6 +164,11 @@ type transmission struct {
 	// reception scheduling its own — the walk order matches the scheduling
 	// order the per-reception events had, so outcomes are unchanged.
 	recs []*reception
+	// endFrame is the end-of-frame event: the sender's EndTx, reap, then
+	// finishReceptions. It is bound once per pooled transmission and kept
+	// across recycling like recs, so putting a frame on the air allocates
+	// no closure.
+	endFrame func()
 }
 
 // reception tracks one (transmission, receiver) pair in progress.
@@ -168,8 +181,11 @@ type reception struct {
 
 // station is the Medium's view of one attached endpoint.
 type station struct {
-	id     int
-	ep     Endpoint
+	id int
+	ep Endpoint
+	// leg is the endpoint's motion leg as of its last Motion call, which
+	// Attach makes first; see Medium.position.
+	leg    mobility.Leg
 	active []*reception // receptions in progress at this station
 	// rank is the station's index in Medium.ordered.
 	rank int
@@ -304,8 +320,8 @@ func rssiGate(f func(float64) float64, cross, threshold float64) (near2, far2 fl
 	return near * near, far * far
 }
 
-// Attach registers an endpoint under the given node ID. Attaching the same
-// ID twice replaces the previous endpoint.
+// Attach registers an endpoint under the given node ID and reads its
+// motion. Attaching the same ID twice replaces the previous endpoint.
 func (m *Medium) Attach(id int, ep Endpoint) {
 	st := &station{id: id, ep: ep}
 	if old, ok := m.stations[id]; ok {
@@ -320,8 +336,9 @@ func (m *Medium) Attach(id int, ep Endpoint) {
 		m.renumber(pos)
 	}
 	m.stations[id] = st
+	p := st.sync()
 	if m.grid != nil {
-		m.grid.insert(st)
+		m.grid.insert(st, p)
 	}
 }
 
@@ -357,33 +374,59 @@ func (m *Medium) renumber(from int) {
 	}
 }
 
-// UpdatePositions re-buckets every attached station at its current endpoint
-// position. Spatial-index users must call it (or UpdatePosition) often
-// enough that no station moves more than Config.IndexSlackM between
-// updates; under IndexScan it is a no-op. The sweep is deterministic
-// (ascending ID) and consumes no randomness, so calling it never perturbs a
-// run's results.
+// UpdatePositions re-buckets every attached station at its current
+// position, read through its cached motion leg. Spatial-index users must
+// call it (or UpdatePosition) often enough that no station moves more than
+// Config.IndexSlackM between updates; under IndexScan it is a no-op. The
+// sweep is deterministic (ascending ID) and consumes no randomness, so
+// calling it never perturbs a run's results.
 func (m *Medium) UpdatePositions() {
 	if m.grid == nil {
 		return
 	}
 	m.tel.indexRebuilds++
+	now := m.sim.Now()
 	for _, st := range m.ordered {
-		if m.grid.update(st) {
+		if m.grid.update(st, m.position(st, now)) {
 			m.tel.indexMoves++
 		}
 	}
 }
 
-// UpdatePosition re-buckets the single station registered under id; see
-// UpdatePositions. Unknown ids are a no-op.
+// UpdatePosition re-reads the motion of the station registered under id
+// from its endpoint, dropping the cached leg, and re-buckets it; see
+// UpdatePositions. It is how an endpoint whose trajectory bent before its
+// leg expired resynchronizes the medium, under either index. Unknown ids
+// are a no-op.
 func (m *Medium) UpdatePosition(id int) {
-	if m.grid == nil {
+	st, ok := m.stations[id]
+	if !ok {
 		return
 	}
-	if st, ok := m.stations[id]; ok && m.grid.update(st) {
+	p := st.sync()
+	if m.grid != nil && m.grid.update(st, p) {
 		m.tel.indexMoves++
 	}
+}
+
+// position returns st's true position at now. While now is before the end
+// of the station's cached leg the medium evaluates the leg itself — the
+// expression mobility.Waypoint evaluates, so the bits are the endpoint's —
+// and asks the endpoint only once the leg has expired. Skipping the
+// endpoint's own position queries cannot move it: a waypoint trajectory is
+// a pure function of its RNG stream (see mobility.Waypoint).
+func (m *Medium) position(st *station, now sim.Time) geom.Vec2 {
+	if now < st.leg.Until {
+		return st.leg.At(now)
+	}
+	return st.sync()
+}
+
+// sync reads st's position and current leg from its endpoint.
+func (st *station) sync() geom.Vec2 {
+	p, leg := st.ep.Motion()
+	st.leg = leg
+	return p
 }
 
 // Stats returns a copy of the MAC counters.
@@ -450,7 +493,7 @@ func (m *Medium) attempt(st *station, f Frame, attempt, cw int) {
 // sensitivity counts, including the station's own transmissions.
 func (m *Medium) carrierBusy(st *station) bool {
 	now := m.sim.Now()
-	pos := st.ep.Position()
+	pos := m.position(st, now)
 	if m.grid != nil {
 		return m.carrierBusyGrid(st, pos, now)
 	}
@@ -516,7 +559,7 @@ func (m *Medium) transmit(st *station, f Frame) {
 	totalBytes := f.Bytes + m.cfg.OverheadBytes
 	dur := m.cfg.PreambleS + m.cfg.Model.Airtime(totalBytes)
 	tx := m.newTransmission()
-	tx.frame, tx.from, tx.start, tx.end, tx.pos = f, st, now, now+dur, st.ep.Position()
+	tx.frame, tx.from, tx.start, tx.end, tx.pos = f, st, now, now+dur, m.position(st, now)
 	m.inflight = append(m.inflight, tx)
 	if m.grid != nil {
 		m.grid.addTx(tx)
@@ -527,11 +570,7 @@ func (m *Medium) transmit(st *station, f Frame) {
 	m.stats.AirtimeS += dur
 
 	st.ep.BeginTx()
-	m.sim.Schedule(dur, func() {
-		st.ep.EndTx()
-		m.reap(tx)
-		m.finishReceptions(tx)
-	})
+	m.sim.Schedule(dur, tx.endFrame)
 
 	if m.grid == nil {
 		for _, rcv := range m.ordered {
@@ -574,7 +613,7 @@ func (m *Medium) beginReception(rcv *station, tx *transmission) {
 	m.tel.visits++
 	// Hard out-of-range cutoff: when even a +5-sigma fluctuation cannot
 	// reach sensitivity, skip the receiver without drawing noise.
-	d2 := rcv.ep.Position().Dist2(tx.pos)
+	d2 := m.position(rcv, tx.start).Dist2(tx.pos)
 	if d2 >= m.plausFar2 {
 		m.stats.BelowSense++
 		m.tel.gateSkips++
@@ -665,13 +704,19 @@ func (m *Medium) newTransmission() *transmission {
 		return tx
 	}
 	m.tel.poolMisses++
-	return &transmission{}
+	tx := &transmission{}
+	tx.endFrame = func() {
+		tx.from.ep.EndTx()
+		m.reap(tx)
+		m.finishReceptions(tx)
+	}
+	return tx
 }
 
 func (m *Medium) releaseTransmission(tx *transmission) {
-	recs := tx.recs[:0]
+	recs, endFrame := tx.recs[:0], tx.endFrame
 	*tx = transmission{}
-	tx.recs = recs
+	tx.recs, tx.endFrame = recs, endFrame
 	m.freeTx = append(m.freeTx, tx)
 }
 

@@ -1,10 +1,12 @@
 package mac
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"cocoa/internal/geom"
+	"cocoa/internal/mobility"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
 )
@@ -21,16 +23,21 @@ type fakeEndpoint struct {
 
 var _ Endpoint = (*fakeEndpoint)(nil)
 
-func (e *fakeEndpoint) Position() geom.Vec2 { return e.pos }
-func (e *fakeEndpoint) Listening() bool     { return e.listening && e.txDepth == 0 }
-func (e *fakeEndpoint) BeginTx()            { e.txDepth++ }
-func (e *fakeEndpoint) EndTx()              { e.txDepth-- }
-func (e *fakeEndpoint) BeginRx()            { e.rxDepth++ }
-func (e *fakeEndpoint) EndRx()              { e.rxDepth-- }
+// Motion reports a leg valid forever: a test that moves a fake by hand
+// re-syncs it with Medium.UpdatePosition, as the Endpoint contract asks.
+func (e *fakeEndpoint) Motion() (geom.Vec2, mobility.Leg) { return e.pos, parkedLeg(e.pos) }
+func (e *fakeEndpoint) Listening() bool                   { return e.listening && e.txDepth == 0 }
+func (e *fakeEndpoint) BeginTx()                          { e.txDepth++ }
+func (e *fakeEndpoint) EndTx()                            { e.txDepth-- }
+func (e *fakeEndpoint) BeginRx()                          { e.rxDepth++ }
+func (e *fakeEndpoint) EndRx()                            { e.rxDepth-- }
 func (e *fakeEndpoint) Deliver(f Frame, rssi float64) {
 	e.got = append(e.got, f)
 	e.rssis = append(e.rssis, rssi)
 }
+
+// parkedLeg is the motion leg of a station that never moves.
+func parkedLeg(p geom.Vec2) mobility.Leg { return mobility.Leg{Origin: p, Until: math.Inf(1)} }
 
 func newTestMedium(t *testing.T, seed int64) (*sim.Simulator, *Medium) {
 	t.Helper()

@@ -90,11 +90,11 @@ func TestRSSIGateSynthetic(t *testing.T) {
 func TestGridIndexUnbucketedGuards(t *testing.T) {
 	g := newGridIndex(10)
 	st := &station{id: 1, ep: &fakeEndpoint{pos: geom.Vec2{X: 5}}}
-	if g.update(st) {
+	if g.update(st, geom.Vec2{X: 5}) {
 		t.Error("update of an unindexed station reported a move")
 	}
 	g.remove(st)
-	g.insert(st)
+	g.insert(st, geom.Vec2{X: 5})
 	g.remove(st)
 	g.remove(st)
 	if len(g.cells.get(g.keyOf(geom.Vec2{X: 5}))) != 0 {

@@ -51,6 +51,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Leg is one closed-form piece of a trajectory: for From <= t < Until the
+// robot is at At(t), a straight line at constant speed from Origin. A rest
+// is a zero-speed leg.
+type Leg struct {
+	Origin geom.Vec2
+	Dir    geom.Vec2 // unit direction of travel; zero for a rest
+	Speed  float64   // m/s; zero for a rest
+	From   sim.Time  // when the robot was at Origin
+	Until  sim.Time  // the arrival, or the end of the rest
+}
+
+// At returns the position at t, for From <= t < Until. Waypoint evaluates
+// its own mid-leg positions through this very method, so a leg held by
+// another party reproduces the Waypoint's positions bit for bit.
+func (l *Leg) At(t sim.Time) geom.Vec2 {
+	return l.Origin.Add(l.Dir.Scale(l.Speed * (t - l.From)))
+}
+
 // Waypoint is one robot's movement process. It is advanced lazily: callers
 // ask for the position at a virtual time and the model replays any leg
 // completions and new commands in between. Times must be non-decreasing.
@@ -59,31 +77,28 @@ func (c Config) Validate() error {
 // (origin + direction * speed * elapsed), never accumulated across
 // queries, so the trajectory is a pure function of the RNG stream and the
 // query times' leg crossings: observing a robot's position at extra
-// instants cannot perturb where it later is, to the last bit. The MAC's
-// spatial index relies on this — it skips position queries for pruned
-// receivers, which must not change the robots' paths (DESIGN.md §12).
+// instants cannot perturb where it later is, to the last bit. Two consumers
+// rely on this. The MAC's spatial index skips position queries for pruned
+// receivers, and the MAC's per-station leg cache (Motion) evaluates a leg
+// itself until it expires instead of asking the robot; neither may change
+// the robots' paths (DESIGN.md §12).
 type Waypoint struct {
 	cfg Config
 	rng *sim.RNG
 
-	pos       geom.Vec2
-	lastT     sim.Time
-	origin    geom.Vec2 // position when the current leg began
-	legT      sim.Time  // when the current leg began
+	pos   geom.Vec2
+	lastT sim.Time
+	// move is the current command's leg, frozen when the command is
+	// issued: origin, unit direction, speed, start time, and arrival time
+	// (Until). Its constants are pure functions of (origin, dest, speed,
+	// start), which are immutable for the leg's lifetime, so freezing them
+	// cannot change any position bit — it only hoists a sqrt and a division
+	// out of every mid-leg query.
+	move      Leg
 	dest      geom.Vec2
-	speed     float64
 	restUntil sim.Time
 	resting   bool
 	legs      int
-
-	// Cached leg constants, computed once per command: the leg length, the
-	// arrival time, and the unit direction. They are pure functions of
-	// (origin, dest, speed, legT), which are immutable for the leg's
-	// lifetime, so caching them cannot change any position bit — it only
-	// hoists a sqrt and a division out of every mid-leg query.
-	legD   float64
-	arrive sim.Time
-	ux, uy float64
 }
 
 // NewWaypoint builds a movement process starting at a uniformly random
@@ -118,21 +133,25 @@ func (w *Waypoint) randomPoint() geom.Vec2 {
 // newCommand issues the next random movement command, anchoring the new
 // leg at the robot's current position and time.
 func (w *Waypoint) newCommand() {
-	w.origin = w.pos
-	w.legT = w.lastT
+	origin := w.pos
 	w.dest = w.randomPoint()
-	w.speed = w.rng.Uniform(w.cfg.VMin, w.cfg.VMax)
+	speed := w.rng.Uniform(w.cfg.VMin, w.cfg.VMax)
 	w.resting = false
 	w.legs++
 
-	// Freeze the leg constants. The unit vector reuses legD: Dist and Len
-	// share the same radicand (negation is exact), so dividing by legD is
-	// bit-identical to Unit() and saves its second square root. legD == 0
-	// legs never read ux/uy — arrival fires immediately.
-	w.legD = w.origin.Dist(w.dest)
-	w.arrive = w.legT + sim.Time(w.legD/w.speed)
-	v := w.dest.Sub(w.origin)
-	w.ux, w.uy = v.X/w.legD, v.Y/w.legD
+	// Freeze the leg constants. The unit vector reuses the leg length d:
+	// Dist and Len share the same radicand (negation is exact), so dividing
+	// by d is bit-identical to Unit() and saves its second square root.
+	// d == 0 legs never read Dir — arrival fires immediately.
+	d := origin.Dist(w.dest)
+	v := w.dest.Sub(origin)
+	w.move = Leg{
+		Origin: origin,
+		Dir:    geom.Vec2{X: v.X / d, Y: v.Y / d},
+		Speed:  speed,
+		From:   w.lastT,
+		Until:  w.lastT + sim.Time(d/speed),
+	}
 }
 
 // Position returns the robot's true position at time now, advancing the
@@ -140,6 +159,19 @@ func (w *Waypoint) newCommand() {
 func (w *Waypoint) Position(now sim.Time) geom.Vec2 {
 	w.advance(now)
 	return w.pos
+}
+
+// Motion is Position plus the leg the robot is on at now: leg.At(t) equals
+// Position(t) bit for bit for every t in [now, leg.Until), so a caller may
+// evaluate the leg itself until it expires. A moving robot's leg ends at
+// its arrival; a resting robot's is a zero-speed leg ending with the rest.
+// HoldUntil bends the trajectory early and voids any leg read before it.
+func (w *Waypoint) Motion(now sim.Time) (geom.Vec2, Leg) {
+	w.advance(now)
+	if w.resting {
+		return w.pos, Leg{Origin: w.pos, From: now, Until: w.restUntil}
+	}
+	return w.pos, w.move
 }
 
 // advance replays movement up to now.
@@ -159,9 +191,9 @@ func (w *Waypoint) advance(now sim.Time) {
 		}
 		// The leg's arrival time depends only on its origin, destination,
 		// and speed — never on where along it the robot was last observed.
-		if w.arrive <= now {
+		if w.move.Until <= now {
 			w.pos = w.dest
-			w.lastT = w.arrive
+			w.lastT = w.move.Until
 			rest := w.rng.Uniform(w.cfg.RestMin, w.cfg.RestMax)
 			if rest > 0 {
 				w.resting = true
@@ -172,10 +204,9 @@ func (w *Waypoint) advance(now sim.Time) {
 			continue
 		}
 		// Mid-leg: recompute analytically from the frozen leg constants
-		// (see newCommand). legD > 0 because legD == 0 would have taken
-		// the arrival branch above.
-		u := geom.Vec2{X: w.ux, Y: w.uy}
-		w.pos = w.origin.Add(u.Scale(w.speed * (now - w.legT)))
+		// (see newCommand). The leg has nonzero length, or its arrival
+		// would have fired above.
+		w.pos = w.move.At(now)
 		w.lastT = now
 	}
 }
@@ -186,8 +217,8 @@ func (w *Waypoint) Velocity() geom.Vec2 {
 	if w.resting || w.pos == w.dest {
 		return geom.Vec2{}
 	}
-	// The cached unit direction is bit-identical to Unit() (see newCommand).
-	return geom.Vec2{X: w.ux, Y: w.uy}.Scale(w.speed)
+	// The frozen unit direction is bit-identical to Unit() (see newCommand).
+	return w.move.Dir.Scale(w.move.Speed)
 }
 
 // Heading returns the current movement heading in radians.
@@ -198,7 +229,7 @@ func (w *Waypoint) Heading() float64 { return w.Velocity().Heading() }
 func (w *Waypoint) Destination() geom.Vec2 { return w.dest }
 
 // Speed returns the current commanded speed in m/s.
-func (w *Waypoint) Speed() float64 { return w.speed }
+func (w *Waypoint) Speed() float64 { return w.move.Speed }
 
 // RestRemaining returns how much longer the robot will rest at its current
 // position (zero when moving): the paper's d_rest.
@@ -216,7 +247,8 @@ func (w *Waypoint) Legs() int { return w.legs }
 // put until the given time, after which normal waypoint movement resumes
 // with a fresh command. Cooperative-positioning schemes use this to park
 // half the team as landmarks. Holding an already-resting robot extends
-// its rest.
+// its rest. A leg read through Motion before the hold no longer describes
+// the robot: whoever caches one must read it again.
 func (w *Waypoint) HoldUntil(now, until sim.Time) {
 	w.advance(now)
 	if until <= now {

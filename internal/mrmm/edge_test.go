@@ -56,7 +56,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, func() geom.Vec2 { return geom.Vec2{} })
+	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, parked(geom.Vec2{}))
 	bad := DefaultConfig(30)
 	bad.MaxHops = 0
 	if _, err := New(s, nic, bad, root.Stream("mrmm"), func() MobilityInfo {
@@ -76,7 +76,7 @@ func TestLinkLifetimeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, func() geom.Vec2 { return geom.Vec2{} })
+	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, parked(geom.Vec2{}))
 	cfg := DefaultConfig(30)
 	cfg.LinkRangeM = 100
 	p, err := New(s, nic, cfg, root.Stream("mrmm"), func() MobilityInfo {

@@ -7,6 +7,7 @@ import (
 	"cocoa/internal/energy"
 	"cocoa/internal/geom"
 	"cocoa/internal/mac"
+	"cocoa/internal/mobility"
 	"cocoa/internal/network"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
@@ -31,7 +32,7 @@ func newMeshBed(t *testing.T, seed int64, positions []geom.Vec2, model radio.Mod
 	b := &meshBed{sim: s, med: med}
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		cfg := DefaultConfig(model.MeanRange())
 		cfg.UsePruning = pruning
 		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), func() MobilityInfo {
@@ -198,7 +199,7 @@ func TestMaxHopsBoundsFlood(t *testing.T) {
 	var prots []*Protocol
 	for i, pos := range positions {
 		pos := pos
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		cfg := DefaultConfig(model.MeanRange())
 		cfg.MaxHops = 2 // queries die after two hops
 		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), func() MobilityInfo {
@@ -330,7 +331,7 @@ func TestPruningPrefersStableRelay(t *testing.T) {
 	var prots []*Protocol
 	for i, def := range defs {
 		def := def
-		nic := network.NewNIC(s, med, energy.DefaultParams(), i, func() geom.Vec2 { return def.pos })
+		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(def.pos))
 		cfg := DefaultConfig(model.MeanRange())
 		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), func() MobilityInfo {
 			return MobilityInfo{Pos: def.pos, Vel: def.vel}
@@ -399,5 +400,13 @@ func TestPruningForwardingEfficiency(t *testing.T) {
 	if withPruning > without {
 		t.Errorf("pruned mesh sent %d data frames, plain ODMRP %d; pruning must not inflate traffic",
 			withPruning, without)
+	}
+}
+
+// parked is a motion source for a node that never moves: its leg holds
+// forever, so the medium reads it once.
+func parked(p geom.Vec2) func() (geom.Vec2, mobility.Leg) {
+	return func() (geom.Vec2, mobility.Leg) {
+		return p, mobility.Leg{Origin: p, Until: math.Inf(1)}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"cocoa/internal/energy"
 	"cocoa/internal/geom"
 	"cocoa/internal/mac"
+	"cocoa/internal/mobility"
 	"cocoa/internal/sim"
 	"cocoa/internal/telemetry"
 )
@@ -81,11 +82,11 @@ type FaultFilter interface {
 
 // NIC is one robot's radio interface.
 type NIC struct {
-	id    int
-	sim   *sim.Simulator
-	med   *mac.Medium
-	meter *energy.Meter
-	pos   func() geom.Vec2
+	id     int
+	sim    *sim.Simulator
+	med    *mac.Medium
+	meter  *energy.Meter
+	motion func() (geom.Vec2, mobility.Leg)
 
 	mode     Mode
 	txDepth  int
@@ -110,16 +111,18 @@ var dropKindNames = [...]string{"other", "beacon", "join_query", "join_reply",
 var _ mac.Endpoint = (*NIC)(nil)
 
 // NewNIC creates a NIC for node id, attaches it to the medium, and starts
-// it awake/idle at the simulator's current time. pos must return the
-// robot's true position (the MAC needs it for propagation).
-func NewNIC(s *sim.Simulator, med *mac.Medium, params energy.Params, id int, pos func() geom.Vec2) *NIC {
+// it awake/idle at the simulator's current time. motion must return the
+// robot's true position and the motion leg it is on, as
+// mobility.Waypoint.Motion does (the MAC needs them for propagation; see
+// mac.Endpoint for when the MAC asks again).
+func NewNIC(s *sim.Simulator, med *mac.Medium, params energy.Params, id int, motion func() (geom.Vec2, mobility.Leg)) *NIC {
 	n := &NIC{
-		id:    id,
-		sim:   s,
-		med:   med,
-		meter: energy.NewMeter(params, s.Now(), energy.Idle),
-		pos:   pos,
-		mode:  ModeAwake,
+		id:     id,
+		sim:    s,
+		med:    med,
+		meter:  energy.NewMeter(params, s.Now(), energy.Idle),
+		motion: motion,
+		mode:   ModeAwake,
 	}
 	med.Attach(id, n)
 	return n
@@ -201,8 +204,8 @@ func (n *NIC) Send(kind, payloadBytes int, payload any) error {
 	return n.med.Send(n.id, mac.Frame{Kind: kind, Bytes: payloadBytes, Payload: payload})
 }
 
-// Position implements mac.Endpoint.
-func (n *NIC) Position() geom.Vec2 { return n.pos() }
+// Motion implements mac.Endpoint.
+func (n *NIC) Motion() (geom.Vec2, mobility.Leg) { return n.motion() }
 
 // Listening implements mac.Endpoint: awake and not transmitting. Multiple
 // concurrent receptions are allowed (that is how collisions happen).

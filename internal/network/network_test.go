@@ -7,6 +7,7 @@ import (
 	"cocoa/internal/energy"
 	"cocoa/internal/geom"
 	"cocoa/internal/mac"
+	"cocoa/internal/mobility"
 	"cocoa/internal/radio"
 	"cocoa/internal/sim"
 	"cocoa/internal/telemetry"
@@ -28,7 +29,7 @@ func newBed(t *testing.T, seed int64) *testBed {
 }
 
 func (b *testBed) nic(id int, pos geom.Vec2) *NIC {
-	return NewNIC(b.sim, b.med, energy.DefaultParams(), id, func() geom.Vec2 { return pos })
+	return NewNIC(b.sim, b.med, energy.DefaultParams(), id, parked(pos))
 }
 
 func TestBeaconBytesMatchesPaper(t *testing.T) {
@@ -328,5 +329,13 @@ func TestModeTransitionsIdempotent(t *testing.T) {
 	}
 	if a.Mode() != ModeSleep {
 		t.Errorf("mode = %v", a.Mode())
+	}
+}
+
+// parked is a motion source for a node that never moves: its leg holds
+// forever, so the medium reads it once.
+func parked(p geom.Vec2) func() (geom.Vec2, mobility.Leg) {
+	return func() (geom.Vec2, mobility.Leg) {
+		return p, mobility.Leg{Origin: p, Until: math.Inf(1)}
 	}
 }
