@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzCalendar -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzWaypointLeg -fuzztime=$(FUZZTIME) ./internal/mobility
+	$(GO) test -run='^$$' -fuzz=FuzzSampleRSSIGate -fuzztime=$(FUZZTIME) ./internal/radio
 
 # shuffle reruns the stateful suites twice in random order: these packages
 # keep cross-test state (cocoa's process-wide run-slot and Result free
@@ -62,8 +63,9 @@ serve-smoke:
 # check is the gate a change must pass before it lands: static analysis,
 # the full suite under the race detector in shuffled order (the experiment
 # engine fans runs out across goroutines, so -race is not optional here), a
-# short fuzz pass over the serialization/loss-channel/LUT/RNG-seeding/
-# event-calendar/motion-leg targets, a one-iteration benchmark smoke so
+# short fuzz pass over the serialization/loss-channel/LUT/grid-index/
+# grid-statistics/RNG-seeding/event-calendar/motion-leg/RSSI-gate targets,
+# a one-iteration benchmark smoke so
 # bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
 # floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -32,6 +33,10 @@ func TestValidateReturnsConfigError(t *testing.T) {
 		{"no sampling tick", "SampleIntervalS", func(c *Config) { c.DurationS, c.SampleIntervalS = 0.5, 1 }},
 		{"grid", "GridCellM", func(c *Config) { c.GridCellM = 0 }},
 		{"radio", "Radio", func(c *Config) { c.Radio.PathLossExp = -1 }},
+		{"radio multipath dist", "Radio", func(c *Config) { c.Radio.MultipathDist = 0 }},
+		{"radio max sigma", "Radio", func(c *Config) { c.Radio.MaxSigmaDB = -1 }},
+		{"radio deep fade", "Radio", func(c *Config) { c.Radio.DeepFadeMeanDB = -60 }},
+		{"radio non-finite", "Radio", func(c *Config) { c.Radio.TxPowerDBm = math.Inf(1) }},
 		{"negative rest", "RestMinS", func(c *Config) { c.RestMinS = -1 }},
 		{"inverted rest", "RestMaxS", func(c *Config) { c.RestMinS, c.RestMaxS = 5, 1 }},
 	}

@@ -16,7 +16,7 @@ import (
 // O(n) scan, see DESIGN.md §12):
 //
 //   - The cell side is max(senseFar, plausFar) + Config.IndexSlackM, where
-//     senseFar/plausFar are the PR 3 rssiGate far brackets. Any two points
+//     senseFar/plausFar are the rssiGate far brackets. Any two points
 //     in non-adjacent cells are at least one full cell side apart, so every
 //     station outside the 3x3 neighborhood of a transmitter is — even after
 //     drifting up to IndexSlackM from its indexed position — beyond

@@ -44,16 +44,18 @@ func (e *legEndpoint) Deliver(f Frame, rssi float64) {
 
 // legTrace is everything observable about one leg workload run.
 type legTrace struct {
-	Stats Stats
-	Log   []delivery
-	reads int
+	Stats     Stats
+	Log       []delivery
+	reads     int
+	gateSkips int
 }
 
 // runLegWorkload drives a medium over waypoint-backed stations that move,
 // rest, contend for the channel, and go through the two events that bend a
 // trajectory or replace a station: a mid-leg HoldUntil re-synced with
-// UpdatePosition, and a detach followed by a re-attach.
-func runLegWorkload(t *testing.T, idx NeighborIndex, stale bool) legTrace {
+// UpdatePosition, and a detach followed by a re-attach. prep, when non-nil,
+// adjusts the new medium before any station attaches.
+func runLegWorkload(t *testing.T, idx NeighborIndex, stale bool, prep func(*Medium)) legTrace {
 	t.Helper()
 	const (
 		n      = 48
@@ -70,6 +72,9 @@ func runLegWorkload(t *testing.T, idx NeighborIndex, stale bool) legTrace {
 	med, err := NewMedium(s, cfg, sim.NewRNG(3).Stream("mac"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prep != nil {
+		prep(med)
 	}
 	mcfg := mobility.DefaultConfig(vmax)
 	mcfg.Area = geom.Square(side)
@@ -123,6 +128,7 @@ func runLegWorkload(t *testing.T, idx NeighborIndex, stale bool) legTrace {
 		t.Fatal("no station was held mid-leg")
 	}
 	tr.Stats = med.Stats()
+	tr.gateSkips = med.tel.gateSkips
 	return tr
 }
 
@@ -133,8 +139,8 @@ func runLegWorkload(t *testing.T, idx NeighborIndex, stale bool) legTrace {
 // UpdatePosition and a detach/re-attach.
 func TestCachedLegsMatchEndpointReads(t *testing.T) {
 	for _, idx := range []NeighborIndex{IndexScan, IndexGrid} {
-		cached := runLegWorkload(t, idx, false)
-		fresh := runLegWorkload(t, idx, true)
+		cached := runLegWorkload(t, idx, false, nil)
+		fresh := runLegWorkload(t, idx, true, nil)
 		if !reflect.DeepEqual(cached.Stats, fresh.Stats) {
 			t.Errorf("index %d: stats diverged\ncached: %+v\nfresh:  %+v", idx, cached.Stats, fresh.Stats)
 		}
@@ -148,6 +154,33 @@ func TestCachedLegsMatchEndpointReads(t *testing.T) {
 		// endpoint.
 		if cached.reads*10 > fresh.reads {
 			t.Errorf("index %d: cached run asked endpoints %d times, fresh run %d", idx, cached.reads, fresh.reads)
+		}
+	}
+}
+
+// TestCeilingGateMatchesExactMean is the differential check of the
+// mean-RSSI ceiling table: a medium whose every rung is +Inf decides each
+// sample on its exact mean, and must produce exactly the default medium's
+// stats and deliveries under both neighbor indexes.
+func TestCeilingGateMatchesExactMean(t *testing.T) {
+	exact := func(m *Medium) {
+		for k := range m.ceil {
+			m.ceil[k] = math.Inf(1)
+		}
+	}
+	for _, idx := range []NeighborIndex{IndexScan, IndexGrid} {
+		gated := runLegWorkload(t, idx, false, nil)
+		ref := runLegWorkload(t, idx, false, exact)
+		if !reflect.DeepEqual(gated.Stats, ref.Stats) {
+			t.Errorf("index %d: stats diverged\ngated: %+v\nexact: %+v", idx, gated.Stats, ref.Stats)
+		}
+		if !reflect.DeepEqual(gated.Log, ref.Log) {
+			t.Errorf("index %d: delivery logs diverged (%d vs %d deliveries)", idx, len(gated.Log), len(ref.Log))
+		}
+		// The gate has work to do only if noise was drawn for receivers
+		// that then fell below sensitivity.
+		if gated.Stats.Delivered == 0 || gated.Stats.BelowSense <= gated.gateSkips {
+			t.Errorf("index %d: no sampled receiver fell below sensitivity: %+v", idx, gated.Stats)
 		}
 	}
 }

@@ -254,3 +254,50 @@ func TestCaptureLateStrongFrameWins(t *testing.T) {
 		t.Fatalf("late capture failed: got %+v", rx.got)
 	}
 }
+
+// Every rung of the ceiling table must bound the exact mean across its
+// whole meter, densely sampled up to the next rung, and the last rung
+// everything beyond it; a lookup that read rung k+1 would fail at d = k.
+// Each rung also stays within a few margins of the mean at its own
+// distance, so the bound is as tight as the table allows.
+func TestMeanCeilingsBoundMean(t *testing.T) {
+	far := radio.DefaultModel()
+	far.SensitivityDBm, far.MinRSSIDBm = -140, -160 // plausFar past the rung cap
+	offset := radio.DefaultModel()
+	offset.ReferenceDist = 2.5
+	for name, model := range map[string]radio.Model{
+		"default": radio.DefaultModel(), "swarm": swarmModel(), "capped": far, "offset": offset,
+	} {
+		med, err := NewMedium(sim.New(), DefaultConfig(model), sim.NewRNG(1).Stream("mac"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean := med.cfg.Model.MeanRSSI
+		last := len(med.ceil) - 1
+		if pf := math.Sqrt(med.plausFar2); last < maxCeilRungs-1 && float64(last) <= pf {
+			t.Errorf("%s: table ends at %d m, inside plausFar %v", name, last, pf)
+		}
+		if name == "capped" && len(med.ceil) != maxCeilRungs {
+			t.Errorf("capped: %d rungs, want %d", len(med.ceil), maxCeilRungs)
+		}
+		for k := 0; k <= last; k++ {
+			if c := med.ceil[k]; c > mean(float64(k))+4*ceilMarginDB {
+				t.Fatalf("%s: rung %d = %v, loose over the mean %v", name, k, c, mean(float64(k)))
+			}
+			for j := 0; j <= 64; j++ {
+				d := float64(k) + float64(j)/64
+				if j == 64 {
+					d = math.Nextafter(float64(k+1), 0)
+				}
+				if c := med.meanCeil(d); c < mean(d) {
+					t.Fatalf("%s: ceiling %v below MeanRSSI(%v) = %v", name, c, d, mean(d))
+				}
+			}
+		}
+		for _, d := range []float64{float64(last) + 0.5, 2 * float64(last), 1e6, math.MaxFloat64} {
+			if c := med.meanCeil(d); c < mean(d) {
+				t.Fatalf("%s: ceiling %v below MeanRSSI(%v) = %v", name, c, d, mean(d))
+			}
+		}
+	}
+}

@@ -90,6 +90,23 @@ func DefaultModel() Model {
 
 // Validate reports whether the model parameters are physically sensible.
 func (m Model) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"TxPowerDBm", m.TxPowerDBm}, {"RefLossDB", m.RefLossDB},
+		{"ReferenceDist", m.ReferenceDist}, {"PathLossExp", m.PathLossExp},
+		{"ShadowSigmaDB", m.ShadowSigmaDB}, {"MultipathDist", m.MultipathDist},
+		{"MultipathSigmaDB", m.MultipathSigmaDB}, {"MaxSigmaDB", m.MaxSigmaDB},
+		{"DeepFadeProb", m.DeepFadeProb}, {"DeepFadeMeanDB", m.DeepFadeMeanDB},
+		{"SensitivityDBm", m.SensitivityDBm}, {"CaptureThresholdDB", m.CaptureThresholdDB},
+		{"BitrateBps", m.BitrateBps}, {"MinRSSIDBm", m.MinRSSIDBm},
+		{"MaxRSSIDBm", m.MaxRSSIDBm},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("radio: %s %v must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case m.ReferenceDist <= 0:
 		return fmt.Errorf("radio: ReferenceDist %v must be positive", m.ReferenceDist)
@@ -97,10 +114,16 @@ func (m Model) Validate() error {
 		return fmt.Errorf("radio: PathLossExp %v must be positive", m.PathLossExp)
 	case m.BitrateBps <= 0:
 		return fmt.Errorf("radio: BitrateBps %v must be positive", m.BitrateBps)
-	case m.ShadowSigmaDB < 0 || m.MultipathSigmaDB < 0:
+	case m.ShadowSigmaDB < 0 || m.MultipathSigmaDB < 0 || m.MaxSigmaDB < 0:
 		return fmt.Errorf("radio: noise sigmas must be non-negative")
+	case m.MultipathDist <= 0:
+		// FadeSigma divides by it.
+		return fmt.Errorf("radio: MultipathDist %v must be positive", m.MultipathDist)
 	case m.DeepFadeProb < 0 || m.DeepFadeProb > 1:
 		return fmt.Errorf("radio: DeepFadeProb %v out of [0,1]", m.DeepFadeProb)
+	case m.DeepFadeMeanDB < 0:
+		// A negative depth would raise RSSI past MaxPlausibleRSSI.
+		return fmt.Errorf("radio: DeepFadeMeanDB %v must be non-negative", m.DeepFadeMeanDB)
 	case m.MinRSSIDBm >= m.MaxRSSIDBm:
 		return fmt.Errorf("radio: RSSI clamp range inverted")
 	}
@@ -140,12 +163,62 @@ func (m *Model) FadeSigma(d float64) float64 {
 // Gaussian shape of the distance PDF for weak signals (Figure 1(b)).
 // The result is clamped to the card's reporting range.
 func (m *Model) SampleRSSI(d float64, rng *sim.RNG) float64 {
-	r := rng.Normal(m.MeanRSSI(d), m.ShadowSigmaDB)
+	return m.combine(m.MeanRSSI(d), m.drawNoise(d, rng))
+}
+
+// SampleRSSIAbove is SampleRSSI for a caller that only wants samples at or
+// above floor. It makes exactly SampleRSSI's draws, so rng ends at the same
+// position, and ok is false exactly when SampleRSSI would return a value
+// below floor; when ok is true the value is SampleRSSI's, bit for bit. When
+// ok is false the value is only an upper bound on the sample.
+//
+// meanCeil must be at least MeanRSSI(d). The noise is drawn first and
+// combined with meanCeil; since the combination and the clamp are monotone
+// in the mean, a bound below floor proves the sample is too, and the
+// path-loss logarithm is evaluated only for samples the bound cannot
+// decide.
+func (m *Model) SampleRSSIAbove(d, meanCeil, floor float64, rng *sim.RNG) (rssi float64, ok bool) {
+	n := m.drawNoise(d, rng)
+	if r := m.combine(meanCeil, n); r < floor {
+		return r, false
+	}
+	r := m.combine(m.MeanRSSI(d), n)
+	return r, !(r < floor)
+}
+
+// rssiNoise is the randomness of one RSSI sample, drawn before its mean is
+// known.
+type rssiNoise struct {
+	z    float64 // standard-normal shadowing draw
+	fade float64 // multipath fade depth (dB); zero within MultipathDist
+	deep float64 // unit-exponential deep-fade draw; zero when none
+}
+
+// drawNoise makes the draws of one sample at distance d, the only draw
+// sequence SampleRSSI and SampleRSSIAbove share: the shadowing normal,
+// then past MultipathDist the fade normal, the deep-fade Bernoulli and, on
+// a deep fade, its exponential.
+func (m *Model) drawNoise(d float64, rng *sim.RNG) (n rssiNoise) {
+	n.z = rng.StdNormal()
 	if fs := m.FadeSigma(d); fs > 0 {
-		r -= math.Abs(rng.Normal(0, fs))
+		n.fade = math.Abs(rng.Normal(0, fs))
 		if rng.Bool(m.DeepFadeProb) {
-			r -= rng.Exp(m.DeepFadeMeanDB)
+			n.deep = rng.Exp(1)
 		}
+	}
+	return n
+}
+
+// combine turns drawn noise into a clamped RSSI around mean. mean +
+// σ·z is one expression, as in sim.RNG.Normal, and so is the deep-fade
+// product with its subtraction, as in sim.RNG.Exp inlined: any fused
+// multiply-add the compiler forms rounds here as it does there. Every step
+// is monotone non-decreasing in mean.
+func (m *Model) combine(mean float64, n rssiNoise) float64 {
+	r := mean + m.ShadowSigmaDB*n.z
+	r -= n.fade
+	if n.deep != 0 {
+		r -= n.deep * m.DeepFadeMeanDB
 	}
 	return m.ClampRSSI(r)
 }

@@ -25,6 +25,12 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"negative sigma", func(m *Model) { m.ShadowSigmaDB = -1 }},
 		{"fade prob > 1", func(m *Model) { m.DeepFadeProb = 1.5 }},
 		{"inverted clamp", func(m *Model) { m.MinRSSIDBm, m.MaxRSSIDBm = -30, -100 }},
+		{"zero multipath dist", func(m *Model) { m.MultipathDist = 0 }},
+		{"negative multipath dist", func(m *Model) { m.MultipathDist = -40 }},
+		{"negative max sigma", func(m *Model) { m.MaxSigmaDB = -1 }},
+		{"negative deep fade", func(m *Model) { m.DeepFadeMeanDB = -60 }},
+		{"NaN tx power", func(m *Model) { m.TxPowerDBm = math.NaN() }},
+		{"infinite sensitivity", func(m *Model) { m.SensitivityDBm = math.Inf(-1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -243,5 +249,77 @@ func TestDistanceForRSSIMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzSampleRSSIGate checks SampleRSSIAbove against SampleRSSI on twin
+// streams: for any valid model, distance and ceiling at or above the mean,
+// the gated call must agree on whether the sample reaches the floor, return
+// the same bits when it does, and leave its stream where SampleRSSI leaves
+// its twin.
+func FuzzSampleRSSIGate(f *testing.F) {
+	dm := DefaultModel()
+	add := func(seed int64, d, up float64, m Model) {
+		f.Add(seed, d, up, m.TxPowerDBm, m.ShadowSigmaDB, m.MultipathDist, m.MultipathSigmaDB,
+			m.MaxSigmaDB, m.DeepFadeProb, m.DeepFadeMeanDB, m.SensitivityDBm, m.MinRSSIDBm, m.MaxRSSIDBm)
+	}
+	add(1, 20, 0, dm)
+	add(2, 160, 1e-9, dm)
+	add(3, 300, 0.05, dm)
+	add(4, 2000, math.Inf(1), dm)
+	add(5, 0.25, 3, dm)
+	quiet := dm
+	quiet.ShadowSigmaDB, quiet.MaxSigmaDB = 0, 0
+	add(6, 120, 0, quiet)
+	add(7, 80, 0.5, quiet)
+	floored := dm
+	floored.MinRSSIDBm = floored.SensitivityDBm // every sample clamps to >= floor
+	add(8, 400, 0, floored)
+	always := dm
+	always.DeepFadeProb = 1
+	add(9, 90, 1e-6, always)
+	f.Fuzz(func(t *testing.T, seed int64, d, up, tx, shadow, mpDist, mpSigma, maxSigma,
+		deepProb, deepMean, sens, minRSSI, maxRSSI float64) {
+		m := DefaultModel()
+		m.TxPowerDBm, m.ShadowSigmaDB, m.MultipathDist, m.MultipathSigmaDB = tx, shadow, mpDist, mpSigma
+		m.MaxSigmaDB, m.DeepFadeProb, m.DeepFadeMeanDB = maxSigma, deepProb, deepMean
+		m.SensitivityDBm, m.MinRSSIDBm, m.MaxRSSIDBm = sens, minRSSI, maxRSSI
+		if m.Validate() != nil || !(d >= 0) || math.IsInf(d, 1) || math.IsNaN(up) {
+			return
+		}
+		ceil := m.MeanRSSI(d) + math.Abs(up)
+		exact := sim.NewRNG(seed).Stream("rssi")
+		gated := sim.NewRNG(seed).Stream("rssi")
+		want := m.SampleRSSI(d, exact)
+		got, ok := m.SampleRSSIAbove(d, ceil, m.SensitivityDBm, gated)
+		if wantOK := !(want < m.SensitivityDBm); ok != wantOK {
+			t.Fatalf("d=%v ceil=%v: above-floor = %v, SampleRSSI %v says %v", d, ceil, ok, want, wantOK)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d=%v ceil=%v: gated sample %v, SampleRSSI %v", d, ceil, got, want)
+		}
+		if !ok && got < want {
+			t.Fatalf("d=%v ceil=%v: bound %v below the sample %v", d, ceil, got, want)
+		}
+		if a, b := exact.Float64(), gated.Float64(); a != b {
+			t.Fatalf("d=%v: streams diverged after the sample (%v vs %v)", d, a, b)
+		}
+	})
+}
+
+// Below the floor, the ceiling decides without the exact mean: a ceiling
+// that is far too low (violating the contract) shows the shortcut was
+// taken, while the draws still match SampleRSSI's.
+func TestSampleRSSIAboveShortCircuits(t *testing.T) {
+	m := DefaultModel()
+	a, b := sim.NewRNG(11).Stream("x"), sim.NewRNG(11).Stream("x")
+	for i := 0; i < 200; i++ {
+		m.SampleRSSI(100, a)
+		if _, ok := m.SampleRSSIAbove(100, -1000, m.SensitivityDBm, b); ok {
+			t.Fatal("a ceiling of -1000 dBm reached sensitivity")
+		}
+	}
+	if a.Float64() != b.Float64() {
+		t.Fatal("short-circuited samples drew differently from SampleRSSI")
 	}
 }

@@ -203,6 +203,10 @@ func TestSubmitErrorMapping(t *testing.T) {
 	tickless := quickCfg(1)
 	tickless.Mode = cocoa.ModeOdometryOnly
 	tickless.DurationS = 0.5
+	// A fade model that divides by zero: once a 202 and a job that
+	// silently delivered no frames, now a validation error.
+	fade := quickCfg(1)
+	fade.Radio.MultipathDist = 0
 	cfg := quickCfg(1)
 	cases := []struct {
 		name      string
@@ -215,6 +219,7 @@ func TestSubmitErrorMapping(t *testing.T) {
 		{"infinite area", JobRequest{Config: &inf}, http.StatusBadRequest, "Area", ""},
 		{"inverted rest range", JobRequest{Config: &rest}, http.StatusBadRequest, "RestMaxS", ""},
 		{"no sampling tick", JobRequest{Config: &tickless}, http.StatusBadRequest, "SampleIntervalS", ""},
+		{"zero multipath distance", JobRequest{Config: &fade}, http.StatusBadRequest, "Radio", ""},
 		{"neither", JobRequest{}, http.StatusBadRequest, "", "exactly one"},
 		{"both", JobRequest{Config: &cfg, Experiment: "fig9"}, http.StatusBadRequest, "", "exactly one"},
 		{"unknown experiment", JobRequest{Experiment: "fig99"}, http.StatusBadRequest, "", "unknown experiment"},

@@ -160,6 +160,12 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
+// StdNormal returns the standard-normal draw Normal scales: Normal(mean,
+// stddev) consumes exactly one StdNormal and returns mean + stddev*z. A
+// caller that writes that expression itself reproduces Normal's bits while
+// choosing mean after the draw.
+func (g *RNG) StdNormal() float64 { return g.r.NormFloat64() }
+
 // Exp returns an exponential sample with the given mean.
 func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean

@@ -291,6 +291,18 @@ func TestRNGStreamN(t *testing.T) {
 	}
 }
 
+// Normal(mean, stddev) is mean + stddev*StdNormal() on a twin stream, bit
+// for bit, one draw each.
+func TestStdNormalScalesToNormal(t *testing.T) {
+	a, b := NewRNG(3).Stream("n"), NewRNG(3).Stream("n")
+	for i := 0; i < 1000; i++ {
+		mean, sd := float64(i%7)-90.5, 0.25+float64(i%5)
+		if got, want := mean+sd*b.StdNormal(), a.Normal(mean, sd); got != want {
+			t.Fatalf("draw %d: %v, Normal gives %v", i, got, want)
+		}
+	}
+}
+
 func TestRNGDistributionsSanity(t *testing.T) {
 	g := NewRNG(1)
 	const n = 20000
