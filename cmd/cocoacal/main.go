@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"cocoa/internal/caltable"
@@ -37,6 +38,9 @@ func run(args []string, w io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*step > 0) || math.IsInf(*step, 1) {
+		return fmt.Errorf("-step %v: want a finite step above 0 m", *step)
 	}
 
 	model := radio.DefaultModel()

@@ -68,3 +68,14 @@ func TestBadFlagRejected(t *testing.T) {
 		t.Fatal("accepted unknown flag")
 	}
 }
+
+// A step that is zero, negative, infinite or NaN would never advance the
+// curve loop past MaxDist; it is a flag error before any calibration runs.
+func TestBadStepRejected(t *testing.T) {
+	for _, step := range []string{"0", "-0.5", "NaN", "+Inf"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-rssi", "-70", "-step", step}, &buf); err == nil {
+			t.Errorf("-step %s accepted", step)
+		}
+	}
+}

@@ -113,7 +113,7 @@ func runSmoke(srv *serve.Server, goldenPath string) error {
 		return err
 	}
 
-	got, err := json.MarshalIndent(scenario.Summarize(&res), "", "  ")
+	got, err := json.MarshalIndent(res.Summary(), "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,6 @@
 // Command cocoasim runs a single CoCoA deployment and prints the
-// localization-error time series plus a run summary.
+// localization-error time series plus a run summary as text, the series
+// alone as CSV (-csv), or the summary as JSON (-json).
 //
 // Examples:
 //
@@ -10,19 +11,112 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 
 	"cocoa"
+	icocoa "cocoa/internal/cocoa"
 	"cocoa/internal/eventlog"
 	"cocoa/internal/obs"
-	"cocoa/internal/trace"
 )
+
+// summary is the -json schema: an echo of the run's config, the
+// Result.Summary every other tool writes (embedded, so the JSON stays
+// flat), and the run values that projection leaves out. A ratio whose
+// denominator is zero — no RF windows, no energy spent, reporting off —
+// is undefined and left out.
+type summary struct {
+	Mode             string  `json:"mode"`
+	Localizer        string  `json:"localizer"`
+	NumRobots        int     `json:"numRobots"`
+	NumEquipped      int     `json:"numEquipped"`
+	VMaxMps          float64 `json:"vmaxMps"`
+	BeaconPeriodS    float64 `json:"beaconPeriodS"`
+	TransmitPeriodS  float64 `json:"transmitPeriodS"`
+	BeaconsPerWindow int     `json:"beaconsPerWindow"`
+	DurationS        float64 `json:"durationS"`
+	Seed             int64   `json:"seed"`
+	Coordinated      bool    `json:"coordinated"`
+
+	icocoa.Summary
+
+	FixRate          *float64 `json:"fixRate,omitempty"`
+	EnergySavings    *float64 `json:"energySavings,omitempty"`
+	ReportsSent      int      `json:"reportsSent"`
+	ReportsDelivered int      `json:"reportsDelivered"`
+	ReportDelivery   *float64 `json:"reportDelivery,omitempty"`
+	MRMMDataSent     int      `json:"mrmmDataSent"`
+	MRMMForwarders   int      `json:"mrmmForwarders"`
+	MRMMQueriesSent  int      `json:"mrmmQueriesSent"`
+	MRMMDataDelivers int      `json:"mrmmDataDelivers"`
+}
+
+// summarize builds the -json summary of a finished run.
+func summarize(res *cocoa.Result) summary {
+	cfg := res.Config
+	return summary{
+		Mode:             cfg.Mode.String(),
+		Localizer:        cfg.Localizer.String(),
+		NumRobots:        cfg.NumRobots,
+		NumEquipped:      cfg.NumEquipped,
+		VMaxMps:          cfg.VMax,
+		BeaconPeriodS:    cfg.BeaconPeriodS,
+		TransmitPeriodS:  cfg.TransmitPeriodS,
+		BeaconsPerWindow: cfg.BeaconsPerWindow,
+		DurationS:        cfg.DurationS,
+		Seed:             cfg.Seed,
+		Coordinated:      cfg.Coordinated,
+
+		Summary: res.Summary(),
+
+		FixRate:          defined(res.FixRate()),
+		EnergySavings:    defined(res.EnergySavings()),
+		ReportsSent:      res.ReportsSent,
+		ReportsDelivered: res.ReportsDelivered,
+		ReportDelivery:   defined(res.ReportDeliveryRate()),
+		MRMMDataSent:     res.MRMM.DataSent,
+		MRMMForwarders:   res.MRMM.BecameForwarder,
+		MRMMQueriesSent:  res.MRMM.QueriesSent,
+		MRMMDataDelivers: res.MRMM.DataDelivered,
+	}
+}
+
+// defined returns nil for a NaN ratio, so omitempty drops it.
+func defined(x float64) *float64 {
+	if math.IsNaN(x) {
+		return nil
+	}
+	return &x
+}
+
+// writeCSV writes a header row, then one row per sample instant: the
+// time to 3 decimals and each column's value at that instant to 6.
+func writeCSV(w io.Writer, header []string, times []float64, cols [][]float64) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	rec := make([]string, len(header))
+	for k, t := range times {
+		rec[0] = strconv.FormatFloat(t, 'f', 3, 64)
+		for i, col := range cols {
+			rec[i+1] = strconv.FormatFloat(col[k], 'f', 6, 64)
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
 
 // writeFile creates path and streams content through fn.
 func writeFile(path string, fn func(io.Writer) error) error {
@@ -66,7 +160,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		terrain     = fs.Float64("terrain", 0, "terrain roughness amplitude (0 = smooth)")
 		uncoord     = fs.Bool("no-coordination", false, "radios idle instead of sleeping")
 		secondary   = fs.Bool("secondary", false, "localized unequipped robots also beacon")
-		csv         = fs.Bool("csv", false, "emit the full per-second series as CSV")
+		csvOut      = fs.Bool("csv", false, "emit the full per-second series as CSV instead of text")
 		jsonOut     = fs.Bool("json", false, "emit the run summary as JSON instead of text")
 		seriesFile  = fs.String("series", "", "also write the error series CSV to this file")
 		eventsFile  = fs.String("events", "", "also write a JSONL event log to this file")
@@ -78,6 +172,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	logOpts := obs.AddLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *sampleEvery < 1 {
+		return fmt.Errorf("-every %d: want at least 1", *sampleEvery)
 	}
 	logger, err := logOpts.NewLogger(os.Stderr)
 	if err != nil {
@@ -168,34 +265,38 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		logger.Info("trace written", "path", *traceOut, "events", tracer.Len())
 	}
 
+	// The average-error series, written identically to -series and -csv.
+	series := func(w io.Writer) error {
+		return writeCSV(w, []string{"time_s", "avg_error_m"}, res.Times, [][]float64{res.AvgError})
+	}
 	if *seriesFile != "" {
-		if err := writeFile(*seriesFile, func(f io.Writer) error {
-			return trace.WriteSeriesCSV(f, res)
-		}); err != nil {
+		if err := writeFile(*seriesFile, series); err != nil {
 			return err
 		}
 	}
 	if *robotsFile != "" {
+		header := []string{"time_s"}
+		for _, id := range res.TrackedIDs {
+			header = append(header, "robot_"+strconv.Itoa(id))
+		}
 		if err := writeFile(*robotsFile, func(f io.Writer) error {
-			return trace.WritePerRobotCSV(f, res)
+			return writeCSV(f, header, res.Times, res.PerRobot)
 		}); err != nil {
 			return err
 		}
 	}
 	if *jsonOut {
-		return trace.WriteSummaryJSON(w, res)
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(summarize(res))
+	}
+	if *csvOut {
+		return series(w)
 	}
 
-	if *csv {
-		fmt.Fprintln(w, "time_s,avg_error_m")
-		for i := range res.Times {
-			fmt.Fprintf(w, "%.0f,%.4f\n", res.Times[i], res.AvgError[i])
-		}
-	} else {
-		fmt.Fprintf(w, "time(s)  avg error (m)\n")
-		for i := 0; i < len(res.Times); i += *sampleEvery {
-			fmt.Fprintf(w, "%7.0f  %8.2f\n", res.Times[i], res.AvgError[i])
-		}
+	fmt.Fprintf(w, "time(s)  avg error (m)\n")
+	for i := 0; i < len(res.Times); i += *sampleEvery {
+		fmt.Fprintf(w, "%7.0f  %8.2f\n", res.Times[i], res.AvgError[i])
 	}
 
 	fmt.Fprintf(w, "\nmode=%s robots=%d equipped=%d vmax=%.1f T=%.0fs t=%.0fs k=%d seed=%d\n",

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -85,6 +88,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-no-such-flag"}, &buf); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+	// A print cadence below 1 would never advance (0) or index before the
+	// series (negative); it is rejected before any run starts.
+	for _, every := range []string{"0", "-1"} {
+		if err := run(context.Background(), fastArgs("-every", every), &buf); err == nil {
+			t.Errorf("-every %s accepted", every)
+		}
 	}
 }
 
@@ -322,5 +332,240 @@ func TestRunRejectsBadLogFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), fastArgs("-log-level", "loud"), &buf); err == nil {
 		t.Error("unknown -log-level accepted")
+	}
+}
+
+// runOut runs cocoasim with args and returns its stdout.
+func runOut(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatalf("cocoasim %s: %v", strings.Join(args, " "), err)
+	}
+	return buf.Bytes()
+}
+
+// runResult runs the Config cocoasim assembles from args through the
+// library, giving the Result behind cocoasim's output for those flags.
+func runResult(t *testing.T, args ...string) *cocoa.Result {
+	t.Helper()
+	var cfg cocoa.Config
+	if err := json.Unmarshal(runOut(t, append(args, "-print-config")...), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cocoa.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// readCSV parses a CSV cocoasim wrote; encoding/csv rejects ragged rows.
+func readCSV(t *testing.T, data []byte) [][]string {
+	t.Helper()
+	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) == 0 {
+		t.Fatal("empty CSV")
+	}
+	return records
+}
+
+// parseFloat parses one CSV cell, failing the test on malformed input.
+func parseFloat(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// -json decodes into the summary type and re-encodes to the same bytes,
+// and its embedded part is exactly the Result.Summary of the same config.
+func TestRunJSONRoundTrip(t *testing.T) {
+	out := runOut(t, fastArgs("-json")...)
+	dec := json.NewDecoder(bytes.NewReader(out))
+	dec.DisallowUnknownFields()
+	var got summary
+	if err := dec.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(again, '\n')) != string(out) {
+		t.Errorf("re-encoded summary differs:\n%s\nwant:\n%s", again, out)
+	}
+	res := runResult(t, fastArgs()...)
+	if got.Summary != res.Summary() {
+		t.Errorf("embedded summary %+v, want Result.Summary %+v", got.Summary, res.Summary())
+	}
+	if got.Mode != "cocoa" || got.Localizer != "grid" || got.NumRobots != 10 || got.Seed != 1 {
+		t.Errorf("config echo: %+v", got)
+	}
+	if got.FixRate == nil || *got.FixRate != res.FixRate() ||
+		got.EnergySavings == nil || *got.EnergySavings != res.EnergySavings() {
+		t.Errorf("ratios fixRate=%v energySavings=%v, want %v %v",
+			got.FixRate, got.EnergySavings, res.FixRate(), res.EnergySavings())
+	}
+}
+
+// The -json keys are the config echo, every Result.Summary key and the
+// extras; the keys of the summary that predates the shared projection
+// keep their names, except macFramesSent, which is now macSent.
+func TestRunJSONKeys(t *testing.T) {
+	want := []string{
+		"mode", "localizer", "numRobots", "numEquipped", "vmaxMps", "beaconPeriodS",
+		"transmitPeriodS", "beaconsPerWindow", "durationS", "seed", "coordinated",
+		"meanErrorM", "maxAvgErrorM", "finalAvgErrorM", "samples",
+		"fixes", "missedWindows", "beaconsApplied", "syncsReceived",
+		"totalEnergyJ", "noSleepEnergyJ",
+		"macSent", "macDelivered", "macCollided", "macMissedAsleep",
+		"faultDrops", "crashes",
+		"fixRate", "energySavings", "reportsSent", "reportsDelivered",
+		"mrmmDataSent", "mrmmForwarders", "mrmmQueriesSent", "mrmmDataDelivers",
+	}
+	dec := json.NewDecoder(bytes.NewReader(runOut(t, fastArgs("-json")...)))
+	var got []string
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			break
+		}
+		if key, ok := tok.(string); ok && dec.More() {
+			got = append(got, key)
+			if _, err := dec.Token(); err != nil { // the value
+				t.Fatal(err)
+			}
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("keys:\n%v\nwant:\n%v", got, want)
+	}
+}
+
+// Every mode and localizer yields valid JSON. An odometry-only run has no
+// RF windows, so its undefined fix rate is left out rather than NaN.
+func TestRunJSONAllModes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mode", "odometry"}, {"-mode", "rf"}, {"-mode", "cocoa"},
+		{"-localizer", "grid"}, {"-localizer", "particle"}, {"-localizer", "ekf"},
+	} {
+		out := runOut(t, fastArgs(append(args, "-json")...)...)
+		var got map[string]any
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		_, hasFix := got["fixRate"]
+		if hasFix == (args[1] == "odometry") {
+			t.Errorf("%v: fixRate present=%v", args, hasFix)
+		}
+	}
+}
+
+// With reporting on, the summary carries the report counters and their
+// delivery rate; with it off, the undefined rate is left out.
+func TestSummaryCarriesReporting(t *testing.T) {
+	res := runResult(t, fastArgs()...)
+	if s := summarize(res); s.ReportsSent != 0 || s.ReportDelivery != nil {
+		t.Errorf("reporting off: sent=%d delivery=%v", s.ReportsSent, s.ReportDelivery)
+	}
+	cfg := res.Config
+	cfg.EnableReporting = true
+	res, err := cocoa.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := summarize(res)
+	if s.ReportsSent == 0 {
+		t.Fatal("summary lost the reporting counters")
+	}
+	if s.ReportDelivery == nil || *s.ReportDelivery <= 0 || *s.ReportDelivery > 1 {
+		t.Errorf("ReportDelivery = %v", s.ReportDelivery)
+	}
+	out, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), `"reportDelivery"`) {
+		t.Errorf("JSON missing reportDelivery: %s", out)
+	}
+}
+
+// -csv on stdout and the -series file are the same bytes, and they parse
+// back to the Result's series at their printed precision.
+func TestRunSeriesCSVRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "series.csv")
+	stdout := runOut(t, fastArgs("-csv", "-series", path)...)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout, file) {
+		t.Fatalf("-csv stdout differs from -series file:\n%.200s\nwant:\n%.200s", stdout, file)
+	}
+	records := readCSV(t, file)
+	if strings.Join(records[0], ",") != "time_s,avg_error_m" {
+		t.Fatalf("header %v", records[0])
+	}
+	res := runResult(t, fastArgs()...)
+	if len(records)-1 != len(res.Times) {
+		t.Fatalf("%d rows, want %d", len(records)-1, len(res.Times))
+	}
+	for k, rec := range records[1:] {
+		if math.Abs(parseFloat(t, rec[0])-res.Times[k]) > 1e-3 ||
+			math.Abs(parseFloat(t, rec[1])-res.AvgError[k]) > 1e-6 {
+			t.Fatalf("row %d = %v, want %v,%v", k, rec, res.Times[k], res.AvgError[k])
+		}
+	}
+}
+
+func TestRunPerRobotCSVShape(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "robots.csv")
+	runOut(t, fastArgs("-robots-out", path)...)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := readCSV(t, data)
+	res := runResult(t, fastArgs()...)
+	if len(records) != len(res.Times)+1 {
+		t.Fatalf("%d lines, want %d", len(records), len(res.Times)+1)
+	}
+	header := records[0]
+	if len(header) != len(res.TrackedIDs)+1 || header[0] != "time_s" || !strings.HasPrefix(header[1], "robot_") {
+		t.Fatalf("header %v, want time_s and %d robot columns", header, len(res.TrackedIDs))
+	}
+}
+
+// The per-robot matrix parses back to the Result: one robot_<id> column
+// per tracked robot in order, one row per sample instant.
+func TestRunPerRobotCSVRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "robots.csv")
+	runOut(t, fastArgs("-robots-out", path)...)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := readCSV(t, data)
+	res := runResult(t, fastArgs()...)
+	for i, id := range res.TrackedIDs {
+		if col := records[0][i+1]; col != "robot_"+strconv.Itoa(id) {
+			t.Fatalf("column %d = %q, want robot_%d", i+1, col, id)
+		}
+	}
+	for k, rec := range records[1:] {
+		if math.Abs(parseFloat(t, rec[0])-res.Times[k]) > 1e-3 {
+			t.Fatalf("time[%d] = %s, want %v", k, rec[0], res.Times[k])
+		}
+		for i := range res.TrackedIDs {
+			if v := parseFloat(t, rec[i+1]); math.Abs(v-res.PerRobot[i][k]) > 1e-6 {
+				t.Fatalf("robot %d sample %d = %v, want %v", i, k, v, res.PerRobot[i][k])
+			}
+		}
 	}
 }

@@ -210,3 +210,59 @@ func (r *Result) UncoveredFraction() float64 {
 	}
 	return float64(r.MissedWindows) / float64(total)
 }
+
+// Summary is the one projection of a Result the repo writes out: the
+// headline metrics each figure family reports, plus protocol counters
+// sensitive to ordering bugs. The golden regression suite and the service
+// smoke test (cocoad -smoke) compare it byte for byte against
+// internal/scenario/testdata/golden_*.json, and cocoasim -json embeds it.
+// Floats are stored at full precision — runs are bit-deterministic, so
+// exact equality is the right bar.
+type Summary struct {
+	MeanErrorM     float64 `json:"meanErrorM"`
+	MaxAvgErrorM   float64 `json:"maxAvgErrorM"`
+	FinalAvgErrorM float64 `json:"finalAvgErrorM"`
+	Samples        int     `json:"samples"`
+
+	Fixes          int `json:"fixes"`
+	MissedWindows  int `json:"missedWindows"`
+	BeaconsApplied int `json:"beaconsApplied"`
+	SyncsReceived  int `json:"syncsReceived"`
+
+	TotalEnergyJ   float64 `json:"totalEnergyJ"`
+	NoSleepEnergyJ float64 `json:"noSleepEnergyJ"`
+
+	MACSent         int `json:"macSent"`
+	MACDelivered    int `json:"macDelivered"`
+	MACCollided     int `json:"macCollided"`
+	MACMissedAsleep int `json:"macMissedAsleep"`
+
+	FaultDrops int `json:"faultDrops"`
+	Crashes    int `json:"crashes"`
+}
+
+// Summary reduces the result to its Summary.
+func (r *Result) Summary() Summary {
+	final := 0.0
+	if n := len(r.AvgError); n > 0 {
+		final = r.AvgError[n-1]
+	}
+	return Summary{
+		MeanErrorM:      r.MeanError(),
+		MaxAvgErrorM:    r.MaxAvgError(),
+		FinalAvgErrorM:  final,
+		Samples:         len(r.Times),
+		Fixes:           r.Fixes,
+		MissedWindows:   r.MissedWindows,
+		BeaconsApplied:  r.BeaconsApplied,
+		SyncsReceived:   r.SyncsReceived,
+		TotalEnergyJ:    r.TotalEnergyJ,
+		NoSleepEnergyJ:  r.NoSleepEnergyJ,
+		MACSent:         r.MAC.Sent,
+		MACDelivered:    r.MAC.Delivered,
+		MACCollided:     r.MAC.Collided,
+		MACMissedAsleep: r.MAC.MissedAsleep,
+		FaultDrops:      r.FaultDrops,
+		Crashes:         r.Crashes,
+	}
+}

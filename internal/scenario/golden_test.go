@@ -27,7 +27,7 @@ func TestGoldenRegression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.MarshalIndent(Summarize(res), "", "  ")
+			got, err := json.MarshalIndent(res.Summary(), "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
