@@ -223,16 +223,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return enc.Encode(cfg)
 	}
 
-	var tracer *cocoa.Trace
-	if *traceOut != "" {
-		tracer = cocoa.NewTrace()
-		cfg.Trace = tracer
-	}
-
-	team, err := cocoa.NewTeam(cfg)
-	if err != nil {
-		return err
-	}
+	// The run's event sinks share its one Observer: the -events log and the
+	// -trace-out renderer read the same stream.
+	var sinks []icocoa.Observer
 	var evWriter *eventlog.Writer
 	var evFile *os.File
 	if *eventsFile != "" {
@@ -242,9 +235,21 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		defer evFile.Close()
 		evWriter = eventlog.NewWriter(evFile)
-		team.Observe(evWriter.Observer())
+		sinks = append(sinks, evWriter.Observer())
 	}
-	res, err := team.RunContext(ctx)
+	var trace *eventlog.Trace
+	if *traceOut != "" {
+		trace = eventlog.NewTrace(cfg, "")
+		sinks = append(sinks, trace.Observer())
+	}
+	if len(sinks) > 0 {
+		cfg.Observer = func(e icocoa.Event) {
+			for _, sink := range sinks {
+				sink(e)
+			}
+		}
+	}
+	res, err := cocoa.RunContext(ctx, cfg)
 	if err != nil {
 		if evFile != nil {
 			// An interrupted or failed run leaves no partial event log.
@@ -258,11 +263,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if tracer != nil {
-		if err := writeFile(*traceOut, tracer.WriteJSON); err != nil {
+	if trace != nil {
+		events := trace.Events()
+		if err := writeFile(*traceOut, func(w io.Writer) error { return obs.WriteTrace(w, events) }); err != nil {
 			return err
 		}
-		logger.Info("trace written", "path", *traceOut, "events", tracer.Len())
+		logger.Info("trace written", "path", *traceOut, "events", len(events))
 	}
 
 	// The average-error series, written identically to -series and -csv.

@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"cocoa"
+	icocoa "cocoa/internal/cocoa"
+	"cocoa/internal/eventlog"
 )
 
 // fastArgs shrinks a run so the CLI tests stay quick.
@@ -313,6 +315,61 @@ func TestRunTraceOut(t *testing.T) {
 	for _, want := range []string{"run", "sampling-window", "mac-frame", "belief-update"} {
 		if !names[want] {
 			t.Errorf("trace missing %q span", want)
+		}
+	}
+}
+
+// -events and -trace-out are two views of one event stream: every trace
+// record of a run stands for one of its logged events.
+func TestRunEventsAndTraceAreOneStream(t *testing.T) {
+	dir := t.TempDir()
+	evPath, trPath := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "run.trace.json")
+	var buf bytes.Buffer
+	if err := run(context.Background(), fastArgs("-events", evPath, "-trace-out", trPath, "-json"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	evFile, err := os.Open(evPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evFile.Close()
+	events, err := eventlog.Read(evFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trFile, err := os.Open(trPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trFile.Close()
+	records, err := cocoa.ReadTrace(trFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stats := eventlog.Stats(events)
+	updates := 0
+	for _, e := range events {
+		if (e.Kind == icocoa.EventFix || e.Kind == icocoa.EventFixMissed) && e.Beacons > 0 {
+			updates++
+		}
+	}
+	spans := map[string]int{}
+	for _, r := range records {
+		if r.Phase != "E" {
+			spans[r.Name]++
+		}
+	}
+	for _, c := range []struct {
+		span string
+		want int
+	}{
+		{"mac-frame", stats[icocoa.EventBeaconSent]},
+		{"belief-update", updates},
+		{"sampling-window", stats[icocoa.EventWindowStart]},
+	} {
+		if c.want == 0 || spans[c.span] != c.want {
+			t.Errorf("%d %s records in the trace, want %d from the event log", spans[c.span], c.span, c.want)
 		}
 	}
 }

@@ -118,27 +118,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 func ReleaseResult(res *Result) { icocoa.ReleaseResult(res) }
 
 // Observability: a run with Config.Progress set publishes its live tick
-// position through a lock-free gauge, and one with Config.Trace set
-// records a span timeline exportable as Chrome trace-event JSON (load it
-// in Perfetto). Both record, never steer — results are byte-identical
-// with either attached or not. See DESIGN.md §15.
+// position through a lock-free gauge, and one with Config.Observer set
+// hands every run event (window start/end, beacon sent, fix, sleep/wake,
+// faults) to that function in virtual-time order — the one event stream
+// behind cocoasim's -events log and the span traces of cocoasim
+// -trace-out and cocoad, rendered as Chrome trace-event JSON (load it in
+// Perfetto). Both record, never steer — results are byte-identical with
+// either attached or not. See DESIGN.md §15.
 type (
 	// Progress is the lock-free live-position gauge (Config.Progress,
 	// ExperimentOptions.Gauge): current sampling tick, sweep run index,
 	// and a wall-clock ETA derived at read time.
 	Progress = obs.Progress
-	// Trace records hierarchical run spans on the simulation's virtual
-	// clock (Config.Trace); WriteJSON emits Chrome trace-event JSON.
-	Trace = obs.Trace
 	// TraceEvent is one record of an exported trace.
 	TraceEvent = obs.TraceEvent
 )
 
-// NewTrace returns an empty span recorder for Config.Trace.
-func NewTrace() *Trace { return obs.NewTrace() }
-
-// ReadTrace strictly decodes Chrome trace-event JSON written by
-// Trace.WriteJSON, verifying phases and begin/end span balance.
+// ReadTrace strictly decodes a run's span trace (Chrome trace-event JSON),
+// verifying phases and begin/end span balance.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) { return obs.ReadTrace(r) }
 
 // Config validation errors. Validate (and therefore NewTeam, Run,

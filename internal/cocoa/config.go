@@ -200,13 +200,13 @@ type Config struct {
 	// are byte-identical (DESIGN.md §15).
 	Progress *obs.Progress `json:"-"`
 
-	// Trace, when non-nil, records the run's span timeline (run →
-	// sampling-window → {mac-frame, belief-update}) on the
-	// simulation's virtual clock for export as Chrome trace-event JSON.
-	// Excluded from JSON for the same reason as Progress; the recorder is
-	// append-only and nothing in the run reads it back, so tracing never
-	// steers results (DESIGN.md §15).
-	Trace *obs.Trace `json:"-"`
+	// Observer, when non-nil, receives every event of the run in
+	// virtual-time order (see Event): the one way to attach to a run's
+	// events. internal/eventlog turns the stream into a JSONL log and a
+	// span trace. Excluded from JSON for the same reason as Progress; it
+	// is write-only for the simulation, so observing never steers results
+	// (DESIGN.md §15).
+	Observer Observer `json:"-"`
 
 	// Faults injects unreliable-network conditions: bursty link loss,
 	// robot crash/recovery outages, RSSI outlier spikes, and per-robot

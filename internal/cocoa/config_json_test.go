@@ -17,12 +17,12 @@ func TestOperationalFieldsExcludedFromJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Progress = &obs.Progress{}
-	cfg.Trace = obs.NewTrace()
+	cfg.Observer = func(Event) {}
 	tapped, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(plain) != string(tapped) {
-		t.Fatal("Progress or Trace leaks into config JSON")
+		t.Fatal("Progress or Observer leaks into config JSON")
 	}
 }

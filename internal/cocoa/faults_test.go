@@ -76,20 +76,16 @@ func TestCrashRecoveryCycle(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults.CrashFraction = 0.25
 	cfg.Faults.CrashMeanDownS = 60
-	team, err := NewTeam(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	crashes, recovers := map[int]int{}, map[int]int{}
-	team.Observe(func(e Event) {
+	cfg.Observer = func(e Event) {
 		switch e.Kind {
 		case EventCrash:
 			crashes[e.Robot]++
 		case EventRecover:
 			recovers[e.Robot]++
 		}
-	})
-	res, err := team.Run()
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +116,13 @@ func TestCrashRecoveryCycle(t *testing.T) {
 func TestPermanentCrashes(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults.CrashFraction = 0.25
-	team, err := NewTeam(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recovered := 0
-	team.Observe(func(e Event) {
+	cfg.Observer = func(e Event) {
 		if e.Kind == EventRecover {
 			recovered++
 		}
-	})
-	res, err := team.Run()
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,96 +1,140 @@
-package cocoa
+package cocoa_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"cocoa/internal/cocoa"
+	"cocoa/internal/eventlog"
 	"cocoa/internal/obs"
 	"cocoa/internal/telemetry"
 )
 
+// obsConfig is the small deployment the observability suites run, with
+// the intra-run worker count pinned.
+func obsConfig(workers int) cocoa.Config {
+	cfg := cocoa.DefaultConfig()
+	cfg.NumRobots = 12
+	cfg.NumEquipped = 6
+	cfg.DurationS = 300
+	cfg.BeaconPeriodS = 50
+	cfg.GridCellM = 4
+	cfg.Calibration.Samples = 60000
+	cfg.UpdateWorkers = workers
+	return cfg
+}
+
+// traceJSON serializes a rendered trace and requires it to pass the strict
+// decoder with every span kind a run of obsConfig produces.
+func traceJSON(t *testing.T, tr *eventlog.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf, tr.Events()); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	events, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("trace does not round-trip balanced: %v", err)
+	}
+	names := map[string]bool{}
+	for _, ev := range events {
+		names[ev.Name] = true
+	}
+	for _, want := range []string{"run", "sampling-window", "mac-frame", "belief-update"} {
+		if !names[want] {
+			t.Errorf("trace has no %q record", want)
+		}
+	}
+	return buf.Bytes()
+}
+
 // The observability layer inherits telemetry's prime directive: progress
-// publication and span tracing record, they never steer. Attaching both
-// must not perturb a single bit of any Result — nor the run's telemetry —
-// at any intra-run worker count. (make check runs this under
-// -race, which also exercises the progress gauge against concurrent
-// readers of the serve layer's shape.)
+// publication and the event stream behind the span trace record, they
+// never steer. Attaching both must not perturb a single bit of any Result
+// — nor the run's telemetry — at any intra-run worker count. (make check
+// runs this under -race, which also exercises the progress gauge against
+// concurrent readers of the serve layer's shape.)
 func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 	t.Parallel()
 	type outcome struct {
-		result     *Result
+		result     *cocoa.Result
 		resultJSON string
 		telemetry  telemetry.Snapshot
 	}
 	run := func(workers int, withObs bool) outcome {
-		cfg := testConfig()
-		cfg.UpdateWorkers = workers
+		cfg := obsConfig(workers)
 		var progress *obs.Progress
+		var trace *eventlog.Trace
 		if withObs {
 			progress = &obs.Progress{}
 			cfg.Progress = progress
-			cfg.Trace = obs.NewTrace()
+			trace = eventlog.NewTrace(cfg, "")
+			cfg.Observer = trace.Observer()
 		}
-		b, res, tel := runTelemetry(t, cfg, nil)
+		// A new slot each time, so slot warmth cannot differ between the
+		// runs compared.
+		team, err := cocoa.NewTeamContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := team.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if withObs {
 			// The run must have actually published and recorded.
 			tick, total := progress.Ticks()
 			if total == 0 || tick != total {
 				t.Errorf("workers=%d: progress ended at %d/%d, want full", workers, tick, total)
 			}
-			if cfg.Trace.Len() == 0 {
-				t.Errorf("workers=%d: trace recorded no events", workers)
-			}
-			var buf bytes.Buffer
-			if err := cfg.Trace.WriteJSON(&buf); err != nil {
-				t.Fatalf("workers=%d: WriteJSON: %v", workers, err)
-			}
-			if _, err := obs.ReadTrace(&buf); err != nil {
-				t.Errorf("workers=%d: trace does not round-trip balanced: %v", workers, err)
-			}
+			traceJSON(t, trace)
 		}
-		return outcome{result: res, resultJSON: string(b), telemetry: tel}
+		return outcome{result: res, resultJSON: string(b), telemetry: team.Telemetry()}
 	}
 
 	for _, workers := range []int{1, 8} {
 		off := run(workers, false)
 		on := run(workers, true)
 		if off.resultJSON != on.resultJSON {
-			t.Errorf("UpdateWorkers=%d: Result differs with progress+tracing attached", workers)
+			t.Errorf("UpdateWorkers=%d: Result differs with progress+trace attached", workers)
 		}
 		// Stronger than the JSON check: the archived Config must not retain
-		// the Progress/Trace handles (scrubObservers), so the whole struct
-		// compares equal too.
+		// the Progress/Observer handles (scrubObservers), so the whole
+		// struct compares equal too.
 		if !reflect.DeepEqual(off.result, on.result) {
-			t.Errorf("UpdateWorkers=%d: Result structs differ with progress+tracing attached (observer handles leaked into Result.Config?)", workers)
+			t.Errorf("UpdateWorkers=%d: Result structs differ with progress+trace attached (observer handles leaked into Result.Config?)", workers)
 		}
 		if !reflect.DeepEqual(off.telemetry, on.telemetry) {
-			t.Errorf("UpdateWorkers=%d: telemetry differs with progress+tracing attached\noff: %+v\non:  %+v",
+			t.Errorf("UpdateWorkers=%d: telemetry differs with progress+trace attached\noff: %+v\non:  %+v",
 				workers, off.telemetry, on.telemetry)
 		}
 	}
 }
 
-// Identical runs must record identical traces: the recorder works on the
-// simulation's virtual clock and the event loop's deterministic order, so
-// the exported JSON is byte-for-byte reproducible, at any worker count.
+// Identical runs must render identical traces: the events carry the
+// simulation's virtual clock and arrive in the event loop's deterministic
+// order, so the exported JSON is byte-for-byte reproducible, at any worker
+// count.
 func TestObsTraceDeterministic(t *testing.T) {
-	traceJSON := func(workers int) []byte {
-		cfg := testConfig()
-		cfg.UpdateWorkers = workers
-		cfg.Trace = obs.NewTrace()
-		if _, err := Run(cfg); err != nil {
+	render := func(workers int) []byte {
+		cfg := obsConfig(workers)
+		trace := eventlog.NewTrace(cfg, "")
+		cfg.Observer = trace.Observer()
+		if _, err := cocoa.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := cfg.Trace.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return traceJSON(t, trace)
 	}
-	base := traceJSON(1)
+	base := render(1)
 	for _, workers := range []int{1, 8} {
-		if got := traceJSON(workers); !bytes.Equal(base, got) {
+		if got := render(workers); !bytes.Equal(base, got) {
 			t.Errorf("UpdateWorkers=%d: trace differs from serial baseline", workers)
 		}
 	}

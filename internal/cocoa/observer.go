@@ -5,9 +5,9 @@ import (
 	"cocoa/internal/sim"
 )
 
-// Event is one observable occurrence in a run. Observers receive every
-// event in virtual-time order; the event log in internal/eventlog
-// serializes them to JSONL for offline analysis.
+// Event is one observable occurrence in a run. Config.Observer receives
+// every event in virtual-time order; internal/eventlog serializes them to
+// JSONL for offline analysis and renders them as a span trace.
 type Event struct {
 	TimeS float64   `json:"timeS"`
 	Kind  EventKind `json:"kind"`
@@ -17,8 +17,8 @@ type Event struct {
 	Pos geom.Vec2 `json:"pos"`
 	// ErrM is the localization error at fix time (EventFix only).
 	ErrM float64 `json:"errM,omitempty"`
-	// Beacons is the count applied to the fix (EventFix) or received in
-	// the closing window (EventWindowEnd).
+	// Beacons is the count of beacons the robot applied in the closing
+	// window (EventFix and EventFixMissed).
 	Beacons int `json:"beacons,omitempty"`
 }
 
@@ -40,33 +40,24 @@ const (
 	EventRecover     EventKind = "recover"
 )
 
-// Observer consumes run events. Implementations must be fast; they run
-// inline with the simulation.
+// Observer consumes run events (Config.Observer). It runs inline with the
+// simulation, on its single-threaded event loop, so it must be fast.
 type Observer func(Event)
 
-// Observe registers an observer before Run. Multiple observers are called
-// in registration order.
-func (t *Team) Observe(o Observer) {
-	t.observers = append(t.observers, o)
-}
-
-// emit delivers an event to all observers. The zero-observer case is the
+// emit delivers an event to the run's observer. The unobserved case is the
 // common one and costs only a nil check.
 func (t *Team) emit(kind EventKind, robot int, pos geom.Vec2, errM float64, beacons int) {
-	if len(t.observers) == 0 {
+	if t.cfg.Observer == nil {
 		return
 	}
-	e := Event{
+	t.cfg.Observer(Event{
 		TimeS:   float64(t.sim.Now()),
 		Kind:    kind,
 		Robot:   robot,
 		Pos:     pos,
 		ErrM:    errM,
 		Beacons: beacons,
-	}
-	for _, o := range t.observers {
-		o(e)
-	}
+	})
 }
 
 // emitSimple is emit without position or measurements.

@@ -62,12 +62,12 @@ type Result struct {
 
 // scrubObservers strips the process-level observability handles before a
 // Config is archived inside a Result. The Result is a record of the
-// experiment, and Progress/Trace describe how the hosting process watched
-// this particular run — retaining them would keep the recorder alive past
-// the run and make otherwise-identical Results compare unequal.
+// experiment, and Progress/Observer describe how the hosting process
+// watched this particular run — retaining them would keep the sinks alive
+// past the run and make otherwise-identical Results compare unequal.
 func scrubObservers(cfg Config) Config {
 	cfg.Progress = nil
-	cfg.Trace = nil
+	cfg.Observer = nil
 	return cfg
 }
 

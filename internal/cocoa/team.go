@@ -46,8 +46,7 @@ type Team struct {
 	syncID   int
 	ran      bool
 
-	observers []Observer
-	terrain   *terrain.Field
+	terrain *terrain.Field
 
 	// updateWorkers is the resolved Config.UpdateWorkers (0 -> GOMAXPROCS):
 	// the pool bound for fanning per-robot beacon applications at flush
@@ -80,12 +79,10 @@ type Team struct {
 	queueDepth   telemetry.Tally
 	scratchReuse int
 
-	// Observability taps (Config.Progress / Config.Trace). Both are
-	// write-only for the run — nothing below reads them back — so they
-	// cannot steer results; nil disables each at one pointer check per
-	// record site.
+	// progress is the live-position tap (Config.Progress): write-only for
+	// the run, so it cannot steer results; nil disables it at one pointer
+	// check per tick.
 	progress *obs.Progress
-	tracer   *obs.Trace
 }
 
 // NewTeam assembles a deployment from the configuration. The calibration
@@ -154,7 +151,6 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 		rng:      root.Stream("team"),
 		clockRng: root.Stream("clock"),
 		progress: cfg.Progress,
-		tracer:   cfg.Trace,
 
 		flushBusy:    telemetry.NewTally(flushBusyBounds),
 		queueDepth:   telemetry.NewTally(queueDepthBounds),
@@ -437,12 +433,6 @@ func (t *Team) run(ctx context.Context, p *slotPool) (*Result, error) {
 	// write-only, so it cannot perturb the run.
 	totalTicks := maxSampleTicks(cfg)
 	t.progress.SetTicks(0, totalTicks)
-	if t.tracer != nil {
-		t.tracer.SetThreadName(0, "event-loop")
-		t.tracer.Begin(0, "run", 0, map[string]any{
-			"seed": cfg.Seed, "robots": cfg.NumRobots, "duration_s": int(cfg.DurationS),
-		})
-	}
 	t.sim.EachTick(cfg.SampleIntervalS, cfg.SampleIntervalS, func(now sim.Time) {
 		t.stepRobots(now, dt)
 		// Refresh the MAC's spatial index with the tick's new positions
@@ -461,9 +451,6 @@ func (t *Team) run(ctx context.Context, p *slotPool) (*Result, error) {
 		return nil, err
 	}
 	t.finish(res)
-	// Close the run span (and any sampling-window whose scheduled end fell
-	// past DurationS) so every exported trace is balanced.
-	t.tracer.CloseOpen(float64(t.sim.Now()))
 	return res, nil
 }
 
@@ -542,7 +529,6 @@ func (t *Team) scheduleWindow(w sim.Time) {
 // and schedules the window's beacons.
 func (t *Team) startWindow(w sim.Time) {
 	cfg := t.cfg
-	t.tracer.Begin(0, "sampling-window", float64(w), nil)
 	t.emitSimple(EventWindowStart, -1)
 	// Punctual and early robots are awake by now (their wake timers fired
 	// at w+clockErr <= w); late robots wake when their skewed timer fires.
@@ -642,13 +628,6 @@ func (t *Team) sendBeacon(r *robot) {
 	}
 	if r.nic.Send(network.KindBeacon, network.BeaconBytes, payload) == nil {
 		t.beaconsSent++
-		// Guard the args map: building it unconditionally would allocate
-		// even when tracing is off.
-		if t.tracer != nil {
-			t.tracer.Instant(0, "mac-frame", float64(now), map[string]any{
-				"robot": r.id, "secondary": payload.Secondary,
-			})
-		}
 		t.emit(EventBeaconSent, r.id, payload.Pos, 0, 0)
 	}
 }
@@ -668,18 +647,6 @@ func (t *Team) flushBeaconQueues() {
 		}
 	}
 	t.flushBusy.Observe(len(busy))
-	// Trace the belief updates serially, before the worker fan-out: the
-	// robots' queue depths are still intact here, and emitting from the
-	// single-threaded event loop keeps the event order deterministic at
-	// any worker count.
-	if t.tracer != nil {
-		nowS := float64(t.sim.Now())
-		for _, r := range busy {
-			t.tracer.Complete(1+r.id, "belief-update", nowS, 0, map[string]any{
-				"beacons": len(r.pending),
-			})
-		}
-	}
 	workers := t.updateWorkers
 	if workers > len(busy) {
 		workers = len(busy)
@@ -716,7 +683,6 @@ func (t *Team) endWindow(w sim.Time) {
 	t.emitSimple(EventWindowEnd, -1)
 	// Apply the window's queued beacons before any localizer readout below.
 	t.flushBeaconQueues()
-	t.tracer.End(0, float64(now))
 	for _, r := range t.robots {
 		if r.failed {
 			continue
@@ -725,7 +691,7 @@ func (t *Team) endWindow(w sim.Time) {
 			beacons := r.loc.BeaconCount()
 			fixed := r.loc.Ready()
 			r.finalizeWindow()
-			if len(t.observers) > 0 {
+			if t.cfg.Observer != nil {
 				if fixed {
 					t.emit(EventFix, r.id, r.estimate,
 						r.estimate.Dist(r.truePos(now)), beacons)

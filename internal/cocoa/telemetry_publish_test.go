@@ -107,19 +107,20 @@ func TestTelemetryPublishAttribution(t *testing.T) {
 // publishes nothing.
 func TestTelemetryPublishedOnEveryExit(t *testing.T) {
 	enableDefault(t)
-	team, err := NewTeam(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The first fix cancels the run, which stops at the end of that
 	// sampling tick.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	team.Observe(func(e Event) {
+	cfg := testConfig()
+	cfg.Observer = func(e Event) {
 		if e.Kind == EventFix {
 			cancel()
 		}
-	})
+	}
+	team, err := NewTeam(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := telemetry.Default.Snapshot()
 	if _, err := team.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("stopped run: err = %v, want context.Canceled", err)

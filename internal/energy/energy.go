@@ -107,6 +107,9 @@ type Meter struct {
 	accrued     uint8
 	joules      float64
 	transitions int
+	// sleepTransitions counts the charged transitions between Sleep and an
+	// awake state: the ones a radio that never slept would not pay.
+	sleepTransitions int
 }
 
 // NewMeter returns a meter whose radio starts in the given state at time
@@ -134,6 +137,9 @@ func (m *Meter) SetState(now sim.Time, next State) {
 	if m.state == Sleep || m.state == Off || next == Sleep || next == Off {
 		m.joules += m.params.TransitionJ
 		m.transitions++
+		if m.state != Off && next != Off {
+			m.sleepTransitions++
+		}
 	}
 	m.state = next
 }
@@ -167,11 +173,13 @@ func (m *Meter) Transitions() int { return m.transitions }
 // if every sleep interval had instead been spent idle and no sleep
 // transitions had been paid. This is exactly the paper's "CoCoA without
 // coordination" baseline in Figure 9(b), computed from the same run.
+// Powering the card off or on is charged in both worlds: a radio that
+// never slept pays it too, from Idle instead of Sleep.
 func (m *Meter) CounterfactualNoSleepJ() float64 {
 	sleepT := m.durations[Sleep]
 	return m.joules +
 		sleepT*(m.params.IdleW-m.params.SleepW) -
-		float64(m.transitions)*m.params.TransitionJ
+		float64(m.sleepTransitions)*m.params.TransitionJ
 }
 
 // Breakdown returns a copy of the per-state duration table: every state

@@ -161,6 +161,35 @@ func TestCounterfactualNoSleep(t *testing.T) {
 	}
 }
 
+// Powering the card off and on is paid with or without coordination, so
+// the counterfactual re-prices only the sleep: a radio that crashes while
+// asleep and recovers must still match one that idled through the same
+// schedule, and a radio that never sleeps is its own counterfactual.
+func TestCounterfactualKeepsPowerTransitions(t *testing.T) {
+	p := DefaultParams()
+	coord := NewMeter(p, 0, Idle)
+	uncoord := NewMeter(p, 0, Idle)
+	coord.SetState(3, Sleep)
+	coord.SetState(50, Off) // crash while asleep
+	uncoord.SetState(50, Off)
+	coord.SetState(70, Idle) // recovery
+	uncoord.SetState(70, Idle)
+	coord.SetState(73, Sleep)
+	coord.SetState(100, Idle)
+	coord.Flush(120)
+	uncoord.Flush(120)
+	if got, want := coord.CounterfactualNoSleepJ(), uncoord.TotalJ(); math.Abs(got-want) > 1e-9 {
+		t.Errorf("counterfactual = %v, want %v", got, want)
+	}
+
+	off := NewMeter(p, 0, Idle)
+	off.SetState(0, Off)
+	off.Flush(120)
+	if got, want := off.CounterfactualNoSleepJ(), off.TotalJ(); got != want || want != p.TransitionJ {
+		t.Errorf("powered-off radio: counterfactual = %v, total = %v, want both %v", got, want, p.TransitionJ)
+	}
+}
+
 func TestBreakdownIsCopy(t *testing.T) {
 	m := NewMeter(DefaultParams(), 0, Idle)
 	m.SetState(2, Sleep)

@@ -1,6 +1,7 @@
-// Package eventlog serializes CoCoA run events to JSON Lines for offline
-// analysis: one JSON object per event, in virtual-time order. It plugs
-// into the Team's Observer hook.
+// Package eventlog holds the sinks of a CoCoA run's event stream
+// (Config.Observer): Writer serializes the events to JSON Lines for
+// offline analysis, one JSON object per event in virtual-time order, and
+// Trace renders them as a span trace.
 package eventlog
 
 import (
@@ -27,7 +28,8 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Observer returns the function to register with Team.Observe.
+// Observer returns the function that feeds the log: set it as
+// Config.Observer, or call it from one that also feeds other sinks.
 func (w *Writer) Observer() cocoa.Observer {
 	return func(e cocoa.Event) {
 		if w.err != nil {

@@ -22,14 +22,10 @@ func observedRun(t *testing.T) ([]cocoa.Event, *cocoa.Result) {
 	cfg.GridCellM = 8
 	cfg.Calibration.Samples = 40000
 
-	team, err := cocoa.NewTeam(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	team.Observe(w.Observer())
-	res, err := team.Run()
+	cfg.Observer = w.Observer()
+	res, err := cocoa.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,17 +15,17 @@
 //     publishes its tick position (and a sweep its run index) through —
 //     one atomic store per tick, safe to read from any goroutine, with an
 //     ETA derived at read time.
-//   - Run tracing: Trace records hierarchical spans (run → window →
-//     {mac-frame, belief-update}) on the simulation's virtual
-//     clock and serializes them as Chrome trace-event JSON, loadable in
-//     Perfetto or chrome://tracing. ReadTrace is the strict decoder that
-//     round-trips the format and verifies begin/end balance.
+//   - Trace file format: TraceEvent and WriteTrace are Chrome
+//     trace-event JSON, loadable in Perfetto or chrome://tracing; a run's
+//     span trace is rendered into it from the run's event stream by
+//     internal/eventlog. ReadTrace is the strict decoder that round-trips
+//     the format and verifies begin/end balance.
 //   - Structured logging: LogOptions/AddLogFlags give every CLI the same
 //     -log-format/-log-level pair over log/slog.
 //
 // The layer inherits telemetry's prime directive: it records, it never
-// steers. Nothing in the simulation reads a Progress or Trace value to
-// make a decision, so results are byte-identical with every obs feature
-// on or off, at any parallelism — and the disabled path of each record
-// site stays at one atomic (or nil-pointer) load.
+// steers. Nothing in the simulation reads a Progress value to make a
+// decision, so results are byte-identical with every obs feature on or
+// off, at any parallelism — and the disabled path of each record site
+// stays at one atomic (or nil-pointer) load.
 package obs

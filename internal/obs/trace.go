@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 )
 
 // Trace event phases (the Chrome trace-event subset this package emits).
@@ -19,9 +17,10 @@ const (
 
 // TraceEvent is one record in Chrome trace-event JSON ("JSON Array
 // Format" / the traceEvents envelope), loadable in Perfetto and
-// chrome://tracing. Timestamps and durations are microseconds; this
-// package records them on the simulation's virtual clock, so a trace of a
-// deterministic run is itself deterministic.
+// chrome://tracing. Timestamps and durations are microseconds; a run's
+// trace (rendered by internal/eventlog) carries them on the simulation's
+// virtual clock, so a trace of a deterministic run is itself
+// deterministic.
 type TraceEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -33,174 +32,23 @@ type TraceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Trace accumulates the span timeline of one run: hierarchical B/E spans
-// per track (tid), self-contained X spans, instants, and metadata. All
-// record methods are nil-safe no-ops, so call sites need no enabled flag
-// beyond the pointer itself — but sites that build an Args map must still
-// guard on the pointer, or the map allocation leaks into the disabled
-// path. Recording appends under a mutex; the simulation emits events from
-// its single-threaded event loop, so insertion order is deterministic.
-type Trace struct {
-	mu     sync.Mutex
-	events []TraceEvent
-	// open tracks the in-flight B spans per tid (a name stack), so an
-	// aborted or duration-truncated run can be closed into balanced form.
-	open map[int][]string
-}
-
-// NewTrace returns an empty recorder.
-func NewTrace() *Trace {
-	return &Trace{open: map[int][]string{}}
-}
-
-// Begin opens a span on track tid at simulation time atS (seconds).
-func (t *Trace) Begin(tid int, name string, atS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, TraceEvent{
-		Name: name, Phase: PhaseBegin, TsUs: atS * 1e6, TID: tid, Args: args,
-	})
-	t.open[tid] = append(t.open[tid], name)
-}
-
-// End closes the innermost open span on track tid at simulation time atS.
-// Closing an empty track is a no-op (the Begin was never recorded).
-func (t *Trace) End(tid int, atS float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	stack := t.open[tid]
-	if len(stack) == 0 {
-		return
-	}
-	name := stack[len(stack)-1]
-	t.open[tid] = stack[:len(stack)-1]
-	t.events = append(t.events, TraceEvent{
-		Name: name, Phase: PhaseEnd, TsUs: atS * 1e6, TID: tid,
-	})
-}
-
-// Complete records a self-contained span of durS seconds starting at atS.
-func (t *Trace) Complete(tid int, name string, atS, durS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, TraceEvent{
-		Name: name, Phase: PhaseComplete, TsUs: atS * 1e6, DurUs: durS * 1e6,
-		TID: tid, Args: args,
-	})
-}
-
-// Instant records a point event at simulation time atS.
-func (t *Trace) Instant(tid int, name string, atS float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, TraceEvent{
-		Name: name, Phase: PhaseInstant, TsUs: atS * 1e6, TID: tid,
-		Scope: "t", Args: args,
-	})
-}
-
-// SetProcessName attaches a process_name metadata record, which Perfetto
-// renders as the track group's title (e.g. a job ID).
-func (t *Trace) SetProcessName(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, TraceEvent{
-		Name: "process_name", Phase: PhaseMeta, Args: map[string]any{"name": name},
-	})
-}
-
-// SetThreadName titles track tid (e.g. "event-loop", "robot 7").
-func (t *Trace) SetThreadName(tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, TraceEvent{
-		Name: "thread_name", Phase: PhaseMeta, TID: tid, Args: map[string]any{"name": name},
-	})
-}
-
-// CloseOpen ends every still-open span at simulation time atS, innermost
-// first per track. A window whose scheduled end falls past the run's
-// DurationS leaves its Begin dangling; closing here keeps every exported
-// trace balanced.
-func (t *Trace) CloseOpen(atS float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tids := make([]int, 0, len(t.open))
-	for tid := range t.open {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		stack := t.open[tid]
-		for i := len(stack) - 1; i >= 0; i-- {
-			t.events = append(t.events, TraceEvent{
-				Name: stack[i], Phase: PhaseEnd, TsUs: atS * 1e6, TID: tid,
-			})
-		}
-		delete(t.open, tid)
-	}
-}
-
-// Len returns the number of recorded events; 0 on nil.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Events returns a copy of the recorded events in insertion order.
-func (t *Trace) Events() []TraceEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceEvent(nil), t.events...)
-}
-
 // traceFile is the on-disk envelope ("JSON Object Format").
 type traceFile struct {
 	TraceEvents     []TraceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit,omitempty"`
 }
 
-// WriteJSON serializes the trace in Chrome trace-event JSON. Events keep
-// insertion order — the deterministic order of the simulation's event
-// loop — so identical runs serialize to identical bytes.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	events := t.Events()
+// WriteTrace serializes events as Chrome trace-event JSON, in the order
+// given: a renderer that appends in the simulation's deterministic event
+// order writes identical bytes for identical runs.
+func WriteTrace(w io.Writer, events []TraceEvent) error {
 	if events == nil {
 		events = []TraceEvent{}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return json.NewEncoder(w).Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// ReadTrace is the strict decoder for WriteJSON's output: unknown fields,
+// ReadTrace is the strict decoder for WriteTrace's output: unknown fields,
 // unknown phases, malformed values, and unbalanced B/E spans are all
 // errors, so a trace that decodes cleanly is loadable and well-nested.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) {

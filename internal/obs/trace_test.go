@@ -2,66 +2,36 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestTraceNilSafe(t *testing.T) {
-	var tr *Trace
-	tr.Begin(0, "run", 0, nil)
-	tr.End(0, 1)
-	tr.Complete(1, "work", 0.5, 0.1, nil)
-	tr.Instant(0, "tick", 0.25, nil)
-	tr.SetProcessName("job")
-	tr.SetThreadName(0, "loop")
-	tr.CloseOpen(1)
-	if tr.Len() != 0 {
-		t.Fatalf("nil Len() = %d, want 0", tr.Len())
-	}
-	if tr.Events() != nil {
-		t.Fatal("nil Events() != nil")
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
-	tr := NewTrace()
-	tr.SetProcessName("run 0")
-	tr.SetThreadName(0, "event-loop")
-	tr.Begin(0, "run", 0, map[string]any{"robots": 5.0})
-	tr.Begin(0, "sampling-window", 1.0, nil)
-	tr.Instant(0, "mac-frame", 1.25, map[string]any{"src": 3.0})
-	tr.Complete(7, "belief-update", 1.5, 0.0, nil)
-	tr.End(0, 2.0) // closes sampling-window
-	tr.End(0, 3.0) // closes run
-	if got := tr.Len(); got != 8 {
-		t.Fatalf("Len() = %d, want 8", got)
+	in := []TraceEvent{
+		{Name: "process_name", Phase: PhaseMeta, Args: map[string]any{"name": "run 0"}},
+		{Name: "thread_name", Phase: PhaseMeta, Args: map[string]any{"name": "event-loop"}},
+		{Name: "run", Phase: PhaseBegin, Args: map[string]any{"robots": 5.0}},
+		{Name: "sampling-window", Phase: PhaseBegin, TsUs: 1e6},
+		{Name: "mac-frame", Phase: PhaseInstant, TsUs: 1.25e6, Scope: "t", Args: map[string]any{"src": 3.0}},
+		{Name: "belief-update", Phase: PhaseComplete, TsUs: 1.5e6, TID: 7},
+		{Name: "sampling-window", Phase: PhaseEnd, TsUs: 2e6},
+		{Name: "run", Phase: PhaseEnd, TsUs: 3e6},
 	}
-
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := WriteTrace(&buf, in); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
 	}
 	events, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	if len(events) != 8 {
-		t.Fatalf("round-trip produced %d events, want 8", len(events))
+	if !reflect.DeepEqual(events, in) {
+		t.Fatalf("round trip changed the events:\n in: %+v\nout: %+v", in, events)
 	}
-	// Spot-check the microsecond conversion and a phase.
-	if events[2].Name != "run" || events[2].Phase != PhaseBegin || events[2].TsUs != 0 {
-		t.Fatalf("event 2 = %+v, want B run at 0", events[2])
-	}
-	if events[3].TsUs != 1e6 {
-		t.Fatalf("window begin ts = %v µs, want 1e6", events[3].TsUs)
-	}
-	// Re-serialize: byte-identical (insertion order is preserved).
-	tr2 := NewTrace()
-	tr2.mu.Lock()
-	tr2.events = events
-	tr2.mu.Unlock()
+	// Re-serialize: byte-identical (order is preserved).
 	var buf2 bytes.Buffer
-	if err := tr2.WriteJSON(&buf2); err != nil {
+	if err := WriteTrace(&buf2, events); err != nil {
 		t.Fatalf("re-serialize: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -69,47 +39,10 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceEndEmptyStackNoOp(t *testing.T) {
-	tr := NewTrace()
-	tr.End(0, 1.0)
-	if tr.Len() != 0 {
-		t.Fatalf("End on empty track recorded %d events, want 0", tr.Len())
-	}
-}
-
-func TestTraceCloseOpen(t *testing.T) {
-	tr := NewTrace()
-	tr.Begin(2, "outer", 0, nil)
-	tr.Begin(2, "inner", 1, nil)
-	tr.Begin(0, "run", 0, nil)
-	tr.CloseOpen(5)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if _, err := ReadTrace(&buf); err != nil {
-		t.Fatalf("CloseOpen left an unbalanced trace: %v", err)
-	}
-	ev := tr.Events()
-	// tids closed in sorted order; inner before outer within a tid.
-	if ev[3].TID != 0 || ev[3].Name != "run" {
-		t.Fatalf("first close = %+v, want run on tid 0", ev[3])
-	}
-	if ev[4].Name != "inner" || ev[5].Name != "outer" {
-		t.Fatalf("tid 2 closed %q then %q, want inner then outer", ev[4].Name, ev[5].Name)
-	}
-	// Idempotent: nothing left open.
-	n := tr.Len()
-	tr.CloseOpen(6)
-	if tr.Len() != n {
-		t.Fatal("second CloseOpen recorded events")
-	}
-}
-
 func TestTraceWriteJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewTrace().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := WriteTrace(&buf, nil); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
 	}
 	if !strings.Contains(buf.String(), `"traceEvents":[]`) {
 		t.Fatalf("empty trace serialized as %q, want empty traceEvents array", buf.String())

@@ -5,24 +5,26 @@ import (
 	"testing"
 
 	"cocoa/internal/cocoa"
+	"cocoa/internal/eventlog"
 	"cocoa/internal/obs"
 )
 
-// Every golden figure family must export a trace that survives the strict
-// decoder: balanced begin/end spans, known phases, sane timestamps — the
+// Every golden figure family must render, from its event stream, a trace
+// that survives the strict decoder: balanced begin/end spans, known phases, sane timestamps — the
 // file a user hands to Perfetto is well-formed by construction.
 func TestGoldenFamiliesTraceRoundTrip(t *testing.T) {
 	for name, cfg := range QuickFamilies() {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg.Trace = obs.NewTrace()
+			trace := eventlog.NewTrace(cfg, "")
+			cfg.Observer = trace.Observer()
 			if _, err := cocoa.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := cfg.Trace.WriteJSON(&buf); err != nil {
-				t.Fatalf("WriteJSON: %v", err)
+			if err := obs.WriteTrace(&buf, trace.Events()); err != nil {
+				t.Fatalf("WriteTrace: %v", err)
 			}
 			events, err := obs.ReadTrace(&buf)
 			if err != nil {

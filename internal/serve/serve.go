@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"cocoa"
+	"cocoa/internal/eventlog"
 	"cocoa/internal/obs"
 	"cocoa/internal/runner"
 	"cocoa/internal/telemetry"
@@ -199,11 +200,12 @@ type Job struct {
 
 	// progress is the job's live gauge: the simulation loop (raw-config
 	// jobs) or the sweep engine (experiment jobs) publishes through it
-	// lock-free; Status reads it on demand. trace is the span recorder for
-	// JobRequest.Trace jobs, serialized into traceJSON on success. log
-	// carries the job's ID and kind as pre-bound attrs.
+	// lock-free; Status reads it on demand. trace marks JobRequest.Trace
+	// jobs, whose span trace is rendered from the run's events into
+	// traceJSON on success. log carries the job's ID and kind as pre-bound
+	// attrs.
 	progress *obs.Progress
-	trace    *obs.Trace
+	trace    bool
 	log      *slog.Logger
 
 	handle *runner.Handle[[]byte]
@@ -468,9 +470,7 @@ func (s *Server) buildExec(req JobRequest, j *Job) (func(ctx context.Context) ([
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		if req.Trace {
-			j.trace = obs.NewTrace()
-		}
+		j.trace = req.Trace
 		return func(ctx context.Context) ([]byte, error) {
 			return s.runConfig(ctx, cfg, j)
 		}, nil
@@ -584,7 +584,7 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	telAccepted.Inc()
-	j.logger().Info("job accepted", "resumed", j.resumed, "trace", j.trace != nil)
+	j.logger().Info("job accepted", "resumed", j.resumed, "trace", j.trace)
 
 	// The settler owns the job's terminal transition; it exits as soon as
 	// the handle completes (drain waits for exactly these).
@@ -741,13 +741,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // as a fresh one.
 func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byte, error) {
 	// Observability taps: the run publishes its tick position through the
-	// job's gauge, and records spans when the submission asked for a
-	// trace. Both are write-only for the simulation — attaching them never
-	// changes result bytes (DESIGN.md §15).
+	// job's gauge, and its events feed a span trace when the submission
+	// asked for one. Both are write-only for the simulation — attaching
+	// them never changes result bytes (DESIGN.md §15).
 	cfg.Progress = j.progress
-	cfg.Trace = j.trace
-	if j.trace != nil {
-		j.trace.SetProcessName(j.id)
+	var trace *eventlog.Trace
+	if j.trace {
+		trace = eventlog.NewTrace(cfg, j.id)
+		cfg.Observer = trace.Observer()
 	}
 	res, err := cocoa.RunContext(ctx, cfg)
 	if err != nil {
@@ -755,9 +756,9 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 	}
 	// The Result's buffers are recycled once marshalled.
 	defer cocoa.ReleaseResult(res)
-	if j.trace != nil {
+	if trace != nil {
 		var buf bytes.Buffer
-		if err := j.trace.WriteJSON(&buf); err != nil {
+		if err := obs.WriteTrace(&buf, trace.Events()); err != nil {
 			return nil, fmt.Errorf("serve: serialize trace: %w", err)
 		}
 		j.setTrace(buf.Bytes())
