@@ -105,9 +105,10 @@ func Run(cfg Config) (*Result, error) { return icocoa.Run(cfg) }
 // so a run that completes is byte-identical to Run(cfg) whether ctx
 // carried a live deadline or not. A nil ctx means context.Background().
 //
-// Back-to-back runs recycle each other's simulator, RNG streams and belief
-// grids through a small process-wide free list, with byte-identical
-// results; see ReleaseResult to recycle a finished Result's buffers too.
+// Back-to-back runs recycle each other's simulator, RNG streams, MAC
+// medium, robots and belief grids through a small process-wide free list,
+// with byte-identical results; see ReleaseResult to recycle a finished
+// Result's buffers too.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return icocoa.RunContext(ctx, cfg)
 }

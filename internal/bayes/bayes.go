@@ -222,6 +222,17 @@ func (g *Grid) Publish(reg *telemetry.Registry) { g.tel.Publish(reg) }
 // ResetTelemetry.
 func (g *Grid) Counts() GridCounts { return g.tel }
 
+// Add adds o's counts to c.
+func (c *GridCounts) Add(o GridCounts) {
+	c.applyNearest += o.applyNearest
+	c.applyLerp += o.applyLerp
+	c.applyGeneric += o.applyGeneric
+	c.renormTaken += o.renormTaken
+	c.renormDeferred += o.renormDeferred
+	c.collapseResets += o.collapseResets
+	c.statsResum += o.statsResum
+}
+
 // Publish adds the counts to reg.
 func (c *GridCounts) Publish(reg *telemetry.Registry) {
 	reg.Add("bayes.apply.nearest", c.applyNearest)

@@ -163,6 +163,15 @@ func TestGridTelemetry(t *testing.T) {
 	if got := count(kept.Publish); !reflect.DeepEqual(got, c) {
 		t.Errorf("Counts copy reads %v after ResetTelemetry, want %v", got, c)
 	}
+	// Summed copies publish the sum of what each publishes.
+	var sum GridCounts
+	sum.Add(kept)
+	sum.Add(kept)
+	for name, v := range count(sum.Publish) {
+		if v != 2*c[name] {
+			t.Errorf("two summed copies publish %s = %d, want %d", name, v, 2*c[name])
+		}
+	}
 }
 
 // With only two beacons the posterior is ambiguous (two ring

@@ -1,6 +1,27 @@
 package cocoa
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"cocoa/internal/geom"
+)
+
+// swarmConfig is scenario.SwarmConfig, which this package's own tests
+// cannot import: n robots at the paper's density, half equipped, EKF
+// localizers, short beacon-dense runs (TestSwarmShapeMatchesScenario pins
+// the two together).
+func swarmConfig(n int) Config {
+	cfg := DefaultConfig()
+	cfg.NumRobots = n
+	cfg.NumEquipped = max(n/2, 1)
+	cfg.Area = geom.Square(200 * math.Sqrt(float64(n)/50))
+	cfg.Radio.TxPowerDBm = -10
+	cfg.Localizer = LocalizerEKF
+	cfg.DurationS = 120
+	cfg.BeaconPeriodS = 20
+	return cfg
+}
 
 // benchConfig is a mid-size deployment: big enough that beacon application
 // dominates, small enough that one iteration stays in milliseconds.
@@ -40,4 +61,25 @@ func BenchmarkTeamStepSerial(b *testing.B) {
 // workers), exercising the fan-out path end to end.
 func BenchmarkTeamStepParallel(b *testing.B) {
 	benchRun(b, benchConfig(0))
+}
+
+// BenchmarkNewTeamSwarm times team set-up alone on a warm slot at the
+// 1000-robot swarm scale: what NewTeam costs, and allocates, once the
+// slot's robots exist. The root package's BenchmarkNewTeamSwarm1000 is its
+// cold counterpart.
+func BenchmarkNewTeamSwarm(b *testing.B) {
+	cfg := swarmConfig(1000)
+	var p slotPool
+	if _, err := p.run(nil, cfg); err != nil { // warm the slot and the calibration cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		team, err := p.team(cfg, reference{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.put(team.slot)
+	}
 }

@@ -29,3 +29,6 @@ func WithEagerStats(ctx context.Context) context.Context {
 	ref.eager = true
 	return context.WithValue(ctx, referenceKey{}, ref)
 }
+
+// SwarmShape is the internal tests' copy of scenario.SwarmConfig.
+var SwarmShape = swarmConfig

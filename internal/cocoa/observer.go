@@ -107,7 +107,7 @@ func (t *Team) recoverRobot(r *robot) {
 	}
 	r.crashed = false
 	t.recoveries++
-	t.med.Attach(r.id, r.nic)
+	t.med.Attach(r.id, &r.nic)
 	r.nic.Wake()
 	t.emitSimple(EventRecover, r.id)
 }

@@ -3,6 +3,7 @@ package cocoa
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cocoa/internal/geom"
 	"cocoa/internal/mac"
@@ -71,21 +72,31 @@ func scrubObservers(cfg Config) Config {
 	return cfg
 }
 
+// maxReservedSamples bounds the float64s a Result reserves up front across
+// its series rows (Times, AvgError and every PerRobot row): 8 MiB. Config
+// bounds no magnitudes, so a valid config can ask for a billion sampling
+// ticks; the rows of a run that long grow by append past the reservation.
+const maxReservedSamples = 1 << 20
+
+// newResult returns an empty Result for a run of cfg tracking the given
+// robots, its series rows reserved for the run's samples.
 func newResult(cfg Config, tracked []int) *Result {
-	return &Result{
-		Config:     scrubObservers(cfg),
-		TrackedIDs: tracked,
-		PerRobot:   make([][]float64, len(tracked)),
-	}
+	res := new(Result)
+	res.reset(cfg, tracked)
+	return res
 }
 
-// reset rewinds a recycled Result to the state newResult returns, keeping
-// every slice's backing array so the run that adopts it appends without
-// reallocating. Counters and aggregates are zeroed wholesale by value
-// assignment; only the slices are carried over.
+// reset rewinds a Result — a new one or a recycled one — to the empty
+// Result of a run of cfg tracking the given robots. Every slice keeps its
+// backing array, and every series row (Times, AvgError, each PerRobot row)
+// gets room for the run's maxSampleTicks samples, within the
+// maxReservedSamples budget: rows short of it are carved from one new
+// array, so sampling never grows a row by append. Counters and aggregates
+// are zeroed wholesale by value assignment; only the slices are carried
+// over.
 func (r *Result) reset(cfg Config, tracked []int) {
 	per := r.PerRobot
-	if cap(per) >= len(tracked) {
+	if per != nil && cap(per) >= len(tracked) {
 		// Re-extend over the full capacity first so inner backing arrays
 		// parked beyond the previous length are reclaimed too, then cut to
 		// size after the truncation loop below empties every row.
@@ -99,16 +110,47 @@ func (r *Result) reset(cfg Config, tracked []int) {
 		per[i] = per[i][:0]
 	}
 	per = per[:len(tracked)]
+	times, avg := r.Times[:0], r.AvgError[:0]
+
+	rows := len(per) + 2
+	n := min(maxSampleTicks(cfg), maxReservedSamples/rows)
+	short := 0
+	for _, row := range per {
+		if cap(row) < n {
+			short++
+		}
+	}
+	if cap(times) < n {
+		short++
+	}
+	if cap(avg) < n {
+		short++
+	}
+	var spare []float64
+	if short > 0 {
+		spare = make([]float64, short*n)
+	}
+	reserve := func(row []float64) []float64 {
+		if cap(row) >= n {
+			return row
+		}
+		row, spare = spare[:0:n], spare[n:]
+		return row
+	}
+	for i := range per {
+		per[i] = reserve(per[i])
+	}
+	robots := cfg.NumRobots
 	*r = Result{
 		Config:             scrubObservers(cfg),
 		TrackedIDs:         tracked,
-		Times:              r.Times[:0],
-		AvgError:           r.AvgError[:0],
+		Times:              reserve(times),
+		AvgError:           reserve(avg),
 		PerRobot:           per,
-		PerRobotEnergyJ:    r.PerRobotEnergyJ[:0],
-		FinalTruePositions: r.FinalTruePositions[:0],
-		FinalEstimates:     r.FinalEstimates[:0],
-		Equipped:           r.Equipped[:0],
+		PerRobotEnergyJ:    slices.Grow(r.PerRobotEnergyJ[:0], robots),
+		FinalTruePositions: slices.Grow(r.FinalTruePositions[:0], robots),
+		FinalEstimates:     slices.Grow(r.FinalEstimates[:0], robots),
+		Equipped:           slices.Grow(r.Equipped[:0], robots),
 	}
 }
 

@@ -2,9 +2,11 @@ package cocoa
 
 import (
 	"cocoa/internal/bayes"
+	"cocoa/internal/ekf"
 	"cocoa/internal/geom"
 	"cocoa/internal/geounicast"
 	"cocoa/internal/mac"
+	"cocoa/internal/mcl"
 	"cocoa/internal/mobility"
 	"cocoa/internal/mrmm"
 	"cocoa/internal/network"
@@ -15,6 +17,7 @@ import (
 // BeaconPayload is the localization beacon's content: the sender and the
 // coordinates its localization device reports (true position for equipped
 // robots, the current estimate under the SecondaryBeacons extension).
+// Beacon frames carry it by pointer, into the run slot's payload arena.
 type BeaconPayload struct {
 	Sender int
 	Pos    geom.Vec2
@@ -57,20 +60,50 @@ var (
 	_ Localizer = (*bayes.Grid)(nil)
 )
 
-// robot is one team member's full state.
+// robot is one team member's full state. Robots belong to a run slot
+// (slot.robotSlab), which hands them to every team built on it: newTeam
+// re-initialises each in place — robotRun zeroed wholesale, every
+// component rewound by its own Init — and the event handlers in on are
+// bound once, when the slot creates the robot.
 type robot struct {
+	robotRun
+
+	// Components, re-initialised in place for every team.
+	way       mobility.Waypoint
+	reckoner  odometry.DeadReckoner
+	nic       network.NIC
+	mesh      mrmm.Protocol // proto in RF modes
+	kalman    ekf.Filter    // loc under LocalizerEKF
+	particles mcl.Filter    // loc under LocalizerParticle
+
+	// pending queues beacon observations between flush points. Nothing
+	// reads loc between beacon deliveries (only endWindow and finish do,
+	// and both flush first), so applications can be deferred and fanned
+	// across robots without changing any observable state. Its capacity
+	// survives re-initialisation.
+	pending []pendingBeacon
+
+	// on holds the robot's event handlers, bound once (bind), so arming a
+	// timer or registering a handler allocates nothing. Each reaches the
+	// team the robot serves through robotRun.team.
+	on struct {
+		beaconDue, sleep, wake func()
+		beacon                 network.Handler
+		sync                   mrmm.DataHandler
+		motion                 func() (geom.Vec2, mobility.Leg)
+		mobility               func() mrmm.MobilityInfo
+	}
+}
+
+// robotRun is a robot's per-run state, zeroed for every team.
+type robotRun struct {
 	id       int
 	equipped bool
+	// team is the team the robot serves.
+	team *Team
 
-	way      *mobility.Waypoint
-	nic      *network.NIC
-	proto    *mrmm.Protocol
-	loc      Localizer // nil for equipped robots and odometry-only mode
-	reckoner *odometry.DeadReckoner
-
-	// gridCounts is loc's telemetry when loc is a slot-owned belief grid,
-	// copied when the run ends (see Team.keepCounts).
-	gridCounts bayes.GridCounts
+	proto *mrmm.Protocol // nil in odometry-only mode
+	loc   Localizer      // nil for equipped robots and odometry-only mode
 
 	// estimate is the robot's current believed position; haveFix reports
 	// whether an RF fix ever succeeded.
@@ -103,17 +136,41 @@ type robot struct {
 	// truePos(now) for the metric sampler.
 	lastTruePos geom.Vec2
 
-	// pending queues beacon observations between flush points. Nothing
-	// reads loc between beacon deliveries (only endWindow and finish do,
-	// and both flush first), so applications can be deferred and fanned
-	// across robots without changing any observable state.
-	pending []pendingBeacon
-
 	// Diagnostics.
 	fixes          int
 	missedWindows  int // windows that ended with fewer than MinBeacons beacons
 	beaconsApplied int
 	syncsReceived  int
+}
+
+// bind binds the robot's event handlers (see robot.on).
+func (r *robot) bind() {
+	r.on.beaconDue = func() { r.team.sendBeacon(r) }
+	r.on.sleep = func() {
+		if r.failed || r.crashed {
+			return
+		}
+		r.nic.Sleep()
+		r.team.emitSimple(EventSleep, r.id)
+	}
+	r.on.wake = func() {
+		if r.failed || r.crashed {
+			return
+		}
+		r.nic.Wake()
+		r.team.emitSimple(EventWake, r.id)
+	}
+	r.on.beacon = r.onBeacon
+	r.on.sync = r.onSync
+	r.on.motion = func() (geom.Vec2, mobility.Leg) { return r.way.Motion(r.team.sim.Now()) }
+	r.on.mobility = func() mrmm.MobilityInfo {
+		now := r.team.sim.Now()
+		return mrmm.MobilityInfo{
+			Pos:  r.way.Position(now),
+			Vel:  r.way.Velocity(),
+			Rest: r.way.RestRemaining(now),
+		}
+	}
 }
 
 // truePos returns the robot's actual position now.
@@ -156,17 +213,33 @@ type pendingBeacon struct {
 // onBeacon queues a received beacon for the RF position estimator. The
 // expensive grid update runs later, at the next flush point, possibly on a
 // worker goroutine (Team.flushBeaconQueues).
-func (r *robot) onBeacon(f mac.Frame, rssiDBm float64, lookup func(float64) (bayes.DistanceDensity, bool)) {
-	b, ok := f.Payload.(BeaconPayload)
+func (r *robot) onBeacon(f mac.Frame, rssiDBm float64) {
+	b, ok := f.Payload.(*BeaconPayload)
 	if !ok || r.loc == nil {
 		return
 	}
-	pdf, ok := lookup(rssiDBm)
+	pdf, ok := r.team.lookupPDF(rssiDBm)
 	if !ok {
 		return
 	}
 	r.pending = append(r.pending, pendingBeacon{pos: b.Pos, pdf: pdf})
 	r.beaconsApplied++
+}
+
+// onSync takes a SYNC delivered over the MRMM mesh.
+func (r *robot) onSync(d mrmm.Data, _ float64) {
+	sp, ok := d.Payload.(SyncPayload)
+	if !ok {
+		return
+	}
+	r.scheduleKnown = true
+	r.syncsReceived++
+	// Resynchronize the robot's timers to the Sync robot.
+	r.syncedThisPeriod = true
+	r.clockErr = 0
+	r.lastSyncPos = sp.SyncPos
+	r.haveSyncPos = true
+	r.team.emitSimple(EventSyncRecv, r.id)
 }
 
 // applyPending folds the queued beacons into the localizer in arrival

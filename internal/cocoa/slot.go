@@ -5,33 +5,55 @@ import (
 	"sync"
 
 	"cocoa/internal/bayes"
+	"cocoa/internal/mac"
 	"cocoa/internal/sim"
 )
 
 // slot is the reusable memory of one run. Every team is built on a slot,
-// and a team built on a slot that already served a run recycles that run's
-// expensive state instead of reallocating it:
+// and a team built on a slot that already served a run re-initialises that
+// run's state in place instead of reallocating it:
 //
 //   - the discrete-event simulator (calendar heap and event arena),
 //   - every named RNG stream (each carries a ~5 KB lagged-Fibonacci state
 //     vector, reseeded in place — see sim.RNGPool),
+//   - the MAC medium, with its stations, spatial-index buckets and
+//     reception/transmission pools (mac.Medium.Init),
+//   - the robots (robotSlab): each with its waypoint, dead reckoner, NIC
+//     and energy meter, MRMM protocol (maps cleared, not remade), EKF and
+//     particle filter, beacon queue, and event handlers bound once,
 //   - the per-robot belief grids (reused via bayes.Grid.Reset whenever the
-//     area and cell size match).
+//     area and cell size match),
+//   - the flush's busy-robot scratch list and the beacon payload arena.
 //
-// Reuse is invisible in the results: a reseed is a complete stream reset and
-// Grid.Reset restores the exact uniform prior, so a run on a warm slot is
-// byte-identical to one on a new slot (pinned by TestScratchByteIdentity).
+// A new slot and a warm one run the same construction code (newTeam): the
+// first use only finds nothing to keep. Reuse is invisible in the results:
+// every component's Init rewinds it to what its constructor returns, a
+// reseed is a complete stream reset, and Grid.Reset restores the exact
+// uniform prior, so a run on a warm slot is byte-identical to one on a new
+// slot, whatever size and mode of team the slot served before (pinned by
+// TestScratchByteIdentity).
 //
 // A slot serves one team at a time. The team borrows it from a slotPool when
 // it is built (slotPool.team) and parks it again when it runs (Team.run, the
 // only parking site); a team that never runs keeps it until collected.
-// Building the next team on the slot overwrites the previous team's
-// simulator, streams and grids, so a run copies the counts the slot owns
-// into its team before parking (Team.keepCounts). A slot is not safe for
-// concurrent use.
+// Building the next team on the slot overwrites everything above, so before
+// parking a run copies every count its Telemetry reads out of what the slot
+// owns — the simulator's, the medium's, and each robot's NIC, belief grid,
+// beacon and fix counts — into its team (Team.keepCounts). A slot is not
+// safe for concurrent use.
 type slot struct {
 	sim  *sim.Simulator
 	rngs *sim.RNGPool
+	med  mac.Medium
+
+	// robots are the robots of the teams built on the slot: the current
+	// team has robots[:NumRobots]; the rest, left from a larger team, wait
+	// unreferenced for a team that needs them.
+	robots []*robot
+	// busy is flushBeaconQueues' scratch list.
+	busy []*robot
+	// beacons holds the payloads of the beacons on the air.
+	beacons beaconArena
 
 	// grids is the belief-grid arena: grids[:gridsUsed] are handed out to
 	// the current team, the rest are free for reuse.
@@ -57,7 +79,46 @@ func (s *slot) begin(seed int64) (*sim.Simulator, *sim.RNG) {
 	s.sim.Reset()
 	s.rngs.Recycle()
 	s.gridsUsed = 0
+	s.beacons.used = 0
 	return s.sim, s.rngs.Root(seed)
+}
+
+// beaconChunk is how many payloads a beaconArena chunk holds.
+const beaconChunk = 256
+
+// beaconArena holds the payloads of a run's beacons. Beacon frames carry a
+// pointer into it, so sending one boxes no BeaconPayload into the frame (an
+// allocation per beacon). The sender reuses the entries from the first one
+// whenever the medium is idle (mac.Medium.Idle): no frame then references
+// any. Chunks never move, so the arena holds the most beacons ever on the
+// air at once.
+type beaconArena struct {
+	chunks []*[beaconChunk]BeaconPayload
+	used   int
+}
+
+// next returns an unused entry.
+func (a *beaconArena) next() *BeaconPayload {
+	c := a.used / beaconChunk
+	if c == len(a.chunks) {
+		a.chunks = append(a.chunks, new([beaconChunk]BeaconPayload))
+	}
+	p := &a.chunks[c][a.used%beaconChunk]
+	a.used++
+	return p
+}
+
+// robotSlab returns the slot's first n robots, creating the missing ones
+// with their handlers bound. newTeam re-initialises every one it gets.
+func (s *slot) robotSlab(n int) []*robot {
+	if have := len(s.robots); have < n {
+		more := make([]robot, n-have)
+		for i := range more {
+			more[i].bind()
+			s.robots = append(s.robots, &more[i])
+		}
+	}
+	return s.robots[:n]
 }
 
 // grid hands out a belief grid for the given geometry, reusing a retained

@@ -45,18 +45,46 @@ func scratchVariants() map[string]Config {
 	}
 }
 
+// scratchWarmups are the teams the slot-reuse tests warm a slot with,
+// each leaving state the next team must fully overwrite: a larger team of
+// another shape (robots, beacon queues and MRMM state beyond the next
+// team's size; reporting agents, fault filters and crashed, detached
+// stations; a grid geometry that forces the allocate path), an
+// unsynchronized team whose robots end with skewed clocks and a schedule
+// they never heard, and an odometry-only team (powered-off NICs, no
+// protocols or localizers).
+func scratchWarmups() map[string]Config {
+	big := faultyConfig()
+	big.Mode = ModeCombined
+	big.NumRobots = 24
+	big.NumEquipped = 10
+	big.EnableReporting = true
+	big.DurationS = 100
+	big.GridCellM = 8
+	big.Seed = 99
+
+	unsynced := testConfig()
+	unsynced.DisableSync = true
+	unsynced.ClockDriftSigmaS = 0.5
+	unsynced.Faults.SkewMaxS = 2
+	unsynced.DurationS = 100
+	unsynced.Seed = 97
+
+	odo := testConfig()
+	odo.Mode = ModeOdometryOnly
+	odo.NumRobots = 16
+	odo.DurationS = 100
+	odo.Seed = 98
+
+	return map[string]Config{"big-faulty-reporting": big, "unsynced": unsynced, "odometry-only": odo}
+}
+
 // A run on a recycled slot must be byte-identical to a run on a new slot
 // (NewTeamContext) of the same config — including when the slot is warm
-// from a run of a *different* config, so recycled streams, grids, and
-// result buffers all carry state that must be fully overwritten.
+// from a run of a *different* config, so recycled streams, robots, medium,
+// grids, and result buffers all carry state that must be fully
+// overwritten.
 func TestScratchByteIdentity(t *testing.T) {
-	warm := testConfig()
-	warm.NumRobots = 8
-	warm.NumEquipped = 4
-	warm.DurationS = 100
-	warm.GridCellM = 8 // grid geometry mismatch: forces the allocate path next run
-	warm.Seed = 99
-
 	// A local pool: one slot, recycled by every run below.
 	var p slotPool
 	for name, cfg := range scratchVariants() {
@@ -66,15 +94,18 @@ func TestScratchByteIdentity(t *testing.T) {
 				ctx = WithEagerStats(ctx)
 			}
 			fresh := runNewTeam(t, ctx, cfg)
-			if _, err := p.run(nil, warm); err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.run(ctx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fresh, got) {
-				t.Errorf("recycled-slot result differs from a new-slot run")
+			var got *Result
+			for warmName, warm := range scratchWarmups() {
+				if _, err := p.run(nil, warm); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if got, err = p.run(ctx, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh, got) {
+					t.Errorf("result on a slot warm from %s differs from a new-slot run", warmName)
+				}
 			}
 			// Second pass on the now-warm slot with a released result:
 			// exercises grid reuse (matching geometry) and result recycling.
@@ -177,7 +208,8 @@ func TestSlotPoolConcurrentRuns(t *testing.T) {
 // counts the slot owns were copied into the team before it was parked.
 // Runs on the process-wide pool, so it must not be parallel.
 func TestTeamTelemetrySurvivesSlotReuse(t *testing.T) {
-	cfg := testConfig()
+	cfg := faultyConfig()
+	cfg.EnableReporting = true
 	cfg.DurationS = 150
 	a, err := NewTeam(cfg)
 	if err != nil {
@@ -187,17 +219,36 @@ func TestTeamTelemetrySurvivesSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := a.Telemetry()
-	if c := counterMap(want); c["sim.events_dispatched"] == 0 || c["bayes.apply.nearest"]+c["bayes.apply.lerp"] == 0 {
-		t.Fatalf("degenerate run telemetry: %v", c)
+	// Every series the slot's objects count must have moved, or the
+	// comparison below could not see it overwritten. (Energy and MRMM
+	// counts reach the Result, not the telemetry.)
+	c := counterMap(want)
+	for _, name := range []string{
+		"sim.events_dispatched", "mac.sent", "mac.pool_hits", "network.sent",
+		"network.delivered", "network.fault_drops.beacon", "faults.drops.loss",
+		"faults.outliers", "cocoa.beacons_queued", "cocoa.fixes", "cocoa.syncs_received",
+	} {
+		if c[name] == 0 {
+			t.Errorf("degenerate run telemetry: %s is 0", name)
+		}
+	}
+	if c["bayes.apply.nearest"]+c["bayes.apply.lerp"] == 0 {
+		t.Errorf("degenerate run telemetry: no bayes applies")
 	}
 	for i := 0; i < 4; i++ {
 		other := cfg
 		other.Seed = 77 + int64(i)
+		other.EnableReporting = i%2 == 0
 		if i%2 == 1 {
-			// Another geometry; the even runs recycle a's grids.
+			// Another size and geometry, fault-free; the even runs recycle
+			// a's grids with more robots than a had.
 			other.NumRobots = 8
 			other.NumEquipped = 4
 			other.GridCellM = 8
+			other.Faults = faults.Config{}
+		} else {
+			other.NumRobots = 20
+			other.NumEquipped = 8
 		}
 		b, err := NewTeam(other)
 		if err != nil {
@@ -370,15 +421,15 @@ func allocBytesPerRun(f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// The slot's reason to exist: replications on a warm slot must allocate
-// less than runs on a new slot — fewer objects, and a small fraction of
-// the bytes (the savings concentrate in few-but-large allocations: belief
-// grids and the ~5 KB lagged-Fibonacci state vector behind every stream).
-// The pins are ratios, not absolute counts, so they stay meaningful as the
-// engine evolves.
+// The slot's reason to exist: a team built and run on a warm slot
+// allocates a small fraction of what one on a new slot does — objects
+// (the robots and everything they own are re-initialised in place) and
+// bytes (the belief grids and the ~5 KB lagged-Fibonacci state vector
+// behind every stream). The team is swarm-shaped, where per-robot
+// construction dominates set-up. The pins are ratios, not absolute counts,
+// so they stay meaningful as the engine evolves.
 func TestScratchReuseAllocs(t *testing.T) {
-	cfg := testConfig()
-	cfg.DurationS = 100
+	cfg := swarmConfig(200)
 	var p slotPool
 	// Warm everything the comparison should not see: the process-wide
 	// calibration cache, the pool's slot, and the runtime itself.
@@ -404,14 +455,102 @@ func TestScratchReuseAllocs(t *testing.T) {
 
 	freshAllocs := testing.AllocsPerRun(3, fresh)
 	reusedAllocs := testing.AllocsPerRun(3, reused)
-	if reusedAllocs >= freshAllocs {
-		t.Errorf("warm-slot run allocates %.0f objects, new-slot %.0f: reuse saves nothing", reusedAllocs, freshAllocs)
+	t.Logf("objects per build and run: new slot %.0f, warm slot %.0f", freshAllocs, reusedAllocs)
+	if reusedAllocs > freshAllocs/10 {
+		t.Errorf("warm-slot build and run allocates %.0f objects, new-slot %.0f: want at most a tenth",
+			reusedAllocs, freshAllocs)
 	}
 
 	freshBytes := allocBytesPerRun(fresh)
 	reusedBytes := allocBytesPerRun(reused)
+	t.Logf("bytes per build and run: new slot %.0f, warm slot %.0f", freshBytes, reusedBytes)
 	if reusedBytes > freshBytes/3 {
 		t.Errorf("warm-slot run allocates %.0f B, new-slot %.0f B: want at least a 3x drop",
 			reusedBytes, freshBytes)
 	}
+}
+
+// Building a team on a warm slot allocates per team, not per robot: the
+// object count is the same for 100 robots as for 400.
+func TestWarmNewTeamAllocsFlatInRobots(t *testing.T) {
+	small, large := swarmConfig(100), swarmConfig(400)
+	var p slotPool
+	build := func(cfg Config) func() {
+		return func() {
+			team, err := p.team(cfg, reference{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.put(team.slot) // a team that never runs parks nothing itself
+		}
+	}
+	// Size the slot for the larger team, and warm the calibration cache.
+	if _, err := p.run(nil, large); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.run(nil, small); err != nil {
+		t.Fatal(err)
+	}
+	smallAllocs := testing.AllocsPerRun(5, build(small))
+	largeAllocs := testing.AllocsPerRun(5, build(large))
+	t.Logf("objects per warm NewTeam: %.0f for %d robots, %.0f for %d",
+		smallAllocs, small.NumRobots, largeAllocs, large.NumRobots)
+	if largeAllocs > smallAllocs {
+		t.Errorf("warm NewTeam allocates %.0f objects for %d robots, %.0f for %d: grows with the team",
+			largeAllocs, large.NumRobots, smallAllocs, small.NumRobots)
+	}
+}
+
+// newResult reserves every series row for the run's samples, so sampling
+// never grows a row, but within a fixed budget: Config bounds no
+// magnitudes, so a valid config can ask for a billion sampling ticks.
+func TestNewResultReservesWithinBudget(t *testing.T) {
+	tracked := []int{0, 1, 2}
+	reserved := func(res *Result) (total, min int) {
+		rows := append([][]float64{res.Times, res.AvgError}, res.PerRobot...)
+		min = cap(rows[0])
+		for _, row := range rows {
+			if len(row) != 0 {
+				t.Fatalf("new Result has a row of %d samples", len(row))
+			}
+			total += cap(row)
+			min = minInt(min, cap(row))
+		}
+		return total, min
+	}
+
+	cfg := testConfig()
+	if _, least := reserved(newResult(cfg, tracked)); least != maxSampleTicks(cfg) {
+		t.Errorf("a %d-tick run reserved rows of %d samples", maxSampleTicks(cfg), least)
+	}
+
+	huge := testConfig()
+	huge.DurationS = 1e9
+	if err := huge.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res := newResult(huge, tracked)
+	total, least := reserved(res)
+	if total > maxReservedSamples {
+		t.Errorf("a %d-tick run reserved %d samples, budget %d", maxSampleTicks(huge), total, maxReservedSamples)
+	}
+	if least == 0 {
+		t.Error("an over-budget run reserved nothing for some row")
+	}
+	// Past the reservation a row grows by append, leaving its neighbors
+	// intact.
+	for i := 0; i <= least; i++ {
+		res.Times = append(res.Times, float64(i))
+	}
+	res.AvgError = append(res.AvgError, -1)
+	if res.Times[0] != 0 || res.AvgError[0] != -1 {
+		t.Error("a row grown past its reservation clobbered another row")
+	}
+}
+
+func minInt(a, b int) int {
+	if a < b {
+		return a
+	}
+	return b
 }

@@ -2,6 +2,7 @@ package cocoa_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"cocoa/internal/cocoa"
@@ -31,6 +32,15 @@ func visitStats(t *testing.T, ctx context.Context, cfg cocoa.Config) (visits, se
 		t.Fatal("run sent no frames")
 	}
 	return visits, sent
+}
+
+// The internal tests' swarm config is scenario.SwarmConfig.
+func TestSwarmShapeMatchesScenario(t *testing.T) {
+	for _, n := range []int{1, 50, 200, 1000} {
+		if got, want := cocoa.SwarmShape(n), scenario.SwarmConfig(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: internal swarm config %+v, scenario %+v", n, got, want)
+		}
+	}
 }
 
 // TestIndexPruningFactor is the structural counterpart of BenchmarkSwarm:

@@ -16,11 +16,8 @@ import (
 	"cocoa/internal/geounicast"
 	"cocoa/internal/mac"
 	"cocoa/internal/mcl"
-	"cocoa/internal/mobility"
-	"cocoa/internal/mrmm"
 	"cocoa/internal/network"
 	"cocoa/internal/obs"
-	"cocoa/internal/odometry"
 	"cocoa/internal/sim"
 	"cocoa/internal/telemetry"
 	"cocoa/internal/terrain"
@@ -71,9 +68,9 @@ type Team struct {
 
 	// Run telemetry not counted elsewhere (see Telemetry); flushBusy
 	// observes once per flush, and scratchReuse is 1 on a warm run slot.
-	// simCounts is the slot-owned simulator's counts, copied when the run
-	// ends (see keepCounts).
-	simCounts    sim.Counters
+	// kept is the counts of what the slot owns, copied when the run ends
+	// (see keepCounts).
+	kept         keptCounts
 	beaconsSent  int
 	flushBusy    telemetry.Tally
 	queueDepth   telemetry.Tally
@@ -91,8 +88,9 @@ type Team struct {
 //
 // The team is built on a run slot borrowed from the process-wide free list
 // that RunContext draws from, and running it parks the slot again, so
-// consecutive teams recycle each other's simulator, RNG streams and belief
-// grids. The team stays readable (Telemetry, Table) for as long as the
+// consecutive teams re-initialise in place everything the slot owns (the
+// simulator, RNG streams, MAC medium, robots and belief grids; see slot).
+// The team stays readable (Telemetry, Table) for as long as the
 // caller holds it: the counts the slot owns are copied into the team when
 // the run ends. A team that is never run keeps its slot until it is
 // collected.
@@ -138,8 +136,7 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 		macCfg.NeighborIndex = mac.IndexGrid
 		macCfg.IndexSlackM = cfg.VMax * float64(cfg.SampleIntervalS)
 	}
-	med, err := mac.NewMedium(s, macCfg, root.Stream("mac"))
-	if err != nil {
+	if err := sl.med.Init(s, macCfg, root.Stream("mac")); err != nil {
 		return nil, err
 	}
 
@@ -147,7 +144,7 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 		cfg:      cfg,
 		slot:     sl,
 		sim:      s,
-		med:      med,
+		med:      &sl.med,
 		rng:      root.Stream("team"),
 		clockRng: root.Stream("clock"),
 		progress: cfg.Progress,
@@ -183,19 +180,22 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 	}
 
 	mobCfg := cfg.mobilityConfig()
+	mrmmCfg := cfg.mrmmConfig()
 	center := cfg.Area.Center()
-	for id := 0; id < cfg.NumRobots; id++ {
-		way, err := mobility.NewWaypoint(mobCfg, root.StreamN("mobility", id))
-		if err != nil {
-			return nil, err
-		}
-		r := &robot{
+	t.robots = sl.robotSlab(cfg.NumRobots)
+	for id, r := range t.robots {
+		clear(r.pending)
+		r.pending = r.pending[:0]
+		r.robotRun = robotRun{
 			id:       id,
 			equipped: id < cfg.NumEquipped,
-			way:      way,
+			team:     t,
 			estimate: center,
 		}
-		r.lastTruePos = way.Position(0)
+		if err := r.way.Init(mobCfg, root.StreamN("mobility", id)); err != nil {
+			return nil, err
+		}
+		r.lastTruePos = r.way.Position(0)
 
 		// Odometry anchor: the paper's odometry-only experiment provides
 		// robots with their true initial coordinates; RF modes start the
@@ -205,56 +205,33 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 		if cfg.Mode == ModeOdometryOnly {
 			anchor = r.lastTruePos
 		}
-		r.reckoner, err = odometry.NewDeadReckoner(cfg.Odometry, root.StreamN("odometry", id), anchor)
-		if err != nil {
+		if err := r.reckoner.Init(cfg.Odometry, root.StreamN("odometry", id), anchor); err != nil {
 			return nil, err
 		}
 
-		r.nic = network.NewNIC(s, med, cfg.Energy, id, func() (geom.Vec2, mobility.Leg) {
-			return r.way.Motion(s.Now())
-		})
+		r.nic.Init(s, t.med, cfg.Energy, id, r.on.motion)
 
 		if !needRF {
 			// Odometry-only robots do not use the radio at all.
 			r.nic.PowerOff()
-			t.robots = append(t.robots, r)
 			continue
 		}
 
 		if !r.equipped {
-			r.loc, err = newLocalizer(cfg, root, id, sl, ref.eager)
+			loc, err := r.localizer(cfg, root, sl, ref.eager)
 			if err != nil {
 				return nil, err
 			}
-			r.nic.Handle(network.KindBeacon, func(f mac.Frame, rssi float64) {
-				r.onBeacon(f, rssi, t.lookupPDF)
-			})
+			r.loc = loc
+			r.nic.Handle(network.KindBeacon, r.on.beacon)
 		}
 
-		r.proto, err = mrmm.New(s, r.nic, cfg.mrmmConfig(), root.StreamN("mrmm", id),
-			func() mrmm.MobilityInfo {
-				return mrmm.MobilityInfo{
-					Pos:  r.way.Position(s.Now()),
-					Vel:  r.way.Velocity(),
-					Rest: r.way.RestRemaining(s.Now()),
-				}
-			})
-		if err != nil {
+		if err := r.mesh.Init(s, &r.nic, mrmmCfg, root.StreamN("mrmm", id), r.on.mobility); err != nil {
 			return nil, err
 		}
+		r.proto = &r.mesh
 		r.proto.SetMember(true)
-		r.proto.OnData(func(d mrmm.Data, _ float64) {
-			if sp, ok := d.Payload.(SyncPayload); ok {
-				r.scheduleKnown = true
-				r.syncsReceived++
-				// Resynchronize the robot's timers to the Sync robot.
-				r.syncedThisPeriod = true
-				r.clockErr = 0
-				r.lastSyncPos = sp.SyncPos
-				r.haveSyncPos = true
-				t.emitSimple(EventSyncRecv, r.id)
-			}
-		})
+		r.proto.OnData(r.on.sync)
 		if cfg.DisableSync {
 			// Preprogrammed schedule: every robot knows T and t from
 			// deployment, but nothing ever corrects its clock.
@@ -262,13 +239,14 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 		}
 
 		if cfg.EnableReporting {
-			r.agent, err = geounicast.New(s, r.nic, geounicast.DefaultConfig(),
+			agent, err := geounicast.New(s, &r.nic, geounicast.DefaultConfig(),
 				root.StreamN("unicast", id), func() geom.Vec2 {
 					return r.currentEstimate(cfg.Mode, s.Now())
 				})
 			if err != nil {
 				return nil, err
 			}
+			r.agent = agent
 			if id == t.syncID {
 				r.agent.OnDeliver(func(p geounicast.Packet) {
 					t.reportsDelivered++
@@ -276,8 +254,6 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 				})
 			}
 		}
-
-		t.robots = append(t.robots, r)
 	}
 
 	// The Sync robot is the first equipped robot. It defines the team's
@@ -316,17 +292,23 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 	return t, nil
 }
 
-// newLocalizer builds the configured RF estimation backend for one robot.
+// localizer re-initialises the robot's configured RF estimation backend.
 // Grid localizers draw from the slot's grid arena, and read their
 // statistics by full scans when eager is set.
-func newLocalizer(cfg Config, root *sim.RNG, id int, sl *slot, eager bool) (Localizer, error) {
+func (r *robot) localizer(cfg Config, root *sim.RNG, sl *slot, eager bool) (Localizer, error) {
 	switch cfg.Localizer {
 	case LocalizerParticle:
 		mc := mcl.DefaultConfig(cfg.Area)
 		mc.Particles = cfg.Particles
-		return mcl.New(mc, root.StreamN("mcl", id))
+		if err := r.particles.Init(mc, root.StreamN("mcl", r.id)); err != nil {
+			return nil, err
+		}
+		return &r.particles, nil
 	case LocalizerEKF:
-		return ekf.New(ekf.DefaultConfig(cfg.Area))
+		if err := r.kalman.Init(ekf.DefaultConfig(cfg.Area)); err != nil {
+			return nil, err
+		}
+		return &r.kalman, nil
 	default:
 		g, err := sl.grid(cfg)
 		if err != nil {
@@ -468,6 +450,9 @@ func (t *Team) trackedIDs() []int {
 	var ids []int
 	for _, r := range t.robots {
 		if t.cfg.Mode == ModeOdometryOnly || !r.equipped {
+			if ids == nil {
+				ids = make([]int, 0, len(t.robots))
+			}
 			ids = append(ids, r.id)
 		}
 	}
@@ -562,7 +547,6 @@ func (t *Team) startWindow(w sim.Time) {
 		usable = float64(cfg.TransmitPeriodS) * 0.5
 	}
 	for _, r := range t.robots {
-		r := r
 		if r.failed || r.crashed {
 			continue
 		}
@@ -576,7 +560,7 @@ func (t *Team) startWindow(w sim.Time) {
 		}
 		for j := 0; j < cfg.BeaconsPerWindow; j++ {
 			slot := usable * (float64(j) + t.rng.Float64()) / float64(cfg.BeaconsPerWindow)
-			t.sim.Schedule(skew+guard+slot, func() { t.sendBeacon(r) })
+			t.sim.Schedule(skew+guard+slot, r.on.beaconDue)
 		}
 	}
 
@@ -619,7 +603,12 @@ func (t *Team) sendBeacon(r *robot) {
 	}
 	now := t.sim.Now()
 	pos := r.truePos(now)
-	payload := BeaconPayload{Sender: r.id, Pos: pos}
+	arena := &t.slot.beacons
+	if t.med.Idle() {
+		arena.used = 0
+	}
+	payload := arena.next()
+	*payload = BeaconPayload{Sender: r.id, Pos: pos}
 	if !r.equipped {
 		// Secondary beacon: advertise the estimate, not the truth — the
 		// robot does not know its true position.
@@ -639,13 +628,14 @@ func (t *Team) sendBeacon(r *robot) {
 // flush produces are byte-identical at any worker count — the pool only
 // changes which OS thread does the arithmetic.
 func (t *Team) flushBeaconQueues() {
-	var busy []*robot
+	busy := t.slot.busy[:0]
 	for _, r := range t.robots {
 		if len(r.pending) > 0 {
 			t.queueDepth.Observe(len(r.pending))
 			busy = append(busy, r)
 		}
 	}
+	t.slot.busy = busy
 	t.flushBusy.Observe(len(busy))
 	workers := t.updateWorkers
 	if workers > len(busy) {
@@ -720,30 +710,17 @@ func (t *Team) endWindow(w sim.Time) {
 		if !cfg.Coordinated || !r.scheduleKnown {
 			continue // stays awake; no timers to arm
 		}
-		r := r
 		sleepAt := float64(w+cfg.TransmitPeriodS) + r.clockErr
 		if sleepAt < now {
 			sleepAt = now
 		}
-		t.sim.At(sleepAt, func() {
-			if r.failed || r.crashed {
-				return
-			}
-			r.nic.Sleep()
-			t.emitSimple(EventSleep, r.id)
-		})
+		t.sim.At(sleepAt, r.on.sleep)
 		wakeAt := float64(w+cfg.BeaconPeriodS) + r.clockErr
 		if wakeAt <= sleepAt {
 			wakeAt = sleepAt
 		}
 		if wakeAt < float64(cfg.DurationS) {
-			t.sim.At(wakeAt, func() {
-				if r.failed || r.crashed {
-					return
-				}
-				r.nic.Wake()
-				t.emitSimple(EventWake, r.id)
-			})
+			t.sim.At(wakeAt, r.on.wake)
 		}
 	}
 }
@@ -791,15 +768,41 @@ func (t *Team) finish(res *Result) {
 	}
 }
 
-// keepCounts copies the counts the run slot owns (the simulator's and the
-// belief grids') into the team, so Telemetry stays valid once the slot
-// serves another team.
+// keptCounts is every count Telemetry reads of what the run slot owns,
+// copied out by keepCounts. The robots' counts are summed over the team,
+// which is how Telemetry publishes them.
+type keptCounts struct {
+	sim   sim.Counters
+	mac   mac.Counts
+	nic   network.Counts
+	grids bayes.GridCounts
+	// anyGrid is set when some robot localized on a belief grid: only then
+	// are the bayes.* series published.
+	anyGrid bool
+
+	beaconsQueued, beaconsPending int
+	fixes, fixMisses, syncs       int
+}
+
+// keepCounts copies the counts the run slot owns — the simulator's, the
+// medium's, and each robot's NIC, belief-grid, beacon, fix and SYNC counts
+// — into the team, so Telemetry stays valid once the slot serves another
+// team. The run's fault links belong to the team, not the slot.
 func (t *Team) keepCounts() {
-	t.simCounts = t.sim.Counters()
+	k := &t.kept
+	k.sim = t.sim.Counters()
+	k.mac = t.med.Counts()
 	for _, r := range t.robots {
+		k.nic.Add(r.nic.Counts())
 		if g, ok := r.loc.(*bayes.Grid); ok {
-			r.gridCounts = g.Counts()
+			k.grids.Add(g.Counts())
+			k.anyGrid = true
 		}
+		k.beaconsQueued += r.beaconsApplied
+		k.beaconsPending += len(r.pending)
+		k.fixes += r.fixes
+		k.fixMisses += r.missedWindows
+		k.syncs += r.syncsReceived
 	}
 }
 
@@ -816,19 +819,18 @@ func (t *Team) Telemetry() telemetry.Snapshot {
 // publish adds the run's counts to reg. It reads nothing the run slot
 // owns.
 func (t *Team) publish(reg *telemetry.Registry) {
-	t.simCounts.Publish(reg)
-	t.med.Publish(reg)
-	for _, r := range t.robots {
-		r.nic.Publish(reg)
-		if _, ok := r.loc.(*bayes.Grid); ok {
-			r.gridCounts.Publish(reg)
-		}
-		reg.Add("cocoa.beacons_queued", r.beaconsApplied)
-		reg.Add("cocoa.beacons_applied", r.beaconsApplied-len(r.pending)) // queued, less still pending
-		reg.Add("cocoa.fixes", r.fixes)
-		reg.Add("cocoa.fix_misses", r.missedWindows)
-		reg.Add("cocoa.syncs_received", r.syncsReceived)
+	k := &t.kept
+	k.sim.Publish(reg)
+	k.mac.Publish(reg)
+	k.nic.Publish(reg)
+	if k.anyGrid {
+		k.grids.Publish(reg)
 	}
+	reg.Add("cocoa.beacons_queued", k.beaconsQueued)
+	reg.Add("cocoa.beacons_applied", k.beaconsQueued-k.beaconsPending) // queued, less still pending
+	reg.Add("cocoa.fixes", k.fixes)
+	reg.Add("cocoa.fix_misses", k.fixMisses)
+	reg.Add("cocoa.syncs_received", k.syncs)
 	for _, l := range t.links {
 		l.Publish(reg)
 	}
@@ -853,8 +855,9 @@ func Run(cfg Config) (*Result, error) {
 //
 // The deployment is built on a run slot borrowed from a small process-wide
 // free list (the one NewTeam draws from) and parked again when the run
-// returns, so back-to-back runs recycle each other's simulator, RNG streams
-// and belief grids instead of reallocating them. Results are byte-identical
+// returns, so back-to-back runs recycle each other's simulator, RNG
+// streams, MAC medium, robots and belief grids instead of reallocating
+// them. Results are byte-identical
 // either way; pass a Result that is no longer needed to ReleaseResult to
 // recycle its buffers too.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {

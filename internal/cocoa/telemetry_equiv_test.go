@@ -188,7 +188,8 @@ func slotDependent(name string) bool {
 }
 
 // A run on a recycled slot publishes the same counters and histograms as a
-// run of the same config on a new slot, except the slot-dependent two.
+// run of the same config on a new slot, except the slot-dependent two,
+// whatever teams the slot served before.
 func TestTelemetryRecycledSlot(t *testing.T) {
 	t.Parallel()
 	strip := func(s telemetry.Snapshot) telemetry.Snapshot {
@@ -203,18 +204,18 @@ func TestTelemetryRecycledSlot(t *testing.T) {
 	}
 	cfg := faultyConfig()
 	_, _, fresh := runTelemetry(t, cfg, nil)
-	sc := newSlot()
-	other := testConfig()
-	other.Seed = 99
-	runTelemetry(t, other, sc) // warm the slot with a different run
-	_, _, warm := runTelemetry(t, cfg, sc)
-	if c := counterMap(warm); c["cocoa.scratch_reuse"] != 1 {
-		t.Errorf("warm run cocoa.scratch_reuse = %d, want 1", c["cocoa.scratch_reuse"])
-	}
 	if c := counterMap(fresh); c["cocoa.scratch_reuse"] != 0 {
 		t.Errorf("fresh run cocoa.scratch_reuse = %d, want 0", c["cocoa.scratch_reuse"])
 	}
-	if !reflect.DeepEqual(strip(fresh), strip(warm)) {
-		t.Errorf("recycled-slot telemetry differs from a fresh run\nfresh: %+v\nwarm:  %+v", fresh, warm)
+	sc := newSlot()
+	for name, other := range scratchWarmups() {
+		runTelemetry(t, other, sc) // warm the slot with a different run
+		_, _, warm := runTelemetry(t, cfg, sc)
+		if c := counterMap(warm); c["cocoa.scratch_reuse"] != 1 {
+			t.Errorf("warm run cocoa.scratch_reuse = %d, want 1", c["cocoa.scratch_reuse"])
+		}
+		if !reflect.DeepEqual(strip(fresh), strip(warm)) {
+			t.Errorf("telemetry on a slot warm from %s differs from a fresh run\nfresh: %+v\nwarm:  %+v", name, fresh, warm)
+		}
 	}
 }

@@ -83,12 +83,22 @@ type Filter struct {
 
 // New builds a filter in its reset (uninitialized) state.
 func New(cfg Config) (*Filter, error) {
-	if err := cfg.Validate(); err != nil {
+	f := new(Filter)
+	if err := f.Init(cfg); err != nil {
 		return nil, err
 	}
-	f := &Filter{cfg: cfg}
-	f.Reset()
 	return f, nil
+}
+
+// Init rewinds f, in place, to the filter New returns, keeping the
+// capacity of its bootstrap buffer.
+func (f *Filter) Init(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*f = Filter{cfg: cfg, bootAnchors: f.bootAnchors[:0]}
+	f.Reset()
+	return nil
 }
 
 // Reset returns the filter to the uninformed prior.

@@ -115,7 +115,14 @@ type Meter struct {
 // NewMeter returns a meter whose radio starts in the given state at time
 // start.
 func NewMeter(params Params, start sim.Time, initial State) *Meter {
-	return &Meter{
+	m := new(Meter)
+	m.Init(params, start, initial)
+	return m
+}
+
+// Init rewinds m to the meter NewMeter returns, in place.
+func (m *Meter) Init(params Params, start sim.Time, initial State) {
+	*m = Meter{
 		params: params,
 		state:  initial,
 		lastAt: start,

@@ -106,6 +106,16 @@ func (bg *bucketGrid[T]) put(k gridKey, b []T) {
 	bg.overflow[k] = b
 }
 
+// clear empties every bucket, keeping the dense window and each dense
+// bucket's capacity.
+func (bg *bucketGrid[T]) clear() {
+	for i, b := range bg.dense {
+		clear(b)
+		bg.dense[i] = b[:0]
+	}
+	clear(bg.overflow)
+}
+
 // forEach calls fn for every non-empty bucket, dense window first.
 func (bg *bucketGrid[T]) forEach(fn func(gridKey, []T)) {
 	for i, b := range bg.dense {
@@ -196,7 +206,24 @@ type gridIndex struct {
 }
 
 func newGridIndex(cellM float64) *gridIndex {
-	return &gridIndex{cellM: cellM, inv: 1 / cellM}
+	g := new(gridIndex)
+	g.setCell(cellM)
+	return g
+}
+
+// setCell sets the cell side of an empty index.
+func (g *gridIndex) setCell(cellM float64) {
+	g.cellM, g.inv = cellM, 1/cellM
+}
+
+// clear empties the index of every station and transmission, keeping its
+// buckets' memory for the next medium configuration. Buckets are keyed by
+// cell coordinates only, so a later setCell may change the cell side.
+func (g *gridIndex) clear() {
+	g.cells.clear()
+	g.txCells.clear()
+	clear(g.cand)
+	g.cand = g.cand[:0]
 }
 
 // coord maps one coordinate to its cell index, clamped to the defined range.

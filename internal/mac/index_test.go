@@ -34,6 +34,13 @@ type workloadTrace struct {
 // index.
 func runChurnWorkload(t *testing.T, idx NeighborIndex, seed int64) workloadTrace {
 	t.Helper()
+	return runChurnOn(t, sim.New(), new(Medium), idx, seed)
+}
+
+// runChurnOn is runChurnWorkload on simulator s and medium med, reset and
+// re-initialised first.
+func runChurnOn(t *testing.T, s *sim.Simulator, med *Medium, idx NeighborIndex, seed int64) workloadTrace {
+	t.Helper()
 	const (
 		n      = 40
 		side   = 600.0
@@ -42,12 +49,11 @@ func runChurnWorkload(t *testing.T, idx NeighborIndex, seed int64) workloadTrace
 		sendDt = 0.02
 		dur    = 6.0
 	)
-	s := sim.New()
+	s.Reset()
 	cfg := DefaultConfig(swarmModel())
 	cfg.NeighborIndex = idx
 	cfg.IndexSlackM = slackM
-	med, err := NewMedium(s, cfg, sim.NewRNG(seed).Stream("mac"))
-	if err != nil {
+	if err := med.Init(s, cfg, sim.NewRNG(seed).Stream("mac")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,6 +138,29 @@ func TestGridScanEquivalence(t *testing.T) {
 	}
 }
 
+// A medium re-initialised after other runs — under the other index, with
+// detached stations and a frame still on the air — behaves exactly like a
+// new one, down to its pool telemetry.
+func TestInitRewindsMedium(t *testing.T) {
+	s, med := sim.New(), new(Medium)
+	runChurnOn(t, s, med, IndexScan, 3)
+	runChurnOn(t, s, med, IndexGrid, 4)
+	if err := med.Send(med.ordered[0].id, Frame{Kind: 1, Bytes: 56}); err != nil {
+		t.Fatal(err)
+	}
+	if med.Idle() || len(med.inflight) == 0 {
+		t.Fatal("the warm-up left no frame on the air")
+	}
+	for _, seed := range []int64{1, 2} {
+		want := runChurnWorkload(t, IndexGrid, seed)
+		got := runChurnOn(t, s, med, IndexGrid, seed)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("seed %d: re-initialised medium diverged from a new one\nnew:    %+v %+v\nreused: %+v %+v",
+				seed, want.Stats, want.tel, got.Stats, got.tel)
+		}
+	}
+}
+
 // TestGridPrunesVisits asserts the index is not equivalence-by-doing-the-
 // same-work: on a spread-out swarm the per-frame receiver visits must drop
 // by a large factor. Deterministic counters, not wall time, prove the claim.
@@ -191,7 +220,8 @@ func TestDetachCompacts(t *testing.T) {
 		}
 		med.UpdatePositions()
 		reg := telemetry.NewRegistry()
-		med.Publish(reg)
+		counts := med.Counts()
+		counts.Publish(reg)
 		tel := med.tel
 		for name, want := range map[string]int{
 			"mac.sent": st.Sent, "mac.delivered": st.Delivered, "mac.collided": st.Collided,

@@ -213,12 +213,24 @@ type Medium struct {
 	// index here.
 	ordered  []*station
 	inflight []*transmission
-	stats    Stats
+	// queued counts the frames Send accepted that are not finished yet:
+	// contending for the channel, or on the air until finishReceptions.
+	queued int
+	stats  Stats
 	// freeRec and freeTx recycle reception/transmission structs: a dense
 	// deployment starts tens of thousands of receptions per run, and each
-	// one is dead by end-of-frame.
+	// one is dead by end-of-frame. freeSt holds the stations of the
+	// previous Init for Attach to reuse. All three survive Init.
 	freeRec []*reception
 	freeTx  []*transmission
+	freeSt  []*station
+	// recLive and txLive count the pooled structs in use, and recPeak and
+	// txPeak their highs since Init: the pool telemetry counts a miss
+	// whenever a get sets a new high — exactly when a pool emptied at
+	// Init would have allocated — so it reads the same on a medium
+	// re-initialised with warm pools as on a new one.
+	recLive, recPeak int
+	txLive, txPeak   int
 	// Distance gates bracketing, in squared meters, where the monotone
 	// mean path-loss curve crosses the carrier-sense and the
 	// max-plausible-RSSI thresholds. Inside a bracket the exact dBm
@@ -262,14 +274,58 @@ type medTel struct {
 // NewMedium builds a medium over the given simulator. The RNG stream drives
 // channel noise and backoff; it must be dedicated to the MAC.
 func NewMedium(s *sim.Simulator, cfg Config, rng *sim.RNG) (*Medium, error) {
-	if err := cfg.Validate(); err != nil {
+	m := new(Medium)
+	if err := m.Init(s, cfg, rng); err != nil {
 		return nil, err
 	}
-	m := &Medium{
+	return m, nil
+}
+
+// Init rewinds m, in place, to the medium NewMedium returns: no stations,
+// nothing in flight, zero counts. It keeps the memory of the previous
+// configuration for reuse — the reception, transmission and station
+// pools, the station map and list, the spatial index's buckets, and the
+// ceiling table — so re-initialising a medium for a run of the same size
+// allocates nothing. Frames the previous run left on the air are
+// discarded; their end-of-frame events must be gone with the simulator
+// they were scheduled on (sim.Simulator.Reset). On error m is unusable
+// until a later Init succeeds.
+func (m *Medium) Init(s *sim.Simulator, cfg Config, rng *sim.RNG) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	for _, tx := range m.inflight {
+		for _, rec := range tx.recs {
+			m.releaseReception(rec)
+		}
+		m.releaseTransmission(tx)
+	}
+	for _, st := range m.ordered {
+		clear(st.active)
+		clear(st.own)
+		*st = station{active: st.active[:0], own: st.own[:0]}
+		m.freeSt = append(m.freeSt, st)
+	}
+	if m.stations == nil {
+		m.stations = make(map[int]*station)
+	}
+	clear(m.stations)
+	clear(m.inflight)
+	grid := m.grid
+	if grid != nil {
+		grid.clear()
+	}
+	*m = Medium{
 		cfg:      cfg,
 		sim:      s,
 		rng:      rng,
-		stations: make(map[int]*station),
+		stations: m.stations,
+		ordered:  m.ordered[:0],
+		inflight: m.inflight[:0],
+		freeRec:  m.freeRec,
+		freeTx:   m.freeTx,
+		freeSt:   m.freeSt,
+		ceil:     m.ceil,
 	}
 	m.senseNear2, m.senseFar2 = rssiGate(
 		cfg.Model.MeanRSSI,
@@ -281,7 +337,7 @@ func NewMedium(s *sim.Simulator, cfg Config, rng *sim.RNG) (*Medium, error) {
 		cfg.Model.MeanRSSI,
 		cfg.Model.DistanceForRSSI(plausDBm),
 		plausDBm)
-	m.ceil = meanCeilings(cfg.Model.MeanRSSI, math.Sqrt(m.plausFar2))
+	m.ceil = meanCeilings(cfg.Model.MeanRSSI, math.Sqrt(m.plausFar2), m.ceil)
 	if cfg.NeighborIndex == IndexGrid {
 		// Cell side: beyond max(senseFar, plausFar) the scan path treats a
 		// station identically to the bulk skip (transmit) or skips the
@@ -291,12 +347,16 @@ func NewMedium(s *sim.Simulator, cfg Config, rng *sim.RNG) (*Medium, error) {
 		// nothing can ever be skipped; stay on the scan then.
 		far2 := math.Max(m.plausFar2, m.senseFar2)
 		if cell := math.Sqrt(far2) + cfg.IndexSlackM; !math.IsInf(cell, 1) && cell > 0 {
-			m.grid = newGridIndex(cell)
+			if grid == nil {
+				grid = new(gridIndex)
+			}
+			grid.setCell(cell)
+			m.grid = grid
 			pf := math.Sqrt(m.plausFar2) + cfg.IndexSlackM
 			m.pruneFar2 = pf * pf
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // rssiGate brackets the crossing distance of the monotone non-increasing
@@ -337,13 +397,18 @@ const (
 
 // meanCeilings tabulates the monotone non-increasing mean curve f at whole
 // meters up to far: rung k is f(k) + ceilMarginDB, which bounds f on
-// [k, k+1) and, for the last rung, on everything beyond.
-func meanCeilings(f func(float64) float64, far float64) []float64 {
+// [k, k+1) and, for the last rung, on everything beyond. The table is
+// written into buf when it is large enough.
+func meanCeilings(f func(float64) float64, far float64, buf []float64) []float64 {
 	n := maxCeilRungs
 	if far < maxCeilRungs-1 {
 		n = int(far) + 2
 	}
-	c := make([]float64, n)
+	c := buf[:0]
+	if cap(c) < n {
+		c = make([]float64, n)
+	}
+	c = c[:n]
 	for k := range c {
 		c[k] = f(float64(k)) + ceilMarginDB
 	}
@@ -362,7 +427,8 @@ func (m *Medium) meanCeil(d float64) float64 {
 // Attach registers an endpoint under the given node ID and reads its
 // motion. Attaching the same ID twice replaces the previous endpoint.
 func (m *Medium) Attach(id int, ep Endpoint) {
-	st := &station{id: id, ep: ep}
+	st := m.newStation()
+	st.id, st.ep = id, ep
 	if old, ok := m.stations[id]; ok {
 		st.rank = old.rank
 		m.ordered[st.rank] = st
@@ -471,24 +537,34 @@ func (st *station) sync() geom.Vec2 {
 // Stats returns a copy of the MAC counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// Publish adds the run's mac.* counts to reg: Stats plus medTel.
-func (m *Medium) Publish(reg *telemetry.Registry) {
-	reg.Add("mac.sent", m.stats.Sent)
-	reg.Add("mac.delivered", m.stats.Delivered)
-	reg.Add("mac.collided", m.stats.Collided)
-	reg.Add("mac.below_sense", m.stats.BelowSense)
-	reg.Add("mac.missed_asleep", m.stats.MissedAsleep)
-	reg.Add("mac.dropped_busy", m.stats.DroppedBusy)
-	reg.Add("mac.backoffs", m.stats.BackoffEvents)
-	reg.Add("mac.rssi_gate_skips", m.tel.gateSkips)
-	reg.Add("mac.receiver_visits", m.tel.visits)
-	reg.Add("mac.pool_hits", m.tel.poolHits)
-	reg.Add("mac.pool_misses", m.tel.poolMisses)
-	reg.Add("mac.index_cells_scanned", m.tel.indexCells)
-	reg.Add("mac.index_candidates", m.tel.indexCands)
-	reg.Add("mac.index_bulk_skips", m.tel.indexSkips)
-	reg.Add("mac.index_moves", m.tel.indexMoves)
-	reg.Add("mac.index_rebuilds", m.tel.indexRebuilds)
+// Counts is a value copy of a run's mac.* counts. It stays publishable
+// after the medium is re-initialised for another run.
+type Counts struct {
+	stats Stats
+	tel   medTel
+}
+
+// Counts returns the run's mac.* counts.
+func (m *Medium) Counts() Counts { return Counts{m.stats, m.tel} }
+
+// Publish adds the counts to reg: Stats plus medTel.
+func (c *Counts) Publish(reg *telemetry.Registry) {
+	reg.Add("mac.sent", c.stats.Sent)
+	reg.Add("mac.delivered", c.stats.Delivered)
+	reg.Add("mac.collided", c.stats.Collided)
+	reg.Add("mac.below_sense", c.stats.BelowSense)
+	reg.Add("mac.missed_asleep", c.stats.MissedAsleep)
+	reg.Add("mac.dropped_busy", c.stats.DroppedBusy)
+	reg.Add("mac.backoffs", c.stats.BackoffEvents)
+	reg.Add("mac.rssi_gate_skips", c.tel.gateSkips)
+	reg.Add("mac.receiver_visits", c.tel.visits)
+	reg.Add("mac.pool_hits", c.tel.poolHits)
+	reg.Add("mac.pool_misses", c.tel.poolMisses)
+	reg.Add("mac.index_cells_scanned", c.tel.indexCells)
+	reg.Add("mac.index_candidates", c.tel.indexCands)
+	reg.Add("mac.index_bulk_skips", c.tel.indexSkips)
+	reg.Add("mac.index_moves", c.tel.indexMoves)
+	reg.Add("mac.index_rebuilds", c.tel.indexRebuilds)
 }
 
 // Config returns the medium's configuration.
@@ -504,9 +580,14 @@ func (m *Medium) Send(from int, f Frame) error {
 	}
 	f.From = from
 	m.stats.TxRequests++
+	m.queued++
 	m.attempt(st, f, 1, m.cfg.MinCW)
 	return nil
 }
+
+// Idle reports whether every frame Send accepted is finished — dropped, or
+// delivered at its end of frame — so the medium holds no Frame.Payload.
+func (m *Medium) Idle() bool { return m.queued == 0 }
 
 // attempt performs one carrier-sense round.
 func (m *Medium) attempt(st *station, f Frame, attempt, cw int) {
@@ -516,6 +597,7 @@ func (m *Medium) attempt(st *station, f Frame, attempt, cw int) {
 	}
 	if attempt >= m.cfg.MaxAttempts {
 		m.stats.DroppedBusy++
+		m.queued--
 		return
 	}
 	m.stats.BackoffEvents++
@@ -716,34 +798,58 @@ func (m *Medium) finishReceptions(tx *transmission) {
 		m.releaseReception(rec)
 	}
 	m.releaseTransmission(tx)
+	m.queued--
+}
+
+// countPoolGet counts one get from a pool with live structs in use after
+// it and a high of *peak since Init (see Medium.recLive).
+func (m *Medium) countPoolGet(live int, peak *int) {
+	if live > *peak {
+		*peak = live
+		m.tel.poolMisses++
+		return
+	}
+	m.tel.poolHits++
 }
 
 // newReception pops a recycled reception or allocates a fresh one.
 func (m *Medium) newReception() *reception {
+	m.recLive++
+	m.countPoolGet(m.recLive, &m.recPeak)
 	if n := len(m.freeRec); n > 0 {
 		rec := m.freeRec[n-1]
 		m.freeRec = m.freeRec[:n-1]
-		m.tel.poolHits++
 		return rec
 	}
-	m.tel.poolMisses++
 	return &reception{}
 }
 
 func (m *Medium) releaseReception(rec *reception) {
+	m.recLive--
 	*rec = reception{}
 	m.freeRec = append(m.freeRec, rec)
 }
 
+// newStation pops a station the previous Init released, or allocates one.
+func (m *Medium) newStation() *station {
+	if n := len(m.freeSt); n > 0 {
+		st := m.freeSt[n-1]
+		m.freeSt[n-1] = nil
+		m.freeSt = m.freeSt[:n-1]
+		return st
+	}
+	return &station{}
+}
+
 // newTransmission pops a recycled transmission or allocates a fresh one.
 func (m *Medium) newTransmission() *transmission {
+	m.txLive++
+	m.countPoolGet(m.txLive, &m.txPeak)
 	if n := len(m.freeTx); n > 0 {
 		tx := m.freeTx[n-1]
 		m.freeTx = m.freeTx[:n-1]
-		m.tel.poolHits++
 		return tx
 	}
-	m.tel.poolMisses++
 	tx := &transmission{}
 	tx.endFrame = func() {
 		tx.from.ep.EndTx()
@@ -754,6 +860,7 @@ func (m *Medium) newTransmission() *transmission {
 }
 
 func (m *Medium) releaseTransmission(tx *transmission) {
+	m.txLive--
 	recs, endFrame := tx.recs[:0], tx.endFrame
 	*tx = transmission{}
 	tx.recs, tx.endFrame = recs, endFrame

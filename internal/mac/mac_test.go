@@ -366,9 +366,16 @@ func TestDropAfterMaxAttempts(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	if med.Idle() {
+		t.Error("medium idle with a frame on the air")
+	}
 	s.Run()
 	if med.Stats().DroppedBusy != 1 {
 		t.Errorf("DroppedBusy = %d, want 1; stats %+v", med.Stats().DroppedBusy, med.Stats())
+	}
+	// Both frames are finished: one delivered, one dropped.
+	if !med.Idle() {
+		t.Error("medium not idle after its frames finished")
 	}
 }
 

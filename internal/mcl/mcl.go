@@ -76,18 +76,37 @@ type Filter struct {
 
 // New builds a filter with a uniform prior over the area.
 func New(cfg Config, rng *sim.RNG) (*Filter, error) {
-	if err := cfg.Validate(); err != nil {
+	f := new(Filter)
+	if err := f.Init(cfg, rng); err != nil {
 		return nil, err
 	}
-	f := &Filter{
+	return f, nil
+}
+
+// Init rewinds f, in place, to the filter New returns, reusing its
+// particle buffers when they are large enough (Reset overwrites every
+// particle and weight).
+func (f *Filter) Init(cfg Config, rng *sim.RNG) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*f = Filter{
 		cfg: cfg,
 		rng: rng,
-		xs:  make([]float64, cfg.Particles),
-		ys:  make([]float64, cfg.Particles),
-		ws:  make([]float64, cfg.Particles),
+		xs:  resize(f.xs, cfg.Particles),
+		ys:  resize(f.ys, cfg.Particles),
+		ws:  resize(f.ws, cfg.Particles),
 	}
 	f.Reset()
-	return f, nil
+	return nil
+}
+
+// resize returns b cut to n elements, or a new slice if b is too small.
+func resize(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
 }
 
 // Reset scatters the particles uniformly — the paper's "equally likely to

@@ -104,13 +104,22 @@ type Waypoint struct {
 // NewWaypoint builds a movement process starting at a uniformly random
 // position with its first command already issued.
 func NewWaypoint(cfg Config, rng *sim.RNG) (*Waypoint, error) {
-	if err := cfg.Validate(); err != nil {
+	w := new(Waypoint)
+	if err := w.Init(cfg, rng); err != nil {
 		return nil, err
 	}
-	w := &Waypoint{cfg: cfg, rng: rng}
+	return w, nil
+}
+
+// Init rewinds w, in place, to the movement process NewWaypoint returns.
+func (w *Waypoint) Init(cfg Config, rng *sim.RNG) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*w = Waypoint{cfg: cfg, rng: rng}
 	w.pos = w.randomPoint()
 	w.newCommand()
-	return w, nil
+	return nil
 }
 
 // NewWaypointAt is NewWaypoint with a caller-chosen start position.

@@ -185,6 +185,12 @@ type Protocol struct {
 	seenData map[int]int         // highest seq delivered per source
 	upstream map[int]int         // chosen upstream per source
 
+	// handlers are p's NIC handlers, bound to p on its first Init and
+	// registered again by every later one.
+	handlers struct{ query, reply, data network.Handler }
+	// tasks is every task p has made; free holds those not scheduled.
+	tasks, free []*task
+
 	stats Stats
 }
 
@@ -192,24 +198,56 @@ type Protocol struct {
 // own mobility knowledge for control packets.
 func New(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG,
 	mobility func() MobilityInfo) (*Protocol, error) {
-	if err := cfg.Validate(); err != nil {
+	p := new(Protocol)
+	if err := p.Init(s, nic, cfg, rng, mobility); err != nil {
 		return nil, err
 	}
-	p := &Protocol{
+	return p, nil
+}
+
+// Init rewinds p, in place, to the instance New returns and attaches it to
+// the NIC. It keeps p's maps (cleared), per-source query states (rewound
+// to "no round heard", which a round's first query copy treats exactly
+// like a missing state) and task pool, so re-initialising a protocol
+// allocates nothing. Tasks p scheduled before must be gone with the
+// simulator they were scheduled on (sim.Simulator.Reset). A Protocol must
+// not be copied once initialised.
+func (p *Protocol) Init(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG,
+	mobility func() MobilityInfo) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	queries, seenData, upstream, handlers := p.queries, p.seenData, p.upstream, p.handlers
+	if queries == nil {
+		queries, seenData, upstream = make(map[int]*queryState), make(map[int]int), make(map[int]int)
+		handlers.query, handlers.reply, handlers.data = p.onJoinQuery, p.onJoinReply, p.onDataFrame
+	}
+	for _, st := range queries {
+		*st = queryState{candidates: st.candidates[:0]}
+	}
+	clear(seenData)
+	clear(upstream)
+	for _, k := range p.tasks {
+		*k = task{run: k.run}
+	}
+	*p = Protocol{
+		tasks:    p.tasks,
+		free:     append(p.free[:0], p.tasks...),
 		id:       nic.ID(),
 		sim:      s,
 		nic:      nic,
 		cfg:      cfg,
 		rng:      rng,
 		mobility: mobility,
-		queries:  make(map[int]*queryState),
-		seenData: make(map[int]int),
-		upstream: make(map[int]int),
+		queries:  queries,
+		seenData: seenData,
+		upstream: upstream,
+		handlers: handlers,
 	}
-	nic.Handle(network.KindJoinQuery, p.onJoinQuery)
-	nic.Handle(network.KindJoinReply, p.onJoinReply)
-	nic.Handle(network.KindSync, p.onDataFrame)
-	return p, nil
+	nic.Handle(network.KindJoinQuery, handlers.query)
+	nic.Handle(network.KindJoinReply, handlers.reply)
+	nic.Handle(network.KindSync, handlers.data)
+	return nil
 }
 
 // SetMember marks this node as a multicast group member (all CoCoA robots
@@ -286,18 +324,18 @@ func (p *Protocol) onJoinQuery(f mac.Frame, _ float64) {
 		fwd.Hops++
 		fwd.PrevHop = p.id
 		fwd.Info = p.mobility()
-		p.sim.Schedule(p.rng.Uniform(0, float64(p.cfg.ForwardJitterMaxS)), func() {
-			if p.nic.Send(network.KindJoinQuery, joinQueryBytes, fwd) == nil {
-				p.stats.QueriesSent++
-			}
-		})
+		k := p.newTask(taskQuery)
+		k.query = fwd
+		p.sim.Schedule(p.rng.Uniform(0, float64(p.cfg.ForwardJitterMaxS)), k.run)
 	}
 
 	// Members answer after a jitter window that lets duplicates arrive,
 	// so upstream selection can compare candidates.
 	if p.member {
 		delay := p.rng.Uniform(float64(p.cfg.ReplyDelayMinS), float64(p.cfg.ReplyDelayMaxS))
-		p.sim.Schedule(delay, func() { p.sendReply(q.Source, st, q.Seq) })
+		k := p.newTask(taskReply)
+		k.st, k.source, k.seq = st, q.Source, q.Seq
+		p.sim.Schedule(delay, k.run)
 	}
 }
 
@@ -407,12 +445,66 @@ func (p *Protocol) onDataFrame(f mac.Frame, rssi float64) {
 		}
 	}
 	if p.InForwardingGroup() {
-		p.sim.Schedule(p.rng.Uniform(0, float64(p.cfg.ForwardJitterMaxS)), func() {
-			if p.nic.Send(network.KindSync, p.cfg.DataBytes, d) == nil {
-				p.stats.DataSent++
-			}
-		})
+		k := p.newTask(taskData)
+		k.data = d
+		p.sim.Schedule(p.rng.Uniform(0, float64(p.cfg.ForwardJitterMaxS)), k.run)
 	}
+}
+
+// taskKind selects what a scheduled task does.
+type taskKind uint8
+
+const (
+	taskQuery taskKind = iota + 1 // rebroadcast query
+	taskData                      // rebroadcast data
+	taskReply                     // reply to round (source, seq) of st
+)
+
+// task is one scheduled rebroadcast or JOIN REPLY. A protocol pools its
+// tasks with each one's event closure bound once (newTask), so scheduling
+// allocates nothing once the pool holds the most tasks ever pending at
+// once.
+type task struct {
+	run  func()
+	kind taskKind
+
+	query       JoinQuery
+	data        Data
+	st          *queryState
+	source, seq int
+}
+
+// newTask returns a pooled task of the given kind.
+func (p *Protocol) newTask(kind taskKind) *task {
+	var k *task
+	if n := len(p.free); n > 0 {
+		k = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		k = new(task)
+		k.run = func() { p.fire(k) }
+		p.tasks = append(p.tasks, k)
+	}
+	k.kind = kind
+	return k
+}
+
+// fire performs task k, then returns it to the pool.
+func (p *Protocol) fire(k *task) {
+	switch k.kind {
+	case taskQuery:
+		if p.nic.Send(network.KindJoinQuery, joinQueryBytes, k.query) == nil {
+			p.stats.QueriesSent++
+		}
+	case taskData:
+		if p.nic.Send(network.KindSync, p.cfg.DataBytes, k.data) == nil {
+			p.stats.DataSent++
+		}
+	case taskReply:
+		p.sendReply(k.source, k.st, k.seq)
+	}
+	*k = task{run: k.run}
+	p.free = append(p.free, k)
 }
 
 // linkLifetime predicts how long the radio link between this node and a

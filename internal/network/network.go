@@ -85,7 +85,7 @@ type NIC struct {
 	id     int
 	sim    *sim.Simulator
 	med    *mac.Medium
-	meter  *energy.Meter
+	meter  energy.Meter
 	motion func() (geom.Vec2, mobility.Leg)
 
 	mode     Mode
@@ -98,9 +98,8 @@ type NIC struct {
 	received int // frames delivered up the stack
 	sendErrs int // sends rejected because the radio was not awake
 	// faultDrops counts fault-filter drops by frame kind (index 0: unknown
-	// kinds), showing *what* a lossy channel ate. SetFaultFilter allocates
-	// it, so a fault-free NIC stays as small as one without the breakdown.
-	faultDrops *[len(dropKindNames)]int
+	// kinds), showing *what* a lossy channel ate.
+	faultDrops [len(dropKindNames)]int
 }
 
 // dropKindNames suffixes the network.fault_drops.* series, indexed like
@@ -116,16 +115,23 @@ var _ mac.Endpoint = (*NIC)(nil)
 // mobility.Waypoint.Motion does (the MAC needs them for propagation; see
 // mac.Endpoint for when the MAC asks again).
 func NewNIC(s *sim.Simulator, med *mac.Medium, params energy.Params, id int, motion func() (geom.Vec2, mobility.Leg)) *NIC {
-	n := &NIC{
+	n := new(NIC)
+	n.Init(s, med, params, id, motion)
+	return n
+}
+
+// Init rewinds n, in place, to the NIC NewNIC returns and attaches it to
+// the medium: no handlers, no fault filter, zero counts, a fresh meter.
+func (n *NIC) Init(s *sim.Simulator, med *mac.Medium, params energy.Params, id int, motion func() (geom.Vec2, mobility.Leg)) {
+	*n = NIC{
 		id:     id,
 		sim:    s,
 		med:    med,
-		meter:  energy.NewMeter(params, s.Now(), energy.Idle),
 		motion: motion,
 		mode:   ModeAwake,
 	}
+	n.meter.Init(params, s.Now(), energy.Idle)
 	med.Attach(id, n)
-	return n
 }
 
 // ID returns the node ID.
@@ -135,7 +141,7 @@ func (n *NIC) ID() int { return n.id }
 func (n *NIC) Mode() Mode { return n.mode }
 
 // Meter exposes the NIC's energy ledger.
-func (n *NIC) Meter() *energy.Meter { return n.meter }
+func (n *NIC) Meter() *energy.Meter { return &n.meter }
 
 // Handle registers the protocol handler for a frame kind (one of the Kind
 // constants), replacing any previous handler.
@@ -145,31 +151,55 @@ func (n *NIC) Handle(kind int, h Handler) { n.handlers[kind] = h }
 // default) delivers every decoded frame untouched. The energy meter still
 // bills the reception of a fault-dropped frame: the radio spent the Rx
 // power before the corrupted payload failed its checksum.
-func (n *NIC) SetFaultFilter(f FaultFilter) {
-	n.faults = f
-	if f != nil && n.faultDrops == nil {
-		n.faultDrops = new([len(dropKindNames)]int)
-	}
-}
+func (n *NIC) SetFaultFilter(f FaultFilter) { n.faults = f }
 
 // FaultDrops reports frames eaten by the fault filter after MAC decode.
 func (n *NIC) FaultDrops() (total int) {
-	if n.faultDrops != nil {
-		for _, d := range n.faultDrops {
-			total += d
-		}
+	for _, d := range n.faultDrops {
+		total += d
 	}
 	return total
 }
 
-// Publish adds the NIC's run counts to reg (network.*).
-func (n *NIC) Publish(reg *telemetry.Registry) {
-	reg.Add("network.sent", n.sent)
-	reg.Add("network.delivered", n.received)
-	reg.Add("network.send_errors", n.sendErrs)
-	reg.Add("network.fault_drops", n.FaultDrops())
-	if n.faultDrops != nil {
-		for k, d := range n.faultDrops {
+// Counts is a value copy of NICs' network.* run counts: one NIC's
+// (NIC.Counts), or the sum of several (Add). It stays publishable after
+// the NICs are re-initialised for another run.
+type Counts struct {
+	sent, received, sendErrs int
+	faultDrops               [len(dropKindNames)]int
+	// filtered is set when a counted NIC had a fault filter installed:
+	// only then is the per-kind fault-drop breakdown published.
+	filtered bool
+}
+
+// Counts returns the NIC's run counts.
+func (n *NIC) Counts() Counts {
+	return Counts{n.sent, n.received, n.sendErrs, n.faultDrops, n.faults != nil}
+}
+
+// Add adds o's counts to c.
+func (c *Counts) Add(o Counts) {
+	c.sent += o.sent
+	c.received += o.received
+	c.sendErrs += o.sendErrs
+	for k, d := range o.faultDrops {
+		c.faultDrops[k] += d
+	}
+	c.filtered = c.filtered || o.filtered
+}
+
+// Publish adds the counts to reg (network.*).
+func (c *Counts) Publish(reg *telemetry.Registry) {
+	total := 0
+	for _, d := range c.faultDrops {
+		total += d
+	}
+	reg.Add("network.sent", c.sent)
+	reg.Add("network.delivered", c.received)
+	reg.Add("network.send_errors", c.sendErrs)
+	reg.Add("network.fault_drops", total)
+	if c.filtered {
+		for k, d := range c.faultDrops {
 			reg.Add("network.fault_drops."+dropKindNames[k], d)
 		}
 	}

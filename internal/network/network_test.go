@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cocoa/internal/energy"
@@ -283,8 +284,10 @@ func TestFaultFilterInterceptsDelivery(t *testing.T) {
 	// A frame of an unknown kind is dropped into the "other" series.
 	c.Deliver(mac.Frame{Kind: 99}, -50)
 	reg := telemetry.NewRegistry()
-	a.Publish(reg)
-	c.Publish(reg)
+	for _, n := range []*NIC{a, c} {
+		counts := n.Counts()
+		counts.Publish(reg)
+	}
 	for name, want := range map[string]int64{
 		"network.sent": 2, "network.delivered": 1, "network.send_errors": 0,
 		"network.fault_drops": 2, "network.fault_drops.beacon": 1, "network.fault_drops.other": 1,
@@ -292,6 +295,57 @@ func TestFaultFilterInterceptsDelivery(t *testing.T) {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// Summed NIC counts publish what the NICs publish one by one, and Init
+// rewinds a NIC to a new one: no counts, handlers or fault filter.
+func TestCountsSumAndInitRewinds(t *testing.T) {
+	b := newBed(t, 12)
+	a := b.nic(0, geom.Vec2{})
+	c := b.nic(1, geom.Vec2{X: 15})
+	c.SetFaultFilter(&scriptedFilter{drop: map[int]bool{0: true}})
+	handled := 0
+	c.Handle(KindBeacon, func(mac.Frame, float64) { handled++ })
+	for i := 0; i < 2; i++ {
+		b.sim.Schedule(float64(i), func() {
+			if err := a.Send(KindBeacon, BeaconBytes, nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	b.sim.Run()
+	if handled != 1 || c.FaultDrops() != 1 {
+		t.Fatalf("handled %d frames with %d fault drops, want 1 and 1", handled, c.FaultDrops())
+	}
+
+	snapshot := func(cs ...Counts) telemetry.Snapshot {
+		reg := telemetry.NewRegistry()
+		for i := range cs {
+			cs[i].Publish(reg)
+		}
+		return reg.Snapshot()
+	}
+	var sum Counts
+	sum.Add(a.Counts())
+	sum.Add(c.Counts())
+	if got, want := snapshot(sum), snapshot(a.Counts(), c.Counts()); !reflect.DeepEqual(got, want) {
+		t.Errorf("summed counts publish %+v, one by one %+v", got, want)
+	}
+
+	c.Init(b.sim, b.med, energy.DefaultParams(), 1, parked(geom.Vec2{X: 15}))
+	if got := c.Counts(); got != (Counts{}) {
+		t.Errorf("re-initialised NIC counts %+v", got)
+	}
+	if err := a.Send(KindBeacon, BeaconBytes, nil); err != nil {
+		t.Fatal(err)
+	}
+	b.sim.Run()
+	if handled != 1 || c.received != 1 || c.FaultDrops() != 0 {
+		t.Errorf("after Init: handled %d, received %d, fault drops %d; want 1, 1, 0", handled, c.received, c.FaultDrops())
+	}
+	if c.Mode() != ModeAwake || c.Meter().Transitions() != 0 {
+		t.Errorf("after Init: mode %v with %d meter transitions", c.Mode(), c.Meter().Transitions())
 	}
 }
 
@@ -310,7 +364,8 @@ func TestNilFaultFilterIsTransparent(t *testing.T) {
 		t.Errorf("nil filter: delivered=%d drops=%d", got, c.FaultDrops())
 	}
 	reg := telemetry.NewRegistry()
-	c.Publish(reg)
+	counts := c.Counts()
+	counts.Publish(reg)
 	if snap := reg.Snapshot(); len(snap.Counters) != 4 {
 		t.Errorf("filterless NIC published %v, want only the four unbroken-down series", snap.Counters)
 	}

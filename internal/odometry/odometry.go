@@ -78,10 +78,20 @@ type DeadReckoner struct {
 // NewDeadReckoner builds a reckoner whose initial estimate is est (the
 // paper provides odometry-only robots with their true initial position).
 func NewDeadReckoner(cfg Config, rng noiseSource, est geom.Vec2) (*DeadReckoner, error) {
-	if err := cfg.Validate(); err != nil {
+	d := new(DeadReckoner)
+	if err := d.Init(cfg, rng, est); err != nil {
 		return nil, err
 	}
-	return &DeadReckoner{cfg: cfg, rng: rng, est: est}, nil
+	return d, nil
+}
+
+// Init rewinds d, in place, to the reckoner NewDeadReckoner returns.
+func (d *DeadReckoner) Init(cfg Config, rng noiseSource, est geom.Vec2) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*d = DeadReckoner{cfg: cfg, rng: rng, est: est}
+	return nil
 }
 
 // Step consumes the true displacement over the last dt seconds and updates

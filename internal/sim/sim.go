@@ -383,19 +383,22 @@ func (s *Simulator) EachTick(start, interval Time, fn func(t Time)) (stop func()
 	if interval <= 0 {
 		panic("sim: EachTick interval must be positive")
 	}
+	// One event is pending at a time, so a single closure serves every
+	// tick, reading its instant from next.
 	stopped := false
-	var schedule func(t Time)
-	schedule = func(t Time) {
-		s.At(t, func() {
-			if stopped {
-				return
-			}
-			fn(t)
-			if !stopped {
-				schedule(t + interval)
-			}
-		})
+	next := start
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		t := next
+		fn(t)
+		if !stopped {
+			next = t + interval
+			s.At(next, tick)
+		}
 	}
-	schedule(start)
+	s.At(start, tick)
 	return func() { stopped = true }
 }
