@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEventlogRoundTrip -fuzztime=$(FUZZTIME) ./internal/eventlog
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRender -fuzztime=$(FUZZTIME) ./internal/eventlog
 	$(GO) test -run='^$$' -fuzz=FuzzTabulateAgreement -fuzztime=$(FUZZTIME) ./internal/caltable
+	$(GO) test -run='^$$' -fuzz=FuzzCalibrate -fuzztime=$(FUZZTIME) ./internal/caltable
 	$(GO) test -run='^$$' -fuzz=FuzzGridIndex -fuzztime=$(FUZZTIME) ./internal/mac
 	$(GO) test -run='^$$' -fuzz=FuzzGridStats -fuzztime=$(FUZZTIME) ./internal/bayes
 	$(GO) test -run='^$$' -fuzz=FuzzLFGStream -fuzztime=$(FUZZTIME) ./internal/sim
@@ -65,9 +66,9 @@ serve-smoke:
 # the full suite under the race detector in shuffled order (the experiment
 # engine fans runs out across goroutines, so -race is not optional here), a
 # short fuzz pass over the serialization/trace-rendering/loss-channel/LUT/
-# grid-index/grid-statistics/RNG-seeding/event-calendar/motion-leg/RSSI-gate
-# targets, a one-iteration benchmark smoke so bench-only code paths cannot
-# rot between bench runs,
+# calibration-oracle/grid-index/grid-statistics/RNG-seeding/event-calendar/
+# motion-leg/RSSI-gate targets, a one-iteration benchmark smoke so
+# bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
 # floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the
 # order-sensitive service suites. Performance is gated by the repeated,

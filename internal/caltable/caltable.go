@@ -10,6 +10,12 @@
 // sounding of the same channel model the simulation uses: for each RSSI
 // bin it fits a Gaussian when the bin's nominal distance is within the
 // Gaussian regime and falls back to an empirical histogram otherwise.
+//
+// A sounding's RSSI bin is decided on radio.MeanBounds rungs 1/16 m wide,
+// without the path-loss logarithm for almost every sounding, and the
+// distances reach their bins by a counting sort in sounding order; the
+// tables are bit for bit those of evaluating every sounding's mean and
+// appending per bin.
 package caltable
 
 import (
@@ -128,22 +134,34 @@ func DefaultOptions() Options {
 	}
 }
 
+// minSoundingM is the nearest distance calibration sounds at.
+const minSoundingM = 0.5
+
+// maxTableNodes caps the distance nodes of one histogram (⌈MaxDist/HistBinM⌉)
+// or tabulated Gaussian (⌈MaxDist/LUTStepM⌉), so options cannot make the
+// calibration allocate without bound. The defaults use 110 and 3,520.
+const maxTableNodes = 1 << 16
+
 // Validate reports whether the options are usable.
 func (o Options) Validate() error {
 	switch {
-	case o.MaxDist <= 0:
-		return fmt.Errorf("caltable: MaxDist must be positive")
+	case !(o.MaxDist > minSoundingM) || math.IsInf(o.MaxDist, 1):
+		return fmt.Errorf("caltable: MaxDist %v m must be finite and beyond the nearest sounding at %v m", o.MaxDist, minSoundingM)
 	case o.Samples <= 0:
 		return fmt.Errorf("caltable: Samples must be positive")
-	case o.HistBinM <= 0:
+	case !(o.HistBinM > 0):
 		return fmt.Errorf("caltable: HistBinM must be positive")
-	case o.GaussianLimitM <= 0:
+	case math.Ceil(o.MaxDist/o.HistBinM) > maxTableNodes:
+		return fmt.Errorf("caltable: HistBinM %v m makes more than %d histogram bins", o.HistBinM, maxTableNodes)
+	case !(o.GaussianLimitM > 0):
 		return fmt.Errorf("caltable: GaussianLimitM must be positive")
 	case o.MinBinSamples <= 0:
 		return fmt.Errorf("caltable: MinBinSamples must be positive")
-	case o.LUTStepM < 0:
+	case !(o.LUTStepM >= 0):
 		return fmt.Errorf("caltable: LUTStepM must be non-negative")
-	case o.LUTStepM > 0 && o.LUTFloor <= 0:
+	case o.LUTStepM > 0 && math.Ceil(o.MaxDist/o.LUTStepM) > maxTableNodes:
+		return fmt.Errorf("caltable: LUTStepM %v m makes more than %d table nodes", o.LUTStepM, maxTableNodes)
+	case o.LUTStepM > 0 && !(o.LUTFloor > 0):
 		return fmt.Errorf("caltable: LUTFloor must be positive when tabulation is on")
 	}
 	return nil
@@ -190,6 +208,12 @@ func (t *Table) CalibratedRange() (minRSSI, maxRSSI int, ok bool) {
 	return t.minRSSI + lo, t.minRSSI + hi, true
 }
 
+// rungM is the width of the distance rungs the sounding loop brackets the
+// mean RSSI on: at 1/16 m, about 98% of default soundings round to the
+// same dBm at both bounds and skip the path-loss logarithm. Halving it
+// would pass radio.MaxMeanRungs at the default 220 m horizon.
+const rungM = 1.0 / 16
+
 // Calibrate performs the offline calibration phase against the given
 // channel model. This mirrors the paper's procedure of driving a robot to
 // known distances and recording RSSI, except the channel is the simulated
@@ -204,21 +228,39 @@ func Calibrate(m radio.Model, opts Options, rng *sim.RNG) (*Table, error) {
 
 	minRSSI := int(math.Floor(m.MinRSSIDBm))
 	maxRSSI := int(math.Ceil(m.MaxRSSIDBm))
-	nBins := maxRSSI - minRSSI + 1
-	dists := make([][]float64, nBins)
+	nBins := maxRSSI - minRSSI + 1 // radio.Model.Validate bounds the span, so a uint16 indexes it
 
+	// One pass records each sounding's distance and RSSI bin. A counting
+	// sort then lays each bin's distances out contiguously in sounding
+	// order, the order meanStd sums them in.
+	var bounds radio.MeanBounds
+	bounds.Init(&m, rungM, opts.MaxDist)
+	dists := make([]float64, 0, opts.Samples)
+	bins := make([]uint16, 0, opts.Samples)
+	next := make([]int, nBins)
 	for i := 0; i < opts.Samples; i++ {
-		d := rng.Uniform(0.5, opts.MaxDist)
-		r := m.SampleRSSI(d, rng)
-		bin := int(math.Round(r)) - minRSSI
+		d := rng.Uniform(minSoundingM, opts.MaxDist)
+		bin := int(m.SampleRoundedRSSI(d, &bounds, rng)) - minRSSI
 		if bin < 0 || bin >= nBins {
 			continue
 		}
-		dists[bin] = append(dists[bin], d)
+		dists, bins = append(dists, d), append(bins, uint16(bin))
+		next[bin]++
+	}
+	offs := make([]int, nBins+1) // bin b's distances are sorted[offs[b]:offs[b+1]]
+	for b, n := range next {
+		offs[b+1] = offs[b] + n
+		next[b] = offs[b]
+	}
+	sorted := make([]float64, len(dists))
+	for i, b := range bins {
+		sorted[next[b]] = dists[i]
+		next[b]++
 	}
 
 	t := &Table{minRSSI: minRSSI, pdfs: make([]DistPDF, nBins), maxDist: opts.MaxDist}
-	for bin, ds := range dists {
+	for bin := 0; bin < nBins; bin++ {
+		ds := sorted[offs[bin]:offs[bin+1]]
 		if len(ds) < opts.MinBinSamples {
 			continue
 		}

@@ -31,6 +31,17 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.HistBinM = 0 },
 		func(o *Options) { o.GaussianLimitM = 0 },
 		func(o *Options) { o.MinBinSamples = 0 },
+		// Node counts past the cap: once a makeslice panic.
+		func(o *Options) { o.LUTStepM = 1e-12 },
+		func(o *Options) { o.HistBinM = 1e-12 },
+		// Distances are sounded from 0.5 m out.
+		func(o *Options) { o.MaxDist = 0.2 },
+		func(o *Options) { o.MaxDist = 0.5 },
+		func(o *Options) { o.MaxDist = math.Inf(1) },
+		func(o *Options) { o.MaxDist = math.NaN() },
+		func(o *Options) { o.HistBinM = math.NaN() },
+		func(o *Options) { o.LUTStepM = math.NaN() },
+		func(o *Options) { o.LUTFloor = math.NaN() },
 	}
 	for i, mutate := range bad {
 		o := DefaultOptions()
@@ -49,6 +60,12 @@ func TestCalibrateRejectsBadModel(t *testing.T) {
 	}
 	if _, err := Calibrate(radio.DefaultModel(), Options{}, sim.NewRNG(1)); err == nil {
 		t.Fatal("accepted invalid options")
+	}
+	// Once an out-of-memory fatal error: one PDF slot per dBm of the clamp.
+	m = radio.DefaultModel()
+	m.MinRSSIDBm = -1e12
+	if _, err := Calibrate(m, DefaultOptions(), sim.NewRNG(1)); err == nil {
+		t.Fatal("accepted a trillion-dB clamp range")
 	}
 }
 

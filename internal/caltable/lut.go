@@ -3,6 +3,7 @@ package caltable
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // TabulatedPDF wraps a fitted distance PDF with a precomputed radial
@@ -40,13 +41,13 @@ type TabulatedPDF struct {
 
 var _ DistPDF = (*TabulatedPDF)(nil)
 
-// Tabulate builds the lookup table for pdf. floor is the consumer's
-// constraint floor (densities below it are indistinguishable from the
-// clamp, so they bound the support); step is the Gaussian sampling
-// resolution in meters. Empirical histograms ignore step and tabulate
-// exactly at their own bin width.
+// Tabulate builds the lookup table for pdf, a GaussianPDF or an
+// *EmpiricalPDF. floor is the consumer's constraint floor (densities below
+// it are indistinguishable from the clamp, so they bound the support); step
+// is the Gaussian sampling resolution in meters. Empirical histograms
+// ignore step and tabulate exactly at their own bin width.
 func Tabulate(pdf DistPDF, floor, step, maxDist float64) (*TabulatedPDF, error) {
-	if floor <= 0 || step <= 0 || maxDist <= 0 {
+	if !(floor > 0) || !(step > 0) || !(maxDist > 0) {
 		return nil, fmt.Errorf("caltable: Tabulate needs positive floor/step/maxDist")
 	}
 	t := &TabulatedPDF{base: pdf, floor: floor}
@@ -71,33 +72,55 @@ func Tabulate(pdf DistPDF, floor, step, maxDist float64) (*TabulatedPDF, error) 
 		t.invStep = 1 / t.step
 		return t, nil
 	}
+	g, ok := pdf.(GaussianPDF)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("caltable: cannot tabulate a %T", pdf)
+	case math.Ceil(maxDist/step) > maxTableNodes:
+		return nil, fmt.Errorf("caltable: step %v m makes more than %d table nodes", step, maxTableNodes)
+	}
 
-	// Node-sampled + lerp. Scan analytic samples over [0, maxDist] for the
-	// support, then keep one node of margin on each side so densities that
-	// cross the floor between nodes stay inside the table.
+	// Node-sampled + lerp over the nodes i·step, i in [0, n]: keep those at
+	// or above the floor, plus one node of margin on each side so densities
+	// that cross the floor between nodes stay inside the table. The density
+	// falls monotonically away from μ, so the kept nodes form one run
+	// around the nodes c ≤ μ/step < c+1. Each walk out from them ends at
+	// the first node below the floor, the margin, or at the table's edge;
+	// only the kept nodes are evaluated.
 	t.step = step
 	n := int(math.Ceil(maxDist/step)) + 1
-	samples := make([]float64, n+1)
-	lo, hi := -1, -1
-	for i := range samples {
-		samples[i] = pdf.Density(float64(i) * step)
-		if samples[i] >= floor {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
+	c := -1
+	if u := math.Floor(g.Mu / step); u >= float64(n) {
+		c = n
+	} else if u >= 0 {
+		c = int(u)
+	}
+	at := func(i int) float64 { return g.Density(float64(i) * step) }
+	var dens []float64
+	lo := c + 1
+	for lo > 0 {
+		lo--
+		v := at(lo)
+		dens = append(dens, v)
+		if !(v >= floor) {
+			break
 		}
 	}
-	if lo < 0 {
-		lo, hi = 0, -1
-	}
-	if lo > 0 {
-		lo--
-	}
-	if hi < n {
+	slices.Reverse(dens)
+	hi := c
+	for hi < n {
 		hi++
+		v := at(hi)
+		dens = append(dens, v)
+		if !(v >= floor) {
+			break
+		}
 	}
-	t.dens = append([]float64(nil), samples[lo:hi+1]...) // copy: drop the full scan array
+	if !slices.ContainsFunc(dens, func(v float64) bool { return v >= floor }) {
+		// Empty support: one node at 0 and r0 = r1, so every density reads 0.
+		lo, hi, dens = 0, 0, []float64{at(0)}
+	}
+	t.dens = dens
 	t.r0 = float64(lo) * step
 	t.r1 = float64(hi) * step
 	t.invStep = 1 / step

@@ -125,10 +125,15 @@ func TestTabulateRejectsBadArgs(t *testing.T) {
 	g := GaussianPDF{Mu: 10, Sigma: 2}
 	for _, c := range []struct{ floor, step, maxDist float64 }{
 		{0, 1, 10}, {1e-6, 0, 10}, {1e-6, 1, 0},
+		{math.NaN(), 1, 10}, {1e-6, math.NaN(), 10}, {1e-6, 1, math.NaN()},
+		{1e-6, 1e-12, 220}, // past the node cap
 	} {
 		if _, err := Tabulate(g, c.floor, c.step, c.maxDist); err == nil {
 			t.Errorf("Tabulate(%+v) accepted", c)
 		}
+	}
+	if _, err := Tabulate(&TabulatedPDF{}, 1e-6, 1, 10); err == nil {
+		t.Error("Tabulate accepted a PDF that is neither Gaussian nor a histogram")
 	}
 }
 

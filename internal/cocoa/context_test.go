@@ -65,6 +65,38 @@ func TestValidateReturnsConfigError(t *testing.T) {
 	}
 }
 
+// Calibration inputs that once passed Validate and then panicked or
+// exhausted memory building the table (a huge LUT or histogram node count,
+// a clamp range of a trillion dB), or silently sounded the wrong distances
+// (MaxDist below the nearest sounding), must fail validation naming the
+// field, and the run must return that error instead of calibrating.
+func TestValidateRejectsCalibrationBlowups(t *testing.T) {
+	cases := []struct {
+		name  string
+		field string
+		mut   func(*Config)
+	}{
+		{"LUT step", "Calibration", func(c *Config) { c.Calibration.LUTStepM = 1e-12 }},
+		{"histogram bin", "Calibration", func(c *Config) { c.Calibration.HistBinM = 1e-12 }},
+		{"clamp range", "Radio", func(c *Config) { c.Radio.MinRSSIDBm = -1e12 }},
+		{"horizon below nearest sounding", "Calibration", func(c *Config) { c.Calibration.MaxDist = 0.2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.DurationS = 10
+			tc.mut(&cfg)
+			var ce *ConfigError
+			if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+				t.Fatalf("Validate = %v, want a *ConfigError for %s", err, tc.field)
+			}
+			if _, err := RunContext(context.Background(), cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("RunContext = %v, want ErrInvalidConfig", err)
+			}
+		})
+	}
+}
+
 func TestConfigErrorMessageNamesField(t *testing.T) {
 	err := (&ConfigError{Field: "VMax", Reason: "too slow"}).Error()
 	for _, want := range []string{"invalid config", "VMax", "too slow"} {

@@ -164,9 +164,9 @@ func TestCachedLegsMatchEndpointReads(t *testing.T) {
 // stats and deliveries under both neighbor indexes.
 func TestCeilingGateMatchesExactMean(t *testing.T) {
 	exact := func(m *Medium) {
-		for k := range m.ceil {
-			m.ceil[k] = math.Inf(1)
-		}
+		loud := m.cfg.Model
+		loud.TxPowerDBm = math.Inf(1) // every rung's mean, so every ceiling, is +Inf
+		m.bounds.Init(&loud, 1, math.Sqrt(m.plausFar2))
 	}
 	for _, idx := range []NeighborIndex{IndexScan, IndexGrid} {
 		gated := runLegWorkload(t, idx, false, nil)

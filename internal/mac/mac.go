@@ -239,11 +239,11 @@ type Medium struct {
 	// in distance.
 	senseNear2, senseFar2 float64
 	plausNear2, plausFar2 float64
-	// ceil is the mean-RSSI ceiling table: ceil[k] bounds MeanRSSI(d) for
-	// every d in [k, k+1), and the last rung bounds every larger d (see
-	// meanCeilings). beginReception samples against it first and evaluates
-	// the exact mean only when the bound's sample reaches sensitivity.
-	ceil []float64
+	// bounds tabulates the mean RSSI on whole-meter rungs out past
+	// plausFar. beginReception samples against its ceiling first and
+	// evaluates the exact mean only when the bound's sample reaches
+	// sensitivity.
+	bounds radio.MeanBounds
 	// pruneFar2 (IndexGrid only) is (sqrt(plausFar2) + IndexSlackM)²:
 	// an indexed-position distance this large proves the true distance is
 	// at least plausFar even after maximal drift, so the receiver would
@@ -325,7 +325,7 @@ func (m *Medium) Init(s *sim.Simulator, cfg Config, rng *sim.RNG) error {
 		freeRec:  m.freeRec,
 		freeTx:   m.freeTx,
 		freeSt:   m.freeSt,
-		ceil:     m.ceil,
+		bounds:   m.bounds,
 	}
 	m.senseNear2, m.senseFar2 = rssiGate(
 		cfg.Model.MeanRSSI,
@@ -337,7 +337,7 @@ func (m *Medium) Init(s *sim.Simulator, cfg Config, rng *sim.RNG) error {
 		cfg.Model.MeanRSSI,
 		cfg.Model.DistanceForRSSI(plausDBm),
 		plausDBm)
-	m.ceil = meanCeilings(cfg.Model.MeanRSSI, math.Sqrt(m.plausFar2), m.ceil)
+	m.bounds.Init(&m.cfg.Model, 1, math.Sqrt(m.plausFar2))
 	if cfg.NeighborIndex == IndexGrid {
 		// Cell side: beyond max(senseFar, plausFar) the scan path treats a
 		// station identically to the bulk skip (transmit) or skips the
@@ -384,44 +384,6 @@ func rssiGate(f func(float64) float64, cross, threshold float64) (near2, far2 fl
 		far *= 2
 	}
 	return near * near, far * far
-}
-
-// Ceiling table bounds: ceilMarginDB lifts every rung above the exact mean
-// so the bound does not lean on Log10 being monotone at ulp scale, and
-// maxCeilRungs caps the table for models whose plausibility gate is far or
-// unbounded (the last rung then covers the rest).
-const (
-	ceilMarginDB = 1e-9
-	maxCeilRungs = 4096
-)
-
-// meanCeilings tabulates the monotone non-increasing mean curve f at whole
-// meters up to far: rung k is f(k) + ceilMarginDB, which bounds f on
-// [k, k+1) and, for the last rung, on everything beyond. The table is
-// written into buf when it is large enough.
-func meanCeilings(f func(float64) float64, far float64, buf []float64) []float64 {
-	n := maxCeilRungs
-	if far < maxCeilRungs-1 {
-		n = int(far) + 2
-	}
-	c := buf[:0]
-	if cap(c) < n {
-		c = make([]float64, n)
-	}
-	c = c[:n]
-	for k := range c {
-		c[k] = f(float64(k)) + ceilMarginDB
-	}
-	return c
-}
-
-// meanCeil returns the ceiling table's bound on MeanRSSI(d) for d >= 0:
-// the rung at ⌊d⌋, or the last rung from there on.
-func (m *Medium) meanCeil(d float64) float64 {
-	if last := len(m.ceil) - 1; !(d < float64(last)) {
-		return m.ceil[last]
-	}
-	return m.ceil[int(d)]
 }
 
 // Attach registers an endpoint under the given node ID and reads its
@@ -748,7 +710,7 @@ func (m *Medium) beginReception(rcv *station, tx *transmission) {
 	// Signals below sensitivity neither decode nor meaningfully interfere;
 	// skip them entirely. The ceiling decides most of them without the
 	// path-loss logarithm, after the same draws as SampleRSSI.
-	rssi, ok := m.cfg.Model.SampleRSSIAbove(d, m.meanCeil(d), m.cfg.Model.SensitivityDBm, m.rng)
+	rssi, ok := m.cfg.Model.SampleRSSIAbove(d, m.bounds.Ceil(d), m.cfg.Model.SensitivityDBm, m.rng)
 	if !ok {
 		m.stats.BelowSense++
 		return

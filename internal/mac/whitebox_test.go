@@ -255,12 +255,14 @@ func TestCaptureLateStrongFrameWins(t *testing.T) {
 	}
 }
 
-// Every rung of the ceiling table must bound the exact mean across its
-// whole meter, densely sampled up to the next rung, and the last rung
+// The medium's ceiling table must reach past the plausibility gate (or
+// stop at the rung cap), and every rung must bound the exact mean across
+// its whole meter, densely sampled up to the next rung, and the last rung
 // everything beyond it; a lookup that read rung k+1 would fail at d = k.
 // Each rung also stays within a few margins of the mean at its own
 // distance, so the bound is as tight as the table allows.
 func TestMeanCeilingsBoundMean(t *testing.T) {
+	const margin = 1e-9 // the radio table's bound margin
 	far := radio.DefaultModel()
 	far.SensitivityDBm, far.MinRSSIDBm = -140, -160 // plausFar past the rung cap
 	offset := radio.DefaultModel()
@@ -273,15 +275,15 @@ func TestMeanCeilingsBoundMean(t *testing.T) {
 			t.Fatal(err)
 		}
 		mean := med.cfg.Model.MeanRSSI
-		last := len(med.ceil) - 1
-		if pf := math.Sqrt(med.plausFar2); last < maxCeilRungs-1 && float64(last) <= pf {
+		last := med.bounds.Rungs() - 1
+		if pf := math.Sqrt(med.plausFar2); last < radio.MaxMeanRungs-1 && float64(last) <= pf {
 			t.Errorf("%s: table ends at %d m, inside plausFar %v", name, last, pf)
 		}
-		if name == "capped" && len(med.ceil) != maxCeilRungs {
-			t.Errorf("capped: %d rungs, want %d", len(med.ceil), maxCeilRungs)
+		if name == "capped" && med.bounds.Rungs() != radio.MaxMeanRungs {
+			t.Errorf("capped: %d rungs, want %d", med.bounds.Rungs(), radio.MaxMeanRungs)
 		}
 		for k := 0; k <= last; k++ {
-			if c := med.ceil[k]; c > mean(float64(k))+4*ceilMarginDB {
+			if c := med.bounds.Ceil(float64(k)); c > mean(float64(k))+4*margin {
 				t.Fatalf("%s: rung %d = %v, loose over the mean %v", name, k, c, mean(float64(k)))
 			}
 			for j := 0; j <= 64; j++ {
@@ -289,13 +291,13 @@ func TestMeanCeilingsBoundMean(t *testing.T) {
 				if j == 64 {
 					d = math.Nextafter(float64(k+1), 0)
 				}
-				if c := med.meanCeil(d); c < mean(d) {
+				if c := med.bounds.Ceil(d); c < mean(d) {
 					t.Fatalf("%s: ceiling %v below MeanRSSI(%v) = %v", name, c, d, mean(d))
 				}
 			}
 		}
 		for _, d := range []float64{float64(last) + 0.5, 2 * float64(last), 1e6, math.MaxFloat64} {
-			if c := med.meanCeil(d); c < mean(d) {
+			if c := med.bounds.Ceil(d); c < mean(d) {
 				t.Fatalf("%s: ceiling %v below MeanRSSI(%v) = %v", name, c, d, mean(d))
 			}
 		}

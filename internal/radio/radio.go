@@ -12,6 +12,14 @@
 //   - beyond ~40 m multipath and fading dominate, the fluctuation grows,
 //     and the distance PDF is no longer Gaussian;
 //   - the usable transmission range exceeds 150 m.
+//
+// The path-loss logarithm dominates a sample's cost, so samplers that need
+// only part of the answer bracket the mean instead: MeanBounds tabulates
+// MeanRSSI on equal distance rungs, SampleRSSIAbove (the MAC's receiver
+// sensitivity test) combines the noise with a rung's ceiling, and
+// SampleRoundedRSSI (calibration's integer-dBm bins) with its floor and
+// ceiling. Both make exactly SampleRSSI's draws, and their answers are
+// those SampleRSSI's sample gives.
 package radio
 
 import (
@@ -88,6 +96,10 @@ func DefaultModel() Model {
 	}
 }
 
+// maxRSSISpanDB caps the card's RSSI reporting range, MaxRSSIDBm -
+// MinRSSIDBm; the default range is 70 dB.
+const maxRSSISpanDB = 1000
+
 // Validate reports whether the model parameters are physically sensible.
 func (m Model) Validate() error {
 	for _, f := range [...]struct {
@@ -126,6 +138,9 @@ func (m Model) Validate() error {
 		return fmt.Errorf("radio: DeepFadeMeanDB %v must be non-negative", m.DeepFadeMeanDB)
 	case m.MinRSSIDBm >= m.MaxRSSIDBm:
 		return fmt.Errorf("radio: RSSI clamp range inverted")
+	case m.MaxRSSIDBm-m.MinRSSIDBm > maxRSSISpanDB:
+		// Calibration keeps one PDF slot per dBm of the range.
+		return fmt.Errorf("radio: RSSI clamp range %v dB wider than %v dB", m.MaxRSSIDBm-m.MinRSSIDBm, maxRSSISpanDB)
 	}
 	return nil
 }
@@ -172,11 +187,11 @@ func (m *Model) SampleRSSI(d float64, rng *sim.RNG) float64 {
 // below floor; when ok is true the value is SampleRSSI's, bit for bit. When
 // ok is false the value is only an upper bound on the sample.
 //
-// meanCeil must be at least MeanRSSI(d). The noise is drawn first and
-// combined with meanCeil; since the combination and the clamp are monotone
-// in the mean, a bound below floor proves the sample is too, and the
-// path-loss logarithm is evaluated only for samples the bound cannot
-// decide.
+// meanCeil must be at least MeanRSSI(d); MeanBounds.Ceil is such a bound.
+// The noise is drawn first and combined with meanCeil; since the
+// combination and the clamp are monotone in the mean, a bound below floor
+// proves the sample is too, and the path-loss logarithm is evaluated only
+// for samples the bound cannot decide.
 func (m *Model) SampleRSSIAbove(d, meanCeil, floor float64, rng *sim.RNG) (rssi float64, ok bool) {
 	n := m.drawNoise(d, rng)
 	if r := m.combine(meanCeil, n); r < floor {
@@ -184,6 +199,89 @@ func (m *Model) SampleRSSIAbove(d, meanCeil, floor float64, rng *sim.RNG) (rssi 
 	}
 	r := m.combine(m.MeanRSSI(d), n)
 	return r, !(r < floor)
+}
+
+// SampleRoundedRSSI returns math.Round(SampleRSSI(d, rng)), bit for bit,
+// after exactly SampleRSSI's draws: the integer dBm a card reports. b must
+// have been built from this model (see MeanBounds.Init).
+//
+// The noise is drawn first and combined with the floor and the ceiling of
+// the mean on d's rung; since the combination, the clamp and the rounding
+// are monotone in the mean, two bounds that round alike fix the sample's
+// value, and the path-loss logarithm is evaluated only when they straddle
+// a rounding boundary.
+func (m *Model) SampleRoundedRSSI(d float64, b *MeanBounds, rng *sim.RNG) float64 {
+	n := m.drawNoise(d, rng)
+	lo, hi := b.Bounds(d)
+	if r := math.Round(m.combine(hi, n)); r == math.Round(m.combine(lo, n)) {
+		return r
+	}
+	return math.Round(m.combine(m.MeanRSSI(d), n))
+}
+
+// MeanBounds tabulates MeanRSSI at the edges of equal-width distance rungs
+// so a sampler can bracket the mean without the path-loss logarithm: the
+// MAC bounds samples against receiver sensitivity on whole-meter rungs,
+// calibration decides each sounding's RSSI bin on 1/16 m rungs. Rung k
+// covers [k·step, (k+1)·step); the last rung is open-ended and covers every
+// larger distance. The zero value is empty; Init fills it.
+type MeanBounds struct {
+	perM float64   // 1/step: rungs per meter
+	edge []float64 // edge[k] = MeanRSSI(k·step); MeanRSSI is non-increasing
+}
+
+// Rung table bounds: boundMarginDB widens every bound past the exact mean
+// so the bracket does not lean on Log10 being monotone at ulp scale, and
+// MaxMeanRungs caps the table for far or unbounded horizons (the last,
+// open-ended rung then covers the rest).
+const (
+	boundMarginDB = 1e-9
+	MaxMeanRungs  = 4096
+)
+
+// Init tabulates m's mean on rungs of width step (a power of two, so rung
+// edges and the rung index of a distance are exact) out to at least far,
+// at most MaxMeanRungs rungs. It reuses b's storage when it is large
+// enough.
+func (b *MeanBounds) Init(m *Model, step, far float64) {
+	n := MaxMeanRungs
+	if u := far / step; u < MaxMeanRungs-1 {
+		n = int(u) + 2
+	}
+	e := b.edge[:0]
+	if cap(e) < n {
+		e = make([]float64, n)
+	}
+	e = e[:n]
+	for k := range e {
+		e[k] = m.MeanRSSI(float64(k) * step)
+	}
+	b.perM, b.edge = 1/step, e
+}
+
+// Rungs returns the number of rungs, the open-ended last one included.
+func (b *MeanBounds) Rungs() int { return len(b.edge) }
+
+// Ceil returns an upper bound on MeanRSSI(d) for d >= 0: the mean at the
+// near edge of d's rung plus the margin.
+func (b *MeanBounds) Ceil(d float64) float64 {
+	last := len(b.edge) - 1
+	if u := d * b.perM; u < float64(last) {
+		return b.edge[int(u)] + boundMarginDB
+	}
+	return b.edge[last] + boundMarginDB
+}
+
+// Bounds returns a floor and a ceiling on MeanRSSI(d) for d >= 0: the
+// means at the far and near edges of d's rung, widened by the margin. On
+// the open-ended last rung the floor is -Inf.
+func (b *MeanBounds) Bounds(d float64) (floor, ceil float64) {
+	last := len(b.edge) - 1
+	if u := d * b.perM; u < float64(last) {
+		k := int(u)
+		return b.edge[k+1] - boundMarginDB, b.edge[k] + boundMarginDB
+	}
+	return math.Inf(-1), b.edge[last] + boundMarginDB
 }
 
 // rssiNoise is the randomness of one RSSI sample, drawn before its mean is
@@ -195,9 +293,9 @@ type rssiNoise struct {
 }
 
 // drawNoise makes the draws of one sample at distance d, the only draw
-// sequence SampleRSSI and SampleRSSIAbove share: the shadowing normal,
-// then past MultipathDist the fade normal, the deep-fade Bernoulli and, on
-// a deep fade, its exponential.
+// sequence SampleRSSI, SampleRSSIAbove and SampleRoundedRSSI share: the
+// shadowing normal, then past MultipathDist the fade normal, the deep-fade
+// Bernoulli and, on a deep fade, its exponential.
 func (m *Model) drawNoise(d float64, rng *sim.RNG) (n rssiNoise) {
 	n.z = rng.StdNormal()
 	if fs := m.FadeSigma(d); fs > 0 {

@@ -31,6 +31,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"negative deep fade", func(m *Model) { m.DeepFadeMeanDB = -60 }},
 		{"NaN tx power", func(m *Model) { m.TxPowerDBm = math.NaN() }},
 		{"infinite sensitivity", func(m *Model) { m.SensitivityDBm = math.Inf(-1) }},
+		// Once calibration allocated one PDF slot per dBm of this range.
+		{"clamp range too wide", func(m *Model) { m.MinRSSIDBm = -1e12 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -321,5 +323,96 @@ func TestSampleRSSIAboveShortCircuits(t *testing.T) {
 	}
 	if a.Float64() != b.Float64() {
 		t.Fatal("short-circuited samples drew differently from SampleRSSI")
+	}
+}
+
+// randomModel draws a valid model around the default: path loss, reference
+// distance, noise and clamp all vary.
+func randomModel(rng *sim.RNG) Model {
+	m := DefaultModel()
+	m.TxPowerDBm = rng.Uniform(-20, 30)
+	m.ReferenceDist = rng.Uniform(0.05, 5)
+	m.PathLossExp = rng.Uniform(1.5, 6)
+	m.ShadowSigmaDB = rng.Uniform(0, 8)
+	m.MultipathSigmaDB = rng.Uniform(0, 8)
+	m.DeepFadeProb = rng.Float64()
+	m.MinRSSIDBm = rng.Uniform(-140, -80)
+	m.MaxRSSIDBm = rng.Uniform(-60, 0)
+	return m
+}
+
+// For random valid models, both rung widths in use (whole meters for the
+// MAC, 1/16 m for calibration) must bracket MeanRSSI strictly at dense
+// distances on every rung, rung edges included, below ReferenceDist, and
+// past the last rung; the ceiling must agree with Bounds. Strictly, since
+// the margin is what keeps the bracket from leaning on Log10 being
+// monotone at ulp scale. A table capped at MaxMeanRungs must stay sound
+// past its cap.
+func TestMeanBoundsBracketMean(t *testing.T) {
+	rng := sim.NewRNG(3).Stream("bounds")
+	var b MeanBounds
+	for trial := 0; trial < 40; trial++ {
+		m := randomModel(rng)
+		if err := m.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ step, far float64 }{
+			{1, rng.Uniform(50, 500)}, {1.0 / 16, rng.Uniform(20, 250)}, {1.0 / 16, 1e4},
+		} {
+			b.Init(&m, c.step, c.far)
+			last := b.Rungs() - 1
+			if want := math.Min(c.far/c.step+2, MaxMeanRungs); b.Rungs() != int(want) {
+				t.Fatalf("far %v step %v: %d rungs, want %v", c.far, c.step, b.Rungs(), int(want))
+			}
+			check := func(d float64) {
+				lo, hi := b.Bounds(d)
+				// Past the last rung the floor is -Inf, and so may the mean be.
+				if mean := m.MeanRSSI(d); !(lo < mean || math.IsInf(lo, -1)) || !(mean < hi) {
+					t.Fatalf("trial %d step %v d=%v: MeanRSSI %v outside [%v, %v]", trial, c.step, d, mean, lo, hi)
+				}
+				if ceil := b.Ceil(d); ceil != hi {
+					t.Fatalf("trial %d step %v d=%v: Ceil %v, Bounds ceiling %v", trial, c.step, d, ceil, hi)
+				}
+			}
+			for k := 0; k <= last; k++ {
+				for j := 0; j < 16; j++ {
+					check((float64(k) + float64(j)/16) * c.step)
+				}
+				check(math.Nextafter(float64(k+1)*c.step, 0))
+			}
+			for _, d := range []float64{0, m.ReferenceDist / 3, math.Nextafter(m.ReferenceDist, 0), m.ReferenceDist} {
+				check(d)
+			}
+			for _, d := range []float64{float64(last)*c.step + 0.01, 2 * float64(last) * c.step, 1e6, math.MaxFloat64} {
+				check(d)
+			}
+			if lo, _ := b.Bounds(float64(last) * c.step); !math.IsInf(lo, -1) {
+				t.Fatalf("step %v: open-ended last rung has floor %v", c.step, lo)
+			}
+		}
+	}
+}
+
+// SampleRoundedRSSI must return SampleRSSI's sample rounded to whole dBm,
+// bit for bit, and leave its stream where SampleRSSI leaves a twin, for
+// random valid models and distances on and past the tabulated rungs.
+func TestSampleRoundedRSSIMatchesSampleRSSI(t *testing.T) {
+	rng := sim.NewRNG(4).Stream("models")
+	var b MeanBounds
+	for trial := 0; trial < 20; trial++ {
+		m := randomModel(rng)
+		b.Init(&m, 1.0/16, 200)
+		exact := sim.NewRNG(int64(trial)).Stream("rssi")
+		rounded := sim.NewRNG(int64(trial)).Stream("rssi")
+		for i := 0; i < 2000; i++ {
+			d := rng.Uniform(0, 260)
+			want := math.Round(m.SampleRSSI(d, exact))
+			if got := m.SampleRoundedRSSI(d, &b, rounded); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d d=%v: rounded sample %v, want %v", trial, d, got, want)
+			}
+		}
+		if a, c := exact.Float64(), rounded.Float64(); a != c {
+			t.Fatalf("trial %d: streams diverged (%v vs %v)", trial, a, c)
+		}
 	}
 }

@@ -207,6 +207,13 @@ func TestSubmitErrorMapping(t *testing.T) {
 	// silently delivered no frames, now a validation error.
 	fade := quickCfg(1)
 	fade.Radio.MultipathDist = 0
+	// Calibration node counts that once killed the daemon: a makeslice
+	// panic building the table, and one PDF slot per dBm of a trillion-dB
+	// clamp range (out of memory).
+	lut := quickCfg(1)
+	lut.Calibration.LUTStepM = 1e-12
+	clamp := quickCfg(1)
+	clamp.Radio.MinRSSIDBm = -1e12
 	cfg := quickCfg(1)
 	cases := []struct {
 		name      string
@@ -220,6 +227,8 @@ func TestSubmitErrorMapping(t *testing.T) {
 		{"inverted rest range", JobRequest{Config: &rest}, http.StatusBadRequest, "RestMaxS", ""},
 		{"no sampling tick", JobRequest{Config: &tickless}, http.StatusBadRequest, "SampleIntervalS", ""},
 		{"zero multipath distance", JobRequest{Config: &fade}, http.StatusBadRequest, "Radio", ""},
+		{"calibration node count", JobRequest{Config: &lut}, http.StatusBadRequest, "Calibration", ""},
+		{"clamp range", JobRequest{Config: &clamp}, http.StatusBadRequest, "Radio", ""},
 		{"neither", JobRequest{}, http.StatusBadRequest, "", "exactly one"},
 		{"both", JobRequest{Config: &cfg, Experiment: "fig9"}, http.StatusBadRequest, "", "exactly one"},
 		{"unknown experiment", JobRequest{Experiment: "fig99"}, http.StatusBadRequest, "", "unknown experiment"},
