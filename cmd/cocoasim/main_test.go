@@ -98,6 +98,23 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("-every %s accepted", every)
 		}
 	}
+	// Non-finite floats parse as flags but never reach a run: each is a
+	// *ConfigError naming its field.
+	for _, tc := range []struct{ flag, value, field string }{
+		{"-T", "NaN", "BeaconPeriodS"},
+		{"-T", "+Inf", "BeaconPeriodS"},
+		{"-t", "NaN", "TransmitPeriodS"},
+		{"-duration", "NaN", "DurationS"},
+		{"-duration", "+Inf", "DurationS"},
+		{"-terrain", "NaN", "TerrainAmplitude"},
+		{"-terrain", "+Inf", "TerrainAmplitude"},
+	} {
+		err := run(context.Background(), fastArgs(tc.flag, tc.value), &buf)
+		var ce *cocoa.ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s %s: err = %v, want a *ConfigError naming %s", tc.flag, tc.value, err, tc.field)
+		}
+	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {

@@ -1,6 +1,7 @@
 package cocoa
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func swarmConfig(n int) Config {
 
 // benchConfig is a mid-size deployment: big enough that beacon application
 // dominates, small enough that one iteration stays in milliseconds.
-func benchConfig(workers int) Config {
+func benchConfig() Config {
 	cfg := DefaultConfig()
 	cfg.NumRobots = 20
 	cfg.NumEquipped = 10
@@ -33,15 +34,17 @@ func benchConfig(workers int) Config {
 	cfg.BeaconPeriodS = 50
 	cfg.GridCellM = 2
 	cfg.Calibration.Samples = 60000
-	cfg.UpdateWorkers = workers
 	return cfg
 }
 
-func benchRun(b *testing.B, cfg Config) {
+// benchRun runs cfg b.N times with the given flush worker count (0: the CPU
+// budget).
+func benchRun(b *testing.B, cfg Config, workers int) {
+	ctx := WithFlushWorkers(context.Background(), workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
+		res, err := RunContext(ctx, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,16 +54,16 @@ func benchRun(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkTeamStepSerial pins the beacon worker pool to one goroutine —
-// the baseline the parallel variant is judged against.
+// BenchmarkTeamStepSerial pins beacon flushes to one goroutine — the
+// baseline the parallel variant is judged against.
 func BenchmarkTeamStepSerial(b *testing.B) {
-	benchRun(b, benchConfig(1))
+	benchRun(b, benchConfig(), 1)
 }
 
-// BenchmarkTeamStepParallel uses the default auto-sized pool (GOMAXPROCS
-// workers), exercising the fan-out path end to end.
+// BenchmarkTeamStepParallel flushes on the CPU budget: a lone run claims
+// every other CPU, exercising the fan-out path end to end.
 func BenchmarkTeamStepParallel(b *testing.B) {
-	benchRun(b, benchConfig(0))
+	benchRun(b, benchConfig(), 0)
 }
 
 // BenchmarkNewTeamSwarm times team set-up alone on a warm slot at the

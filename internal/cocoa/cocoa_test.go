@@ -1,10 +1,12 @@
 package cocoa
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"cocoa/internal/geom"
+	"cocoa/internal/sim"
 )
 
 // testConfig returns a reduced-scale configuration that keeps the cocoa
@@ -88,6 +90,45 @@ func TestConfigValidateRejects(t *testing.T) {
 			tt.mutate(&cfg)
 			if err := cfg.Validate(); err == nil {
 				t.Error("accepted invalid config")
+			}
+		})
+	}
+
+	// A NaN passes every range rule by failing its comparison, and an
+	// infinity passes every rule without an upper bound; each is rejected
+	// as a *ConfigError naming its field.
+	nan, inf := math.NaN(), math.Inf(1)
+	nonFinite := []struct {
+		name   string
+		field  string
+		mutate func(*Config)
+	}{
+		{"nan vmax", "VMax", func(c *Config) { c.VMax = nan }},
+		{"nan rest min", "RestMinS", func(c *Config) { c.RestMinS = sim.Time(nan) }},
+		{"nan rest max", "RestMaxS", func(c *Config) { c.RestMaxS = sim.Time(nan) }},
+		{"nan period", "BeaconPeriodS", func(c *Config) { c.BeaconPeriodS = sim.Time(nan) }},
+		{"inf period", "BeaconPeriodS", func(c *Config) { c.BeaconPeriodS = sim.Time(inf) }},
+		{"nan window", "TransmitPeriodS", func(c *Config) { c.TransmitPeriodS = sim.Time(nan) }},
+		{"nan grid", "GridCellM", func(c *Config) { c.GridCellM = nan }},
+		{"inf grid", "GridCellM", func(c *Config) { c.GridCellM = inf }},
+		{"nan duration", "DurationS", func(c *Config) { c.DurationS = sim.Time(nan) }},
+		{"inf duration", "DurationS", func(c *Config) { c.DurationS = sim.Time(inf) }},
+		{"nan sampling", "SampleIntervalS", func(c *Config) { c.SampleIntervalS = sim.Time(nan) }},
+		{"nan clock drift", "ClockDriftSigmaS", func(c *Config) { c.ClockDriftSigmaS = nan }},
+		{"inf clock drift", "ClockDriftSigmaS", func(c *Config) { c.ClockDriftSigmaS = inf }},
+		{"nan fail time", "FailAtS", func(c *Config) { c.FailAtS = sim.Time(nan) }},
+		{"inf fail time", "FailAtS", func(c *Config) { c.FailAtS = sim.Time(inf) }},
+		{"nan terrain", "TerrainAmplitude", func(c *Config) { c.TerrainAmplitude = nan }},
+		{"inf terrain", "TerrainAmplitude", func(c *Config) { c.TerrainAmplitude = inf }},
+		{"nan terrain cell", "TerrainCellM", func(c *Config) { c.TerrainCellM = nan }},
+	}
+	for _, tt := range nonFinite {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testConfig()
+			tt.mutate(&cfg)
+			var ce *ConfigError
+			if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != tt.field {
+				t.Errorf("Validate = %v, want a *ConfigError naming %s", err, tt.field)
 			}
 		})
 	}

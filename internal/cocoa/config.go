@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"cocoa/internal/caltable"
 	"cocoa/internal/energy"
@@ -185,13 +186,6 @@ type Config struct {
 	// degrades SYNC dissemination to plain ODMRP) for the ablation.
 	MRMMPruning bool
 
-	// UpdateWorkers bounds the worker pool that fans per-robot grid
-	// updates within a single run. Per-robot localizer state is disjoint
-	// and each robot's queued beacons are applied in arrival order by one
-	// goroutine, so results are byte-identical at any worker count. 0 (the
-	// default) sizes the pool to GOMAXPROCS; 1 forces serial application.
-	UpdateWorkers int
-
 	// Progress, when non-nil, receives the run's live position: the
 	// simulation loop publishes (sampling tick, total ticks) through one
 	// atomic store per tick. It is excluded from JSON — it describes how
@@ -282,6 +276,14 @@ func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 // Validate reports whether the configuration is usable. Every failure is a
 // *ConfigError wrapping ErrInvalidConfig.
 func (c Config) Validate() error {
+	// A NaN fails every comparison below and an infinity passes most, so
+	// every float field (sim.Time included) is checked for finiteness first.
+	v := reflect.ValueOf(c)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && !finite(f.Float()) {
+			return configErrorf(v.Type().Field(i).Name, "%v is not finite", f.Float())
+		}
+	}
 	switch {
 	case c.NumRobots <= 0:
 		return configErrorf("NumRobots", "must be positive")
@@ -333,8 +335,6 @@ func (c Config) Validate() error {
 		return configErrorf("TerrainAmplitude", "negative TerrainAmplitude")
 	case c.TerrainAmplitude > 0 && c.TerrainCellM <= 0:
 		return configErrorf("TerrainCellM", "must be positive with terrain enabled")
-	case c.UpdateWorkers < 0:
-		return configErrorf("UpdateWorkers", "negative UpdateWorkers")
 	}
 	if err := c.Radio.Validate(); err != nil {
 		return &ConfigError{Field: "Radio", Reason: err.Error()}

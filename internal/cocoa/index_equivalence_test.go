@@ -14,34 +14,36 @@ import (
 // The spatial neighbor index (DESIGN.md §12) is a performance device with a
 // byte-identity contract: every experiment must produce the exact same
 // bytes whether the MAC finds receivers through the grid or the O(n)
-// reference scan, at any localizer worker count. This suite is the
+// reference scan, at any update worker count. This suite is the
 // contract's enforcement — it runs the whole registry under both and fails
 // on the first differing byte. make check runs it under -race, which
-// additionally exercises the index against concurrent grid workers. The
+// additionally exercises the index against concurrent update workers. The
 // scan is reachable only through the test-only cocoa.WithScanIndex context.
 
-// equivOpts is the quick scale with the worker count pinned.
-func equivOpts(workers int) scenario.Options {
-	return scenario.Options{
-		Seed:               1,
-		DurationS:          300,
-		NumRobots:          12,
-		CalibrationSamples: 60000,
-		GridCellM:          4,
-		UpdateWorkers:      workers,
-		Parallelism:        1,
-	}
+// equivOpts is the quick scale, one run at a time.
+var equivOpts = scenario.Options{
+	Seed:               1,
+	DurationS:          300,
+	NumRobots:          12,
+	CalibrationSamples: 60000,
+	GridCellM:          4,
+	Parallelism:        1,
 }
 
+// equivWorkers are the flush worker counts the registry suites run at: serial,
+// fixed fan-outs, and the CPU budget (0).
+var equivWorkers = []int{1, 3, 8, 0}
+
 // TestIndexEquivalenceRegistry runs every registered experiment with the
-// grid index and with the reference scan, at UpdateWorkers 1 and 8, and
-// requires byte-identical JSON-marshaled results.
+// grid index and with the reference scan, at every count of equivWorkers,
+// and requires byte-identical JSON-marshaled results.
 func TestIndexEquivalenceRegistry(t *testing.T) {
 	for _, d := range scenario.Experiments() {
 		t.Run(d.Name, func(t *testing.T) {
-			for _, workers := range []int{1, 8} {
+			for _, workers := range equivWorkers {
+				ctx := cocoa.WithFlushWorkers(context.Background(), workers)
 				marshal := func(ctx context.Context) string {
-					res, err := d.Run(ctx, equivOpts(workers))
+					res, err := d.Run(ctx, equivOpts)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -51,8 +53,8 @@ func TestIndexEquivalenceRegistry(t *testing.T) {
 					}
 					return string(b)
 				}
-				grid := marshal(context.Background())
-				scan := marshal(cocoa.WithScanIndex(context.Background()))
+				grid := marshal(ctx)
+				scan := marshal(cocoa.WithScanIndex(ctx))
 				if grid != scan {
 					t.Errorf("workers=%d: grid and scan results differ\ngrid: %.400s\nscan: %.400s",
 						workers, grid, scan)

@@ -13,9 +13,8 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// obsConfig is the small deployment the observability suites run, with
-// the intra-run worker count pinned.
-func obsConfig(workers int) cocoa.Config {
+// obsConfig is the small deployment the observability suites run.
+func obsConfig() cocoa.Config {
 	cfg := cocoa.DefaultConfig()
 	cfg.NumRobots = 12
 	cfg.NumEquipped = 6
@@ -23,7 +22,6 @@ func obsConfig(workers int) cocoa.Config {
 	cfg.BeaconPeriodS = 50
 	cfg.GridCellM = 4
 	cfg.Calibration.Samples = 60000
-	cfg.UpdateWorkers = workers
 	return cfg
 }
 
@@ -54,7 +52,7 @@ func traceJSON(t *testing.T, tr *eventlog.Trace) []byte {
 // The observability layer inherits telemetry's prime directive: progress
 // publication and the event stream behind the span trace record, they
 // never steer. Attaching both must not perturb a single bit of any Result
-// — nor the run's telemetry — at any intra-run worker count. (make check
+// — nor the run's telemetry — at any flush worker count. (make check
 // runs this under -race, which also exercises the progress gauge against
 // concurrent readers of the serve layer's shape.)
 func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
@@ -65,7 +63,7 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 		telemetry  telemetry.Snapshot
 	}
 	run := func(workers int, withObs bool) outcome {
-		cfg := obsConfig(workers)
+		cfg := obsConfig()
 		var progress *obs.Progress
 		var trace *eventlog.Trace
 		if withObs {
@@ -76,7 +74,7 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 		}
 		// A new slot each time, so slot warmth cannot differ between the
 		// runs compared.
-		team, err := cocoa.NewTeamContext(context.Background(), cfg)
+		team, err := cocoa.NewTeamContext(cocoa.WithFlushWorkers(context.Background(), workers), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,20 +97,20 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 		return outcome{result: res, resultJSON: string(b), telemetry: team.Telemetry()}
 	}
 
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 3, 8, 0} {
 		off := run(workers, false)
 		on := run(workers, true)
 		if off.resultJSON != on.resultJSON {
-			t.Errorf("UpdateWorkers=%d: Result differs with progress+trace attached", workers)
+			t.Errorf("%d flush workers: Result differs with progress+trace attached", workers)
 		}
 		// Stronger than the JSON check: the archived Config must not retain
 		// the Progress/Observer handles (scrubObservers), so the whole
 		// struct compares equal too.
 		if !reflect.DeepEqual(off.result, on.result) {
-			t.Errorf("UpdateWorkers=%d: Result structs differ with progress+trace attached (observer handles leaked into Result.Config?)", workers)
+			t.Errorf("%d flush workers: Result structs differ with progress+trace attached (observer handles leaked into Result.Config?)", workers)
 		}
 		if !reflect.DeepEqual(off.telemetry, on.telemetry) {
-			t.Errorf("UpdateWorkers=%d: telemetry differs with progress+trace attached\noff: %+v\non:  %+v",
+			t.Errorf("%d flush workers: telemetry differs with progress+trace attached\noff: %+v\non:  %+v",
 				workers, off.telemetry, on.telemetry)
 		}
 	}
@@ -124,18 +122,18 @@ func TestObsProgressTraceOnOffByteIdentical(t *testing.T) {
 // count.
 func TestObsTraceDeterministic(t *testing.T) {
 	render := func(workers int) []byte {
-		cfg := obsConfig(workers)
+		cfg := obsConfig()
 		trace := eventlog.NewTrace(cfg, "")
 		cfg.Observer = trace.Observer()
-		if _, err := cocoa.Run(cfg); err != nil {
+		if _, err := cocoa.RunContext(cocoa.WithFlushWorkers(context.Background(), workers), cfg); err != nil {
 			t.Fatal(err)
 		}
 		return traceJSON(t, trace)
 	}
 	base := render(1)
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 3, 8, 0} {
 		if got := render(workers); !bytes.Equal(base, got) {
-			t.Errorf("UpdateWorkers=%d: trace differs from serial baseline", workers)
+			t.Errorf("%d flush workers: trace differs from serial baseline", workers)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package cocoa
 
 import (
-	"fmt"
+	"context"
 	"reflect"
 	"testing"
 
@@ -11,7 +11,8 @@ import (
 // Intra-run parallelism must be invisible: per-robot localizer state is
 // disjoint and each robot's beacon queue is applied FIFO by one goroutine,
 // so a run's Result — every sample, counter, and energy figure — must be
-// byte-identical at any UpdateWorkers setting.
+// byte-identical however many update workers (the goroutines a beacon
+// flush applies on) the CPU budget grants or WithFlushWorkers pins.
 
 func parallelCases() map[string]Config {
 	cases := map[string]Config{}
@@ -46,22 +47,17 @@ func TestUpdateWorkersByteIdentical(t *testing.T) {
 	for name, cfg := range parallelCases() {
 		t.Run(name, func(t *testing.T) {
 			var ref *Result
-			for _, workers := range []int{1, 3, 0} { // serial, bounded, auto
-				c := cfg
-				c.UpdateWorkers = workers
-				res, err := Run(c)
+			for _, workers := range []int{1, 3, 8, 0} { // serial, fixed, budget
+				res, err := RunContext(WithFlushWorkers(context.Background(), workers), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The stored Config differs by construction; everything
-				// else must match bit-for-bit.
-				res.Config.UpdateWorkers = 0
 				if ref == nil {
 					ref = res
 					continue
 				}
 				if !reflect.DeepEqual(ref, res) {
-					t.Errorf("UpdateWorkers=%d diverges from serial run", workers)
+					t.Errorf("%d flush workers diverge from the serial run", workers)
 					if ref.MeanError() != res.MeanError() {
 						t.Errorf("  mean error %v vs %v", ref.MeanError(), res.MeanError())
 					}
@@ -71,20 +67,6 @@ func TestUpdateWorkersByteIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestUpdateWorkersValidate(t *testing.T) {
-	cfg := testConfig()
-	cfg.UpdateWorkers = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative UpdateWorkers accepted")
-	}
-	for _, w := range []int{0, 1, 8} {
-		cfg.UpdateWorkers = w
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("UpdateWorkers=%d rejected: %v", w, err)
-		}
 	}
 }
 
@@ -101,11 +83,4 @@ func TestPendingBeaconsFlushedAtFinish(t *testing.T) {
 	if res.BeaconsApplied == 0 {
 		t.Fatal("no beacons applied")
 	}
-}
-
-func ExampleConfig_updateWorkers() {
-	cfg := DefaultConfig()
-	cfg.UpdateWorkers = 1 // force serial grid updates
-	fmt.Println(cfg.Validate())
-	// Output: <nil>
 }

@@ -2,7 +2,9 @@ package cocoa
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cocoa/internal/bayes"
 	"cocoa/internal/mac"
@@ -171,6 +173,22 @@ type slotPool struct {
 	mu      sync.Mutex
 	slots   []*slot
 	results []*Result
+
+	// cpus is the CPU budget: one per running team (Team.run), which never
+	// waits for it, plus the helpers the teams' beacon flushes claim.
+	cpus atomic.Int64
+}
+
+// claim takes up to want CPUs left under GOMAXPROCS without waiting and
+// returns how many it took; the caller subtracts them from cpus when done.
+func (p *slotPool) claim(want int) int {
+	for {
+		used := p.cpus.Load()
+		n := max(min(int64(want), int64(runtime.GOMAXPROCS(0))-used), 0)
+		if n == 0 || p.cpus.CompareAndSwap(used, used+n) {
+			return int(n)
+		}
+	}
 }
 
 // runSlots is the process-wide pool every NewTeam and package-level run

@@ -17,7 +17,8 @@ import (
 // the spatial index's byte-identity (the index changes nothing about the
 // arithmetic), the accumulators legitimately round differently than a fresh
 // scan, so the contract here is numeric closeness, not byte equality. This
-// suite enforces it across the whole registry at UpdateWorkers 1 and 8;
+// suite enforces it across the whole registry at every flush worker count
+// of equivWorkers;
 // make check runs it under -race. The eager path is reachable only through
 // the test-only cocoa.WithEagerStats context.
 
@@ -76,14 +77,15 @@ func numericallyClose(path string, a, b any) error {
 
 // TestGridStatsEquivalenceRegistry runs every registered experiment with
 // the incremental accumulators and with the eager full-scan reference, at
-// UpdateWorkers 1 and 8, and requires every numeric outcome to agree within
-// 1e-9.
+// every count of equivWorkers, and requires every numeric outcome to agree
+// within 1e-9.
 func TestGridStatsEquivalenceRegistry(t *testing.T) {
 	for _, d := range scenario.Experiments() {
 		t.Run(d.Name, func(t *testing.T) {
-			for _, workers := range []int{1, 8} {
+			for _, workers := range equivWorkers {
+				ctx := cocoa.WithFlushWorkers(context.Background(), workers)
 				decode := func(ctx context.Context) any {
-					res, err := d.Run(ctx, equivOpts(workers))
+					res, err := d.Run(ctx, equivOpts)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -97,8 +99,8 @@ func TestGridStatsEquivalenceRegistry(t *testing.T) {
 					}
 					return v
 				}
-				inc := decode(context.Background())
-				eager := decode(cocoa.WithEagerStats(context.Background()))
+				inc := decode(ctx)
+				eager := decode(cocoa.WithEagerStats(ctx))
 				if err := numericallyClose("result", inc, eager); err != nil {
 					t.Errorf("workers=%d: incremental and eager results diverge: %v", workers, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +22,7 @@ import (
 	"cocoa/internal/terrain"
 )
 
-// Bounds of the robots busy at each flush (the worker pool's fan-out) and
+// Bounds of the robots busy at each flush (its widest possible fan-out) and
 // of the per-robot queue length a flush drains.
 var (
 	flushBusyBounds  = []float64{0, 1, 2, 4, 8, 16, 32, 64}
@@ -45,10 +44,10 @@ type Team struct {
 
 	terrain *terrain.Field
 
-	// updateWorkers is the resolved Config.UpdateWorkers (0 -> GOMAXPROCS):
-	// the pool bound for fanning per-robot beacon applications at flush
-	// points.
-	updateWorkers int
+	// pool holds the run's CPU budget (set by run); flushWorkers > 0 pins
+	// the flush's goroutine count instead (see reference).
+	pool         *slotPool
+	flushWorkers int
 
 	// Fault injection (Config.Faults). links holds the per-robot channel
 	// filters so finish can collect their counters; outages is the crash
@@ -105,10 +104,12 @@ func NewTeam(cfg Config) (*Team, error) {
 // only as oracles — results are byte-identical under scan and agree within
 // 1e-9 under eager (DESIGN.md §12, §13) — so only the differential test
 // suites select them, through a context that RunContext reads (see
-// export_test.go). The zero value is the production setup.
+// export_test.go), as does a fixed flushWorkers count in place of the CPU
+// budget. The zero value is the production setup.
 type reference struct {
-	scan  bool
-	eager bool
+	scan         bool
+	eager        bool
+	flushWorkers int
 }
 
 // referenceKey is the context key carrying a reference selection.
@@ -149,13 +150,10 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 		clockRng: root.Stream("clock"),
 		progress: cfg.Progress,
 
+		flushWorkers: ref.flushWorkers,
 		flushBusy:    telemetry.NewTally(flushBusyBounds),
 		queueDepth:   telemetry.NewTally(queueDepthBounds),
 		scratchReuse: scratchReuse,
-	}
-	t.updateWorkers = cfg.UpdateWorkers
-	if t.updateWorkers == 0 {
-		t.updateWorkers = runtime.GOMAXPROCS(0)
 	}
 
 	if cfg.TerrainAmplitude > 0 {
@@ -358,13 +356,16 @@ func (t *Team) RunContext(ctx context.Context) (*Result, error) {
 
 // run is RunContext drawing its Result from p's released ones and parking
 // the team's slot in p on every exit. It is the only place a slot is
-// parked.
+// parked. The run holds one CPU of p's budget until it returns.
 func (t *Team) run(ctx context.Context, p *slotPool) (*Result, error) {
 	if t.ran {
 		return nil, fmt.Errorf("cocoa: team already ran")
 	}
 	t.ran = true
+	t.pool = p
+	p.cpus.Add(1)
 	defer func() {
+		p.cpus.Add(-1)
 		t.keepCounts()
 		if telemetry.Default.Enabled() {
 			t.publish(telemetry.Default)
@@ -382,7 +383,7 @@ func (t *Team) run(ctx context.Context, p *slotPool) (*Result, error) {
 	res := p.result(cfg, t.trackedIDs())
 
 	if cfg.Mode != ModeOdometryOnly {
-		t.scheduleWindow(0)
+		t.scheduleWindows()
 	}
 
 	// Failure injection: the configured number of equipped robots die at
@@ -499,15 +500,13 @@ func (t *Team) sample(res *Result, now sim.Time) {
 	res.AvgError = append(res.AvgError, sum/float64(n))
 }
 
-// scheduleWindow arms the events of the beacon period starting at w.
-func (t *Team) scheduleWindow(w sim.Time) {
+// scheduleWindows arms the events of every beacon period of the run.
+func (t *Team) scheduleWindows() {
 	cfg := t.cfg
-	if w >= cfg.DurationS {
-		return
+	for w := sim.Time(0); w < cfg.DurationS; w += cfg.BeaconPeriodS {
+		t.sim.At(w, func() { t.startWindow(w) })
+		t.sim.At(w+cfg.TransmitPeriodS, func() { t.endWindow(w) })
 	}
-	t.sim.At(w, func() { t.startWindow(w) })
-	t.sim.At(w+cfg.TransmitPeriodS, func() { t.endWindow(w) })
-	t.scheduleWindow(w + cfg.BeaconPeriodS)
 }
 
 // startWindow wakes the team, refreshes the MRMM mesh, disseminates SYNC,
@@ -621,12 +620,12 @@ func (t *Team) sendBeacon(r *robot) {
 	}
 }
 
-// flushBeaconQueues applies every robot's queued beacon observations,
-// fanning robots with pending work across a bounded worker pool. Per-robot
-// localizer state is disjoint, each queue is applied FIFO by exactly one
-// goroutine, and no RNG stream is shared across robots, so the grids a
-// flush produces are byte-identical at any worker count — the pool only
-// changes which OS thread does the arithmetic.
+// flushBeaconQueues applies every robot's queued beacon observations, on
+// the run's goroutine plus one helper per CPU it can claim from the pool's
+// budget without waiting. Per-robot localizer state is disjoint, each queue
+// is applied FIFO by exactly one goroutine, and no RNG stream is shared
+// across robots, so the grids a flush produces are byte-identical at any
+// worker count: the helpers only change which OS thread does the arithmetic.
 func (t *Team) flushBeaconQueues() {
 	busy := t.slot.busy[:0]
 	for _, r := range t.robots {
@@ -637,31 +636,29 @@ func (t *Team) flushBeaconQueues() {
 	}
 	t.slot.busy = busy
 	t.flushBusy.Observe(len(busy))
-	workers := t.updateWorkers
-	if workers > len(busy) {
-		workers = len(busy)
+	helpers := min(t.flushWorkers, len(busy)) - 1
+	if t.flushWorkers == 0 {
+		helpers = t.pool.claim(len(busy) - 1)
+		defer t.pool.cpus.Add(int64(-helpers))
 	}
-	if workers <= 1 {
+	if helpers <= 0 {
 		for _, r := range busy {
 			r.applyPending()
 		}
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(busy) {
-					return
-				}
-				busy[i].applyPending()
-			}
-		}()
+	apply := func() {
+		for i := int(next.Add(1)) - 1; i < len(busy); i = int(next.Add(1)) - 1 {
+			busy[i].applyPending()
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for range helpers {
+		go func() { apply(); wg.Done() }()
+	}
+	apply()
 	wg.Wait()
 }
 

@@ -57,30 +57,35 @@ func faultyConfig() Config {
 
 // Counting never steers and never depends on scheduling: a run always
 // counts into its own fields (there is no recording switch on the run
-// path), the Result bytes and the run's counts agree at every intra-run
-// worker count. The grid workers bump their grids' counters concurrently,
-// which make check runs under -race.
+// path), the Result bytes and the run's counts agree at every flush worker
+// count, the CPU budget's included. The update workers bump their grids'
+// counters concurrently, which make check runs under -race.
 func TestTelemetryWorkerInvariant(t *testing.T) {
 	t.Parallel()
 	run := func(workers int) ([]byte, telemetry.Snapshot) {
-		cfg := faultyConfig()
-		cfg.UpdateWorkers = workers
-		_, res, tel := runTelemetry(t, cfg, nil)
-		res.Config.UpdateWorkers = 0 // the one field the worker count may change
+		ctx := WithFlushWorkers(context.Background(), workers)
+		team, err := NewTeamContext(ctx, faultyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := team.run(ctx, &slotPool{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, tel
+		return b, team.Telemetry()
 	}
 	baseRes, baseTel := run(1)
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{2, 3, 8, 0} {
 		res, tel := run(workers)
 		if string(res) != string(baseRes) {
-			t.Errorf("UpdateWorkers=%d: Result differs from the serial run", workers)
+			t.Errorf("%d flush workers: Result differs from the serial run", workers)
 		}
 		if !reflect.DeepEqual(tel, baseTel) {
-			t.Errorf("UpdateWorkers=%d: telemetry differs from the serial run\nserial: %+v\ngot:    %+v", workers, baseTel, tel)
+			t.Errorf("%d flush workers: telemetry differs from the serial run\nserial: %+v\ngot:    %+v", workers, baseTel, tel)
 		}
 	}
 }

@@ -41,16 +41,14 @@ func nonzero(s telemetry.Snapshot) map[string]any {
 	return out
 }
 
-// Attribution: two different configs run concurrently with eight grid
+// Attribution: two different configs run concurrently with eight update
 // workers each while Default is enabled. Each team's Telemetry equals its
 // serial run's (made with Default disabled), the Results are byte-identical
 // to the serial ones, and Default moved by exactly the sum of the two. All
 // runs are on new slots, so the slot-dependent counts agree too.
 func TestTelemetryPublishAttribution(t *testing.T) {
 	cfgs := []Config{testConfig(), faultyConfig()}
-	for i := range cfgs {
-		cfgs[i].UpdateWorkers = 8
-	}
+	eight := WithFlushWorkers(context.Background(), 8)
 	serialRes := make([][]byte, len(cfgs))
 	serialTel := make([]telemetry.Snapshot, len(cfgs))
 	telemetry.Default.SetEnabled(false)
@@ -68,7 +66,7 @@ func TestTelemetryPublishAttribution(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if teams[i], errs[i] = NewTeamContext(context.Background(), cfg); errs[i] == nil {
+			if teams[i], errs[i] = NewTeamContext(eight, cfg); errs[i] == nil {
 				results[i], errs[i] = teams[i].Run()
 			}
 		}()

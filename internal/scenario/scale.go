@@ -88,9 +88,6 @@ func RunScale(ctx context.Context, opts Options) ([]ScaleRow, error) {
 		if opts.CalibrationSamples > 0 {
 			cfg.Calibration.Samples = opts.CalibrationSamples
 		}
-		if opts.UpdateWorkers > 0 {
-			cfg.UpdateWorkers = opts.UpdateWorkers
-		}
 		cfgs[i] = cfg
 	}
 	results, err := opts.runAll(ctx, cfgs)

@@ -43,10 +43,6 @@ type Options struct {
 	// GridCellM overrides the Bayesian grid resolution.
 	GridCellM float64
 
-	// UpdateWorkers overrides the per-run localizer worker pool; 0 keeps
-	// the config default (GOMAXPROCS), 1 forces serial application.
-	UpdateWorkers int
-
 	// Parallelism caps how many of an experiment's independent simulation
 	// runs execute concurrently. Every run is seed-deterministic and
 	// results are ordered by sweep index, so any value produces
@@ -127,9 +123,6 @@ func (o Options) apply(cfg *cocoa.Config) {
 	}
 	if o.GridCellM > 0 {
 		cfg.GridCellM = o.GridCellM
-	}
-	if o.UpdateWorkers > 0 {
-		cfg.UpdateWorkers = o.UpdateWorkers
 	}
 }
 

@@ -187,10 +187,11 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 	}
 }
 
-// withRetiredKeys returns the JSON document b with "NeighborIndex":"scan"
-// and "GridStats":"eager" added to every config object in it (recognised by
-// its NumRobots key). Older releases carried those Config fields; they
-// selected result-equivalent reference paths and are now ignored.
+// withRetiredKeys returns the JSON document b with "NeighborIndex":"scan",
+// "GridStats":"eager" and "UpdateWorkers":8 added to every config object in
+// it (recognised by its NumRobots key). Older releases carried those Config
+// fields; they selected result-equivalent reference paths or worker counts
+// and are now ignored.
 func withRetiredKeys(t *testing.T, b []byte) []byte {
 	t.Helper()
 	d := json.NewDecoder(bytes.NewReader(b))
@@ -206,6 +207,7 @@ func withRetiredKeys(t *testing.T, b []byte) []byte {
 			if _, ok := v["NumRobots"]; ok {
 				v["NeighborIndex"] = "scan"
 				v["GridStats"] = "eager"
+				v["UpdateWorkers"] = 8
 			}
 			for _, x := range v {
 				add(x)

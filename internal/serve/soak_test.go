@@ -50,9 +50,11 @@ func TestSwarmScaleSoak(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 
 	// Keeper jobs run a light sweep so the soak stays fast; self-canceling
-	// jobs run the full 1000-robot sweep, which cannot finish before a
-	// cancel issued microseconds after acceptance takes effect at the next
-	// cooperative check.
+	// jobs run the full 1000-robot sweep with hour-long runs, which takes
+	// 2.3–2.4 s uncanceled on a 2-CPU host (at 120 s runs it took 70–100
+	// ms, close enough to a cancel's round trip for one job to finish
+	// first). A cancel issued microseconds after acceptance takes effect at
+	// the next cooperative check, so the soak does not wait for the sweep.
 	light := JobRequest{
 		Experiment: "scale",
 		Options: &JobOptions{
@@ -66,7 +68,7 @@ func TestSwarmScaleSoak(t *testing.T) {
 		Experiment: "scale",
 		Options: &JobOptions{
 			Seed:               1,
-			DurationS:          120,
+			DurationS:          3600,
 			NumRobots:          1000,
 			CalibrationSamples: 40000,
 		},
