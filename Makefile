@@ -41,9 +41,12 @@ fuzz:
 # keep cross-test state (cocoa's process-wide run-slot and Result free
 # lists, which every NewTeam team of the root package and cocoasim also
 # borrows from and parks into, the runner/serve job counters, daemon state
-# dirs), and the second pass catches state one run leaks into the next.
+# dirs, and cocoaexp's swapped package-level stderr and reset
+# telemetry.Default, which its -progress gauge reader writes to and must
+# stop writing before run returns), and the second pass catches state one
+# run leaks into the next.
 shuffle:
-	$(GO) test -count=2 -shuffle=on . ./cmd/cocoasim ./internal/cocoa ./internal/runner ./internal/serve
+	$(GO) test -count=2 -shuffle=on . ./cmd/cocoaexp ./cmd/cocoasim ./internal/cocoa ./internal/runner ./internal/serve
 
 # cover prints per-package statement coverage; cover-check additionally
 # enforces the floors in coverage_floor.txt (see cmd/covergate). Floors

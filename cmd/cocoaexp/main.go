@@ -118,15 +118,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = cocoa.MaxParallelism()
 	}
-	if *progress {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(stderr, "\r  run %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
-	}
-
 	start := time.Now()
 	matched := false
 	for _, d := range cocoa.Experiments() {
@@ -142,7 +133,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if telemetry.Default.Enabled() && *progress {
 			before = telemetry.Default.Snapshot()
 		}
+		stopProgress := func() {}
+		if *progress {
+			opts.Gauge = &cocoa.Progress{}
+			stopProgress = watchProgress(opts.Gauge)
+		}
 		res, err := d.Run(ctx, opts)
+		stopProgress()
 		if err != nil {
 			return fmt.Errorf("%s: %w", d.Name, err)
 		}
@@ -191,6 +188,38 @@ var renderers = map[string]func(io.Writer, any) error{
 	"ablation-k":         renderAblationK,
 	"ablation-grid":      renderAblationGrid,
 	"ablation-localizer": renderAblationLocalizer,
+}
+
+// watchProgress prints g's completed-run count to stderr as "\r  run d/t"
+// whenever a 100 ms read sees it change. The returned stop ends the reader,
+// waits for it to exit (so nothing writes to stderr after run returns),
+// then prints the final count and a newline.
+func watchProgress(g *cocoa.Progress) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		lastDone, lastTotal := 0, 0
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				if done, total := g.Run(); done != lastDone || total != lastTotal {
+					fmt.Fprintf(stderr, "\r  run %d/%d", done, total)
+					lastDone, lastTotal = done, total
+				}
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+		if done, total := g.Run(); total > 0 {
+			fmt.Fprintf(stderr, "\r  run %d/%d\n", done, total)
+		}
+	}
 }
 
 func header(w io.Writer, title string) {

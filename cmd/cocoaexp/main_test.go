@@ -149,6 +149,26 @@ func TestRunOutputIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// -progress reads the sweep's gauge while it runs and ends the
+// experiment's stderr section with the final run count, at any
+// parallelism; the reader has exited by the time run returns.
+func TestRunProgressEndsWithFinalCount(t *testing.T) {
+	for _, par := range []string{"1", "4"} {
+		oldStderr := stderr
+		var errBuf bytes.Buffer
+		stderr = &errBuf
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-quick", "-fig", "9", "-progress", "-parallel", par}, &out)
+		stderr = oldStderr
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := errBuf.String(); !strings.HasSuffix(got, "\r  run 4/4\n") {
+			t.Errorf("-parallel %s: stderr %q, want it to end with the run 4/4 line", par, got)
+		}
+	}
+}
+
 func snapshotForTest() cocoa.CDFSnapshot {
 	return cocoa.CDFSnapshot{
 		Errors: []float64{1, 2, 5, 20},
@@ -169,29 +189,37 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-// pollCanceled is a context that cancels itself on its k-th Err poll. The
-// simulation loop polls Err once at the end of every sampling tick, so a
-// serial sweep under it is interrupted mid-flight at a fixed point, with
-// no timing involved: the stand-in for SIGINT.
-type pollCanceled struct {
+// lookupCanceled is a context that cancels itself on its k-th Value
+// lookup. The sweep engine runs each job under a context derived from this
+// one, and a derived context forwards every lookup of a key it does not
+// own to its parent: one as the engine derives it, then one as each
+// simulation run starts. So under a serial sweep the k-th lookup is always
+// the start of the same run. The derived context then stops that run, or,
+// should the sweep finish first, the engine's final check of this context
+// reports the cancel, so the outcome does not depend on timing: the
+// stand-in for SIGINT.
+type lookupCanceled struct {
 	context.Context
-	done  chan struct{}
-	polls atomic.Int64
-	k     int64
+	done    chan struct{}
+	lookups atomic.Int64
+	k       int64
 }
 
-func newPollCanceled(k int64) *pollCanceled {
-	return &pollCanceled{Context: context.Background(), done: make(chan struct{}), k: k}
+func newLookupCanceled(k int64) *lookupCanceled {
+	return &lookupCanceled{Context: context.Background(), done: make(chan struct{}), k: k}
 }
 
-func (c *pollCanceled) Done() <-chan struct{} { return c.done }
+func (c *lookupCanceled) Done() <-chan struct{} { return c.done }
 
-func (c *pollCanceled) Err() error {
-	n := c.polls.Add(1)
-	if n == c.k {
+func (c *lookupCanceled) Value(key any) any {
+	if c.lookups.Add(1) == c.k {
 		close(c.done)
 	}
-	if n >= c.k {
+	return c.Context.Value(key)
+}
+
+func (c *lookupCanceled) Err() error {
+	if c.lookups.Load() >= c.k {
 		return context.Canceled
 	}
 	return nil
@@ -202,7 +230,7 @@ func (c *pollCanceled) Err() error {
 func TestRunInterruptedSweepReruns(t *testing.T) {
 	args := []string{"-quick", "-fig", "9", "-parallel", "1"}
 	var partial bytes.Buffer
-	if err := run(newPollCanceled(20), args, &partial); !errors.Is(err, context.Canceled) {
+	if err := run(newLookupCanceled(3), args, &partial); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep: err=%v, want context.Canceled", err)
 	}
 	if strings.Contains(partial.String(), "Figure") {

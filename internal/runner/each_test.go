@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -76,5 +77,22 @@ func TestRunsEachPropagatesFnError(t *testing.T) {
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+// A run error (here an invalid config) fails its job like an fn error:
+// wrapped with its job index, and fn never sees the failed run.
+func TestRunsEachPropagatesRunError(t *testing.T) {
+	cfgs := smallSweep(2)
+	cfgs[1].NumRobots = 0
+	err := RunsEach(context.Background(), Options{}, cfgs,
+		func(i int, _ *cocoa.Result) error {
+			if i == 1 {
+				t.Error("fn called for the failed run")
+			}
+			return nil
+		})
+	if !errors.Is(err, cocoa.ErrInvalidConfig) || !strings.Contains(err.Error(), "job 1") {
+		t.Fatalf("err = %v, want job 1's invalid-config error", err)
 	}
 }

@@ -1,14 +1,13 @@
 package runner
 
-// Job handles and the bounded pool: the long-lived counterpart to Map's
-// one-shot fan-out. Map serves batch sweeps ("run these n jobs, give me the
-// slice"); the Pool serves services — callers submit jobs one at a time
-// over the process lifetime, admission is bounded so overload turns into
-// backpressure instead of unbounded queue growth, and every job returns a
-// Handle the caller can wait on or cancel independently.
+// The bounded pool: the long-lived counterpart to Map's one-shot fan-out.
+// Map serves batch sweeps ("run these n jobs, give me the slice"); the Pool
+// serves services — callers submit jobs one at a time over the process
+// lifetime, and admission is bounded so overload turns into backpressure
+// instead of unbounded queue growth. A job is a plain func(): it carries
+// its own context, outcome and settlement, so the pool only schedules.
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
@@ -34,39 +33,6 @@ var (
 	telPoolInflight  = telemetry.Default.Gauge("runner.pool_inflight")
 )
 
-// Handle is one asynchronously executing job: a future for its result plus
-// a cancellation lever. The zero value is invalid; handles come from
-// Pool.TrySubmit.
-type Handle[T any] struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	val T
-	err error
-}
-
-// Done returns a channel closed when the job has finished (successfully,
-// with an error, or canceled before it started).
-func (h *Handle[T]) Done() <-chan struct{} { return h.done }
-
-// Result blocks until the job finishes and returns its outcome. A job
-// canceled before starting returns its context's error.
-func (h *Handle[T]) Result() (T, error) {
-	<-h.done
-	return h.val, h.err
-}
-
-// Cancel asks the job to stop: a queued job is abandoned before it runs, a
-// running job observes cancellation through its context. Cancel never
-// blocks; wait on Done for the job to actually settle.
-func (h *Handle[T]) Cancel() { h.cancel() }
-
-// complete settles the handle exactly once.
-func (h *Handle[T]) complete(v T, err error) {
-	h.val, h.err = v, err
-	close(h.done)
-}
-
 // PoolStats is a point-in-time view of a pool's occupancy.
 type PoolStats struct {
 	// Queued is how many accepted jobs are waiting for a worker.
@@ -79,19 +45,16 @@ type PoolStats struct {
 	Capacity int
 }
 
-// poolTask pairs a job function with its handle.
-type poolTask[T any] struct {
-	ctx      context.Context
-	fn       func(ctx context.Context) (T, error)
-	h        *Handle[T]
+// poolTask is one accepted job and when it was accepted.
+type poolTask struct {
+	fn       func()
 	enqueued time.Time
 }
 
-// Pool is a fixed set of workers pulling from a bounded queue. Accepted
-// jobs always run to completion (or until their context cancels them);
-// Close stops intake and drains.
-type Pool[T any] struct {
-	tasks chan *poolTask[T]
+// Pool is a fixed set of workers pulling from a bounded queue. Every
+// accepted job runs; Close stops intake and drains.
+type Pool struct {
+	tasks chan poolTask
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
@@ -103,15 +66,15 @@ type Pool[T any] struct {
 
 // NewPool starts workers goroutines serving a queue of at most queueDepth
 // waiting jobs. workers and queueDepth are clamped to at least 1 and 0.
-func NewPool[T any](workers, queueDepth int) *Pool[T] {
+func NewPool(workers, queueDepth int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
 	if queueDepth < 0 {
 		queueDepth = 0
 	}
-	p := &Pool[T]{
-		tasks:   make(chan *poolTask[T], queueDepth),
+	p := &Pool{
+		tasks:   make(chan poolTask, queueDepth),
 		workers: workers,
 	}
 	for w := 0; w < workers; w++ {
@@ -121,27 +84,17 @@ func NewPool[T any](workers, queueDepth int) *Pool[T] {
 	return p
 }
 
-func (p *Pool[T]) worker() {
+func (p *Pool) worker() {
 	defer p.wg.Done()
 	for task := range p.tasks {
 		p.mu.Lock()
 		p.queued--
 		telPoolQueued.Add(-1)
-		p.mu.Unlock()
-		// A job canceled (or deadline-expired) while waiting never runs;
-		// its handle settles with the context's error.
-		if err := task.ctx.Err(); err != nil {
-			var zero T
-			task.h.complete(zero, err)
-			continue
-		}
-		p.mu.Lock()
 		p.inflight++
 		telPoolInflight.Add(1)
 		p.mu.Unlock()
 		telQueueWait.Observe(time.Since(task.enqueued))
-		v, err := task.fn(task.ctx)
-		task.h.complete(v, err)
+		task.fn()
 		p.mu.Lock()
 		p.inflight--
 		telPoolInflight.Add(-1)
@@ -151,42 +104,33 @@ func (p *Pool[T]) worker() {
 
 // TrySubmit offers fn to the pool without blocking. It returns ErrQueueFull
 // when every queue slot is taken (shed load and retry later) and
-// ErrPoolClosed after Close. The job runs under a context derived from ctx;
-// Handle.Cancel or ctx's own cancellation stop it. A nil ctx means
-// context.Background().
-func (p *Pool[T]) TrySubmit(ctx context.Context, fn func(ctx context.Context) (T, error)) (*Handle[T], error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	jctx, cancel := context.WithCancel(ctx)
-	h := &Handle[T]{cancel: cancel, done: make(chan struct{})}
-	task := &poolTask[T]{ctx: jctx, fn: fn, h: h, enqueued: time.Now()}
-
+// ErrPoolClosed after Close. An accepted fn always runs exactly once, on a
+// pool worker; a job that must be skippable (canceled or past its deadline
+// while queued) checks for that itself when it starts.
+func (p *Pool) TrySubmit(fn func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		cancel()
 		telPoolRejected.Inc()
-		return nil, ErrPoolClosed
+		return ErrPoolClosed
 	}
 	// Admission counts queue slots, not channel occupancy: a task handed to
 	// an idle worker never sits in the channel, but it still transited the
 	// queue accounting (the worker decrements immediately).
 	select {
-	case p.tasks <- task:
+	case p.tasks <- poolTask{fn: fn, enqueued: time.Now()}:
 		p.queued++
 		telPoolQueued.Add(1)
 		telPoolSubmitted.Inc()
-		return h, nil
+		return nil
 	default:
-		cancel()
 		telPoolRejected.Inc()
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 }
 
 // Stats returns the pool's current occupancy.
-func (p *Pool[T]) Stats() PoolStats {
+func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
@@ -197,17 +141,14 @@ func (p *Pool[T]) Stats() PoolStats {
 	}
 }
 
-// Close stops intake and blocks until every accepted job has settled — the
+// Close stops intake and blocks until every accepted job has run — the
 // drain step of a graceful shutdown. Close is idempotent.
-func (p *Pool[T]) Close() {
+func (p *Pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
+	if !p.closed {
+		p.closed = true
+		close(p.tasks)
 	}
-	p.closed = true
-	close(p.tasks)
 	p.mu.Unlock()
 	p.wg.Wait()
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,18 +11,20 @@ import (
 )
 
 func TestPoolRunsSubmittedJobs(t *testing.T) {
-	p := NewPool[int](2, 4)
+	p := NewPool(2, 4)
 	defer p.Close()
-	handles := make([]*Handle[int], 8)
-	for i := range handles {
-		i := i
-		var err error
+	got := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		job := func() {
+			defer wg.Done()
+			got[i] = i * i
+		}
 		// The queue bound (workers 2 + depth 4) is smaller than 8 jobs, so
 		// submit with retry: rejected submissions re-offer after a yield.
 		for {
-			handles[i], err = p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-				return i * i, nil
-			})
+			err := p.TrySubmit(job)
 			if err == nil {
 				break
 			}
@@ -31,11 +34,8 @@ func TestPoolRunsSubmittedJobs(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	for i, h := range handles {
-		v, err := h.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
+	wg.Wait()
+	for i, v := range got {
 		if v != i*i {
 			t.Errorf("job %d = %d, want %d", i, v, i*i)
 		}
@@ -43,31 +43,26 @@ func TestPoolRunsSubmittedJobs(t *testing.T) {
 }
 
 func TestPoolQueueFull(t *testing.T) {
-	p := NewPool[int](1, 1)
+	p := NewPool(1, 1)
 	defer p.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
+	running, queued := make(chan int, 1), make(chan int, 1)
 	// Occupy the single worker...
-	running, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
+	if err := p.TrySubmit(func() {
 		close(started)
 		<-block
-		return 1, nil
-	})
-	if err != nil {
+		running <- 1
+	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// ...fill the single queue slot...
-	queued, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-		return 2, nil
-	})
-	if err != nil {
+	if err := p.TrySubmit(func() { queued <- 2 }); err != nil {
 		t.Fatal(err)
 	}
 	// ...and the next submission must shed.
-	if _, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-		return 3, nil
-	}); !errors.Is(err, ErrQueueFull) {
+	if err := p.TrySubmit(func() { t.Error("shed job ran") }); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	st := p.Stats()
@@ -75,76 +70,39 @@ func TestPoolQueueFull(t *testing.T) {
 		t.Errorf("Stats = %+v, want 1 queued / 1 inflight / 1 worker / cap 1", st)
 	}
 	close(block)
-	if v, err := running.Result(); err != nil || v != 1 {
-		t.Fatalf("running job = %d, %v", v, err)
+	if v := <-running; v != 1 {
+		t.Fatalf("running job = %d", v)
 	}
-	if v, err := queued.Result(); err != nil || v != 2 {
-		t.Fatalf("queued job = %d, %v", v, err)
-	}
-}
-
-func TestPoolCancelWhileQueued(t *testing.T) {
-	p := NewPool[int](1, 2)
-	defer p.Close()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	if _, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-		close(started)
-		<-block
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	h, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-		t.Error("canceled queued job still ran")
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Cancel()
-	close(block)
-	if _, err := h.Result(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if v := <-queued; v != 2 {
+		t.Fatalf("queued job = %d", v)
 	}
 }
 
 func TestPoolCloseDrainsAcceptedJobs(t *testing.T) {
-	p := NewPool[int](1, 4)
-	handles := make([]*Handle[int], 3)
-	for i := range handles {
-		i := i
-		var err error
-		handles[i], err = p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
+	p := NewPool(1, 4)
+	got := []int{-1, -1, -1}
+	for i := range got {
+		if err := p.TrySubmit(func() {
 			time.Sleep(5 * time.Millisecond)
-			return i, nil
-		})
-		if err != nil {
+			got[i] = i
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Close() // blocks until all three settle
-	for i, h := range handles {
-		select {
-		case <-h.Done():
-		default:
-			t.Fatalf("job %d not settled after Close", i)
-		}
-		if v, err := h.Result(); err != nil || v != i {
-			t.Errorf("job %d = %d, %v", i, v, err)
+	for i, v := range got {
+		if v != i {
+			t.Errorf("job %d not settled after Close: got %d", i, v)
 		}
 	}
-	if _, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-		return 0, nil
-	}); !errors.Is(err, ErrPoolClosed) {
+	if err := p.TrySubmit(func() {}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-Close submit err = %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
 }
 
 func TestPoolClampsDegenerateSizes(t *testing.T) {
-	p := NewPool[int](0, -1)
+	p := NewPool(0, -1)
 	defer p.Close()
 	st := p.Stats()
 	if st.Workers != 1 || st.Capacity != 0 {
@@ -153,11 +111,10 @@ func TestPoolClampsDegenerateSizes(t *testing.T) {
 	// With capacity 0 a submission only succeeds via worker handoff... which
 	// an unbuffered channel's non-blocking send cannot do reliably, so a
 	// zero-capacity pool may reject everything; just assert it never panics.
-	if h, err := p.TrySubmit(context.Background(), func(ctx context.Context) (int, error) {
-		return 7, nil
-	}); err == nil {
-		if v, jerr := h.Result(); jerr != nil || v != 7 {
-			t.Fatalf("job = %d, %v", v, jerr)
+	ran := make(chan int, 1)
+	if err := p.TrySubmit(func() { ran <- 7 }); err == nil {
+		if v := <-ran; v != 7 {
+			t.Fatalf("job = %d", v)
 		}
 	} else if !errors.Is(err, ErrQueueFull) {
 		t.Fatal(err)
@@ -177,17 +134,22 @@ func TestPoolRunsDeterministicSimulations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool[*cocoa.Result](2, 4)
+	p := NewPool(2, 4)
 	defer p.Close()
-	h, err := p.TrySubmit(context.Background(), func(ctx context.Context) (*cocoa.Result, error) {
-		return cocoa.RunContext(ctx, cfg)
-	})
-	if err != nil {
+	var (
+		pooled *cocoa.Result
+		perr   error
+	)
+	done := make(chan struct{})
+	if err := p.TrySubmit(func() {
+		defer close(done)
+		pooled, perr = cocoa.RunContext(context.Background(), cfg)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
+	<-done
+	if perr != nil {
+		t.Fatal(perr)
 	}
 	if len(pooled.AvgError) != len(direct.AvgError) {
 		t.Fatalf("sample count %d != %d", len(pooled.AvgError), len(direct.AvgError))

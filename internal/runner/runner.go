@@ -1,6 +1,6 @@
 // Package runner is the experiment execution engine: it fans independent,
-// seed-deterministic simulation runs (sweep points x seeds) across a worker
-// pool while preserving the exact semantics of a serial loop.
+// seed-deterministic simulation runs (sweep points x seeds) across a fixed
+// set of workers while preserving the exact semantics of a serial loop.
 //
 // The engine guarantees:
 //
@@ -12,13 +12,12 @@
 //     returned, mirroring a serial loop's early return;
 //   - cooperative cancellation: a context cancels between jobs, and the
 //     per-job context lets long jobs observe cancellation themselves;
-//   - serialized progress reporting: the Progress callback is never invoked
-//     concurrently, so callers need no locking to drive a counter or a
-//     progress bar.
+//   - monotone progress: the completed-run count published through
+//     Options.Gauge never decreases and ends at (n, n) on a fully
+//     successful fan-out.
 //
-// Parallelism <= 1 degenerates to a plain inline loop on the calling
-// goroutine — the zero value of Options reproduces serial behavior exactly,
-// which is what keeps existing callers unchanged.
+// Parallelism <= 1 runs one worker, which takes the jobs in index order
+// exactly as a serial loop would.
 package runner
 
 import (
@@ -47,9 +46,9 @@ var (
 	telInflight  = telemetry.Default.Gauge("runner.inflight")
 )
 
-// runJob wraps one job execution with the telemetry spans shared by the
-// serial and pooled paths. submitted is when the fan-out started — queue
-// wait is the time a job spent waiting for an execution slot.
+// runJob wraps one job execution with the fan-out's telemetry spans.
+// submitted is when the fan-out started — queue wait is the time a job
+// spent waiting for an execution slot.
 func runJob[T any](ctx context.Context, submitted time.Time, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
 	telQueueWait.Observe(time.Since(submitted))
 	telJobs.Inc()
@@ -67,17 +66,13 @@ func runJob[T any](ctx context.Context, submitted time.Time, i int, fn func(ctx 
 // Options configures one fan-out.
 type Options struct {
 	// Parallelism is the maximum number of concurrently executing jobs.
-	// Values <= 1 run the jobs serially on the calling goroutine; the pool
-	// never spawns more workers than there are jobs. Use MaxParallelism
-	// for "as many as the hardware allows".
+	// Values <= 1 run the jobs one at a time in index order; Map never
+	// starts more workers than there are jobs. Use MaxParallelism for "as
+	// many as the hardware allows".
 	Parallelism int
-	// Progress, when non-nil, is invoked after each job completes with the
-	// number of completed jobs and the total. Invocations are serialized;
-	// done is strictly increasing from 1 to total on a fully successful
-	// fan-out.
-	Progress func(done, total int)
 	// Gauge, when non-nil, receives the fan-out's live position: SetRun
-	// after each completed job, and (for Runs/RunsEach) the executing
+	// (0, n) at the start and (done, n) after each completed job, with
+	// done strictly increasing, and (for Runs/RunsEach) the executing
 	// run's tick position via cocoa's Config.Progress. Concurrent runs
 	// share the gauge — the tick readout tracks whichever run published
 	// last, which is the intended "what is the pool doing right now"
@@ -86,7 +81,7 @@ type Options struct {
 	Gauge *obs.Progress
 	// Logger, when non-nil, receives a debug record per failed job. The
 	// engine never logs on the success path — sweeps run thousands of
-	// jobs and the Progress/Gauge channels already carry liveness.
+	// jobs and the Gauge already carries liveness.
 	Logger *slog.Logger
 }
 
@@ -101,12 +96,12 @@ func (o Options) logJobError(i int, err error) {
 // GOMAXPROCS at the time of the call.
 func MaxParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// Map executes fn(ctx, i) for every i in [0, n) and returns the results in
-// index order. With opts.Parallelism > 1 the jobs run on a worker pool;
-// otherwise they run inline. The first error cancels outstanding work and
-// is returned wrapped with its job index (among concurrently observed
-// failures, the lowest index wins, matching the job a serial loop would
-// have failed on). A nil ctx means context.Background().
+// Map executes fn(ctx, i) for every i in [0, n) on min(max(Parallelism,
+// 1), n) workers and returns the results in index order. The first error
+// cancels outstanding work and is returned wrapped with its job index
+// (among concurrently observed failures, the lowest index wins, matching
+// the job a serial loop would have failed on). A nil ctx means
+// context.Background().
 func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -117,28 +112,7 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 	}
 	submitted := time.Now()
 	opts.Gauge.SetRun(0, n)
-	workers := opts.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := runJob(ctx, submitted, i, fn)
-			if err != nil {
-				opts.logJobError(i, err)
-				return nil, fmt.Errorf("runner: job %d: %w", i, err)
-			}
-			out[i] = v
-			opts.Gauge.SetRun(i+1, n)
-			if opts.Progress != nil {
-				opts.Progress(i+1, n)
-			}
-		}
-		return out, nil
-	}
+	workers := min(max(opts.Parallelism, 1), n)
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -174,9 +148,6 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 				out[i] = v
 				done++
 				opts.Gauge.SetRun(done, n)
-				if opts.Progress != nil {
-					opts.Progress(done, n)
-				}
 				mu.Unlock()
 			}
 		}()
@@ -191,7 +162,7 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 	return out, nil
 }
 
-// Runs executes every configuration through cocoa.RunContext on the pool
+// Runs executes every configuration through cocoa.RunContext on Map
 // and returns the results in configuration order. Each run is fully
 // deterministic in its Config (including Seed), so the output is identical
 // at any parallelism level; the per-job context lets a canceled sweep abort

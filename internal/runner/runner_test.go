@@ -1,8 +1,10 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"cocoa/internal/cocoa"
 	"cocoa/internal/faults"
+	"cocoa/internal/obs"
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
@@ -26,6 +29,39 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 				t.Fatalf("parallelism %d: out[%d] = %d, want %d", par, i, v, i*i)
 			}
 		}
+	}
+}
+
+// A nil context means context.Background(), and MaxParallelism is the
+// scheduler's CPU count.
+func TestMapNilContextAndMaxParallelism(t *testing.T) {
+	if got, want := MaxParallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("MaxParallelism = %d, want GOMAXPROCS %d", got, want)
+	}
+	got, err := Map(nil, Options{Parallelism: MaxParallelism()}, 3,
+		func(ctx context.Context, i int) (int, error) { return i, ctx.Err() })
+	if err != nil || len(got) != 3 || got[2] != 2 {
+		t.Fatalf("got %v, %v", got, err)
+	}
+}
+
+// A Logger gets one debug record per failed job, naming the run.
+func TestMapLogsFailedJob(t *testing.T) {
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	_, err := Map(context.Background(), Options{Logger: logger}, 5,
+		func(_ context.Context, i int) (int, error) {
+			if i == 3 {
+				return 0, errors.New("boom")
+			}
+			return i, nil
+		})
+	if err == nil {
+		t.Fatal("failing job returned no error")
+	}
+	if got := buf.String(); strings.Count(got, "job failed") != 1 ||
+		!strings.Contains(got, "run=3") || !strings.Contains(got, "error=boom") {
+		t.Errorf("log = %q, want one job failed record for run 3", got)
 	}
 }
 
@@ -102,30 +138,43 @@ func TestMapContextCancellation(t *testing.T) {
 	}
 }
 
+// The gauge is the fan-out's one progress channel: a reader polling it
+// concurrently (under -race) never sees the completed-run count go back,
+// and a successful fan-out leaves it at (n, n).
 func TestMapProgressSerializedAndComplete(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		var dones []int
-		_, err := Map(context.Background(), Options{
-			Parallelism: par,
-			// No locking here on purpose: the engine guarantees serialized
-			// invocation, and -race verifies it.
-			Progress: func(done, total int) {
-				if total != 30 {
-					t.Errorf("total = %d, want 30", total)
+		g := &obs.Progress{}
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			last := 0
+			for {
+				done, total := g.Run()
+				if done < last || done > total || (total != 0 && total != 30) {
+					t.Errorf("parallelism %d: gauge read (%d, %d) after done %d", par, done, total, last)
+					return
 				}
-				dones = append(dones, done)
-			},
-		}, 30, func(_ context.Context, i int) (int, error) { return i, nil })
+				last = done
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+		_, err := Map(context.Background(), Options{Parallelism: par, Gauge: g}, 30,
+			func(_ context.Context, i int) (int, error) {
+				time.Sleep(100 * time.Microsecond)
+				return i, nil
+			})
+		close(stop)
+		<-stopped
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dones) != 30 {
-			t.Fatalf("parallelism %d: %d progress calls, want 30", par, len(dones))
-		}
-		for i, d := range dones {
-			if d != i+1 {
-				t.Fatalf("parallelism %d: progress not monotone: %v", par, dones)
-			}
+		if done, total := g.Run(); done != 30 || total != 30 {
+			t.Fatalf("parallelism %d: final gauge (%d, %d), want (30, 30)", par, done, total)
 		}
 	}
 }

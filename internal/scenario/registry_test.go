@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"cocoa/internal/obs"
 )
 
 func TestRegistryWellFormed(t *testing.T) {
@@ -97,27 +99,16 @@ func TestSweepsDeterministicAcrossParallelism(t *testing.T) {
 	})
 }
 
-// Progress must be reported once per run in monotone order even when the
-// sweep itself fans out.
+// A fanned-out sweep reports its completed runs through the gauge, which
+// ends at (runs, runs).
 func TestSweepProgressCallback(t *testing.T) {
 	opts := fastOpts()
 	opts.Parallelism = 4
-	var calls []int
-	opts.Progress = func(done, total int) {
-		if total != 3 {
-			t.Errorf("total = %d, want 3", total)
-		}
-		calls = append(calls, done)
-	}
+	opts.Gauge = &obs.Progress{}
 	if _, err := RunFailureInjection(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 3 {
-		t.Fatalf("progress called %d times, want 3", len(calls))
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress sequence %v not monotone", calls)
-		}
+	if done, total := opts.Gauge.Run(); done != 3 || total != 3 {
+		t.Fatalf("gauge = (%d, %d), want (3, 3)", done, total)
 	}
 }

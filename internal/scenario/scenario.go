@@ -49,13 +49,10 @@ type Options struct {
 	// byte-identical output; 0 or 1 preserves the historical serial
 	// execution exactly.
 	Parallelism int
-	// Progress, when non-nil, is invoked after each completed run of the
-	// current experiment with (done, total). Invocations are serialized.
-	Progress func(done, total int)
-	// Gauge, when non-nil, receives the experiment's live position with no
-	// callback: completed runs via SetRun and the executing run's sampling
-	// tick via the simulation loop (see obs.Progress). Write-only and
-	// lock-free — it cannot perturb results.
+	// Gauge, when non-nil, receives the experiment's live position:
+	// completed runs of its current sweep via SetRun and the executing
+	// run's sampling tick via the simulation loop (see obs.Progress).
+	// Write-only and lock-free — it cannot perturb results.
 	Gauge *obs.Progress
 	// Logger, when non-nil, receives the engine's per-failure debug
 	// records (runner.Options.Logger).
@@ -66,7 +63,6 @@ type Options struct {
 func (o Options) engine() runner.Options {
 	return runner.Options{
 		Parallelism: o.Parallelism,
-		Progress:    o.Progress,
 		Gauge:       o.Gauge,
 		Logger:      o.Logger,
 	}

@@ -10,15 +10,14 @@ package serve
 //	503  draining after SIGTERM (Retry-After; try another replica)
 //
 // The events endpoint streams newline-delimited JSON status snapshots —
-// one line per state or progress change — until the job is terminal or
-// the client goes away.
+// one line per state change or sampled progress change — until the job is
+// terminal or the client goes away.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"cocoa"
@@ -94,17 +93,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func (s *Server) retryAfter() string {
-	d := s.cfg.RetryAfter
-	if d <= 0 {
-		d = time.Second
-	}
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in seconds, sent with 429 and 503
+// responses.
+const retryAfter = "1"
 
 // maxSubmitBody caps a POST /v1/jobs body. A full Config or experiment
 // request encodes to a few kilobytes, so 1 MiB never rejects a real job
@@ -131,10 +122,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrBadRequest):
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		case errors.Is(err, runner.ErrQueueFull):
-			w.Header().Set("Retry-After", s.retryAfter())
+			w.Header().Set("Retry-After", retryAfter)
 			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", s.retryAfter())
+			w.Header().Set("Retry-After", retryAfter)
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		default:
 			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
@@ -212,16 +203,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // eventsTickInterval paces live-progress re-reads on the events stream:
-// state and run transitions still stream immediately via the watch
-// channel, but per-tick progress (which can change thousands of times a
-// second and deliberately does not fire the channel) is sampled on this
-// coarse ticker, keeping the stream's line rate bounded.
+// state transitions still stream immediately via the watch channel, but
+// gauge progress — completed runs and the executing run's tick, which can
+// change thousands of times a second and deliberately does not fire the
+// channel — is sampled on this coarse ticker, keeping the stream's line
+// rate bounded.
 const eventsTickInterval = 250 * time.Millisecond
 
 // handleEvents streams NDJSON status snapshots until the job terminates
 // or the client disconnects. Each distinct snapshot produces exactly one
-// line: lines are emitted on state/run changes and whenever a ticker
-// re-read observes different live progress, never for identical statuses.
+// line: lines are emitted on state changes and whenever a ticker re-read
+// observes different live progress, never for identical statuses.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {

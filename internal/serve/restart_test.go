@@ -60,8 +60,8 @@ func waitJobTerminal(t *testing.T, j *Job, allowed ...State) JobStatus {
 	}
 }
 
-// waitGone polls until path no longer exists (the settler releases state
-// directories after the terminal transition is published).
+// waitGone polls until path no longer exists (a job releases its state
+// directory after its terminal transition is published).
 func waitGone(t *testing.T, path string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

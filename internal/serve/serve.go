@@ -77,9 +77,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps any requested per-job timeout; 0 means no cap.
 	MaxTimeout time.Duration
-	// RetryAfter is the backpressure hint returned with 429/503 responses;
-	// 0 means 1 second.
-	RetryAfter time.Duration
 	// StateDir, when non-empty, makes jobs durable across process death:
 	// every accepted job's request is persisted beneath it as job.json at
 	// submission, and a restarted daemon re-enqueues the jobs still there
@@ -123,7 +120,7 @@ func (s State) Terminal() bool {
 }
 
 // JobOptions mirrors the JSON-safe subset of cocoa.ExperimentOptions for
-// named-experiment jobs (the Progress callback is wired by the service).
+// named-experiment jobs (the progress gauge is wired by the service).
 type JobOptions struct {
 	Seed               int64   `json:"seed,omitempty"`
 	DurationS          float64 `json:"duration_s,omitempty"`
@@ -155,8 +152,9 @@ type JobStatus struct {
 	Kind  string `json:"kind"` // "config" or the experiment name
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
-	// RunsDone/RunsTotal track per-run progress inside the job's sweep;
-	// a raw-config job is a single run.
+	// RunsDone/RunsTotal track per-run progress inside the job's sweep
+	// (the obs.Progress gauge's run pair); a raw-config job is a single
+	// run.
 	RunsDone  int `json:"runs_done"`
 	RunsTotal int `json:"runs_total"`
 	// Tick/TicksTotal expose the executing run's live position inside its
@@ -192,23 +190,32 @@ type Job struct {
 	state      State
 	errMsg     string
 	result     []byte
-	done       int
-	total      int
 	userCancel bool
 	changed    chan struct{}
 	traceJSON  []byte
 
-	// progress is the job's live gauge: the simulation loop (raw-config
-	// jobs) or the sweep engine (experiment jobs) publishes through it
-	// lock-free; Status reads it on demand. trace marks JobRequest.Trace
-	// jobs, whose span trace is rendered from the run's events into
-	// traceJSON on success. log carries the job's ID and kind as pre-bound
-	// attrs.
+	// progress is the job's live gauge and the only record of its run
+	// count: the simulation loop (tick position) and the sweep engine
+	// (completed runs) publish through it lock-free; Status reads it on
+	// demand. trace marks JobRequest.Trace jobs, whose span trace is
+	// rendered from the run's events into traceJSON on success. log
+	// carries the job's ID and kind as pre-bound attrs.
 	progress *obs.Progress
 	trace    bool
 	log      *slog.Logger
 
-	handle *runner.Handle[[]byte]
+	// cancel ends the job's context (its deadline included); set before
+	// the job reaches the pool and never changed.
+	cancel context.CancelFunc
+}
+
+// newJob returns a queued job whose gauge reports a single pending run
+// until an experiment sweep publishes its own total.
+func newJob(resumed bool) *Job {
+	j := &Job{kind: "config", state: StateQueued, resumed: resumed,
+		changed: make(chan struct{}), progress: &obs.Progress{}}
+	j.progress.SetRun(0, 1)
+	return j
 }
 
 // ID returns the job's unique identifier.
@@ -223,17 +230,18 @@ func (j *Job) logger() *slog.Logger {
 	return j.log
 }
 
-// statusLocked assembles the wire snapshot; callers hold j.mu. The live
-// tick position and ETA come from the lock-free progress gauge — reading
-// them takes atomic loads only, never blocks the simulation. The ETA is
-// rounded to whole seconds so equal-looking statuses compare equal and
-// the events stream is not churned by sub-second drift.
+// statusLocked assembles the wire snapshot; callers hold j.mu. The run
+// count, live tick position and ETA come from the lock-free progress
+// gauge — reading them takes atomic loads only, never blocks the
+// simulation. The ETA is rounded to whole seconds so equal-looking
+// statuses compare equal and the events stream is not churned by
+// sub-second drift.
 func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID: j.id, Kind: j.kind, State: j.state, Error: j.errMsg,
-		RunsDone: j.done, RunsTotal: j.total, Resumed: j.resumed,
-		TraceAvailable: j.traceJSON != nil,
+		Resumed: j.resumed, TraceAvailable: j.traceJSON != nil,
 	}
+	st.RunsDone, st.RunsTotal = j.progress.Run()
 	st.Tick, st.TicksTotal = j.progress.Ticks()
 	if !j.state.Terminal() {
 		if eta, ok := j.progress.ETA(time.Now()); ok {
@@ -251,10 +259,10 @@ func (j *Job) Status() JobStatus {
 }
 
 // Watch returns the current snapshot plus a channel closed on the next
-// change — the poll-free primitive behind the events stream. Per-tick
-// progress does not fire the channel (that would wake watchers thousands
-// of times per run); the events handler re-reads on a coarse ticker
-// instead.
+// state change — the poll-free primitive behind the events stream. Gauge
+// progress (ticks and completed runs) does not fire the channel (that
+// would wake watchers thousands of times per run); the events handler
+// re-reads on a coarse ticker instead.
 func (j *Job) Watch() (JobStatus, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -285,7 +293,7 @@ func (j *Job) Cancel() {
 	j.mu.Lock()
 	j.userCancel = true
 	j.mu.Unlock()
-	j.handle.Cancel()
+	j.cancel()
 }
 
 // userCanceled reports whether Cancel was called on this job.
@@ -325,15 +333,9 @@ func (j *Job) setRunning() {
 	}
 }
 
-func (j *Job) setProgress(done, total int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.done, j.total = done, total
-	j.broadcast()
-}
-
 // finalize records the outcome exactly once, classifying context errors:
-// Canceled means the caller asked; DeadlineExceeded is a failure.
+// Canceled means the caller asked; DeadlineExceeded is a failure. A done
+// job's gauge reports every run complete.
 func (j *Job) finalize(b []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -341,9 +343,10 @@ func (j *Job) finalize(b []byte, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.result = b
-		j.done = j.total
+		_, total := j.progress.Run()
+		j.progress.SetRun(total, total)
 		telCompleted.Inc()
-		j.logger().Info("job done", "runs", j.total, "result_bytes", len(b))
+		j.logger().Info("job done", "runs", total, "result_bytes", len(b))
 	case errors.Is(err, context.Canceled):
 		j.state = StateCanceled
 		j.errMsg = "canceled"
@@ -362,7 +365,7 @@ func (j *Job) finalize(b []byte, err error) {
 // via Handler.
 type Server struct {
 	cfg  Config
-	pool *runner.Pool[[]byte]
+	pool *runner.Pool
 
 	// root is the parent of every job context; rootCancel is the
 	// drain-deadline hard stop.
@@ -374,10 +377,6 @@ type Server struct {
 	order    []string // submission order, for listing
 	seq      int
 	draining bool
-
-	// settlers tracks the per-job goroutines that record terminal states;
-	// Shutdown waits for them so every job is terminal when it returns.
-	settlers sync.WaitGroup
 
 	// runFn, when non-nil, replaces job execution — a test seam for
 	// controllable blocking/failing jobs. Never set in production.
@@ -404,7 +403,7 @@ func New(cfg Config) *Server {
 	root, cancel := context.WithCancel(context.Background())
 	return &Server{
 		cfg:        cfg,
-		pool:       runner.NewPool[[]byte](cfg.Workers, cfg.QueueDepth),
+		pool:       runner.NewPool(cfg.Workers, cfg.QueueDepth),
 		root:       root,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -413,7 +412,7 @@ func New(cfg Config) *Server {
 }
 
 // experimentOptions converts wire options to scenario options with the
-// job's progress callback, live gauge, and logger attached.
+// job's live gauge attached.
 func experimentOptions(o *JobOptions, j *Job) cocoa.ExperimentOptions {
 	var opts cocoa.ExperimentOptions
 	if o != nil {
@@ -423,10 +422,6 @@ func experimentOptions(o *JobOptions, j *Job) cocoa.ExperimentOptions {
 		opts.CalibrationSamples = o.CalibrationSamples
 		opts.GridCellM = o.GridCellM
 		opts.Parallelism = o.Parallelism
-	}
-	opts.Progress = func(done, total int) {
-		j.setProgress(done, total)
-		j.logger().Debug("run complete", "run", done, "runs_total", total)
 	}
 	opts.Gauge = j.progress
 	return opts
@@ -503,8 +498,7 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		telRejectedInvalid.Inc()
 		return nil, fmt.Errorf("%w: exactly one of config or experiment must be set", ErrBadRequest)
 	}
-	j := &Job{kind: "config", state: StateQueued, total: 1,
-		changed: make(chan struct{}), progress: &obs.Progress{}}
+	j := newJob(false)
 	exec, err := s.buildExec(req, j)
 	if err != nil {
 		telRejectedInvalid.Inc()
@@ -519,18 +513,19 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 // recovered job's existing ID during RecoverJobs (its directory is already
 // on disk).
 func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) ([]byte, error), fixedID string) (*Job, error) {
-	jctx := s.root
-	var cancelTimeout context.CancelFunc
+	var jctx context.Context
+	var cancel context.CancelFunc
 	if d := s.timeout(req); d > 0 {
-		jctx, cancelTimeout = context.WithTimeout(s.root, d)
+		jctx, cancel = context.WithTimeout(s.root, d)
+	} else {
+		jctx, cancel = context.WithCancel(s.root)
 	}
+	j.cancel = cancel
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		if cancelTimeout != nil {
-			cancelTimeout()
-		}
+		cancel()
 		telRejectedDraining.Inc()
 		return nil, ErrDraining
 	}
@@ -543,9 +538,7 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 			if err := writeJobRecord(j.stateDir, jobRecord{ID: j.id, Request: req}); err != nil {
 				s.seq--
 				s.mu.Unlock()
-				if cancelTimeout != nil {
-					cancelTimeout()
-				}
+				cancel()
 				telRejectedInvalid.Inc()
 				return nil, fmt.Errorf("serve: persist job: %w", err)
 			}
@@ -557,11 +550,7 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 	}
 	// Bind the job logger before the closure can run on a pool worker.
 	j.log = s.log.With("job", j.id, "kind", j.kind)
-	h, err := s.pool.TrySubmit(jctx, func(ctx context.Context) ([]byte, error) {
-		j.setRunning()
-		return exec(ctx)
-	})
-	if err != nil {
+	if err := s.pool.TrySubmit(func() { s.execute(jctx, j, exec) }); err != nil {
 		if fixedID == "" {
 			s.seq--
 		}
@@ -569,9 +558,7 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 			os.RemoveAll(j.stateDir)
 		}
 		s.mu.Unlock()
-		if cancelTimeout != nil {
-			cancelTimeout()
-		}
+		cancel()
 		if errors.Is(err, runner.ErrPoolClosed) {
 			telRejectedDraining.Inc()
 			return nil, ErrDraining
@@ -579,26 +566,27 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 		telRejectedFull.Inc()
 		return nil, err
 	}
-	j.handle = h
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	telAccepted.Inc()
 	j.logger().Info("job accepted", "resumed", j.resumed, "trace", j.trace)
-
-	// The settler owns the job's terminal transition; it exits as soon as
-	// the handle completes (drain waits for exactly these).
-	s.settlers.Add(1)
-	go func() {
-		defer s.settlers.Done()
-		b, err := h.Result()
-		j.finalize(b, err)
-		s.finishState(j, err)
-		if cancelTimeout != nil {
-			cancelTimeout()
-		}
-	}()
 	return j, nil
+}
+
+// execute runs an accepted job on a pool worker and settles it there, so
+// every accepted job is terminal once the pool has drained. A job canceled
+// or past its deadline while it was queued never runs.
+func (s *Server) execute(ctx context.Context, j *Job, exec func(ctx context.Context) ([]byte, error)) {
+	defer j.cancel()
+	var b []byte
+	err := ctx.Err()
+	if err == nil {
+		j.setRunning()
+		b, err = exec(ctx)
+	}
+	j.finalize(b, err)
+	s.finishState(j, err)
 }
 
 // Job returns a tracked job by ID.
@@ -724,7 +712,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		s.pool.Close()
-		s.settlers.Wait()
 		close(drained)
 	}()
 	select {
@@ -880,8 +867,7 @@ func (s *Server) RecoverJobs() ([]string, error) {
 			discard(fmt.Sprintf("job record names %q", rec.ID))
 			continue
 		}
-		j := &Job{kind: "config", state: StateQueued, total: 1,
-			changed: make(chan struct{}), resumed: true, progress: &obs.Progress{}}
+		j := newJob(true)
 		exec, err := s.buildExec(rec.Request, j)
 		if err != nil {
 			discard("invalid request: " + err.Error())

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -374,7 +376,7 @@ func blockingServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan s
 }
 
 func TestQueueFullReturns429(t *testing.T) {
-	_, ts, started, release := blockingServer(t, Config{Workers: 1, QueueDepth: 2, RetryAfter: 3 * time.Second})
+	_, ts, started, release := blockingServer(t, Config{Workers: 1, QueueDepth: 2})
 	defer close(release)
 
 	// One running + two queued fill the service.
@@ -393,8 +395,86 @@ func TestQueueFullReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want 3", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want 1", ra)
+	}
+}
+
+// A job canceled while it waits in the queue never runs: DELETE settles it
+// canceled without invoking its execution, and releases its state
+// directory.
+func TestCancelWhileQueuedNeverRuns(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, started, release := blockingServer(t, Config{Workers: 1, QueueDepth: 2, StateDir: dir})
+	block := s.runFn
+	var (
+		mu  sync.Mutex
+		ran = map[string]bool{}
+	)
+	s.runFn = func(ctx context.Context, j *Job) ([]byte, error) {
+		mu.Lock()
+		ran[j.id] = true
+		mu.Unlock()
+		return block(ctx, j)
+	}
+	var first, queued JobStatus
+	postJob(t, ts, JobRequest{Experiment: "fig9"}, &first)
+	<-started
+	postJob(t, ts, JobRequest{Experiment: "fig9"}, &queued)
+	queuedDir := filepath.Join(dir, queued.ID)
+	if _, err := os.Stat(filepath.Join(queuedDir, "job.json")); err != nil {
+		t.Fatalf("queued job not persisted: %v", err)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE status %d", resp.StatusCode)
+	}
+	close(release)
+	if end := waitTerminal(t, ts, queued.ID); end.State != StateCanceled {
+		t.Errorf("queued job ended %s (%q), want canceled", end.State, end.Error)
+	}
+	if st := waitTerminal(t, ts, first.ID); st.State != StateDone {
+		t.Errorf("blocker ended %s", st.State)
+	}
+	waitGone(t, queuedDir)
+	mu.Lock()
+	defer mu.Unlock()
+	if ran[queued.ID] {
+		t.Error("canceled queued job still ran")
+	}
+	if !ran[first.ID] {
+		t.Error("blocker never ran")
+	}
+}
+
+// A raw-config job is one run: its gauge reports 0/1 while it waits and
+// 1/1 once it is done.
+func TestRawJobRunCount(t *testing.T) {
+	_, ts, started, release := blockingServer(t, Config{Workers: 1, QueueDepth: 2})
+	var first, raw JobStatus
+	postJob(t, ts, JobRequest{Experiment: "fig9"}, &first)
+	<-started
+	cfg := quickCfg(1)
+	postJob(t, ts, JobRequest{Config: &cfg}, &raw)
+	var st JobStatus
+	getJSON(t, ts.URL+"/v1/jobs/"+raw.ID, &st)
+	for _, q := range []JobStatus{raw, st} {
+		if q.State != StateQueued || q.RunsDone != 0 || q.RunsTotal != 1 {
+			t.Errorf("queued raw job: %s %d/%d, want queued 0/1", q.State, q.RunsDone, q.RunsTotal)
+		}
+	}
+	close(release)
+	end := waitTerminal(t, ts, raw.ID)
+	if end.State != StateDone || end.RunsDone != 1 || end.RunsTotal != 1 {
+		t.Errorf("finished raw job: %s %d/%d, want done 1/1", end.State, end.RunsDone, end.RunsTotal)
 	}
 }
 

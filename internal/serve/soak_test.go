@@ -46,7 +46,7 @@ func submitJob(ts *httptest.Server, req JobRequest) (JobStatus, int, error) {
 // worker pool.
 func TestSwarmScaleSoak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := New(Config{Workers: 2, QueueDepth: 2, RetryAfter: time.Second})
+	s := New(Config{Workers: 2, QueueDepth: 2})
 	ts := httptest.NewServer(s.Handler())
 
 	// Keeper jobs run a light sweep so the soak stays fast; self-canceling
