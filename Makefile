@@ -37,16 +37,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWaypointLeg -fuzztime=$(FUZZTIME) ./internal/mobility
 	$(GO) test -run='^$$' -fuzz=FuzzSampleRSSIGate -fuzztime=$(FUZZTIME) ./internal/radio
 
-# shuffle reruns the stateful suites twice in random order: these packages
-# keep cross-test state (cocoa's process-wide run-slot and Result free
-# lists, which every NewTeam team of the root package and cocoasim also
-# borrows from and parks into, the runner/serve job counters, daemon state
-# dirs, and cocoaexp's swapped package-level stderr and reset
-# telemetry.Default, which its -progress gauge reader writes to and must
-# stop writing before run returns), and the second pass catches state one
-# run leaks into the next.
+# shuffle reruns the whole suite twice in random order, so a test that
+# leaks state into the next one (through a process-wide run-slot or Result
+# free list, telemetry.Default, a daemon state dir, or a swapped
+# package-level writer) fails here; TestPackageLevelVarsAllowListed keeps
+# new package-level state from appearing unnoticed.
 shuffle:
-	$(GO) test -count=2 -shuffle=on . ./cmd/cocoaexp ./cmd/cocoasim ./internal/cocoa ./internal/runner ./internal/serve
+	$(GO) test -count=2 -shuffle=on ./...
 
 # cover prints per-package statement coverage; cover-check additionally
 # enforces the floors in coverage_floor.txt (see cmd/covergate). Floors

@@ -149,7 +149,7 @@ func smokeMetrics(base string) error {
 	if err != nil {
 		return fmt.Errorf("smoke: /metrics failed exposition lint: %w", err)
 	}
-	for _, name := range []string{"cocoad_jobs", "cocoad_pool_workers", "go_goroutines"} {
+	for _, name := range []string{"cocoad_jobs", "cocoad_pool_workers", "cocoad_pool_queued", "cocoad_pool_inflight", "go_goroutines"} {
 		if _, ok := exp.Families[name]; !ok {
 			return fmt.Errorf("smoke: /metrics missing expected family %q", name)
 		}

@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}()
 	}
 
-	opts := cocoa.ExperimentOptions{Seed: *seed, Logger: logger}
+	opts := cocoa.ExperimentOptions{Seed: *seed}
 	if *quick {
 		opts.DurationS = 300
 		opts.NumRobots = 12

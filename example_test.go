@@ -28,7 +28,7 @@ func Example() {
 		return
 	}
 	fmt.Println("fixes happened:", res.Fixes > 0)
-	fmt.Println("steady error below 30 m:", res.Series().ValueAt(110) < 30)
+	fmt.Println("steady error below 30 m:", res.ErrorAt(110) < 30)
 	fmt.Println("coordination saves energy:", res.EnergySavings() > 1)
 	// Output:
 	// fixes happened: true

@@ -171,8 +171,7 @@ func TestCombinedRunEndToEnd(t *testing.T) {
 	}
 	// Steady-state accuracy: after the first couple of windows the
 	// average error must be far below the uniform-prior baseline (~77 m).
-	series := res.Series()
-	if got := series.ValueAt(250); got > 30 {
+	if got := res.ErrorAt(250); got > 30 {
 		t.Errorf("steady-state avg error = %.1f m, want well below 30", got)
 	}
 	if rate := res.FixRate(); rate < 0.5 {
@@ -221,7 +220,7 @@ func TestRFOnlyRun(t *testing.T) {
 	}
 	// Before the first window the estimate is the uniform-prior mean;
 	// after fixes it must improve dramatically.
-	if early, late := res.AvgError[0], res.Series().ValueAt(260); late >= early {
+	if early, late := res.AvgError[0], res.ErrorAt(260); late >= early {
 		t.Errorf("RF-only error did not improve: t0=%.1f, t260=%.1f", early, late)
 	}
 }
@@ -523,5 +522,55 @@ func TestEmptyResultHelpers(t *testing.T) {
 	}
 	if _, err := r.ErrorCDFAt(10); err == nil {
 		t.Error("ErrorCDFAt on empty result succeeded")
+	}
+}
+
+// ErrorAt and ErrorCDFAt pick their sample with one rule: the instant
+// closest to t, the earlier one on an exact tie, clamped to the ends.
+func TestErrorAtNearestSampleRule(t *testing.T) {
+	r := &Result{
+		Times:    []float64{0, 10, 20},
+		AvgError: []float64{1, 2, 3},
+		PerRobot: [][]float64{{1, 2, 3}, {4, 5, 6}},
+	}
+	cases := []struct {
+		name   string
+		t      float64
+		avg    float64
+		lo, hi float64 // the per-robot errors the CDF snapshot holds
+	}{
+		{"exact sample", 10, 2, 2, 5},
+		{"nearer later", 6, 2, 2, 5},
+		{"nearer earlier", 14, 2, 2, 5},
+		{"tie picks earlier", 5, 1, 1, 4},
+		{"second tie picks earlier", 15, 2, 2, 5},
+		{"before first clamps", -7, 1, 1, 4},
+		{"after last clamps", 99, 3, 3, 6},
+		{"-Inf clamps to first", math.Inf(-1), 1, 1, 4},
+		{"+Inf clamps to last", math.Inf(1), 3, 3, 6},
+		{"huge t clamps to last", 1e308, 3, 3, 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := r.ErrorAt(tc.t); got != tc.avg {
+				t.Errorf("ErrorAt(%v) = %v, want %v", tc.t, got, tc.avg)
+			}
+			cdf, err := r.ErrorCDFAt(tc.t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := cdf.Quantile(0), cdf.Quantile(1); cdf.Len() != 2 || lo != tc.lo || hi != tc.hi {
+				t.Errorf("ErrorCDFAt(%v) spans [%v, %v] over %d robots, want [%v, %v] over 2",
+					tc.t, lo, hi, cdf.Len(), tc.lo, tc.hi)
+			}
+		})
+	}
+
+	var empty Result
+	if got := empty.ErrorAt(10); !math.IsNaN(got) {
+		t.Errorf("empty ErrorAt = %v, want NaN", got)
+	}
+	if _, err := empty.ErrorCDFAt(10); err == nil {
+		t.Error("empty ErrorCDFAt succeeded")
 	}
 }

@@ -120,8 +120,8 @@ func TestManyPeriodsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.Series().ValueAt(100)
-	last := res.Series().ValueAt(890)
+	first := res.ErrorAt(100)
+	last := res.ErrorAt(890)
 	if last > 5*first+20 {
 		t.Errorf("error drifted across periods: t=100 %.1f m, t=890 %.1f m", first, last)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"cocoa/internal/geom"
 	"cocoa/internal/mac"
@@ -181,27 +182,38 @@ func (r *Result) MaxAvgError() float64 {
 	return m
 }
 
-// Series returns the average-error time series.
-func (r *Result) Series() *metrics.TimeSeries {
-	ts := &metrics.TimeSeries{}
-	for i := range r.Times {
-		ts.Add(r.Times[i], r.AvgError[i])
+// nearestSample returns the index of the sample instant closest to t, the
+// earlier one on an exact tie, or -1 when the result has no samples. A t
+// before the first or after the last sample (infinities included) clamps
+// to that end.
+func (r *Result) nearestSample(t float64) int {
+	n := len(r.Times)
+	if n == 0 {
+		return -1
 	}
-	return ts
+	i := sort.SearchFloat64s(r.Times, t) // first sample at or after t
+	if i == n || i > 0 && t-r.Times[i-1] <= r.Times[i]-t {
+		i--
+	}
+	return i
+}
+
+// ErrorAt returns the team-averaged error at the sample instant closest to
+// t (NaN when the result has no samples).
+func (r *Result) ErrorAt(t float64) float64 {
+	k := r.nearestSample(t)
+	if k < 0 {
+		return math.NaN()
+	}
+	return r.AvgError[k]
 }
 
 // ErrorCDFAt returns the CDF of per-robot error at the sample instant
 // closest to t — Figure 8's three snapshots.
 func (r *Result) ErrorCDFAt(t float64) (*metrics.CDF, error) {
-	if len(r.Times) == 0 {
+	k := r.nearestSample(t)
+	if k < 0 {
 		return nil, fmt.Errorf("cocoa: result has no samples")
-	}
-	k := 0
-	best := math.Inf(1)
-	for i, ti := range r.Times {
-		if d := math.Abs(ti - t); d < best {
-			best, k = d, i
-		}
 	}
 	xs := make([]float64, 0, len(r.PerRobot))
 	for _, series := range r.PerRobot {

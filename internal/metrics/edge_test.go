@@ -41,48 +41,3 @@ func TestQuantileEdges(t *testing.T) {
 		})
 	}
 }
-
-func TestDownsampleEdges(t *testing.T) {
-	series := func(n int) *TimeSeries {
-		ts := &TimeSeries{}
-		for i := 0; i < n; i++ {
-			ts.Add(float64(i), float64(i)*10)
-		}
-		return ts
-	}
-	cases := []struct {
-		name      string
-		n, k      int
-		wantLen   int
-		wantFirst float64 // first value, when wantLen > 0
-	}{
-		{"empty k>1", 0, 3, 0, 0},
-		{"empty k<=1", 0, 0, 0, 0},
-		{"singleton k>1", 1, 5, 1, 0},
-		{"singleton copy", 1, 1, 1, 0},
-		{"negative k copies", 4, -2, 4, 0},
-		{"k larger than series", 3, 10, 1, 0},
-		{"every other", 4, 2, 2, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			in := series(tc.n)
-			out := in.Downsample(tc.k)
-			if len(out.Times) != tc.wantLen || len(out.Values) != tc.wantLen {
-				t.Fatalf("Downsample(%d) kept %d/%d points, want %d",
-					tc.k, len(out.Times), len(out.Values), tc.wantLen)
-			}
-			if tc.wantLen > 0 && out.Values[0] != tc.wantFirst {
-				t.Errorf("first value = %v, want %v", out.Values[0], tc.wantFirst)
-			}
-			// Downsample returns an independent copy: mutating it must
-			// not write through to the source.
-			if tc.wantLen > 0 {
-				out.Values[0] = -1
-				if tc.n > 0 && in.Values[0] == -1 {
-					t.Error("Downsample aliases the source series")
-				}
-			}
-		})
-	}
-}

@@ -1,108 +1,13 @@
-// Package metrics provides the measurement primitives behind the paper's
-// evaluation: time series of localization error, summary statistics, and
-// empirical CDFs (Figure 8).
+// Package metrics provides the empirical CDF behind the paper's Figure 8
+// error snapshots. The error-over-time series itself is a run's
+// Result.Times and Result.AvgError (internal/cocoa), read at an instant
+// with Result.ErrorAt.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// TimeSeries is an append-only (time, value) sequence.
-type TimeSeries struct {
-	Times  []float64
-	Values []float64
-}
-
-// Add appends a sample. Times must be non-decreasing.
-func (ts *TimeSeries) Add(t, v float64) {
-	if n := len(ts.Times); n > 0 && t < ts.Times[n-1] {
-		panic(fmt.Sprintf("metrics: time went backwards: %v < %v", t, ts.Times[n-1]))
-	}
-	ts.Times = append(ts.Times, t)
-	ts.Values = append(ts.Values, v)
-}
-
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.Times) }
-
-// Mean returns the arithmetic mean of the values (NaN when empty).
-func (ts *TimeSeries) Mean() float64 { return mean(ts.Values) }
-
-// Max returns the maximum value (NaN when empty).
-func (ts *TimeSeries) Max() float64 {
-	if len(ts.Values) == 0 {
-		return math.NaN()
-	}
-	m := ts.Values[0]
-	for _, v := range ts.Values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ValueAt returns the value of the sample closest to time t (NaN when
-// empty).
-func (ts *TimeSeries) ValueAt(t float64) float64 {
-	if len(ts.Times) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(ts.Times, t)
-	if i == len(ts.Times) {
-		return ts.Values[len(ts.Values)-1]
-	}
-	if i > 0 && t-ts.Times[i-1] < ts.Times[i]-t {
-		i--
-	}
-	return ts.Values[i]
-}
-
-// Downsample returns every k-th sample, for compact reporting.
-func (ts *TimeSeries) Downsample(k int) *TimeSeries {
-	if k <= 1 {
-		return &TimeSeries{Times: append([]float64(nil), ts.Times...),
-			Values: append([]float64(nil), ts.Values...)}
-	}
-	out := &TimeSeries{}
-	for i := 0; i < len(ts.Times); i += k {
-		out.Add(ts.Times[i], ts.Values[i])
-	}
-	return out
-}
-
-// Summary holds descriptive statistics of a sample set.
-type Summary struct {
-	N    int
-	Mean float64
-	Min  float64
-	Max  float64
-	P50  float64
-	P90  float64
-	P95  float64
-}
-
-// Summarize computes a Summary. An empty input yields a zero Summary with
-// NaN statistics.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		nan := math.NaN()
-		return Summary{Mean: nan, Min: nan, Max: nan, P50: nan, P90: nan, P95: nan}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    len(xs),
-		Mean: mean(xs),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		P50:  quantileSorted(sorted, 0.50),
-		P90:  quantileSorted(sorted, 0.90),
-		P95:  quantileSorted(sorted, 0.95),
-	}
-}
 
 // CDF is an empirical cumulative distribution over a sample set.
 type CDF struct {
@@ -154,17 +59,6 @@ func (c *CDF) Points() (xs, ps []float64) {
 		ps[i] = float64(i+1) / float64(n)
 	}
 	return xs, ps
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // quantileSorted interpolates the p-quantile of an ascending slice.

@@ -7,95 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestTimeSeriesBasics(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 1)
-	ts.Add(1, 3)
-	ts.Add(2, 5)
-	if ts.Len() != 3 {
-		t.Fatalf("Len = %d", ts.Len())
-	}
-	if got := ts.Mean(); got != 3 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := ts.Max(); got != 5 {
-		t.Errorf("Max = %v", got)
-	}
-}
-
-func TestTimeSeriesBackwardsPanics(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ts.Add(4, 1)
-}
-
-func TestTimeSeriesEmptyStats(t *testing.T) {
-	var ts TimeSeries
-	if !math.IsNaN(ts.Mean()) || !math.IsNaN(ts.Max()) || !math.IsNaN(ts.ValueAt(1)) {
-		t.Error("empty series stats must be NaN")
-	}
-}
-
-func TestValueAt(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 10)
-	ts.Add(10, 20)
-	ts.Add(20, 30)
-	tests := []struct{ t, want float64 }{
-		{0, 10}, {4, 10}, {6, 20}, {10, 20}, {19, 30}, {100, 30}, {-5, 10},
-	}
-	for _, tt := range tests {
-		if got := ts.ValueAt(tt.t); got != tt.want {
-			t.Errorf("ValueAt(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	var ts TimeSeries
-	for i := 0; i < 10; i++ {
-		ts.Add(float64(i), float64(i))
-	}
-	d := ts.Downsample(3)
-	if d.Len() != 4 {
-		t.Fatalf("downsampled len = %d, want 4", d.Len())
-	}
-	if d.Times[1] != 3 {
-		t.Errorf("Times[1] = %v", d.Times[1])
-	}
-	same := ts.Downsample(1)
-	if same.Len() != ts.Len() {
-		t.Error("k=1 must copy")
-	}
-	same.Values[0] = 999
-	if ts.Values[0] == 999 {
-		t.Error("Downsample(1) aliases the original")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.P90 != 4.6 { // interpolated
-		t.Errorf("P90 = %v, want 4.6", s.P90)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Mean) {
-		t.Errorf("empty summary = %+v", empty)
-	}
-	one := Summarize([]float64{7})
-	if one.P50 != 7 || one.P95 != 7 {
-		t.Errorf("single-sample summary = %+v", one)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if c.Len() != 10 {

@@ -134,7 +134,7 @@ func labels(ls []Label) string {
 //	Histogram h        -> histogram <h> (_bucket cumulative with +Inf,
 //	                      _sum, _count)
 //	Span      s        -> summary  <s>_ns (_sum, _count) and
-//	                      gauge    <s>_max_ns
+//	                      gauge    <s>_ns_max
 //
 // Telemetry buckets store per-bucket counts; the writer accumulates them
 // into the cumulative form le-buckets require. Extra samples are grouped

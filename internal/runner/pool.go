@@ -11,8 +11,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"cocoa/internal/telemetry"
 )
 
 // Pool admission errors.
@@ -22,15 +20,6 @@ var (
 	ErrQueueFull = errors.New("runner: job queue full")
 	// ErrPoolClosed reports a submission after Close began draining.
 	ErrPoolClosed = errors.New("runner: pool closed")
-)
-
-// Telemetry for the pool path (the one-shot Map path has its own
-// instruments above). Recording never steers scheduling.
-var (
-	telPoolSubmitted = telemetry.Default.Counter("runner.pool_submitted")
-	telPoolRejected  = telemetry.Default.Counter("runner.pool_rejected")
-	telPoolQueued    = telemetry.Default.Gauge("runner.pool_queued")
-	telPoolInflight  = telemetry.Default.Gauge("runner.pool_inflight")
 )
 
 // PoolStats is a point-in-time view of a pool's occupancy.
@@ -89,15 +78,12 @@ func (p *Pool) worker() {
 	for task := range p.tasks {
 		p.mu.Lock()
 		p.queued--
-		telPoolQueued.Add(-1)
 		p.inflight++
-		telPoolInflight.Add(1)
 		p.mu.Unlock()
 		telQueueWait.Observe(time.Since(task.enqueued))
 		task.fn()
 		p.mu.Lock()
 		p.inflight--
-		telPoolInflight.Add(-1)
 		p.mu.Unlock()
 	}
 }
@@ -111,7 +97,6 @@ func (p *Pool) TrySubmit(fn func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		telPoolRejected.Inc()
 		return ErrPoolClosed
 	}
 	// Admission counts queue slots, not channel occupancy: a task handed to
@@ -120,11 +105,8 @@ func (p *Pool) TrySubmit(fn func()) error {
 	select {
 	case p.tasks <- poolTask{fn: fn, enqueued: time.Now()}:
 		p.queued++
-		telPoolQueued.Add(1)
-		telPoolSubmitted.Inc()
 		return nil
 	default:
-		telPoolRejected.Inc()
 		return ErrQueueFull
 	}
 }

@@ -23,7 +23,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,12 +33,12 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// Telemetry instruments: how long each job ran (wall clock), how long it
-// sat queued before a worker picked it up, and how many jobs are in
-// flight right now. Recording never influences scheduling, so parallel
-// fan-outs stay byte-identical with telemetry on or off.
+// Telemetry instruments: how long each job ran (wall clock; the span's
+// count is the number of jobs run), how long it sat queued before a worker
+// picked it up, how many jobs are in flight right now and how many failed.
+// Recording never influences scheduling, so parallel fan-outs stay
+// byte-identical with telemetry on or off.
 var (
-	telJobs      = telemetry.Default.Counter("runner.jobs")
 	telJobErrors = telemetry.Default.Counter("runner.job_errors")
 	telJobWall   = telemetry.Default.Span("runner.job_wall")
 	telQueueWait = telemetry.Default.Span("runner.queue_wait")
@@ -51,7 +50,6 @@ var (
 // spent waiting for an execution slot.
 func runJob[T any](ctx context.Context, submitted time.Time, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
 	telQueueWait.Observe(time.Since(submitted))
-	telJobs.Inc()
 	telInflight.Add(1)
 	tm := telJobWall.Start()
 	v, err := fn(ctx, i)
@@ -79,17 +77,6 @@ type Options struct {
 	// signal. Publication is write-only and lock-free, so it cannot
 	// perturb results or scheduling.
 	Gauge *obs.Progress
-	// Logger, when non-nil, receives a debug record per failed job. The
-	// engine never logs on the success path — sweeps run thousands of
-	// jobs and the Gauge already carries liveness.
-	Logger *slog.Logger
-}
-
-// logJobError emits the per-failure debug record when a Logger is wired.
-func (o Options) logJobError(i int, err error) {
-	if o.Logger != nil {
-		o.Logger.Debug("job failed", "run", i, "error", err.Error())
-	}
 }
 
 // MaxParallelism returns the worker count that saturates the hardware,
@@ -141,7 +128,6 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 						errIdx = i
 					}
 					mu.Unlock()
-					opts.logJobError(i, err)
 					cancel()
 					continue
 				}

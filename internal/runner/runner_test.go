@@ -1,10 +1,8 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"log/slog"
 	"runtime"
 	"strings"
 	"sync"
@@ -42,26 +40,6 @@ func TestMapNilContextAndMaxParallelism(t *testing.T) {
 		func(ctx context.Context, i int) (int, error) { return i, ctx.Err() })
 	if err != nil || len(got) != 3 || got[2] != 2 {
 		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
-// A Logger gets one debug record per failed job, naming the run.
-func TestMapLogsFailedJob(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	_, err := Map(context.Background(), Options{Logger: logger}, 5,
-		func(_ context.Context, i int) (int, error) {
-			if i == 3 {
-				return 0, errors.New("boom")
-			}
-			return i, nil
-		})
-	if err == nil {
-		t.Fatal("failing job returned no error")
-	}
-	if got := buf.String(); strings.Count(got, "job failed") != 1 ||
-		!strings.Contains(got, "run=3") || !strings.Contains(got, "error=boom") {
-		t.Errorf("log = %q, want one job failed record for run 3", got)
 	}
 }
 

@@ -15,12 +15,10 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"log/slog"
 
 	"cocoa/internal/caltable"
 	"cocoa/internal/cocoa"
 	"cocoa/internal/geom"
-	"cocoa/internal/metrics"
 	"cocoa/internal/mobility"
 	"cocoa/internal/obs"
 	"cocoa/internal/odometry"
@@ -29,43 +27,38 @@ import (
 	"cocoa/internal/sim"
 )
 
-// Options scales a scenario without changing its structure.
+// Options scales a scenario without changing its structure. Its JSON form
+// is the "options" object of a cocoad experiment job; Gauge is a live
+// observation handle and never serialized.
 type Options struct {
 	// Seed for the whole experiment; 0 means 1.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// DurationS overrides the paper's 1800 s run length; 0 keeps it.
-	DurationS sim.Time
+	DurationS sim.Time `json:"duration_s,omitempty"`
 	// NumRobots overrides the paper's 50-robot team; 0 keeps it. The
 	// equipped count scales proportionally where a figure doesn't sweep it.
-	NumRobots int
+	NumRobots int `json:"num_robots,omitempty"`
 	// CalibrationSamples overrides the Monte-Carlo calibration effort.
-	CalibrationSamples int
+	CalibrationSamples int `json:"calibration_samples,omitempty"`
 	// GridCellM overrides the Bayesian grid resolution.
-	GridCellM float64
+	GridCellM float64 `json:"grid_cell_m,omitempty"`
 
 	// Parallelism caps how many of an experiment's independent simulation
 	// runs execute concurrently. Every run is seed-deterministic and
 	// results are ordered by sweep index, so any value produces
 	// byte-identical output; 0 or 1 preserves the historical serial
 	// execution exactly.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// Gauge, when non-nil, receives the experiment's live position:
 	// completed runs of its current sweep via SetRun and the executing
 	// run's sampling tick via the simulation loop (see obs.Progress).
 	// Write-only and lock-free — it cannot perturb results.
-	Gauge *obs.Progress
-	// Logger, when non-nil, receives the engine's per-failure debug
-	// records (runner.Options.Logger).
-	Logger *slog.Logger
+	Gauge *obs.Progress `json:"-"`
 }
 
 // engine returns the experiment engine options every fan-out shares.
 func (o Options) engine() runner.Options {
-	return runner.Options{
-		Parallelism: o.Parallelism,
-		Gauge:       o.Gauge,
-		Logger:      o.Logger,
-	}
+	return runner.Options{Parallelism: o.Parallelism, Gauge: o.Gauge}
 }
 
 // runAll executes prepared sweep configs on the experiment engine,
@@ -718,15 +711,4 @@ func SteadyStateMean(s Series, warmupS float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// SummarizeTail returns summary statistics of a curve past warmupS.
-func SummarizeTail(s Series, warmupS float64) metrics.Summary {
-	var tail []float64
-	for i, t := range s.Times {
-		if t >= warmupS {
-			tail = append(tail, s.Values[i])
-		}
-	}
-	return metrics.Summarize(tail)
 }

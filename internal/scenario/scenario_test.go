@@ -41,10 +41,6 @@ func TestSeriesHelpers(t *testing.T) {
 	if got := SteadyStateMean(s, 99); got != 0 {
 		t.Errorf("SteadyStateMean beyond data = %v", got)
 	}
-	sum := SummarizeTail(s, 1)
-	if sum.N != 3 || sum.Max != 10 {
-		t.Errorf("SummarizeTail = %+v", sum)
-	}
 }
 
 // Figure 1: the strong-RSSI PDF must be Gaussian, the weak one must not

@@ -47,7 +47,7 @@ func TestMetricsEndpointLintsClean(t *testing.T) {
 
 	exp := scrape(t, ts.URL)
 	for _, fam := range []string{"cocoad_jobs", "cocoad_pool_workers",
-		"cocoad_pool_queued", "cocoad_draining", "go_goroutines"} {
+		"cocoad_pool_queued", "cocoad_pool_inflight", "cocoad_draining", "go_goroutines"} {
 		if _, ok := exp.Families[fam]; !ok {
 			t.Errorf("missing family %q", fam)
 		}

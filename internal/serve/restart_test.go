@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cocoa"
+	"cocoa/internal/telemetry"
 )
 
 // slowCfg is a deployment heavy enough (dense grid, 40 robots) that its
@@ -471,6 +472,129 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 	}
 	if want := fmt.Sprintf("job-%06d", 8); j.ID() != want {
 		t.Fatalf("first post-recovery ID %s, want %s", j.ID(), want)
+	}
+}
+
+// A job.json that a release before ExperimentOptions carried JSON tags
+// wrote for an experiment job (then serve.JobOptions, same six keys)
+// recovers under the new options type and serves the bytes of a direct
+// registry run with the same options.
+func TestRecoverParentWrittenExperimentJob(t *testing.T) {
+	const record = `{"id":"job-000001","request":{"experiment":"fig4","options":` +
+		`{"seed":3,"duration_s":120,"num_robots":10,"calibration_samples":40000,"grid_cell_m":8,"parallelism":2}}}`
+	stateDir := t.TempDir()
+	dir := filepath.Join(stateDir, "job-000001")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job.json"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The options type still writes exactly these bytes.
+	rec, err := readJobRecord(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(rec); err != nil || string(b) != record {
+		t.Fatalf("re-encoded record = %s (%v), want %s", b, err, record)
+	}
+
+	s := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	ids, err := s.RecoverJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != "job-000001" {
+		t.Fatalf("recovered %v, want [job-000001]", ids)
+	}
+	j, _ := s.Job("job-000001")
+	if st := waitJobTerminal(t, j, StateQueued, StateResumed); st.State != StateDone {
+		t.Fatalf("state %s: %s", st.State, st.Error)
+	}
+	got, _ := j.Result()
+
+	d, ok := findExperiment("fig4")
+	if !ok {
+		t.Fatal("fig4 not registered")
+	}
+	v, err := d.Run(context.Background(), cocoa.ExperimentOptions{
+		Seed: 3, DurationS: 120, NumRobots: 10,
+		CalibrationSamples: 40000, GridCellM: 8, Parallelism: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("recovered job's result differs from the direct registry run")
+	}
+}
+
+// A submission whose job.json cannot be written is a server fault: it
+// answers 500, logs an Error naming the job and its state path, moves no
+// client-input rejection counter, and gives its job ID back.
+func TestSubmitPersistFailure(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// MkdirAll fails beneath a regular file, even for root.
+	stateDir := filepath.Join(blocker, "state")
+	logs := &captureHandler{}
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, StateDir: stateDir, Logger: slog.New(logs)})
+	invalid := telemetry.Default.Counter("serve.jobs_rejected_invalid")
+
+	before := invalid.Value()
+	cfg := quickCfg(1)
+	if resp := postJob(t, ts, JobRequest{Config: &cfg}, nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	if got := invalid.Value() - before; got != 0 {
+		t.Errorf("serve.jobs_rejected_invalid rose by %d on a disk failure", got)
+	}
+	if b, err := os.ReadFile(blocker); err != nil || string(b) != "x" {
+		t.Errorf("state path parent disturbed: %q, %v", b, err)
+	}
+	var logged bool
+	for _, r := range logs.records() {
+		if r.Level != slog.LevelError {
+			continue
+		}
+		attrs := map[string]string{}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value.String()
+			return true
+		})
+		logged = logged || attrs["job"] == "job-000001" && attrs["path"] == filepath.Join(stateDir, "job-000001")
+	}
+	if !logged {
+		t.Error("no Error record naming job-000001 and its state path")
+	}
+
+	// With the disk fixed, the next submission reuses the rolled-back ID.
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	if resp := postJob(t, ts, JobRequest{Config: &cfg}, &st); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d after the fix, want 202", resp.StatusCode)
+	}
+	if st.ID != "job-000001" {
+		t.Errorf("first accepted ID %s, want job-000001", st.ID)
+	}
+	if end := waitTerminal(t, ts, st.ID); end.State != StateDone {
+		t.Errorf("state %s: %s", end.State, end.Error)
 	}
 }
 

@@ -52,8 +52,9 @@ var (
 	ErrBadRequest = errors.New("serve: bad request")
 )
 
-// Telemetry instruments for the service layer. The queue/inflight gauges
-// live in the runner pool (runner.pool_queued, runner.pool_inflight).
+// Telemetry instruments for the service layer. Pool occupancy is not an
+// instrument: /metrics samples it from Pool.Stats per scrape
+// (cocoad_pool_queued, cocoad_pool_inflight).
 var (
 	telAccepted         = telemetry.Default.Counter("serve.jobs_accepted")
 	telRejectedFull     = telemetry.Default.Counter("serve.jobs_rejected_full")
@@ -119,24 +120,15 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// JobOptions mirrors the JSON-safe subset of cocoa.ExperimentOptions for
-// named-experiment jobs (the progress gauge is wired by the service).
-type JobOptions struct {
-	Seed               int64   `json:"seed,omitempty"`
-	DurationS          float64 `json:"duration_s,omitempty"`
-	NumRobots          int     `json:"num_robots,omitempty"`
-	CalibrationSamples int     `json:"calibration_samples,omitempty"`
-	GridCellM          float64 `json:"grid_cell_m,omitempty"`
-	Parallelism        int     `json:"parallelism,omitempty"`
-}
-
 // JobRequest is one submission: exactly one of Config (a raw deployment,
 // result is the full cocoa.Result) or Experiment (a registry name, result
-// is that experiment's row type) must be set.
+// is that experiment's row type) must be set. Options scales an
+// experiment job; its Gauge is never serialized, and the service wires the
+// job's own.
 type JobRequest struct {
-	Config     *cocoa.Config `json:"config,omitempty"`
-	Experiment string        `json:"experiment,omitempty"`
-	Options    *JobOptions   `json:"options,omitempty"`
+	Config     *cocoa.Config            `json:"config,omitempty"`
+	Experiment string                   `json:"experiment,omitempty"`
+	Options    *cocoa.ExperimentOptions `json:"options,omitempty"`
 	// TimeoutS bounds the job's total lifetime (queue wait included);
 	// 0 uses the service default.
 	TimeoutS float64 `json:"timeout_s,omitempty"`
@@ -411,22 +403,6 @@ func New(cfg Config) *Server {
 	}
 }
 
-// experimentOptions converts wire options to scenario options with the
-// job's live gauge attached.
-func experimentOptions(o *JobOptions, j *Job) cocoa.ExperimentOptions {
-	var opts cocoa.ExperimentOptions
-	if o != nil {
-		opts.Seed = o.Seed
-		opts.DurationS = o.DurationS
-		opts.NumRobots = o.NumRobots
-		opts.CalibrationSamples = o.CalibrationSamples
-		opts.GridCellM = o.GridCellM
-		opts.Parallelism = o.Parallelism
-	}
-	opts.Gauge = j.progress
-	return opts
-}
-
 // findExperiment resolves a registry name.
 func findExperiment(name string) (cocoa.ExperimentDescriptor, bool) {
 	for _, d := range cocoa.Experiments() {
@@ -478,7 +454,11 @@ func (s *Server) buildExec(req JobRequest, j *Job) (func(ctx context.Context) ([
 			return nil, fmt.Errorf("%w: unknown experiment %q", ErrBadRequest, req.Experiment)
 		}
 		j.kind = d.Name
-		opts := experimentOptions(req.Options, j)
+		var opts cocoa.ExperimentOptions
+		if req.Options != nil {
+			opts = *req.Options
+		}
+		opts.Gauge = j.progress
 		return func(ctx context.Context) ([]byte, error) {
 			v, err := d.Run(ctx, opts)
 			if err != nil {
@@ -536,10 +516,12 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 		if s.cfg.StateDir != "" {
 			j.stateDir = filepath.Join(s.cfg.StateDir, j.id)
 			if err := writeJobRecord(j.stateDir, jobRecord{ID: j.id, Request: req}); err != nil {
+				// A server-side fault, not bad input: the request was
+				// valid, so no rejection counter moves.
 				s.seq--
 				s.mu.Unlock()
 				cancel()
-				telRejectedInvalid.Inc()
+				s.log.Error("persist job failed", "job", j.id, "path", j.stateDir, "error", err.Error())
 				return nil, fmt.Errorf("serve: persist job: %w", err)
 			}
 			persisted = true

@@ -163,7 +163,7 @@ func TestExperimentJobRunsRegistryEntry(t *testing.T) {
 	var st JobStatus
 	resp := postJob(t, ts, JobRequest{
 		Experiment: "fig9",
-		Options: &JobOptions{
+		Options: &cocoa.ExperimentOptions{
 			Seed: 1, DurationS: 120, NumRobots: 10,
 			CalibrationSamples: 40000, GridCellM: 8, Parallelism: 2,
 		},

@@ -57,7 +57,7 @@ func TestSwarmScaleSoak(t *testing.T) {
 	// the next cooperative check, so the soak does not wait for the sweep.
 	light := JobRequest{
 		Experiment: "scale",
-		Options: &JobOptions{
+		Options: &cocoa.ExperimentOptions{
 			Seed:               1,
 			DurationS:          120,
 			NumRobots:          250, // caps the sweep at [25, 100, 250]
@@ -66,7 +66,7 @@ func TestSwarmScaleSoak(t *testing.T) {
 	}
 	heavy := JobRequest{
 		Experiment: "scale",
-		Options: &JobOptions{
+		Options: &cocoa.ExperimentOptions{
 			Seed:               1,
 			DurationS:          3600,
 			NumRobots:          1000,

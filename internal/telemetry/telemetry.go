@@ -11,10 +11,15 @@
 //     add those fields into Default by name (Registry.Add, AddTally) if
 //     Default is enabled — the flag means "runs publish here" and is read
 //     once per run — so run-layer series move when runs end.
-//   - The experiment runner and the cocoad service keep a few registered
-//     instruments that fire per job, not per event. They record
+//   - The experiment runner and the cocoad service register eleven
+//     instruments on Default that fire per job, not per event: the spans
+//     runner.job_wall (its count is the jobs run) and runner.queue_wait,
+//     the gauge runner.inflight, the counter runner.job_errors, and the
+//     serve.jobs_{accepted, rejected_full, rejected_draining,
+//     rejected_invalid, completed, failed, canceled} counters. They record
 //     unconditionally with lock-free atomic adds and 0 allocs/op, which
-//     this package's benchmarks enforce.
+//     this package's benchmarks enforce. A value another layer already
+//     holds (pool occupancy, say) is read from it, not mirrored here.
 //
 // Telemetry only records; nothing in the stack reads a telemetry value to
 // make a decision, so results are byte-identical with publication on or
