@@ -39,9 +39,9 @@ fuzz:
 
 # shuffle reruns the whole suite twice in random order, so a test that
 # leaks state into the next one (through a process-wide run-slot or Result
-# free list, telemetry.Default, a daemon state dir, or a swapped
-# package-level writer) fails here; TestPackageLevelVarsAllowListed keeps
-# new package-level state from appearing unnoticed.
+# free list, telemetry.Default, or a daemon state dir) fails here;
+# TestPackageLevelVarsAllowListed keeps new package-level state from
+# appearing unnoticed.
 shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 

@@ -42,16 +42,16 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-var stderr io.Writer = os.Stderr
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "cocoad:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until SIGTERM or SIGINT (or runs the -smoke check), writing
+// flag errors, logs and smoke reports to stderr.
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cocoad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -93,7 +93,7 @@ func run(args []string) error {
 	})
 
 	if *smoke != "" {
-		return runSmoke(srv, *smoke)
+		return runSmoke(srv, *smoke, stderr)
 	}
 
 	// With a state directory, pick up whatever a previous process left

@@ -41,33 +41,27 @@ func TestRunSmokeEndToEnd(t *testing.T) {
 		t.Skip("full golden simulation; skipped in -short")
 	}
 	golden := filepath.Join("..", "..", "internal", "scenario", "testdata", "golden_odometry.json")
-	old := stderr
-	stderr = io.Discard
-	defer func() { stderr = old }()
-	if err := run([]string{"-smoke", golden, "-workers", "2"}); err != nil {
+	if err := run([]string{"-smoke", golden, "-workers", "2"}, io.Discard); err != nil {
 		t.Fatalf("smoke: %v", err)
 	}
 }
 
 func TestRunSmokeUnknownFamily(t *testing.T) {
 	srv := serve.New(serve.Config{Workers: 1})
-	if err := runSmoke(srv, "golden_nosuch.json"); err == nil || !strings.Contains(err.Error(), "unknown golden family") {
+	if err := runSmoke(srv, "golden_nosuch.json", io.Discard); err == nil || !strings.Contains(err.Error(), "unknown golden family") {
 		t.Fatalf("err = %v, want unknown family", err)
 	}
-	if err := runSmoke(srv, "bogus.json"); err == nil {
+	if err := runSmoke(srv, "bogus.json", io.Discard); err == nil {
 		t.Fatal("expected error for non-golden path")
 	}
 }
 
 func TestRunFlagErrors(t *testing.T) {
 	var buf bytes.Buffer
-	old := stderr
-	stderr = &buf
-	defer func() { stderr = old }()
-	if err := run([]string{"-nonsense"}); err == nil {
+	if err := run([]string{"-nonsense"}, &buf); err == nil {
 		t.Fatal("expected flag parse error")
 	}
-	if err := run([]string{"-addr", "256.0.0.1:99999"}); err == nil {
+	if err := run([]string{"-addr", "256.0.0.1:99999"}, &buf); err == nil {
 		t.Fatal("expected listen error for bad address")
 	}
 }

@@ -46,7 +46,7 @@ var listenRE = regexp.MustCompile(`msg="cocoad listening" addr=http://([^ ]+) `)
 func startDaemon(t *testing.T, buf *syncBuf, args ...string) (baseURL string, done chan error) {
 	t.Helper()
 	done = make(chan error, 1)
-	go func() { done <- run(args) }()
+	go func() { done <- run(args, buf) }()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if m := listenRE.FindStringSubmatch(buf.String()); m != nil {
@@ -93,8 +93,6 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 	warmStop()
 	<-warmCtx.Done()
 	before := runtime.NumGoroutine()
-	oldStderr := stderr
-	defer func() { stderr = oldStderr }()
 	stateDir := t.TempDir()
 
 	cfg := cocoa.DefaultConfig()
@@ -118,7 +116,6 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 	// tiny drain timeout turns the graceful drain into the hard kill a
 	// slow job would see from an impatient init system.
 	bufA := &syncBuf{}
-	stderr = bufA
 	urlA, doneA := startDaemon(t, bufA, "-addr", "127.0.0.1:0",
 		"-state-dir", stateDir, "-workers", "1", "-drain-timeout", "1ms")
 	body, err := json.Marshal(serve.JobRequest{Config: &cfg})
@@ -169,7 +166,6 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 
 	// Daemon B: same state directory; the job must come back by itself.
 	bufB := &syncBuf{}
-	stderr = bufB
 	urlB, doneB := startDaemon(t, bufB, "-addr", "127.0.0.1:0",
 		"-state-dir", stateDir, "-workers", "1")
 	if want := `msg="resuming job from state dir" job=` + st.ID; !bytes.Contains([]byte(bufB.String()), []byte(want)) {

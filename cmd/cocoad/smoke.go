@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -38,7 +39,7 @@ func smokeFamily(path string) (string, error) {
 	return name, nil
 }
 
-func runSmoke(srv *serve.Server, goldenPath string) error {
+func runSmoke(srv *serve.Server, goldenPath string, w io.Writer) error {
 	family, err := smokeFamily(goldenPath)
 	if err != nil {
 		return err
@@ -60,7 +61,7 @@ func runSmoke(srv *serve.Server, goldenPath string) error {
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(stderr, "smoke: serving on %s, submitting family %q\n", base, family)
+	fmt.Fprintf(w, "smoke: serving on %s, submitting family %q\n", base, family)
 
 	body, err := json.Marshal(serve.JobRequest{Config: &cfg})
 	if err != nil {
@@ -122,18 +123,15 @@ func runSmoke(srv *serve.Server, goldenPath string) error {
 		return fmt.Errorf("smoke: served result for family %q drifted from %s\ngot:\n%swant:\n%s",
 			family, goldenPath, got, want)
 	}
-	fmt.Fprintf(stderr, "smoke: family %q byte-identical to %s\n", family, goldenPath)
-	if err := smokeMetrics(base); err != nil {
-		return err
-	}
-	return nil
+	fmt.Fprintf(w, "smoke: family %q byte-identical to %s\n", family, goldenPath)
+	return smokeMetrics(base, w)
 }
 
 // smokeMetrics scrapes the freshly exercised server's /metrics endpoint
 // and runs the full in-repo exposition lint over it, so every `make
 // check` proves the Prometheus surface stays parseable and well-formed
-// with real job and simulation series present.
-func smokeMetrics(base string) error {
+// with real job and simulation series present. The report goes to w.
+func smokeMetrics(base string, w io.Writer) error {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return err
@@ -154,6 +152,6 @@ func smokeMetrics(base string) error {
 			return fmt.Errorf("smoke: /metrics missing expected family %q", name)
 		}
 	}
-	fmt.Fprintf(stderr, "smoke: /metrics lint clean (%d families)\n", len(exp.Order))
+	fmt.Fprintf(w, "smoke: /metrics lint clean (%d families)\n", len(exp.Order))
 	return nil
 }

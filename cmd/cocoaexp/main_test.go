@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,7 +18,7 @@ import (
 
 func TestRunSingleFigureQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "9"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "9"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -30,7 +35,7 @@ func TestRunSingleFigureQuick(t *testing.T) {
 
 func TestRunFig1Quick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "1"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "1"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -41,7 +46,7 @@ func TestRunFig1Quick(t *testing.T) {
 
 func TestRunFig5Quick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "5"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "5"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "final gap") {
@@ -51,7 +56,7 @@ func TestRunFig5Quick(t *testing.T) {
 
 func TestRunAblationsQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "ablations"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "ablations"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -64,7 +69,7 @@ func TestRunAblationsQuick(t *testing.T) {
 
 func TestRunScaleQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "scale"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "scale"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -83,7 +88,7 @@ func TestRunScaleQuick(t *testing.T) {
 func TestRunRejectsBadIndex(t *testing.T) {
 	for _, args := range [][]string{{"-index", "scan"}, {"-gridstats", "eager"}} {
 		var buf bytes.Buffer
-		err := run(context.Background(), append([]string{"-quick", "-fig", "scale"}, args...), &buf)
+		err := run(context.Background(), append([]string{"-quick", "-fig", "scale"}, args...), &buf, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("%v: got %v, want an unknown-flag error", args, err)
 		}
@@ -92,29 +97,47 @@ func TestRunRejectsBadIndex(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-bogus"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"-bogus"}, &buf, io.Discard); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+}
+
+// The -fig usage lists the registry's selector groups, each once, in
+// registry order.
+func TestRunUsageListsEveryFlagGroup(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &out, &errBuf); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err=%v, want flag.ErrHelp", err)
+	}
+	const prefix = "which figure to regenerate: "
+	usage := errBuf.String()
+	i := strings.Index(usage, prefix)
+	if i < 0 {
+		t.Fatalf("-h output has no -fig usage:\n%s", usage)
+	}
+	list, _, ok := strings.Cut(usage[i+len(prefix):], " or all")
+	if !ok {
+		t.Fatalf("-fig usage does not end in \"or all\":\n%s", usage)
+	}
+	var want []string
+	for _, d := range cocoa.Experiments() {
+		if !slices.Contains(want, d.Flag) {
+			want = append(want, d.Flag)
+		}
+	}
+	if got := strings.Split(list, ","); !slices.Equal(got, want) {
+		t.Errorf("-fig usage lists %q, want %q", got, want)
 	}
 }
 
 func TestRunRejectsUnknownFigure(t *testing.T) {
 	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-quick", "-fig", "no-such-figure"}, &buf)
+	err := run(context.Background(), []string{"-quick", "-fig", "no-such-figure"}, &buf, io.Discard)
 	if err == nil {
 		t.Fatal("unknown -fig value accepted")
 	}
 	if !strings.Contains(err.Error(), "no-such-figure") {
 		t.Errorf("error does not name the bad selector: %v", err)
-	}
-}
-
-// Every registered experiment must have a renderer, or the full suite
-// aborts at that experiment.
-func TestRenderersCoverRegistry(t *testing.T) {
-	for _, d := range cocoa.Experiments() {
-		if _, ok := renderers[d.Name]; !ok {
-			t.Errorf("experiment %q has no renderer", d.Name)
-		}
 	}
 }
 
@@ -136,10 +159,10 @@ func TestRunOutputIdenticalAcrossParallelism(t *testing.T) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			var serial, parallel bytes.Buffer
-			if err := run(context.Background(), []string{"-quick", "-fig", d.Name, "-parallel", "1"}, &serial); err != nil {
+			if err := run(context.Background(), []string{"-quick", "-fig", d.Name, "-parallel", "1"}, &serial, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(context.Background(), []string{"-quick", "-fig", d.Name, "-parallel", "4"}, &parallel); err != nil {
+			if err := run(context.Background(), []string{"-quick", "-fig", d.Name, "-parallel", "4"}, &parallel, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := trim(t, parallel.String()), trim(t, serial.String()); got != want {
@@ -154,38 +177,14 @@ func TestRunOutputIdenticalAcrossParallelism(t *testing.T) {
 // parallelism; the reader has exited by the time run returns.
 func TestRunProgressEndsWithFinalCount(t *testing.T) {
 	for _, par := range []string{"1", "4"} {
-		oldStderr := stderr
-		var errBuf bytes.Buffer
-		stderr = &errBuf
-		var out bytes.Buffer
-		err := run(context.Background(), []string{"-quick", "-fig", "9", "-progress", "-parallel", par}, &out)
-		stderr = oldStderr
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), []string{"-quick", "-fig", "9", "-progress", "-parallel", par}, &out, &errBuf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := errBuf.String(); !strings.HasSuffix(got, "\r  run 4/4\n") {
 			t.Errorf("-parallel %s: stderr %q, want it to end with the run 4/4 line", par, got)
 		}
-	}
-}
-
-func snapshotForTest() cocoa.CDFSnapshot {
-	return cocoa.CDFSnapshot{
-		Errors: []float64{1, 2, 5, 20},
-		Probs:  []float64{0.25, 0.5, 0.5, 1},
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	snap := snapshotForTest()
-	if got := fractionBelow(snap, 5); got != 0.5 {
-		t.Errorf("fractionBelow(5) = %v, want 0.5", got)
-	}
-	if got := fractionBelow(snap, 0.5); got != 0 {
-		t.Errorf("fractionBelow(0.5) = %v, want 0", got)
-	}
-	if got := fractionBelow(snap, 100); got != 1 {
-		t.Errorf("fractionBelow(100) = %v, want 1", got)
 	}
 }
 
@@ -230,17 +229,17 @@ func (c *lookupCanceled) Err() error {
 func TestRunInterruptedSweepReruns(t *testing.T) {
 	args := []string{"-quick", "-fig", "9", "-parallel", "1"}
 	var partial bytes.Buffer
-	if err := run(newLookupCanceled(3), args, &partial); !errors.Is(err, context.Canceled) {
+	if err := run(newLookupCanceled(3), args, &partial, io.Discard); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep: err=%v, want context.Canceled", err)
 	}
 	if strings.Contains(partial.String(), "Figure") {
 		t.Errorf("interrupted sweep printed its figure:\n%s", partial.String())
 	}
 	var plain, rerun bytes.Buffer
-	if err := run(context.Background(), args, &plain); err != nil {
+	if err := run(context.Background(), args, &plain, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), args, &rerun); err != nil {
+	if err := run(context.Background(), args, &rerun, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	stripWall := func(s string) string {
@@ -251,5 +250,29 @@ func TestRunInterruptedSweepReruns(t *testing.T) {
 	}
 	if stripWall(plain.String()) != stripWall(rerun.String()) {
 		t.Fatalf("rerun output differs:\n%s\n%s", plain.String(), rerun.String())
+	}
+}
+
+// The quick suite's stdout is pinned byte for byte (wall-time trailer
+// aside) by testdata/quick.txt, so a change to any experiment or its
+// rendering shows up here. Regenerate after a deliberate change with
+// `go run ./cmd/cocoaexp -quick`, dropping the trailing blank and
+// total-wall-time lines.
+func TestRunQuickMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-quick"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	i := strings.LastIndex(got, "\ntotal wall time")
+	if i < 0 {
+		t.Fatalf("output missing wall-time trailer:\n%s", got)
+	}
+	if got[:i] != string(want) {
+		t.Errorf("quick suite output drifted from testdata/quick.txt:\n%s", got[:i])
 	}
 }

@@ -33,7 +33,7 @@ func TestTelemetryFlagWritesSnapshot(t *testing.T) {
 	resetTelemetry(t)
 	path := filepath.Join(t.TempDir(), "telem.json")
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "rob-replication", "-telemetry", path}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "rob-replication", "-telemetry", path}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -65,7 +65,7 @@ func TestTelemetryFlagWritesSnapshot(t *testing.T) {
 func TestTelemetryFlagInvalidPath(t *testing.T) {
 	resetTelemetry(t)
 	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-quick", "-fig", "1", "-telemetry", filepath.Join(t.TempDir(), "no", "such", "dir", "t.json")}, &buf)
+	err := run(context.Background(), []string{"-quick", "-fig", "1", "-telemetry", filepath.Join(t.TempDir(), "no", "such", "dir", "t.json")}, &buf, io.Discard)
 	if err == nil {
 		t.Fatal("unwritable -telemetry path accepted")
 	}
@@ -77,7 +77,7 @@ func TestSnapshotRegistryNamesStable(t *testing.T) {
 	resetTelemetry(t)
 	telemetry.Default.SetEnabled(true)
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "failures"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "failures"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	snap := telemetry.Default.Snapshot()
@@ -119,7 +119,7 @@ func TestTelemetryWithCPUProfile(t *testing.T) {
 	telem := filepath.Join(dir, "t.json")
 	prof := filepath.Join(dir, "cpu.pprof")
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-telemetry", telem, "-cpuprofile", prof}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-telemetry", telem, "-cpuprofile", prof}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{telem, prof} {
@@ -131,13 +131,8 @@ func TestTelemetryWithCPUProfile(t *testing.T) {
 
 func TestDebugAddrServesExpvarAndPprof(t *testing.T) {
 	resetTelemetry(t)
-	oldStderr := stderr
-	var errBuf bytes.Buffer
-	stderr = &errBuf
-	defer func() { stderr = oldStderr }()
-
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "127.0.0.1:0"}, &buf); err != nil {
+	var buf, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "127.0.0.1:0"}, &buf, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	// The actual address is announced on stderr.
@@ -184,7 +179,7 @@ func TestDebugAddrServesExpvarAndPprof(t *testing.T) {
 func TestDebugAddrInvalid(t *testing.T) {
 	resetTelemetry(t)
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "256.0.0.1:bad"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "256.0.0.1:bad"}, &buf, io.Discard); err == nil {
 		t.Fatal("unusable -debug-addr accepted")
 	}
 }
@@ -196,16 +191,12 @@ func TestTelemetryDeltaTableDeterministic(t *testing.T) {
 	resetTelemetry(t)
 	table := func(parallel int) string {
 		t.Helper()
-		oldStderr := stderr
-		var errBuf bytes.Buffer
-		stderr = &errBuf
-		defer func() { stderr = oldStderr }()
 		telemetry.Default.Reset()
 		path := filepath.Join(t.TempDir(), "t.json")
-		var buf bytes.Buffer
+		var buf, errBuf bytes.Buffer
 		args := []string{"-quick", "-fig", "failures", "-progress",
 			"-telemetry", path, "-parallel", fmt.Sprint(parallel)}
-		if err := run(context.Background(), args, &buf); err != nil {
+		if err := run(context.Background(), args, &buf, &errBuf); err != nil {
 			t.Fatal(err)
 		}
 		// Keep only the delta table lines; run counters are interleaved

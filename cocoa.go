@@ -173,9 +173,10 @@ type (
 )
 
 // ExperimentDescriptor is one registered experiment: a unique name, the
-// CLI selector group it answers to, a section title, and the runner
-// itself. Run returns the experiment's concrete result type (e.g.
-// []Fig9Row for "fig9"); callers type-assert when rendering.
+// CLI selector group it answers to, a section title, the runner, and the
+// renderer of its results. Run returns the experiment's concrete result
+// type (e.g. []Fig9Row for "fig9"); Render prints such a value as
+// cocoaexp does and fails for a value of any other type.
 type ExperimentDescriptor = scenario.Descriptor
 
 // Experiments returns every registered experiment in presentation order.
@@ -189,18 +190,10 @@ func Experiments() []ExperimentDescriptor { return scenario.Experiments() }
 func MaxParallelism() int { return runner.MaxParallelism() }
 
 // ExperimentBeaconSweep is the paper's beacon-period sweep (Figures 6, 9).
-func ExperimentBeaconSweep() []float64 {
-	out := make([]float64, len(scenario.BeaconPeriods))
-	for i, t := range scenario.BeaconPeriods {
-		out[i] = float64(t)
-	}
-	return out
-}
+func ExperimentBeaconSweep() []float64 { return scenario.BeaconPeriods() }
 
 // ExperimentDeviceCounts is the paper's equipped-count sweep (Figure 10).
-func ExperimentDeviceCounts() []int {
-	return append([]int(nil), scenario.EquippedCounts...)
-}
+func ExperimentDeviceCounts() []int { return scenario.EquippedCounts() }
 
 // SteadyStateMean averages a curve past the warm-up prefix.
 func SteadyStateMean(s Series, warmupS float64) float64 {
@@ -315,9 +308,7 @@ func BurstyLoss(lossRate, meanBurstFrames float64) GEConfig {
 type ScaleRow = scenario.ScaleRow
 
 // ScaleSizes returns the swarm sweep's team sizes.
-func ScaleSizes() []int {
-	return append([]int(nil), scenario.ScaleSizes...)
-}
+func ScaleSizes() []int { return scenario.ScaleSizes() }
 
 // SwarmConfig builds a constant-density swarm deployment of n robots
 // (DESIGN.md §12): the area grows with the team, transmit power drops so

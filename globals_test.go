@@ -22,9 +22,6 @@ import (
 var packageVars = map[string]string{
 	"cocoa.ErrInvalidConfig": "sentinel error",
 
-	"cocoa/cmd/cocoad.stderr":       "diagnostic writer tests swap; to become a run parameter",
-	"cocoa/cmd/cocoaexp.stderr":     "diagnostic writer tests swap; to become a run parameter",
-	"cocoa/cmd/cocoaexp.renderers":  "read-only dispatch table from experiment name to renderer",
 	"cocoa/cmd/covergate.coveredRe": "compiled regexp, read-only",
 	"cocoa/cmd/covergate.noStmtRe":  "compiled regexp, read-only",
 	"cocoa/cmd/covergate.noTestRe":  "compiled regexp, read-only",
@@ -53,13 +50,6 @@ var packageVars = map[string]string{
 	"cocoa/internal/runner.telQueueWait":  "instrument on telemetry.Default; perfbench's ledger reads it",
 	"cocoa/internal/runner.telInflight":   "instrument on telemetry.Default",
 	"cocoa/internal/runner.telJobErrors":  "instrument on telemetry.Default",
-
-	"cocoa/internal/scenario.registry":            "experiment registry, built once and only read",
-	"cocoa/internal/scenario.BeaconPeriods":       "exported sweep slice any caller can overwrite; to become a function",
-	"cocoa/internal/scenario.EquippedCounts":      "exported sweep slice any caller can overwrite; to become a function",
-	"cocoa/internal/scenario.ScaleSizes":          "exported sweep slice any caller can overwrite; to become a function",
-	"cocoa/internal/scenario.FaultLossRates":      "exported sweep slice any caller can overwrite; to become a function",
-	"cocoa/internal/scenario.FaultCrashFractions": "exported sweep slice any caller can overwrite; to become a function",
 
 	"cocoa/internal/serve.ErrDraining":         "sentinel error",
 	"cocoa/internal/serve.ErrBadRequest":       "sentinel error",

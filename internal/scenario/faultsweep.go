@@ -13,11 +13,11 @@ import (
 // graceful degradation — mean error and the uncovered-robot fraction rise
 // with fault intensity, but every run completes and no metric collapses.
 
-// FaultLossRates is the sweep's Gilbert–Elliott steady-state loss axis.
-var FaultLossRates = []float64{0, 0.25, 0.5}
+// FaultLossRates returns the sweep's Gilbert–Elliott steady-state loss axis.
+func FaultLossRates() []float64 { return []float64{0, 0.25, 0.5} }
 
-// FaultCrashFractions is the sweep's crashed-team-fraction axis.
-var FaultCrashFractions = []float64{0, 0.2}
+// FaultCrashFractions returns the sweep's crashed-team-fraction axis.
+func FaultCrashFractions() []float64 { return []float64{0, 0.2} }
 
 // FaultRow is one (loss rate, crash fraction) cell of the sweep.
 type FaultRow struct {
@@ -39,8 +39,8 @@ type FaultRow struct {
 func RunFaultSweep(ctx context.Context, opts Options) ([]FaultRow, error) {
 	type cell struct{ loss, crash float64 }
 	var cells []cell
-	for _, crash := range FaultCrashFractions {
-		for _, loss := range FaultLossRates {
+	for _, crash := range FaultCrashFractions() {
+		for _, loss := range FaultLossRates() {
 			cells = append(cells, cell{loss, crash})
 		}
 	}

@@ -14,7 +14,7 @@ func TestFaultSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(FaultLossRates) * len(FaultCrashFractions)
+	want := len(FaultLossRates()) * len(FaultCrashFractions())
 	if len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
@@ -71,9 +71,10 @@ func TestFaultSweepMonotoneDegradation(t *testing.T) {
 		byCell[[2]float64{r.LossRate, r.CrashFraction}] = r
 	}
 	// Loss axis, crash 0: uncovered fraction and mean error nondecreasing.
-	for i := 1; i < len(FaultLossRates); i++ {
-		lo := byCell[[2]float64{FaultLossRates[i-1], 0}]
-		hi := byCell[[2]float64{FaultLossRates[i], 0}]
+	rates := FaultLossRates()
+	for i := 1; i < len(rates); i++ {
+		lo := byCell[[2]float64{rates[i-1], 0}]
+		hi := byCell[[2]float64{rates[i], 0}]
 		if hi.Uncovered < lo.Uncovered {
 			t.Errorf("uncovered dropped with loss %.2f -> %.2f: %v -> %v",
 				lo.LossRate, hi.LossRate, lo.Uncovered, hi.Uncovered)
@@ -85,7 +86,7 @@ func TestFaultSweepMonotoneDegradation(t *testing.T) {
 	}
 	// Crashes at fixed loss: uncovered never improves when a fifth of the
 	// team goes dark.
-	for _, loss := range FaultLossRates {
+	for _, loss := range rates {
 		clean := byCell[[2]float64{loss, 0}]
 		crashed := byCell[[2]float64{loss, 0.2}]
 		if crashed.Crashes == 0 {

@@ -1,17 +1,21 @@
 package scenario
 
-import "context"
+import (
+	"context"
+	"fmt"
+	"io"
+)
 
 // The experiment registry is the single place a new experiment plugs into:
-// one Descriptor entry makes it reachable from cmd/cocoaexp (dispatch,
-// -fig selection, section ordering) and from library users iterating
-// Experiments(). Renderers stay with their callers; the registry owns the
-// name, the grouping, the section title, and the runner itself.
+// one entry, built by experiment, makes it reachable from cmd/cocoaexp
+// (dispatch, -fig selection and usage, section ordering and rendering),
+// from cocoad and from library users iterating Experiments(). An entry
+// pairs a runner with the renderer of the type that runner returns, so an
+// entry without a renderer, or with one of the wrong type, does not compile.
 
-// Descriptor describes one registered experiment runner.
+// Descriptor describes one registered experiment.
 type Descriptor struct {
-	// Name uniquely identifies the experiment (e.g. "fig9",
-	// "ablation-k"); callers key renderers by it.
+	// Name uniquely identifies the experiment (e.g. "fig9", "ablation-k").
 	Name string
 	// Flag is the CLI selector group: several experiments can share one
 	// (all four ablations answer to -fig ablations).
@@ -19,132 +23,87 @@ type Descriptor struct {
 	// Title is the human-readable section header.
 	Title string
 	// Run executes the experiment. The concrete result type is the one the
-	// underlying Run* function returns (e.g. []Fig9Row for "fig9");
-	// callers type-assert when rendering. Canceling ctx aborts queued and
-	// in-flight simulation runs; a nil ctx means context.Background().
+	// underlying Run* function returns (e.g. []Fig9Row for "fig9").
+	// Canceling ctx aborts queued and in-flight simulation runs; a nil ctx
+	// means context.Background().
 	Run func(ctx context.Context, opts Options) (any, error)
+	// Render writes the section body for a value Run returned. It fails
+	// only for a value of any other type.
+	Render func(w io.Writer, v any) error
 }
 
-// Experiments returns every registered experiment in presentation order
-// (the order cocoaexp prints the full suite in). The returned slice is a
-// copy; callers may reorder or filter it freely.
-func Experiments() []Descriptor {
-	return append([]Descriptor(nil), registry...)
+// experiment builds a Descriptor from a typed runner and the renderer of
+// its result type.
+func experiment[T any](name, flag, title string, run func(context.Context, Options) (T, error), render func(io.Writer, T)) Descriptor {
+	return Descriptor{
+		Name: name, Flag: flag, Title: title,
+		Run: func(ctx context.Context, o Options) (any, error) { return run(ctx, o) },
+		Render: func(w io.Writer, v any) error {
+			t, ok := v.(T)
+			if !ok {
+				return fmt.Errorf("%s: cannot render a %T", name, v)
+			}
+			render(w, t)
+			return nil
+		},
+	}
 }
 
 // replicationSeeds is the default cross-seed replication width, matching
 // the repetition count credible multi-run averages need at reasonable cost.
 const replicationSeeds = 5
 
-var registry = []Descriptor{
-	{
-		Name: "fig1", Flag: "1",
-		Title: "Figure 1 — RSSI -> distance PDFs from calibration",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig1(ctx, o) },
-	},
-	{
-		Name: "fig4", Flag: "4",
-		Title: "Figure 4 — localization error over time, odometry only",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig4(ctx, o) },
-	},
-	{
-		Name: "fig5", Flag: "5",
-		Title: "Figure 5 — an example of odometry error (one robot)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig5(ctx, o) },
-	},
-	{
-		Name: "fig6", Flag: "6",
-		Title: "Figure 6 — RF localization only, beacon-period sweep",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig6(ctx, o) },
-	},
-	{
-		Name: "fig7", Flag: "7",
-		Title: "Figure 7 — CoCoA vs odometry-only vs RF-only (T = 100 s)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig7(ctx, o) },
-	},
-	{
-		Name: "fig8", Flag: "8",
-		Title: "Figure 8 — error CDF at three time instances (T = 100 s)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig8(ctx, o) },
-	},
-	{
-		Name: "fig9", Flag: "9",
-		Title: "Figure 9 — impact of beacon period T on error and energy",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig9(ctx, o) },
-	},
-	{
-		Name: "fig10", Flag: "10",
-		Title: "Figure 10 — impact of the number of localization devices",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFig10(ctx, o) },
-	},
-	{
-		Name: "ext-secondary", Flag: "ext",
-		Title: "Extension — secondary beacons from localized unequipped robots",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunExtensionSecondary(ctx, o) },
-	},
-	{
-		Name: "ext-power", Flag: "power",
-		Title: "Extension — transmit power control (future work, Sec. 6)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunExtensionPowerControl(ctx, o) },
-	},
-	{
-		Name: "ext-skew", Flag: "skew",
-		Title: "Extension — clock drift vs SYNC (why coordination needs MRMM)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunExtensionClockSkew(ctx, o) },
-	},
-	{
-		Name: "ext-terrain", Flag: "terrain",
-		Title: "Extension — uneven terrain (paper introduction)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunExtensionTerrain(ctx, o) },
-	},
-	{
-		Name: "ext-reports", Flag: "reports",
-		Title: "Extension — status reports to the controller (geographic unicast)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunExtensionReporting(ctx, o) },
-	},
-	{
-		Name: "rob-failures", Flag: "failures",
-		Title: "Robustness — equipped-robot failures mid-run",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFailureInjection(ctx, o) },
-	},
-	{
-		Name: "rob-replication", Flag: "failures",
-		Title: "Robustness — cross-seed replication of the headline metric",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunReplication(ctx, o, replicationSeeds) },
-	},
-	{
-		Name: "rob-faults", Flag: "faults",
-		Title: "Robustness — graceful degradation under injected faults (loss x crashes)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunFaultSweep(ctx, o) },
-	},
-	{
-		Name: "scale", Flag: "scale",
-		Title: "Scale — swarm sweep at constant density (spatial MAC index)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunScale(ctx, o) },
-	},
-	{
-		Name: "baseline", Flag: "baseline",
-		Title: "Baseline — CoCoA vs Cooperative Positioning (Kurazume et al.)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunBaselineCoopPos(ctx, o) },
-	},
-	{
-		Name: "ablation-pruning", Flag: "ablations",
-		Title: "Ablation — MRMM mesh pruning vs plain ODMRP",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunAblationPruning(ctx, o) },
-	},
-	{
-		Name: "ablation-k", Flag: "ablations",
-		Title: "Ablation — beacon redundancy k",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunAblationK(ctx, o) },
-	},
-	{
-		Name: "ablation-grid", Flag: "ablations",
-		Title: "Ablation — Bayesian grid resolution",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunAblationGrid(ctx, o) },
-	},
-	{
-		Name: "ablation-localizer", Flag: "ablations",
-		Title: "Ablation — localization backend (grid vs Monte Carlo)",
-		Run:   func(ctx context.Context, o Options) (any, error) { return RunAblationLocalizer(ctx, o) },
-	},
+// Experiments returns every registered experiment in presentation order
+// (the order cocoaexp prints the full suite in). Each call builds a new
+// slice; callers may reorder or filter it freely.
+func Experiments() []Descriptor {
+	return []Descriptor{
+		experiment("fig1", "1", "Figure 1 — RSSI -> distance PDFs from calibration",
+			RunFig1, renderFig1),
+		experiment("fig4", "4", "Figure 4 — localization error over time, odometry only",
+			RunFig4, renderFig4),
+		experiment("fig5", "5", "Figure 5 — an example of odometry error (one robot)",
+			RunFig5, renderFig5),
+		experiment("fig6", "6", "Figure 6 — RF localization only, beacon-period sweep",
+			RunFig6, renderFig6),
+		experiment("fig7", "7", "Figure 7 — CoCoA vs odometry-only vs RF-only (T = 100 s)",
+			RunFig7, renderFig7),
+		experiment("fig8", "8", "Figure 8 — error CDF at three time instances (T = 100 s)",
+			RunFig8, renderFig8),
+		experiment("fig9", "9", "Figure 9 — impact of beacon period T on error and energy",
+			RunFig9, renderFig9),
+		experiment("fig10", "10", "Figure 10 — impact of the number of localization devices",
+			RunFig10, renderFig10),
+		experiment("ext-secondary", "ext", "Extension — secondary beacons from localized unequipped robots",
+			RunExtensionSecondary, renderExtensionSecondary),
+		experiment("ext-power", "power", "Extension — transmit power control (future work, Sec. 6)",
+			RunExtensionPowerControl, renderPowerControl),
+		experiment("ext-skew", "skew", "Extension — clock drift vs SYNC (why coordination needs MRMM)",
+			RunExtensionClockSkew, renderClockSkew),
+		experiment("ext-terrain", "terrain", "Extension — uneven terrain (paper introduction)",
+			RunExtensionTerrain, renderTerrain),
+		experiment("ext-reports", "reports", "Extension — status reports to the controller (geographic unicast)",
+			RunExtensionReporting, renderReports),
+		experiment("rob-failures", "failures", "Robustness — equipped-robot failures mid-run",
+			RunFailureInjection, renderFailures),
+		experiment("rob-replication", "failures", "Robustness — cross-seed replication of the headline metric",
+			func(ctx context.Context, o Options) (Replication, error) {
+				return RunReplication(ctx, o, replicationSeeds)
+			},
+			renderReplication),
+		experiment("rob-faults", "faults", "Robustness — graceful degradation under injected faults (loss x crashes)",
+			RunFaultSweep, renderFaults),
+		experiment("scale", "scale", "Scale — swarm sweep at constant density (spatial MAC index)",
+			RunScale, renderScale),
+		experiment("baseline", "baseline", "Baseline — CoCoA vs Cooperative Positioning (Kurazume et al.)",
+			RunBaselineCoopPos, renderBaseline),
+		experiment("ablation-pruning", "ablations", "Ablation — MRMM mesh pruning vs plain ODMRP",
+			RunAblationPruning, renderAblationPruning),
+		experiment("ablation-k", "ablations", "Ablation — beacon redundancy k",
+			RunAblationK, renderAblationK),
+		experiment("ablation-grid", "ablations", "Ablation — Bayesian grid resolution",
+			RunAblationGrid, renderAblationGrid),
+		experiment("ablation-localizer", "ablations", "Ablation — localization backend (grid vs Monte Carlo)",
+			RunAblationLocalizer, renderAblationLocalizer),
+	}
 }

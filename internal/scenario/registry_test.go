@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cocoa/internal/obs"
@@ -18,8 +20,8 @@ func TestRegistryWellFormed(t *testing.T) {
 		if d.Name == "" || d.Flag == "" || d.Title == "" {
 			t.Errorf("descriptor %+v has empty field", d)
 		}
-		if d.Run == nil {
-			t.Errorf("descriptor %q has nil Run", d.Name)
+		if d.Run == nil || d.Render == nil {
+			t.Errorf("descriptor %q has nil Run or Render", d.Name)
 		}
 		if names[d.Name] {
 			t.Errorf("duplicate experiment name %q", d.Name)
@@ -59,6 +61,53 @@ func TestRegistryRunFig1(t *testing.T) {
 		return
 	}
 	t.Fatal("fig1 not registered")
+}
+
+// Every entry's Render prints what its Run returns, as whole lines.
+func TestRegistryRendersItsRuns(t *testing.T) {
+	for _, d := range Experiments() {
+		v, err := d.Run(context.Background(), fastOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		var buf bytes.Buffer
+		if err := d.Render(&buf, v); err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if out := buf.String(); !strings.HasSuffix(out, "\n") {
+			t.Errorf("%s rendered %q, want whole lines", d.Name, out)
+		}
+	}
+}
+
+// Render refuses a value its Run could not have produced, and writes
+// nothing for it.
+func TestRegistryRenderRejectsOtherType(t *testing.T) {
+	for _, d := range Experiments() {
+		var buf bytes.Buffer
+		if err := d.Render(&buf, struct{}{}); err == nil || !strings.Contains(err.Error(), d.Name) {
+			t.Errorf("%s: Render(struct{}{}) err = %v, want an error naming the experiment", d.Name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: Render of a foreign value wrote %q", d.Name, buf.String())
+		}
+	}
+}
+
+func TestFractionBelow(t *testing.T) {
+	snap := CDFSnapshot{
+		Errors: []float64{1, 2, 5, 20},
+		Probs:  []float64{0.25, 0.5, 0.5, 1},
+	}
+	if got := fractionBelow(snap, 5); got != 0.5 {
+		t.Errorf("fractionBelow(5) = %v, want 0.5", got)
+	}
+	if got := fractionBelow(snap, 0.5); got != 0 {
+		t.Errorf("fractionBelow(0.5) = %v, want 0", got)
+	}
+	if got := fractionBelow(snap, 100); got != 1 {
+		t.Errorf("fractionBelow(100) = %v, want 1", got)
+	}
 }
 
 // Serial and parallel executions of the same seeded sweep must agree

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"math"
+	"slices"
 
 	"cocoa/internal/cocoa"
 	"cocoa/internal/geom"
@@ -17,9 +18,9 @@ import (
 // localization quality staying flat while the swarm grows at constant
 // density, and doubles as the workload BenchmarkSwarm* times.
 
-// ScaleSizes is the swept team sizes, from the paper's 50-robot scale to a
-// swarm.
-var ScaleSizes = []int{25, 100, 250, 1000}
+// ScaleSizes returns the swept team sizes, from the paper's 50-robot scale
+// to a swarm.
+func ScaleSizes() []int { return []int{25, 100, 250, 1000} }
 
 // SwarmConfig builds a constant-density deployment of n robots: the area
 // grows with the team (the paper's 50 robots in 200 m x 200 m fixes the
@@ -66,14 +67,9 @@ type ScaleRow struct {
 // set, caps the sweep (sizes above it are dropped) rather than rescaling
 // each deployment — a size IS the variable here.
 func RunScale(ctx context.Context, opts Options) ([]ScaleRow, error) {
-	sizes := ScaleSizes
+	sizes := ScaleSizes()
 	if opts.NumRobots > 0 {
-		sizes = nil
-		for _, n := range ScaleSizes {
-			if n <= opts.NumRobots {
-				sizes = append(sizes, n)
-			}
-		}
+		sizes = slices.DeleteFunc(sizes, func(n int) bool { return n > opts.NumRobots })
 		if len(sizes) == 0 {
 			sizes = []int{opts.NumRobots}
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSwarmConfigShape(t *testing.T) {
-	for _, n := range ScaleSizes {
+	for _, n := range ScaleSizes() {
 		cfg := SwarmConfig(n)
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("SwarmConfig(%d) invalid: %v", n, err)

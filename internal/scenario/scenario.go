@@ -1,7 +1,8 @@
 // Package scenario reproduces every figure of the paper's evaluation
 // (Section 4). Each RunFigN function runs the exact workload the paper
 // describes and returns the series/statistics the corresponding figure
-// plots; cmd/cocoaexp renders them and EXPERIMENTS.md records the
+// plots. The registry (Experiments) pairs every runner with the renderer
+// of its rows, which cmd/cocoaexp prints, and EXPERIMENTS.md records the
 // paper-vs-measured comparison.
 //
 // All runners accept Options so benchmarks can run shortened versions; the
@@ -287,14 +288,15 @@ func RunFig5(ctx context.Context, opts Options) (*Fig5Result, error) {
 // Figure 6 — RF localization alone, beacon-period sweep
 // ---------------------------------------------------------------------------
 
-// BeaconPeriods is the paper's T sweep (Figures 6 and 9).
-var BeaconPeriods = []sim.Time{10, 50, 100, 300}
+// BeaconPeriods returns the paper's T sweep (Figures 6 and 9).
+func BeaconPeriods() []sim.Time { return []sim.Time{10, 50, 100, 300} }
 
 // RunFig6 reproduces Figure 6: RF-only localization error over time for
 // each beacon period T.
 func RunFig6(ctx context.Context, opts Options) ([]Series, error) {
-	cfgs := make([]cocoa.Config, len(BeaconPeriods))
-	for i, T := range BeaconPeriods {
+	periods := BeaconPeriods()
+	cfgs := make([]cocoa.Config, len(periods))
+	for i, T := range periods {
 		cfg := cocoa.DefaultConfig()
 		cfg.Mode = cocoa.ModeRFOnly
 		cfg.BeaconPeriodS = T
@@ -307,7 +309,7 @@ func RunFig6(ctx context.Context, opts Options) ([]Series, error) {
 	}
 	out := make([]Series, len(results))
 	for i, res := range results {
-		out[i] = seriesFrom(fmt.Sprintf("T=%.0fs", BeaconPeriods[i]), res)
+		out[i] = seriesFrom(fmt.Sprintf("T=%.0fs", periods[i]), res)
 	}
 	return out, nil
 }
@@ -442,8 +444,9 @@ type Fig9Row struct {
 // RunFig9 reproduces Figures 9(a) and 9(b): CoCoA error over time and team
 // energy with/without coordination across the T sweep.
 func RunFig9(ctx context.Context, opts Options) ([]Fig9Row, error) {
-	cfgs := make([]cocoa.Config, len(BeaconPeriods))
-	for i, T := range BeaconPeriods {
+	periods := BeaconPeriods()
+	cfgs := make([]cocoa.Config, len(periods))
+	for i, T := range periods {
 		cfg := cocoa.DefaultConfig()
 		cfg.BeaconPeriodS = T
 		opts.apply(&cfg)
@@ -455,7 +458,7 @@ func RunFig9(ctx context.Context, opts Options) ([]Fig9Row, error) {
 	}
 	out := make([]Fig9Row, len(results))
 	for i, res := range results {
-		T := BeaconPeriods[i]
+		T := periods[i]
 		out[i] = Fig9Row{
 			PeriodS:          float64(T),
 			ErrorSeries:      seriesFrom(fmt.Sprintf("T=%.0fs", T), res),
@@ -475,8 +478,8 @@ func RunFig9(ctx context.Context, opts Options) ([]Fig9Row, error) {
 // Figure 10 — impact of the number of localization devices
 // ---------------------------------------------------------------------------
 
-// EquippedCounts is the paper's device sweep.
-var EquippedCounts = []int{5, 15, 25, 35}
+// EquippedCounts returns the paper's device sweep.
+func EquippedCounts() []int { return []int{5, 15, 25, 35} }
 
 // Fig10Row is one equipped-count outcome.
 type Fig10Row struct {
@@ -490,8 +493,9 @@ type Fig10Row struct {
 // RunFig10 reproduces Figure 10: CoCoA localization error as the number of
 // equipped robots varies, T = 100 s.
 func RunFig10(ctx context.Context, opts Options) ([]Fig10Row, error) {
-	cfgs := make([]cocoa.Config, len(EquippedCounts))
-	for i, n := range EquippedCounts {
+	counts := EquippedCounts()
+	cfgs := make([]cocoa.Config, len(counts))
+	for i, n := range counts {
 		cfg := cocoa.DefaultConfig()
 		cfg.BeaconPeriodS = 100
 		cfg.NumEquipped = n

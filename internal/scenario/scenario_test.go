@@ -125,8 +125,8 @@ func TestFig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != len(BeaconPeriods) {
-		t.Fatalf("want %d curves, got %d", len(BeaconPeriods), len(series))
+	if len(series) != len(BeaconPeriods()) {
+		t.Fatalf("want %d curves, got %d", len(BeaconPeriods()), len(series))
 	}
 	for _, s := range series {
 		if SteadyStateMean(s, 60) > 90 {
@@ -189,8 +189,8 @@ func TestFig9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(BeaconPeriods) {
-		t.Fatalf("want %d rows, got %d", len(BeaconPeriods), len(rows))
+	if len(rows) != len(BeaconPeriods()) {
+		t.Fatalf("want %d rows, got %d", len(BeaconPeriods()), len(rows))
 	}
 	for i, row := range rows {
 		if row.SavingsRatio <= 1 {
@@ -219,8 +219,8 @@ func TestFig10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(EquippedCounts) {
-		t.Fatalf("want %d rows, got %d", len(EquippedCounts), len(rows))
+	if len(rows) != len(EquippedCounts()) {
+		t.Fatalf("want %d rows, got %d", len(EquippedCounts()), len(rows))
 	}
 	first, last := rows[0], rows[len(rows)-1]
 	if last.Equipped <= first.Equipped {
