@@ -70,9 +70,9 @@ serve-smoke:
 # motion-leg/RSSI-gate targets, a one-iteration benchmark smoke so
 # bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
-# floor gate, the cocoad end-to-end smoke, and the shuffled reruns of the
-# order-sensitive service suites. Performance is gated by the repeated,
-# host-normalised perfbench runs that BENCHMARK.json declares, not here.
+# floor gate, the cocoad end-to-end smoke, and two shuffled reruns of the
+# whole suite. Performance is gated by the repeated, host-normalised
+# perfbench runs that BENCHMARK.json declares, not here.
 check: vet race fuzz shuffle bench-smoke perfbench-check cover-check serve-smoke
 
 # bench regenerates every paper figure at reduced scale, including the

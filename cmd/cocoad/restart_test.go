@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"regexp"
 	"runtime"
 	"sync"
@@ -80,7 +79,7 @@ func sigterm(t *testing.T, done chan error) error {
 }
 
 // The daemon-level restart guarantee: SIGTERM mid-job, then a new daemon
-// over the same state directory reruns the job from its job.json alone
+// over the same state directory reruns the job from its record alone
 // and serves bytes identical to an uninterrupted direct run.
 func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 	if testing.Short() {
@@ -156,12 +155,12 @@ func TestRestartAfterSIGTERMResumesJob(t *testing.T) {
 	if err := sigterm(t, doneA); err != nil {
 		t.Fatalf("daemon A exit: %v", err)
 	}
-	entries, err := os.ReadDir(filepath.Join(stateDir, st.ID))
+	entries, err := os.ReadDir(stateDir)
 	if err != nil {
-		t.Fatalf("SIGTERM lost the job's state: %v", err)
+		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "job.json" {
-		t.Fatalf("job directory holds %v after SIGTERM, want job.json alone", entries)
+	if len(entries) != 1 || entries[0].Name() != st.ID+".json" || entries[0].IsDir() {
+		t.Fatalf("state dir holds %v after SIGTERM, want the job's record %s.json alone", entries, st.ID)
 	}
 
 	// Daemon B: same state directory; the job must come back by itself.

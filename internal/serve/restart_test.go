@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,8 +62,8 @@ func waitJobTerminal(t *testing.T, j *Job, allowed ...State) JobStatus {
 	}
 }
 
-// waitGone polls until path no longer exists (a job releases its state
-// directory after its terminal transition is published).
+// waitGone polls until path no longer exists (a job releases its record
+// after its terminal transition is published).
 func waitGone(t *testing.T, path string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -77,8 +78,48 @@ func waitGone(t *testing.T, path string) {
 	}
 }
 
+// wantEntries fails unless the state directory holds exactly want, in
+// name order, each subdirectory named with a trailing slash.
+func wantEntries(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []string{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() {
+			name += "/"
+		}
+		got = append(got, name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("state dir holds %q, want %q", got, want)
+	}
+}
+
+// writeLegacyRecord lays a record out as releases before the one-file
+// layout did: a directory named id holding job.json. It returns the
+// directory.
+func writeLegacyRecord(t *testing.T, stateDir, id string, rec jobRecord) string {
+	t.Helper()
+	dir := filepath.Join(stateDir, id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // The restart guarantee end to end, in-process: a daemon hard-stopped
-// mid-job leaves the job's job.json behind; a new daemon over the same
+// mid-job leaves the job's record behind; a new daemon over the same
 // state directory recovers the job, runs it again from that record alone,
 // and serves result bytes identical to an uninterrupted direct run — with
 // no goroutine left behind by either instance.
@@ -117,17 +158,12 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 	if st.State != StateCanceled {
 		t.Fatalf("after hard drain: state %s (%s), want canceled", st.State, st.Error)
 	}
-	// The job's directory holds its request and nothing else.
-	entries, err := os.ReadDir(filepath.Join(stateDir, j.ID()))
-	if err != nil {
-		t.Fatalf("drain-killed job lost its state: %v", err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "job.json" {
-		t.Fatalf("drain-killed job's directory holds %v, want job.json alone", entries)
-	}
+	// The state directory holds the job's record and nothing else.
+	record := recordPath(stateDir, j.ID())
+	wantEntries(t, stateDir, j.ID()+".json")
 	// Leave the job record as an older release would have: its config
 	// carries the retired reference selectors.
-	ageJobRecord(t, filepath.Join(stateDir, j.ID()))
+	ageJobRecord(t, record)
 
 	// Instance B: recover, rerun, finish.
 	b := New(Config{Workers: 1, QueueDepth: 2, StateDir: stateDir})
@@ -157,7 +193,7 @@ func TestRestartResumesDrainKilledJob(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed result differs from uninterrupted direct run")
 	}
-	waitGone(t, filepath.Join(stateDir, j.ID()))
+	waitGone(t, record)
 
 	// The restored sequence counter keeps new IDs clear of recovered ones.
 	q := quickCfg(1)
@@ -230,11 +266,10 @@ func withRetiredKeys(t *testing.T, b []byte) []byte {
 	return out
 }
 
-// ageJobRecord rewrites a job's job.json with the retired config keys, as
+// ageJobRecord rewrites a job's record with the retired config keys, as
 // releases that still had them wrote it.
-func ageJobRecord(t *testing.T, dir string) {
+func ageJobRecord(t *testing.T, rec string) {
 	t.Helper()
-	rec := filepath.Join(dir, "job.json")
 	b, err := os.ReadFile(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +280,9 @@ func ageJobRecord(t *testing.T, dir string) {
 }
 
 // State-directory retention: jobs that end on their own terms release
-// their directory; only process-interrupted jobs keep it.
+// their record; only process-interrupted jobs keep it. While a job is live
+// the state directory holds its one record file and no directory, and
+// after each release it is empty.
 func TestStateDirLifecycle(t *testing.T) {
 	stateDir := t.TempDir()
 	s := New(Config{Workers: 2, QueueDepth: 8, StateDir: stateDir})
@@ -264,7 +301,8 @@ func TestStateDirLifecycle(t *testing.T) {
 		if st := waitJobTerminal(t, j, StateQueued, StateRunning); st.State != StateDone {
 			t.Fatalf("state %s (%s)", st.State, st.Error)
 		}
-		waitGone(t, filepath.Join(stateDir, j.ID()))
+		waitGone(t, recordPath(stateDir, j.ID()))
+		wantEntries(t, stateDir)
 	})
 
 	t.Run("user cancel releases", func(t *testing.T) {
@@ -273,14 +311,13 @@ func TestStateDirLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(stateDir, j.ID(), "job.json")); err != nil {
-			t.Fatalf("accepted job not persisted: %v", err)
-		}
+		wantEntries(t, stateDir, j.ID()+".json")
 		j.Cancel()
 		if st := waitJobTerminal(t, j, StateQueued, StateRunning); st.State != StateCanceled {
 			t.Fatalf("state %s (%s)", st.State, st.Error)
 		}
-		waitGone(t, filepath.Join(stateDir, j.ID()))
+		waitGone(t, recordPath(stateDir, j.ID()))
+		wantEntries(t, stateDir)
 	})
 
 	// A job past its own deadline has failed for good: keeping its state
@@ -295,7 +332,8 @@ func TestStateDirLifecycle(t *testing.T) {
 		if st.State != StateFailed {
 			t.Fatalf("state %s (%s)", st.State, st.Error)
 		}
-		waitGone(t, filepath.Join(stateDir, j.ID()))
+		waitGone(t, recordPath(stateDir, j.ID()))
+		wantEntries(t, stateDir)
 		fresh := New(Config{Workers: 1, StateDir: stateDir})
 		defer fresh.Shutdown(context.Background())
 		if ids, err := fresh.RecoverJobs(); err != nil || len(ids) != 0 {
@@ -328,11 +366,13 @@ func olderSnapshot(t *testing.T, version uint16, cfg cocoa.Config) []byte {
 	return append(b, payload...)
 }
 
-// A job killed outright (SIGKILL, OOM) leaves job.json alone; one left by
-// a release that wrote snapshots also holds latest.ckpt, in either wire
-// version it used. Every such job recovers from job.json alone, serves the
-// uninterrupted run's bytes, and its directory, snapshot included, is
-// removed when it settles.
+// A job killed outright (SIGKILL, OOM) leaves its record alone. Releases
+// before the one-file layout kept it as <ID>/job.json, and those that
+// wrote snapshots also left latest.ckpt beside it, in either wire version
+// they used. Every such job recovers from its record alone, serves the
+// uninterrupted run's bytes, and nothing of it, snapshot included, remains
+// in the state directory once it settles. Where a crash mid-migration left
+// both forms, the file wins.
 func TestRecoverOldSnapshotVersionReruns(t *testing.T) {
 	cfg := quickCfg(9)
 	res, err := cocoa.Run(cfg)
@@ -343,19 +383,38 @@ func TestRecoverOldSnapshotVersionReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint16{0, 1, 2} {
-		name := fmt.Sprintf("v%d", version)
-		if version == 0 {
-			name = "killed"
-		}
-		t.Run(name, func(t *testing.T) {
+	rec := jobRecord{ID: "job-000001", Request: JobRequest{Config: &cfg}}
+	for _, tc := range []struct {
+		name    string
+		version uint16 // latest.ckpt wire version in a legacy directory; 0 for none
+		legacy  bool
+		flat    bool
+	}{
+		{name: "killed", legacy: true},
+		{name: "v1", version: 1, legacy: true},
+		{name: "v2", version: 2, legacy: true},
+		{name: "flat", flat: true},
+		{name: "flat and legacy", version: 2, legacy: true, flat: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			stateDir := t.TempDir()
-			dir := filepath.Join(stateDir, "job-000001")
-			if err := writeJobRecord(dir, jobRecord{ID: "job-000001", Request: JobRequest{Config: &cfg}}); err != nil {
-				t.Fatal(err)
+			if tc.legacy {
+				legacyRec := rec
+				if tc.flat {
+					// The directory's copy would run a different job: only
+					// the file may be recovered.
+					other := quickCfg(10)
+					legacyRec.Request = JobRequest{Config: &other}
+				}
+				dir := writeLegacyRecord(t, stateDir, rec.ID, legacyRec)
+				if tc.version > 0 {
+					if err := os.WriteFile(filepath.Join(dir, "latest.ckpt"), olderSnapshot(t, tc.version, cfg), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if version > 0 {
-				if err := os.WriteFile(filepath.Join(dir, "latest.ckpt"), olderSnapshot(t, version, cfg), 0o644); err != nil {
+			if tc.flat {
+				if err := writeJobRecord(recordPath(stateDir, rec.ID), rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -371,16 +430,18 @@ func TestRecoverOldSnapshotVersionReruns(t *testing.T) {
 				t.Fatalf("state %s resumed=%v (%s)", st.State, st.Resumed, st.Error)
 			}
 			if got, _ := j.Result(); !bytes.Equal(got, want) {
-				t.Fatal("rerun from job.json differs from the uninterrupted run")
+				t.Fatal("rerun from the job record differs from the uninterrupted run")
 			}
-			waitGone(t, dir)
+			waitGone(t, recordPath(stateDir, rec.ID))
+			wantEntries(t, stateDir)
 		})
 	}
 }
 
-// RecoverJobs housekeeping: garbage directories are discarded, unrelated
-// entries are untouched, the sequence counter clears every job-<n> name
-// ever seen, and a stateless service recovers nothing.
+// RecoverJobs housekeeping: garbage records in either layout and stray
+// temp records are discarded, unrelated entries are untouched, the
+// sequence counter clears every job-<n> name ever seen, and a stateless
+// service recovers nothing.
 func TestRecoverJobsHousekeeping(t *testing.T) {
 	t.Run("stateless no-op", func(t *testing.T) {
 		s := New(Config{Workers: 1})
@@ -391,21 +452,33 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 	})
 
 	stateDir := t.TempDir()
-	// job-000007: directory without a record (the process died between
-	// MkdirAll and the record write) — discarded, but its number still
-	// advances the sequence.
+	// job-000007: legacy directory without a record (the process died
+	// between creating it and the record write) — discarded, but its number
+	// still advances the sequence.
 	if err := os.MkdirAll(filepath.Join(stateDir, "job-000007"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// job-000002: record whose ID disagrees with its directory.
-	if err := writeJobRecord(filepath.Join(stateDir, "job-000002"),
-		jobRecord{ID: "job-000001", Request: JobRequest{Experiment: "nope"}}); err != nil {
-		t.Fatal(err)
-	}
+	// job-000002: legacy record whose ID disagrees with its directory.
+	writeLegacyRecord(t, stateDir, "job-000002", jobRecord{ID: "job-000001", Request: JobRequest{Experiment: "nope"}})
 	// job-000003: well-formed record for an experiment that no longer
 	// exists — discarded via the normal validation path.
-	if err := writeJobRecord(filepath.Join(stateDir, "job-000003"),
+	if err := writeJobRecord(recordPath(stateDir, "job-000003"),
 		jobRecord{ID: "job-000003", Request: JobRequest{Experiment: "no-such-experiment"}}); err != nil {
+		t.Fatal(err)
+	}
+	// job-000004: a record that is not JSON.
+	if err := os.WriteFile(recordPath(stateDir, "job-000004"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// job-000005: a record naming another job.
+	if err := writeJobRecord(recordPath(stateDir, "job-000005"),
+		jobRecord{ID: "job-000006", Request: JobRequest{Experiment: "fig9"}}); err != nil {
+		t.Fatal(err)
+	}
+	// job-000009: a temp record the process never renamed (it was killed
+	// before the submission was acknowledged) — removed without a warning,
+	// but its number still advances the sequence.
+	if err := os.WriteFile(filepath.Join(stateDir, ".job-000009.json.tmp"), []byte(`{"id":"job-000009"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Entries RecoverJobs must ignore entirely.
@@ -430,13 +503,10 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 	if len(ids) != 0 {
 		t.Fatalf("recovered %v from garbage", ids)
 	}
-	for _, gone := range []string{"job-000007", "job-000002", "job-000003"} {
-		if _, err := os.Stat(filepath.Join(stateDir, gone)); !os.IsNotExist(err) {
-			t.Errorf("%s not discarded", gone)
-		}
-	}
-	// Every discarded directory leaves a Warn record naming the job and
-	// why it could not be recovered.
+	// Only the unrelated entries remain.
+	wantEntries(t, stateDir, "job-file", "notajob/")
+	// Every discarded record leaves a Warn record naming the job and why it
+	// could not be recovered.
 	warned := map[string]string{}
 	for _, r := range logs.records() {
 		if r.Level == slog.LevelWarn && r.Message == "discarding unrecoverable job" {
@@ -452,26 +522,82 @@ func TestRecoverJobsHousekeeping(t *testing.T) {
 		"job-000007": "unreadable job record",
 		"job-000002": `job record names "job-000001"`,
 		"job-000003": "unknown experiment",
+		"job-000004": "unreadable job record",
+		"job-000005": `job record names "job-000006"`,
 	} {
 		if !strings.Contains(warned[id], reason) {
 			t.Errorf("%s: warn reason %q, want it to mention %q", id, warned[id], reason)
 		}
 	}
-	if len(warned) != 3 {
-		t.Errorf("warned about %d jobs, want 3: %v", len(warned), warned)
+	if len(warned) != 5 {
+		t.Errorf("warned about %d jobs, want 5: %v", len(warned), warned)
 	}
-	for _, kept := range []string{"notajob", "job-file"} {
-		if _, err := os.Stat(filepath.Join(stateDir, kept)); err != nil {
-			t.Errorf("unrelated entry %s disturbed: %v", kept, err)
-		}
+	if b, err := os.ReadFile(filepath.Join(stateDir, "job-file")); err != nil || string(b) != "x" {
+		t.Errorf("unrelated entry job-file disturbed: %q, %v", b, err)
 	}
 	cfg := quickCfg(1)
 	j, err := s.Submit(JobRequest{Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("job-%06d", 8); j.ID() != want {
+	if want := fmt.Sprintf("job-%06d", 10); j.ID() != want {
 		t.Fatalf("first post-recovery ID %s, want %s", j.ID(), want)
+	}
+}
+
+// Recovery follows job numbers, not names: job-%06d grows a seventh digit
+// at one million, and job-1000000 sorts before job-999999 as a string.
+// With room for one job, the older one is recovered and the newer one is
+// left on disk for the next restart, in both layouts.
+func TestRecoverOrdersByJobNumber(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
+			stateDir := t.TempDir()
+			for _, id := range []string{"job-999999", "job-1000000"} {
+				rec := jobRecord{ID: id, Request: JobRequest{Experiment: "fig9"}}
+				if legacy {
+					writeLegacyRecord(t, stateDir, id, rec)
+				} else if err := writeJobRecord(recordPath(stateDir, id), rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := New(Config{Workers: 1, QueueDepth: 1, StateDir: stateDir})
+			defer s.Shutdown(context.Background())
+			s.runFn = func(context.Context, *Job) ([]byte, error) { return []byte(`"done"`), nil }
+			// Occupy the only worker, so the queue admits exactly one job.
+			// The worker is freed before Shutdown waits for it, on every
+			// path out of the test.
+			started, release := make(chan struct{}), make(chan struct{})
+			var freeOnce sync.Once
+			free := func() { freeOnce.Do(func() { close(release) }) }
+			defer free()
+			if err := s.pool.TrySubmit(func() { close(started); <-release }); err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			ids, err := s.RecoverJobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ids, []string{"job-999999"}) {
+				t.Fatalf("recovered %v, want [job-999999]", ids)
+			}
+			free()
+			j, _ := s.Job("job-999999")
+			if st := waitJobTerminal(t, j, StateQueued, StateResumed); st.State != StateDone {
+				t.Fatalf("state %s (%s)", st.State, st.Error)
+			}
+			waitGone(t, recordPath(stateDir, "job-999999"))
+			wantEntries(t, stateDir, "job-1000000.json")
+			q := quickCfg(1)
+			next, err := s.Submit(JobRequest{Config: &q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.ID() != "job-1000001" {
+				t.Errorf("first post-recovery ID %s, want job-1000001", next.ID())
+			}
+		})
 	}
 }
 
@@ -491,7 +617,7 @@ func TestRecoverParentWrittenExperimentJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The options type still writes exactly these bytes.
-	rec, err := readJobRecord(dir)
+	rec, err := readJobRecord(filepath.Join(dir, "job.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,15 +664,15 @@ func TestRecoverParentWrittenExperimentJob(t *testing.T) {
 	}
 }
 
-// A submission whose job.json cannot be written is a server fault: it
-// answers 500, logs an Error naming the job and its state path, moves no
+// A submission whose record cannot be written is a server fault: it
+// answers 500, logs an Error naming the job and its record path, moves no
 // client-input rejection counter, and gives its job ID back.
 func TestSubmitPersistFailure(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// MkdirAll fails beneath a regular file, even for root.
+	// Creating a file beneath a regular file fails, even for root.
 	stateDir := filepath.Join(blocker, "state")
 	logs := &captureHandler{}
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, StateDir: stateDir, Logger: slog.New(logs)})
@@ -573,10 +699,10 @@ func TestSubmitPersistFailure(t *testing.T) {
 			attrs[a.Key] = a.Value.String()
 			return true
 		})
-		logged = logged || attrs["job"] == "job-000001" && attrs["path"] == filepath.Join(stateDir, "job-000001")
+		logged = logged || attrs["job"] == "job-000001" && attrs["path"] == recordPath(stateDir, "job-000001")
 	}
 	if !logged {
-		t.Error("no Error record naming job-000001 and its state path")
+		t.Error("no Error record naming job-000001 and its record path")
 	}
 
 	// With the disk fixed, the next submission reuses the rolled-back ID.

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +40,7 @@ func scratchGeometries(seed int64) []cocoa.Config {
 
 // freshBytes is the reference a served result must equal: the JSON of a
 // direct cold-memory run of the same config.
-func freshBytes(t *testing.T, cfg cocoa.Config) []byte {
+func freshBytes(t testing.TB, cfg cocoa.Config) []byte {
 	t.Helper()
 	res, err := cocoa.RunContext(context.Background(), cfg)
 	if err != nil {
@@ -189,4 +193,86 @@ func BenchmarkServeRawJob(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServeRoundTrip is one client round trip per iteration over the
+// HTTP API, the way the repository benchmark's service workload drives it:
+// POST /v1/jobs, follow /events to the terminal line, GET /result, on a
+// two-worker server, for that workload's odometry job. memory keeps jobs
+// in memory only; durable persists each one in a state directory. Every
+// served result is compared with a direct run's bytes.
+func BenchmarkServeRoundTrip(b *testing.B) {
+	cfg := scratchGeometries(1)[0]
+	body, err := json.Marshal(JobRequest{Config: &cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := freshBytes(b, cfg)
+	for _, bc := range []struct {
+		name    string
+		durable bool
+	}{{"memory", false}, {"durable", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := Config{Workers: 2, QueueDepth: 8}
+			if bc.durable {
+				c.StateDir = b.TempDir()
+			}
+			s := New(c)
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Shutdown(context.Background())
+			}()
+			hc := ts.Client()
+			var result bytes.Buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := roundTrip(b, hc, ts.URL, body, &result); !bytes.Equal(got, want) {
+					b.Fatal("served result differs from the direct run")
+				}
+			}
+		})
+	}
+}
+
+// roundTrip submits body, reads the job's events until its terminal line
+// and returns its result, read into buf (reused across calls, so the
+// client's own buffer growth stays out of the per-job allocation count).
+func roundTrip(b *testing.B, hc *http.Client, base string, body []byte, buf *bytes.Buffer) []byte {
+	b.Helper()
+	resp, err := hc.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		b.Fatalf("submit: status %d (%v)", resp.StatusCode, err)
+	}
+	resp, err = hc.Get(base + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec := json.NewDecoder(resp.Body)
+	for err == nil && !st.State.Terminal() {
+		err = dec.Decode(&st)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || st.State != StateDone {
+		b.Fatalf("job %s ended %s %q (%v)", st.ID, st.State, st.Error, err)
+	}
+	resp, err = hc.Get(base + "/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		b.Fatalf("result: status %d (%v)", resp.StatusCode, err)
+	}
+	return buf.Bytes()
 }

@@ -20,6 +20,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +30,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,13 +81,14 @@ type Config struct {
 	// MaxTimeout caps any requested per-job timeout; 0 means no cap.
 	MaxTimeout time.Duration
 	// StateDir, when non-empty, makes jobs durable across process death:
-	// every accepted job's request is persisted beneath it as job.json at
-	// submission, and a restarted daemon re-enqueues the jobs still there
-	// with RecoverJobs. A run is a pure function of its request, so a
-	// recovered job simply runs again from the start and serves the bytes
-	// an uninterrupted run would have. job.json is renamed into place
-	// without fsync, so the guarantee covers a killed process, not a host
-	// crash. Empty keeps the service fully in-memory.
+	// every accepted job's request is persisted at submission as one file,
+	// <StateDir>/<job ID>.json, and a restarted daemon re-enqueues the jobs
+	// still there with RecoverJobs. A run is a pure function of its
+	// request, so a recovered job simply runs again from the start and
+	// serves the bytes an uninterrupted run would have. The record is
+	// renamed into place without fsync, so the guarantee covers a killed
+	// process, not a host crash. The directory is created by the first
+	// submission that needs it. Empty keeps the service fully in-memory.
 	StateDir string
 	// Deprecated: CheckpointEveryTicks is ignored; the service takes no
 	// snapshots. The field is kept only because the repository benchmark
@@ -172,11 +175,11 @@ type Job struct {
 	id   string
 	kind string
 
-	// resumed marks a job recovered by RecoverJobs; stateDir is the job's
-	// persistence directory ("" for an in-memory job). Both are fixed
+	// resumed marks a job recovered by RecoverJobs; record is the path of
+	// the job's durable record ("" for an in-memory job). Both are fixed
 	// before the job is enqueued and never change.
-	resumed  bool
-	stateDir string
+	resumed bool
+	record  string
 
 	mu         sync.Mutex
 	state      State
@@ -426,7 +429,7 @@ func (s *Server) timeout(req JobRequest) time.Duration {
 }
 
 // buildExec validates req and constructs the job's execution closure,
-// setting j.kind. The closure may read j.id and j.stateDir: both are fixed
+// setting j.kind. The closure may read j.id and j.record: both are fixed
 // before the job reaches the pool.
 func (s *Server) buildExec(req JobRequest, j *Job) (func(ctx context.Context) ([]byte, error), error) {
 	switch {
@@ -490,8 +493,8 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 // enqueue admits a prepared job under the service's backpressure and drain
 // policy. fixedID is empty for fresh submissions (the job gets the next
 // sequence ID and, with a StateDir, its request is persisted) and a
-// recovered job's existing ID during RecoverJobs (its directory is already
-// on disk).
+// recovered job's existing ID during RecoverJobs (its record is already on
+// disk).
 func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) ([]byte, error), fixedID string) (*Job, error) {
 	var jctx context.Context
 	var cancel context.CancelFunc
@@ -514,21 +517,21 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 		s.seq++
 		j.id = fmt.Sprintf("job-%06d", s.seq)
 		if s.cfg.StateDir != "" {
-			j.stateDir = filepath.Join(s.cfg.StateDir, j.id)
-			if err := writeJobRecord(j.stateDir, jobRecord{ID: j.id, Request: req}); err != nil {
+			j.record = recordPath(s.cfg.StateDir, j.id)
+			if err := writeJobRecord(j.record, jobRecord{ID: j.id, Request: req}); err != nil {
 				// A server-side fault, not bad input: the request was
 				// valid, so no rejection counter moves.
 				s.seq--
 				s.mu.Unlock()
 				cancel()
-				s.log.Error("persist job failed", "job", j.id, "path", j.stateDir, "error", err.Error())
+				s.log.Error("persist job failed", "job", j.id, "path", j.record, "error", err.Error())
 				return nil, fmt.Errorf("serve: persist job: %w", err)
 			}
 			persisted = true
 		}
 	} else {
 		j.id = fixedID
-		j.stateDir = filepath.Join(s.cfg.StateDir, j.id)
+		j.record = recordPath(s.cfg.StateDir, j.id)
 	}
 	// Bind the job logger before the closure can run on a pool worker.
 	j.log = s.log.With("job", j.id, "kind", j.kind)
@@ -537,7 +540,9 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 			s.seq--
 		}
 		if persisted {
-			os.RemoveAll(j.stateDir)
+			// Best effort: a record left behind is only rerun at the next
+			// recovery, never served.
+			_ = os.Remove(j.record)
 		}
 		s.mu.Unlock()
 		cancel()
@@ -738,14 +743,17 @@ func (s *Server) runConfig(ctx context.Context, cfg cocoa.Config, j *Job) ([]byt
 // finishState applies the durable-state retention policy when a job
 // settles. Jobs that ended on their own terms — done, failed (including a
 // job past its own deadline), or canceled by the user — release their
-// directory. Only jobs the server itself stopped (drain hard-cancel) keep
-// it, so a restarted daemon can pick them back up.
+// record. Only jobs the server itself stopped (drain hard-cancel) keep it,
+// so a restarted daemon can pick them back up.
 func (s *Server) finishState(j *Job, err error) {
-	if j.stateDir == "" {
+	if j.record == "" {
 		return
 	}
 	if !errors.Is(err, context.Canceled) || j.userCanceled() {
-		os.RemoveAll(j.stateDir)
+		// A record that outlives its job reruns it after a restart.
+		if err := os.Remove(j.record); err != nil {
+			j.logger().Warn("release job record failed", "path", j.record, "error", err.Error())
+		}
 	}
 }
 
@@ -756,31 +764,42 @@ type jobRecord struct {
 	Request JobRequest `json:"request"`
 }
 
-// writeJobRecord persists rec into dir as job.json, wiping any stale
-// contents first — a fresh submission must never inherit a previous
-// process's files under a recycled job ID.
-func writeJobRecord(dir string, rec jobRecord) error {
-	if err := os.RemoveAll(dir); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+// recordPath is where job id's record lives beneath stateDir.
+func recordPath(stateDir, id string) string {
+	return filepath.Join(stateDir, id+".json")
+}
+
+// writeJobRecord persists rec at path: it is written to a dot-prefixed
+// temp name beside path and renamed into place, replacing whatever a
+// previous process left under a recycled job ID. The state directory is
+// created only when the write reports it missing, so in steady state a
+// record costs one create-write-close and one rename.
+func writeJobRecord(path string, rec jobRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, ".job.json.tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
+	dir, name := filepath.Split(path)
+	tmp := filepath.Join(dir, "."+name+".tmp")
+	err = os.WriteFile(tmp, b, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			err = os.WriteFile(tmp, b, 0o644)
+		}
 	}
-	return os.Rename(tmp, filepath.Join(dir, "job.json"))
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: RecoverJobs removes a leftover temp
+	}
+	return err
 }
 
-// readJobRecord loads dir/job.json.
-func readJobRecord(dir string) (jobRecord, error) {
+// readJobRecord loads the record at path.
+func readJobRecord(path string) (jobRecord, error) {
 	var rec jobRecord
-	b, err := os.ReadFile(filepath.Join(dir, "job.json"))
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return rec, err
 	}
@@ -790,17 +809,36 @@ func readJobRecord(dir string) (jobRecord, error) {
 	return rec, nil
 }
 
+// jobNumber parses the sequence number of a job ID ("job-" and decimal
+// digits).
+func jobNumber(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
+}
+
 // RecoverJobs re-enqueues the jobs a previous process left behind in
-// StateDir, in job-ID order, and returns the recovered IDs. Every job
-// reruns from its persisted request; any other file in its directory
-// (such as a snapshot an older release wrote) is ignored and removed with
-// the directory when the job settles. The sequence counter is
-// restored above the highest recovered ID so new submissions never
-// collide with recovered directories. Unrecoverable entries (an unreadable
-// or mismatched job.json, an invalid request, a failed enqueue) are
-// deleted, each with a Warn record naming the job and the reason.
-// If the queue fills mid-recovery, recovery stops and the remaining
-// directories stay on disk for the next restart.
+// StateDir, in job-number order, and returns the recovered IDs. Every job
+// reruns from its persisted request.
+//
+// Older releases kept each record as <ID>/job.json, a directory that
+// existed to hold a snapshot beside the record; snapshots are gone, and so
+// is the directory. Such a record is moved to <ID>.json with one rename and
+// its directory (any snapshot included) removed before the job is
+// enqueued; where both forms exist (a crash mid-migration) the file wins.
+// A leftover temp record (a process killed between write and rename, so
+// the submission was never acknowledged) is removed.
+//
+// The sequence counter is restored above the highest job number seen in
+// any of these forms, so new submissions never collide with recovered
+// records. Unrecoverable records (unreadable or naming another job, an
+// invalid request, a failed enqueue) are deleted, each with a Warn record
+// naming the job and the reason. If the queue fills mid-recovery, recovery
+// stops and the remaining records stay on disk for the next restart.
+// Entries whose names are not job IDs are left alone.
 func (s *Server) RecoverJobs() ([]string, error) {
 	if s.cfg.StateDir == "" {
 		return nil, nil
@@ -812,54 +850,92 @@ func (s *Server) RecoverJobs() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ids []string
+	type stored struct {
+		id string
+		n  int
+	}
+	var jobs, legacy []stored
 	maxSeq := 0
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "job-") {
+		name := e.Name()
+		var id string
+		var list *[]stored
+		switch {
+		case e.IsDir():
+			id, list = name, &legacy
+		case strings.HasPrefix(name, ".") && strings.HasSuffix(name, ".json.tmp"):
+			id = strings.TrimSuffix(name[1:], ".json.tmp")
+		case strings.HasSuffix(name, ".json"):
+			id, list = strings.TrimSuffix(name, ".json"), &jobs
+		}
+		n, ok := jobNumber(id)
+		if !ok {
 			continue
 		}
-		ids = append(ids, e.Name())
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), "job-%d", &n); err == nil && n > maxSeq {
-			maxSeq = n
+		maxSeq = max(maxSeq, n)
+		if list == nil { // a temp record; a failed removal is retried next boot
+			_ = os.Remove(filepath.Join(s.cfg.StateDir, name))
+			continue
 		}
+		*list = append(*list, stored{id, n})
 	}
-	sort.Strings(ids)
 	s.mu.Lock()
 	if maxSeq > s.seq {
 		s.seq = maxSeq
 	}
 	s.mu.Unlock()
 
-	var recovered []string
-	for _, id := range ids {
-		dir := filepath.Join(s.cfg.StateDir, id)
-		// discard deletes a directory that cannot be recovered, leaving a
-		// Warn record of which job was lost and why.
-		discard := func(reason string) {
-			s.log.Warn("discarding unrecoverable job", "job", id, "reason", reason)
-			os.RemoveAll(dir)
+	// discard deletes what is left of a job that cannot be recovered,
+	// leaving a Warn record of which job was lost and why.
+	discard := func(id, path, reason string) {
+		s.log.Warn("discarding unrecoverable job", "job", id, "reason", reason)
+		os.RemoveAll(path)
+	}
+	flat := make(map[string]bool, len(jobs))
+	for _, st := range jobs {
+		flat[st.id] = true
+	}
+	for _, l := range legacy {
+		dir := filepath.Join(s.cfg.StateDir, l.id)
+		if !flat[l.id] {
+			if err := os.Rename(filepath.Join(dir, "job.json"), recordPath(s.cfg.StateDir, l.id)); err != nil {
+				discard(l.id, dir, "unreadable job record: "+err.Error())
+				continue
+			}
+			jobs = append(jobs, l)
 		}
-		rec, err := readJobRecord(dir)
+		// A directory that survives is removed at the next boot, where the
+		// record file wins.
+		_ = os.RemoveAll(dir)
+	}
+	// Order by number, not name: job-1000000 follows job-999999.
+	slices.SortFunc(jobs, func(a, b stored) int {
+		return cmp.Or(cmp.Compare(a.n, b.n), strings.Compare(a.id, b.id))
+	})
+
+	var recovered []string
+	for _, st := range jobs {
+		id, path := st.id, recordPath(s.cfg.StateDir, st.id)
+		rec, err := readJobRecord(path)
 		if err != nil {
-			discard("unreadable job record: " + err.Error())
+			discard(id, path, "unreadable job record: "+err.Error())
 			continue
 		}
 		if rec.ID != id {
-			discard(fmt.Sprintf("job record names %q", rec.ID))
+			discard(id, path, fmt.Sprintf("job record names %q", rec.ID))
 			continue
 		}
 		j := newJob(true)
 		exec, err := s.buildExec(rec.Request, j)
 		if err != nil {
-			discard("invalid request: " + err.Error())
+			discard(id, path, "invalid request: "+err.Error())
 			continue
 		}
 		if _, err := s.enqueue(rec.Request, j, exec, id); err != nil {
 			if errors.Is(err, runner.ErrQueueFull) || errors.Is(err, ErrDraining) {
 				return recovered, nil
 			}
-			discard("enqueue: " + err.Error())
+			discard(id, path, "enqueue: "+err.Error())
 			continue
 		}
 		recovered = append(recovered, id)

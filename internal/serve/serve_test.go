@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -401,8 +400,7 @@ func TestQueueFullReturns429(t *testing.T) {
 }
 
 // A job canceled while it waits in the queue never runs: DELETE settles it
-// canceled without invoking its execution, and releases its state
-// directory.
+// canceled without invoking its execution, and releases its record.
 func TestCancelWhileQueuedNeverRuns(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, started, release := blockingServer(t, Config{Workers: 1, QueueDepth: 2, StateDir: dir})
@@ -421,8 +419,8 @@ func TestCancelWhileQueuedNeverRuns(t *testing.T) {
 	postJob(t, ts, JobRequest{Experiment: "fig9"}, &first)
 	<-started
 	postJob(t, ts, JobRequest{Experiment: "fig9"}, &queued)
-	queuedDir := filepath.Join(dir, queued.ID)
-	if _, err := os.Stat(filepath.Join(queuedDir, "job.json")); err != nil {
+	queuedRecord := recordPath(dir, queued.ID)
+	if _, err := os.Stat(queuedRecord); err != nil {
 		t.Fatalf("queued job not persisted: %v", err)
 	}
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
@@ -444,7 +442,7 @@ func TestCancelWhileQueuedNeverRuns(t *testing.T) {
 	if st := waitTerminal(t, ts, first.ID); st.State != StateDone {
 		t.Errorf("blocker ended %s", st.State)
 	}
-	waitGone(t, queuedDir)
+	waitGone(t, queuedRecord)
 	mu.Lock()
 	defer mu.Unlock()
 	if ran[queued.ID] {
