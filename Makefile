@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test vet race fuzz shuffle check bench bench-smoke \
-	perfbench-check cover cover-check serve-smoke clean
+	perfbench-check cover cover-check serve-smoke full-golden clean
 
 all: build
 
@@ -61,6 +61,18 @@ cover-check:
 # never semantics.
 serve-smoke:
 	$(GO) run ./cmd/cocoad -smoke internal/scenario/testdata/golden_odometry.json
+
+# full-golden runs the whole evaluation suite at paper scale (about a minute
+# on 2 CPUs) and requires its output to equal results_full.txt, apart from
+# the "total wall time:" trailer. It is too slow for check; run it when a
+# change could move any experiment's numbers.
+full-golden:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/cocoaexp > "$$dir/out.txt" && \
+	grep -v '^total wall time:' results_full.txt > "$$dir/want.txt" && \
+	grep -v '^total wall time:' "$$dir/out.txt" > "$$dir/got.txt" && \
+	diff -u "$$dir/want.txt" "$$dir/got.txt" && \
+	echo "full-golden: output matches results_full.txt"
 
 # check is the gate a change must pass before it lands: static analysis,
 # the full suite under the race detector in shuffled order (the experiment

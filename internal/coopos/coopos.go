@@ -17,6 +17,7 @@
 package coopos
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -144,8 +145,13 @@ type cpRobot struct {
 	group int
 }
 
-// Run executes the Cooperative Positioning baseline.
-func Run(cfg Config) (*Result, error) {
+// Run executes the Cooperative Positioning baseline. Canceling ctx stops
+// the run at its next sampling step and returns ctx.Err(); the check reads
+// no randomness, so an uncanceled run is the same under any context.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -196,6 +202,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	for now := dt; now <= float64(cfg.DurationS); now += dt {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Advance movement and dead reckoning.
 		for i, r := range robots {
 			cur := r.way.Position(now)

@@ -1,7 +1,10 @@
 package coopos
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -50,7 +53,7 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestRunProducesFixes(t *testing.T) {
-	res, err := Run(testConfig())
+	res, err := Run(context.Background(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestErrorAccumulatesAcrossPhases(t *testing.T) {
 		cfg.DurationS = 1800
 		cfg.PhaseS = 30
 		cfg.Seed = seed
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +110,7 @@ func TestMoreLandmarksSlowAccumulation(t *testing.T) {
 			cfg.DurationS = 1800
 			cfg.PhaseS = 30
 			cfg.Seed = seed
-			res, err := Run(cfg)
+			res, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +143,7 @@ func windowMean(res *Result, lo, hi float64) float64 {
 // odometry-only early on: the first fixes keep error near the ranging
 // noise instead of pure dead-reckoning drift.
 func TestBetterThanNothingEarly(t *testing.T) {
-	res, err := Run(testConfig())
+	res, err := Run(context.Background(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +153,11 @@ func TestBetterThanNothingEarly(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run(testConfig())
+	a, err := Run(context.Background(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testConfig())
+	b, err := Run(context.Background(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +174,50 @@ func TestResultHelpers(t *testing.T) {
 	r := &Result{Times: []float64{1, 2}, AvgError: []float64{2, 4}}
 	if r.MeanError() != 3 || r.FinalError() != 4 {
 		t.Errorf("helpers: mean=%v final=%v", r.MeanError(), r.FinalError())
+	}
+}
+
+// stepCtx reports cancellation from its cancelAt-th Err check on: a
+// deterministic stand-in for a cancel that lands mid-run.
+type stepCtx struct {
+	context.Context
+	checks, cancelAt int
+}
+
+func (c *stepCtx) Err() error {
+	c.checks++
+	if c.checks >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancel that lands before or during the run stops it at the next check
+// (one before set-up, then one per sampling step) instead of letting it
+// finish; a context that never fires changes nothing.
+func TestRunCanceledMidRun(t *testing.T) {
+	cfg := testConfig()
+	steps := int(float64(cfg.DurationS) / float64(cfg.SampleIntervalS))
+	for _, at := range []int{1, steps / 2} {
+		ctx := &stepCtx{Context: context.Background(), cancelAt: at}
+		res, err := Run(ctx, cfg)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("cancel at check %d: Run = (%v, %v), want (nil, context.Canceled)", at, res, err)
+		}
+		if ctx.checks != at {
+			t.Errorf("cancel at check %d: run went on to check %d", at, ctx.checks)
+		}
+	}
+
+	want, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(&stepCtx{Context: context.Background(), cancelAt: steps + 10}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a run under a context that never fired differs from an unwatched run")
 	}
 }

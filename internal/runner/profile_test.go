@@ -61,3 +61,34 @@ func TestStartProfilesBadPath(t *testing.T) {
 		t.Fatal("unwritable CPU path accepted")
 	}
 }
+
+// A trace that cannot start undoes the CPU profile already running, so the
+// process is left free to profile again.
+func TestStartProfilesBadTracePathStopsCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	_, err := StartProfiles(ProfileConfig{
+		CPUPath:   filepath.Join(dir, "cpu.pprof"),
+		TracePath: filepath.Join(dir, "no", "such", "dir", "trace.out"),
+	})
+	if err == nil {
+		t.Fatal("unwritable trace path accepted")
+	}
+	stop, err := StartProfiles(ProfileConfig{CPUPath: filepath.Join(dir, "again.pprof")})
+	if err != nil {
+		t.Fatalf("CPU profile still running after the failed start: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A heap profile that cannot be written fails stop, not start.
+func TestStartProfilesBadMemPathFailsStop(t *testing.T) {
+	stop, err := StartProfiles(ProfileConfig{MemPath: filepath.Join(t.TempDir(), "no", "such", "dir", "mem.pprof")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err == nil {
+		t.Fatal("stop reported no error for an unwritable heap profile path")
+	}
+}

@@ -1,8 +1,11 @@
-// Package runner is the experiment execution engine: it fans independent,
-// seed-deterministic simulation runs (sweep points x seeds) across a fixed
-// set of workers while preserving the exact semantics of a serial loop.
+// Package runner is a generic execution engine with no knowledge of what
+// it runs. Map fans n independent jobs (an experiment's simulation runs,
+// one per sweep point) across a fixed set of workers while preserving the
+// exact semantics of a serial loop; Pool is the long-lived, bounded
+// counterpart a service submits jobs to one at a time; StartProfiles wraps
+// a process in CPU, heap and execution-trace profiles.
 //
-// The engine guarantees:
+// Map guarantees:
 //
 //   - deterministic result ordering: results land at their job index, never
 //     in completion order, so a parallel sweep returns byte-identical output
@@ -28,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cocoa/internal/cocoa"
 	"cocoa/internal/obs"
 	"cocoa/internal/telemetry"
 )
@@ -70,12 +72,12 @@ type Options struct {
 	Parallelism int
 	// Gauge, when non-nil, receives the fan-out's live position: SetRun
 	// (0, n) at the start and (done, n) after each completed job, with
-	// done strictly increasing, and (for Runs/RunsEach) the executing
-	// run's tick position via cocoa's Config.Progress. Concurrent runs
-	// share the gauge — the tick readout tracks whichever run published
-	// last, which is the intended "what is the pool doing right now"
-	// signal. Publication is write-only and lock-free, so it cannot
-	// perturb results or scheduling.
+	// done strictly increasing. Jobs may publish their own position into
+	// the same gauge (a simulation run sets its ticks through cocoa's
+	// Config.Progress); concurrent jobs share it, so the tick readout
+	// tracks whichever job published last, which is the intended "what is
+	// the pool doing right now" signal. Publication is write-only and
+	// lock-free, so it cannot perturb results or scheduling.
 	Gauge *obs.Progress
 }
 
@@ -146,42 +148,4 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 		return nil, err
 	}
 	return out, nil
-}
-
-// Runs executes every configuration through cocoa.RunContext on Map
-// and returns the results in configuration order. Each run is fully
-// deterministic in its Config (including Seed), so the output is identical
-// at any parallelism level; the per-job context lets a canceled sweep abort
-// in-flight simulations instead of letting them run to completion.
-//
-// The returned Results stay valid indefinitely; callers that drop each
-// Result after reading it can use RunsEach to recycle its buffers too.
-func Runs(ctx context.Context, opts Options, cfgs []cocoa.Config) ([]*cocoa.Result, error) {
-	return Map(ctx, opts, len(cfgs), func(jctx context.Context, i int) (*cocoa.Result, error) {
-		cfg := cfgs[i]
-		cfg.Progress = opts.Gauge
-		return cocoa.RunContext(jctx, cfg)
-	})
-}
-
-// RunsEach executes every configuration like Runs but streams each Result
-// to fn instead of retaining it: after fn(i, res) returns, res is handed to
-// cocoa.ReleaseResult and must not be used again. fn may be invoked
-// concurrently (up to opts.Parallelism calls at once) and in any order; i
-// identifies the configuration. An fn error fails its job exactly as a run
-// error does. This is the full-reuse path for aggregating sweeps — cross-
-// seed statistics need one scalar per run, not the run's whole time series.
-func RunsEach(ctx context.Context, opts Options, cfgs []cocoa.Config, fn func(i int, res *cocoa.Result) error) error {
-	_, err := Map(ctx, opts, len(cfgs), func(jctx context.Context, i int) (struct{}, error) {
-		cfg := cfgs[i]
-		cfg.Progress = opts.Gauge
-		res, err := cocoa.RunContext(jctx, cfg)
-		if err != nil {
-			return struct{}{}, err
-		}
-		err = fn(i, res)
-		cocoa.ReleaseResult(res)
-		return struct{}{}, err
-	})
-	return err
 }

@@ -285,43 +285,3 @@ func TestMapNoGoroutineLeakAfterError(t *testing.T) {
 		t.Errorf("goroutines = %d after failed sweep, baseline %d", leaked, baseline)
 	}
 }
-
-// TestRunsDeterministicAcrossParallelism is the engine-level determinism
-// guarantee: the same seeded configs produce byte-identical results whether
-// executed serially or on the pool.
-func TestRunsDeterministicAcrossParallelism(t *testing.T) {
-	cfgs := make([]cocoa.Config, 3)
-	for i := range cfgs {
-		cfg := cocoa.DefaultConfig()
-		cfg.NumRobots = 10
-		cfg.NumEquipped = 5
-		cfg.DurationS = 60
-		cfg.BeaconPeriodS = 20
-		cfg.GridCellM = 8
-		cfg.Calibration.Samples = 20000
-		cfg.Seed = int64(i + 1)
-		cfgs[i] = cfg
-	}
-	serial, err := Runs(context.Background(), Options{}, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Runs(context.Background(), Options{Parallelism: 4}, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if len(serial[i].AvgError) != len(parallel[i].AvgError) {
-			t.Fatalf("run %d: series lengths differ", i)
-		}
-		for j := range serial[i].AvgError {
-			if serial[i].AvgError[j] != parallel[i].AvgError[j] {
-				t.Fatalf("run %d: AvgError[%d] differs: %v vs %v",
-					i, j, serial[i].AvgError[j], parallel[i].AvgError[j])
-			}
-		}
-		if serial[i].TotalEnergyJ != parallel[i].TotalEnergyJ {
-			t.Fatalf("run %d: energy differs", i)
-		}
-	}
-}

@@ -55,7 +55,7 @@ func RunBaselineCoopPos(ctx context.Context, opts Options) ([]BaselineRow, error
 			cpCfg.DurationS = cocoaCfg.DurationS
 			cpCfg.GridCellM = cocoaCfg.GridCellM
 			cpCfg.Calibration = cocoaCfg.Calibration
-			res, err := coopos.Run(cpCfg)
+			res, err := coopos.Run(jctx, cpCfg)
 			if err != nil {
 				return BaselineRow{}, err
 			}

@@ -18,26 +18,18 @@ type AblationLocalizerRow struct {
 // estimator, with Monte Carlo localization, and with an EKF.
 func RunAblationLocalizer(ctx context.Context, opts Options) ([]AblationLocalizerRow, error) {
 	kinds := []cocoa.LocalizerKind{cocoa.LocalizerGrid, cocoa.LocalizerParticle, cocoa.LocalizerEKF}
-	cfgs := make([]cocoa.Config, len(kinds))
-	for i, kind := range kinds {
+	return sweep(ctx, opts, kinds, func(kind cocoa.LocalizerKind) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.Localizer = kind
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationLocalizerRow, len(results))
-	for i, res := range results {
-		out[i] = AblationLocalizerRow{
-			Backend:    kinds[i].String(),
+		return cfg
+	}, func(kind cocoa.LocalizerKind, _ cocoa.Config, res *cocoa.Result) AblationLocalizerRow {
+		return AblationLocalizerRow{
+			Backend:    kind.String(),
 			MeanErrorM: res.MeanError(),
 			FixRate:    res.FixRate(),
 		}
-	}
-	return out, nil
+	})
 }
 
 // PowerControlRow is one transmit-power outcome of the paper's future-work
@@ -56,37 +48,21 @@ type PowerControlRow struct {
 // coverage-limited deployment (few equipped robots), where range directly
 // controls how many robots can cooperate.
 func RunExtensionPowerControl(ctx context.Context, opts Options) ([]PowerControlRow, error) {
-	powers := []float64{9, 12, 15, 18}
-	cfgs := make([]cocoa.Config, len(powers))
-	for i, tx := range powers {
+	return sweep(ctx, opts, []float64{9, 12, 15, 18}, func(tx float64) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
-		cfg.NumEquipped = 5
 		cfg.Radio.TxPowerDBm = tx
-		opts.apply(&cfg)
-		if opts.NumRobots > 0 {
-			cfg.NumEquipped = 5 * cfg.NumRobots / 50
-			if cfg.NumEquipped < 1 {
-				cfg.NumEquipped = 1
-			}
-		}
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PowerControlRow, len(results))
-	for i, res := range results {
-		out[i] = PowerControlRow{
-			TxPowerDBm:  powers[i],
-			MeanRangeM:  cfgs[i].Radio.MeanRange(),
+		opts.applyEquipped(&cfg, 5)
+		return cfg
+	}, func(tx float64, cfg cocoa.Config, res *cocoa.Result) PowerControlRow {
+		return PowerControlRow{
+			TxPowerDBm:  tx,
+			MeanRangeM:  cfg.Radio.MeanRange(),
 			MeanErrorM:  res.MeanError(),
 			FixRate:     res.FixRate(),
 			EnergyJ:     res.TotalEnergyJ,
 			BeaconsUsed: res.BeaconsApplied,
 		}
-	}
-	return out, nil
+	})
 }
 
 // ClockSkewRow quantifies the value of the MRMM SYNC machinery under
@@ -110,33 +86,23 @@ func RunExtensionClockSkew(ctx context.Context, opts Options) ([]ClockSkewRow, e
 	}
 	var points []point
 	for _, drift := range []float64{0, 0.5, 1.5} {
-		for _, syncOn := range []bool{true, false} {
-			points = append(points, point{drift, syncOn})
-		}
+		points = append(points, point{drift, true}, point{drift, false})
 	}
-	cfgs := make([]cocoa.Config, len(points))
-	for i, p := range points {
+	return sweep(ctx, opts, points, func(p point) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.ClockDriftSigmaS = p.drift
 		cfg.DisableSync = !p.syncOn
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ClockSkewRow, len(results))
-	for i, res := range results {
-		out[i] = ClockSkewRow{
-			DriftSigmaS: points[i].drift,
-			SyncEnabled: points[i].syncOn,
+		return cfg
+	}, func(p point, _ cocoa.Config, res *cocoa.Result) ClockSkewRow {
+		return ClockSkewRow{
+			DriftSigmaS: p.drift,
+			SyncEnabled: p.syncOn,
 			MeanErrorM:  res.MeanError(),
 			FixRate:     res.FixRate(),
 			MissedPkts:  res.MAC.MissedAsleep,
 		}
-	}
-	return out, nil
+	})
 }
 
 // ReportingRow measures the controller-reporting data path at one beacon
@@ -154,23 +120,15 @@ type ReportingRow struct {
 // EnableReporting on, every localized unequipped robot sends one report
 // per window toward the Sync robot by greedy geographic forwarding.
 func RunExtensionReporting(ctx context.Context, opts Options) ([]ReportingRow, error) {
-	periods := []float64{50, 100}
-	cfgs := make([]cocoa.Config, len(periods))
-	for i, T := range periods {
+	return sweep(ctx, opts, []float64{50, 100}, func(T float64) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.EnableReporting = true
 		cfg.BeaconPeriodS = T
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReportingRow, len(results))
-	for i, res := range results {
+		return cfg
+	}, func(T float64, _ cocoa.Config, res *cocoa.Result) ReportingRow {
 		row := ReportingRow{
-			PeriodS:      periods[i],
+			PeriodS:      T,
 			DeliveryRate: res.ReportDeliveryRate(),
 			ReportsSent:  res.ReportsSent,
 			MeanErrorM:   res.MeanError(),
@@ -178,7 +136,6 @@ func RunExtensionReporting(ctx context.Context, opts Options) ([]ReportingRow, e
 		if res.ReportsDelivered > 0 {
 			row.MeanHops = float64(res.ReportHopsTotal) / float64(res.ReportsDelivered)
 		}
-		out[i] = row
-	}
-	return out, nil
+		return row
+	})
 }

@@ -44,24 +44,17 @@ func RunFaultSweep(ctx context.Context, opts Options) ([]FaultRow, error) {
 			cells = append(cells, cell{loss, crash})
 		}
 	}
-	cfgs := make([]cocoa.Config, len(cells))
-	for i, c := range cells {
+	return sweep(ctx, opts, cells, func(c cell) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		opts.apply(&cfg)
 		cfg.Faults.GE = faults.Bursty(c.loss, faults.DefaultBurstFrames)
 		cfg.Faults.CrashFraction = c.crash
 		cfg.Faults.CrashMeanDownS = 2 * float64(cfg.BeaconPeriodS)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FaultRow, len(results))
-	for i, res := range results {
-		out[i] = FaultRow{
-			LossRate:      cells[i].loss,
-			CrashFraction: cells[i].crash,
+		return cfg
+	}, func(c cell, _ cocoa.Config, res *cocoa.Result) FaultRow {
+		return FaultRow{
+			LossRate:      c.loss,
+			CrashFraction: c.crash,
 			MeanErrorM:    res.MeanError(),
 			MaxAvgErrorM:  res.MaxAvgError(),
 			Uncovered:     res.UncoveredFraction(),
@@ -70,6 +63,5 @@ func RunFaultSweep(ctx context.Context, opts Options) ([]FaultRow, error) {
 			Crashes:       res.Crashes,
 			NeverFixed:    res.NeverFixed,
 		}
-	}
-	return out, nil
+	})
 }

@@ -22,22 +22,13 @@ type FailureRow struct {
 // accuracy settles at the level of the reduced anchor set (Figure 10's
 // curve, reached dynamically).
 func RunFailureInjection(ctx context.Context, opts Options) ([]FailureRow, error) {
-	fracs := []float64{0, 0.4, 0.8}
-	cfgs := make([]cocoa.Config, len(fracs))
-	for i, frac := range fracs {
+	return sweep(ctx, opts, []float64{0, 0.4, 0.8}, func(frac float64) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		opts.apply(&cfg)
 		cfg.FailEquippedCount = int(frac * float64(cfg.NumEquipped))
 		cfg.FailAtS = cfg.DurationS / 3
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FailureRow, len(results))
-	for i, res := range results {
-		cfg := cfgs[i]
+		return cfg
+	}, func(_ float64, cfg cocoa.Config, res *cocoa.Result) FailureRow {
 		failAt := float64(cfg.FailAtS)
 		settle := failAt + float64(cfg.BeaconPeriodS)
 		var before, after float64
@@ -59,9 +50,8 @@ func RunFailureInjection(ctx context.Context, opts Options) ([]FailureRow, error
 		if na > 0 {
 			row.MeanAfterM = after / float64(na)
 		}
-		out[i] = row
-	}
-	return out, nil
+		return row
+	})
 }
 
 // Replication holds cross-seed statistics of the headline metric,
@@ -81,20 +71,17 @@ func RunReplication(ctx context.Context, opts Options, seeds int) (Replication, 
 	if seeds <= 0 {
 		seeds = 5
 	}
-	cfgs := make([]cocoa.Config, seeds)
-	for s := 0; s < seeds; s++ {
+	seedList := make([]int64, seeds)
+	for s := range seedList {
+		seedList[s] = opts.seed() + int64(s)
+	}
+	vals, err := sweep(ctx, opts, seedList, func(seed int64) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		opts.apply(&cfg)
-		cfg.Seed = opts.seed() + int64(s)
-		cfgs[s] = cfg
-	}
-	// Each seed contributes one scalar, so the runs stream through the
-	// full-reuse path: every Result's buffers are released for the next
-	// run the moment the mean is extracted.
-	vals := make([]float64, seeds)
-	err := opts.runEach(ctx, cfgs, func(i int, res *cocoa.Result) error {
-		vals[i] = res.MeanError()
-		return nil
+		cfg.Seed = seed
+		return cfg
+	}, func(_ int64, _ cocoa.Config, res *cocoa.Result) float64 {
+		return res.MeanError()
 	})
 	if err != nil {
 		return Replication{}, err
@@ -140,26 +127,18 @@ func RunExtensionTerrain(ctx context.Context, opts Options) ([]TerrainRow, error
 			points = append(points, point{mode, amp})
 		}
 	}
-	cfgs := make([]cocoa.Config, len(points))
-	for i, p := range points {
+	return sweep(ctx, opts, points, func(p point) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.Mode = p.mode
 		cfg.TerrainAmplitude = p.amp
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TerrainRow, len(results))
-	for i, res := range results {
-		out[i] = TerrainRow{
-			Mode:       points[i].mode.String(),
-			Amplitude:  points[i].amp,
+		return cfg
+	}, func(p point, _ cocoa.Config, res *cocoa.Result) TerrainRow {
+		return TerrainRow{
+			Mode:       p.mode.String(),
+			Amplitude:  p.amp,
 			MeanErrorM: res.MeanError(),
 			FinalM:     res.AvgError[len(res.AvgError)-1],
 		}
-	}
-	return out, nil
+	})
 }

@@ -74,8 +74,7 @@ func RunScale(ctx context.Context, opts Options) ([]ScaleRow, error) {
 			sizes = []int{opts.NumRobots}
 		}
 	}
-	cfgs := make([]cocoa.Config, len(sizes))
-	for i, n := range sizes {
+	return sweep(ctx, opts, sizes, func(n int) cocoa.Config {
 		cfg := SwarmConfig(n)
 		cfg.Seed = opts.seed()
 		if opts.DurationS > 0 {
@@ -84,22 +83,16 @@ func RunScale(ctx context.Context, opts Options) ([]ScaleRow, error) {
 		if opts.CalibrationSamples > 0 {
 			cfg.Calibration.Samples = opts.CalibrationSamples
 		}
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ScaleRow, len(results))
-	for i, res := range results {
+		return cfg
+	}, func(_ int, cfg cocoa.Config, res *cocoa.Result) ScaleRow {
 		final := 0.0
 		if n := len(res.AvgError); n > 0 {
 			final = res.AvgError[n-1]
 		}
-		out[i] = ScaleRow{
-			Robots:         cfgs[i].NumRobots,
-			Equipped:       cfgs[i].NumEquipped,
-			AreaSideM:      cfgs[i].Area.Width(),
+		return ScaleRow{
+			Robots:         cfg.NumRobots,
+			Equipped:       cfg.NumEquipped,
+			AreaSideM:      cfg.Area.Width(),
 			MeanErrorM:     res.MeanError(),
 			FinalErrorM:    final,
 			FixRate:        res.FixRate(),
@@ -108,6 +101,5 @@ func RunScale(ctx context.Context, opts Options) ([]ScaleRow, error) {
 			MACDelivered:   res.MAC.Delivered,
 			MACBelowSense:  res.MAC.BelowSense,
 		}
-	}
-	return out, nil
+	})
 }

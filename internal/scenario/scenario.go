@@ -5,6 +5,12 @@
 // of its rows, which cmd/cocoaexp prints, and EXPERIMENTS.md records the
 // paper-vs-measured comparison.
 //
+// Every runner that simulates is a sweep: a list of points (speeds, beacon
+// periods, seeds, ...), the Config each point runs, and the row each
+// finished run yields. sweep runs them on the runner engine, one run per
+// point, returns the rows in point order and recycles every Result once
+// its row is built.
+//
 // All runners accept Options so benchmarks can run shortened versions; the
 // zero Options value reproduces the paper's full-scale setup (50 robots,
 // 40000 m^2, 30 minutes). Every runner is context-first: canceling the
@@ -15,7 +21,9 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"cocoa/internal/caltable"
 	"cocoa/internal/cocoa"
@@ -62,24 +70,31 @@ func (o Options) engine() runner.Options {
 	return runner.Options{Parallelism: o.Parallelism, Gauge: o.Gauge}
 }
 
-// runAll executes prepared sweep configs on the experiment engine,
-// returning results in config order. Cancellation of ctx aborts queued and
-// in-flight runs; a nil ctx means context.Background().
-func (o Options) runAll(ctx context.Context, cfgs []cocoa.Config) ([]*cocoa.Result, error) {
-	return runner.Runs(ctx, o.engine(), cfgs)
-}
-
-// runEach executes prepared sweep configs like runAll but streams each
-// result to fn and recycles its buffers afterwards (runner.RunsEach): the
-// full memory-reuse path for experiments that keep one scalar per run
-// rather than the run's whole time series. fn may run concurrently up to
-// the parallelism cap; distinct calls always carry distinct indices.
-func (o Options) runEach(ctx context.Context, cfgs []cocoa.Config, fn func(i int, res *cocoa.Result) error) error {
-	return runner.RunsEach(ctx, o.engine(), cfgs, fn)
+// sweep runs one simulation per point on the experiment engine and returns
+// one row per point, in point order: config(p) builds the point's Config,
+// and row(p, cfg, res) turns its finished run into the row. Each run
+// publishes its ticks through opts.Gauge. The row is built as its run
+// finishes, and the Result is then released for reuse by a later run, so a
+// row must copy any slice of the Result it keeps (seriesFrom does). config
+// and row may be called concurrently, up to the parallelism cap. Canceling
+// ctx aborts queued and in-flight runs; a failed run builds no row, and its
+// error comes back wrapped with the point's index.
+func sweep[P, R any](ctx context.Context, opts Options, points []P, config func(P) cocoa.Config, row func(P, cocoa.Config, *cocoa.Result) R) ([]R, error) {
+	return runner.Map(ctx, opts.engine(), len(points), func(jctx context.Context, i int) (R, error) {
+		cfg := config(points[i])
+		cfg.Progress = opts.Gauge
+		res, err := cocoa.RunContext(jctx, cfg)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		defer cocoa.ReleaseResult(res)
+		return row(points[i], cfg, res), nil
+	})
 }
 
 // ctxErr is the early-exit cancellation check for runners whose work does
-// not pass through runAll (pure computation, calibration lookups).
+// not pass through sweep (pure computation, calibration lookups).
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -116,6 +131,18 @@ func (o Options) apply(cfg *cocoa.Config) {
 	}
 }
 
+// applyEquipped applies o to a paper-default config that equips n of the
+// paper's 50 robots. When o resizes the team, the equipped count keeps the
+// same share of it (at least one robot), so a sweep over absolute counts
+// keeps its proportions.
+func (o Options) applyEquipped(cfg *cocoa.Config, n int) {
+	cfg.NumEquipped = n
+	o.apply(cfg)
+	if o.NumRobots > 0 {
+		cfg.NumEquipped = max(n*cfg.NumRobots/50, 1)
+	}
+}
+
 // Series is one labeled curve of a figure.
 type Series struct {
 	Label  string
@@ -149,9 +176,10 @@ func (s Series) Max() float64 {
 	return m
 }
 
-// seriesFrom converts a run result into a labeled curve.
+// seriesFrom copies a run result's error curve into a labeled Series, which
+// stays valid after the result is released.
 func seriesFrom(label string, res *cocoa.Result) Series {
-	return Series{Label: label, Times: res.Times, Values: res.AvgError}
+	return Series{Label: label, Times: slices.Clone(res.Times), Values: slices.Clone(res.AvgError)}
 }
 
 // ---------------------------------------------------------------------------
@@ -220,24 +248,15 @@ func sampleCurve(table *caltable.Table, rssi float64) (*PDFCurve, error) {
 // RunFig4 reproduces Figure 4: odometry-only average error over time for
 // maximum speeds 0.5 and 2.0 m/s.
 func RunFig4(ctx context.Context, opts Options) ([]Series, error) {
-	speeds := []float64{0.5, 2.0}
-	cfgs := make([]cocoa.Config, len(speeds))
-	for i, vmax := range speeds {
+	return sweep(ctx, opts, []float64{0.5, 2.0}, func(vmax float64) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.Mode = cocoa.ModeOdometryOnly
 		cfg.VMax = vmax
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Series, len(results))
-	for i, res := range results {
-		out[i] = seriesFrom(fmt.Sprintf("vmax=%.1fm/s", speeds[i]), res)
-	}
-	return out, nil
+		return cfg
+	}, func(vmax float64, _ cocoa.Config, res *cocoa.Result) Series {
+		return seriesFrom(fmt.Sprintf("vmax=%.1fm/s", vmax), res)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -294,24 +313,15 @@ func BeaconPeriods() []sim.Time { return []sim.Time{10, 50, 100, 300} }
 // RunFig6 reproduces Figure 6: RF-only localization error over time for
 // each beacon period T.
 func RunFig6(ctx context.Context, opts Options) ([]Series, error) {
-	periods := BeaconPeriods()
-	cfgs := make([]cocoa.Config, len(periods))
-	for i, T := range periods {
+	return sweep(ctx, opts, BeaconPeriods(), func(T sim.Time) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.Mode = cocoa.ModeRFOnly
 		cfg.BeaconPeriodS = T
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Series, len(results))
-	for i, res := range results {
-		out[i] = seriesFrom(fmt.Sprintf("T=%.0fs", periods[i]), res)
-	}
-	return out, nil
+		return cfg
+	}, func(T sim.Time, _ cocoa.Config, res *cocoa.Result) Series {
+		return seriesFrom(fmt.Sprintf("T=%.0fs", T), res)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -329,38 +339,35 @@ type Fig7Result struct {
 // RunFig7 reproduces Figures 7(a) and 7(b): the three approaches at the
 // paper's two maximum speeds.
 func RunFig7(ctx context.Context, opts Options) ([]Fig7Result, error) {
+	type point struct {
+		vmax float64
+		mode cocoa.Mode
+	}
 	speeds := []float64{0.5, 2.0}
 	modes := []cocoa.Mode{cocoa.ModeOdometryOnly, cocoa.ModeRFOnly, cocoa.ModeCombined}
-	var cfgs []cocoa.Config
+	var points []point
 	for _, vmax := range speeds {
 		for _, mode := range modes {
-			cfg := cocoa.DefaultConfig()
-			cfg.Mode = mode
-			cfg.VMax = vmax
-			cfg.BeaconPeriodS = 100
-			opts.apply(&cfg)
-			cfgs = append(cfgs, cfg)
+			points = append(points, point{vmax, mode})
 		}
 	}
-	results, err := opts.runAll(ctx, cfgs)
+	series, err := sweep(ctx, opts, points, func(p point) cocoa.Config {
+		cfg := cocoa.DefaultConfig()
+		cfg.Mode = p.mode
+		cfg.VMax = p.vmax
+		cfg.BeaconPeriodS = 100
+		opts.apply(&cfg)
+		return cfg
+	}, func(p point, _ cocoa.Config, res *cocoa.Result) Series {
+		return seriesFrom(p.mode.String(), res)
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Fig7Result, len(speeds))
 	for i, vmax := range speeds {
-		r := Fig7Result{VMax: vmax}
-		for j, mode := range modes {
-			s := seriesFrom(mode.String(), results[i*len(modes)+j])
-			switch mode {
-			case cocoa.ModeOdometryOnly:
-				r.Odometry = s
-			case cocoa.ModeRFOnly:
-				r.RFOnly = s
-			default:
-				r.CoCoA = s
-			}
-		}
-		out[i] = r
+		s := series[i*len(modes):]
+		out[i] = Fig7Result{VMax: vmax, Odometry: s[0], RFOnly: s[1], CoCoA: s[2]}
 	}
 	return out, nil
 }
@@ -384,11 +391,19 @@ func RunFig8(ctx context.Context, opts Options) ([]CDFSnapshot, error) {
 	cfg := cocoa.DefaultConfig()
 	cfg.BeaconPeriodS = 100
 	opts.apply(&cfg)
-	results, err := opts.runAll(ctx, []cocoa.Config{cfg})
+	runs, err := sweep(ctx, opts, []cocoa.Config{cfg}, func(c cocoa.Config) cocoa.Config { return c }, fig8Snapshots)
 	if err != nil {
 		return nil, err
 	}
-	res := results[0]
+	if runs[0] == nil {
+		return nil, errors.New("scenario: fig8 run recorded no samples")
+	}
+	return runs[0], nil
+}
+
+// fig8Snapshots takes Figure 8's three error CDFs from one run of cfg, or
+// returns nil when the run recorded no samples.
+func fig8Snapshots(_, cfg cocoa.Config, res *cocoa.Result) []CDFSnapshot {
 	// Pick a window boundary w in the back half of the run, mirroring the
 	// paper's choice of t=804s for a 1800s run (w=800, after the window
 	// at 800..803).
@@ -410,7 +425,7 @@ func RunFig8(ctx context.Context, opts Options) ([]CDFSnapshot, error) {
 	for _, inst := range instants {
 		cdf, err := res.ErrorCDFAt(inst.at)
 		if err != nil {
-			return nil, err
+			return nil
 		}
 		xs, ps := cdf.Points()
 		out = append(out, CDFSnapshot{
@@ -421,7 +436,7 @@ func RunFig8(ctx context.Context, opts Options) ([]CDFSnapshot, error) {
 			P90:    cdf.Quantile(0.9),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -444,22 +459,13 @@ type Fig9Row struct {
 // RunFig9 reproduces Figures 9(a) and 9(b): CoCoA error over time and team
 // energy with/without coordination across the T sweep.
 func RunFig9(ctx context.Context, opts Options) ([]Fig9Row, error) {
-	periods := BeaconPeriods()
-	cfgs := make([]cocoa.Config, len(periods))
-	for i, T := range periods {
+	return sweep(ctx, opts, BeaconPeriods(), func(T sim.Time) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.BeaconPeriodS = T
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig9Row, len(results))
-	for i, res := range results {
-		T := periods[i]
-		out[i] = Fig9Row{
+		return cfg
+	}, func(T sim.Time, _ cocoa.Config, res *cocoa.Result) Fig9Row {
+		return Fig9Row{
 			PeriodS:          float64(T),
 			ErrorSeries:      seriesFrom(fmt.Sprintf("T=%.0fs", T), res),
 			MeanErrorM:       res.MeanError(),
@@ -470,8 +476,7 @@ func RunFig9(ctx context.Context, opts Options) ([]Fig9Row, error) {
 			FixRate:          res.FixRate(),
 			MissedAsleepPkts: res.MAC.MissedAsleep,
 		}
-	}
-	return out, nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -493,42 +498,24 @@ type Fig10Row struct {
 // RunFig10 reproduces Figure 10: CoCoA localization error as the number of
 // equipped robots varies, T = 100 s.
 func RunFig10(ctx context.Context, opts Options) ([]Fig10Row, error) {
-	counts := EquippedCounts()
-	cfgs := make([]cocoa.Config, len(counts))
-	for i, n := range counts {
+	return sweep(ctx, opts, EquippedCounts(), func(n int) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.BeaconPeriodS = 100
-		cfg.NumEquipped = n
-		opts.apply(&cfg)
-		if opts.NumRobots > 0 {
-			// Preserve the sweep's absolute counts when the team shrinks:
-			// scale the equipped count by the same ratio.
-			cfg.NumEquipped = n * cfg.NumRobots / 50
-			if cfg.NumEquipped < 1 {
-				cfg.NumEquipped = 1
-			}
-		}
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig10Row, len(results))
-	for i, res := range results {
+		opts.applyEquipped(&cfg, n)
+		return cfg
+	}, func(_ int, cfg cocoa.Config, res *cocoa.Result) Fig10Row {
 		var p90 float64
-		if cdf, err := res.ErrorCDFAt(float64(cfgs[i].DurationS) * 0.9); err == nil {
+		if cdf, err := res.ErrorCDFAt(float64(cfg.DurationS) * 0.9); err == nil {
 			p90 = cdf.Quantile(0.9)
 		}
-		out[i] = Fig10Row{
-			Equipped:     cfgs[i].NumEquipped,
+		return Fig10Row{
+			Equipped:     cfg.NumEquipped,
 			MeanErrorM:   res.MeanError(),
 			MaxAvgErrorM: res.MaxAvgError(),
 			FixRate:      res.FixRate(),
 			P90ErrorM:    p90,
 		}
-	}
-	return out, nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -550,38 +537,41 @@ type ExtensionRow struct {
 // unequipped robots also beacon. The interesting regime is few equipped
 // robots, where coverage gaps make extra (noisier) anchors worthwhile.
 func RunExtensionSecondary(ctx context.Context, opts Options) ([]ExtensionRow, error) {
-	counts := []int{5, 15}
-	var cfgs []cocoa.Config
-	for _, n := range counts {
-		for _, secondary := range []bool{false, true} {
-			cfg := cocoa.DefaultConfig()
-			cfg.BeaconPeriodS = 100
-			cfg.NumEquipped = n
-			cfg.SecondaryBeacons = secondary
-			opts.apply(&cfg)
-			if opts.NumRobots > 0 {
-				cfg.NumEquipped = n * cfg.NumRobots / 50
-				if cfg.NumEquipped < 1 {
-					cfg.NumEquipped = 1
-				}
-			}
-			cfgs = append(cfgs, cfg)
-		}
+	type point struct {
+		n         int
+		secondary bool
 	}
-	results, err := opts.runAll(ctx, cfgs)
+	// outcome is what the comparison needs from one run.
+	type outcome struct {
+		equipped, sent int
+		mean, fixRate  float64
+	}
+	var points []point
+	for _, n := range []int{5, 15} {
+		points = append(points, point{n, false}, point{n, true})
+	}
+	runs, err := sweep(ctx, opts, points, func(p point) cocoa.Config {
+		cfg := cocoa.DefaultConfig()
+		cfg.BeaconPeriodS = 100
+		cfg.SecondaryBeacons = p.secondary
+		opts.applyEquipped(&cfg, p.n)
+		return cfg
+	}, func(_ point, cfg cocoa.Config, res *cocoa.Result) outcome {
+		return outcome{cfg.NumEquipped, res.MAC.Sent, res.MeanError(), res.FixRate()}
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ExtensionRow, len(counts))
-	for i := range counts {
-		base, sec := results[2*i], results[2*i+1]
+	out := make([]ExtensionRow, len(runs)/2)
+	for i := range out {
+		base, sec := runs[2*i], runs[2*i+1]
 		out[i] = ExtensionRow{
-			Equipped:          cfgs[2*i].NumEquipped,
-			BaselineMeanM:     base.MeanError(),
-			SecondaryMeanM:    sec.MeanError(),
-			BaselineFixRate:   base.FixRate(),
-			SecondaryFixRate:  sec.FixRate(),
-			ExtraBeaconsOnAir: sec.MAC.Sent - base.MAC.Sent,
+			Equipped:          base.equipped,
+			BaselineMeanM:     base.mean,
+			SecondaryMeanM:    sec.mean,
+			BaselineFixRate:   base.fixRate,
+			SecondaryFixRate:  sec.fixRate,
+			ExtraBeaconsOnAir: sec.sent - base.sent,
 		}
 	}
 	return out, nil
@@ -601,22 +591,14 @@ type AblationPruningRow struct {
 // RunAblationPruning measures SYNC dissemination cost with MRMM's
 // mobility-aware pruning versus plain ODMRP upstream selection.
 func RunAblationPruning(ctx context.Context, opts Options) ([]AblationPruningRow, error) {
-	variants := []bool{true, false}
-	cfgs := make([]cocoa.Config, len(variants))
-	for i, pruning := range variants {
+	return sweep(ctx, opts, []bool{true, false}, func(pruning bool) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.MRMMPruning = pruning
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationPruningRow, len(results))
-	for i, res := range results {
-		out[i] = AblationPruningRow{
-			Pruning:       variants[i],
+		return cfg
+	}, func(pruning bool, _ cocoa.Config, res *cocoa.Result) AblationPruningRow {
+		return AblationPruningRow{
+			Pruning:       pruning,
 			DataSent:      res.MRMM.DataSent,
 			DataDelivered: res.MRMM.DataDelivered,
 			QueriesSent:   res.MRMM.QueriesSent,
@@ -624,8 +606,7 @@ func RunAblationPruning(ctx context.Context, opts Options) ([]AblationPruningRow
 			SyncsReceived: res.SyncsReceived,
 			MeanErrorM:    res.MeanError(),
 		}
-	}
-	return out, nil
+	})
 }
 
 // AblationKRow measures the beacon-redundancy tradeoff.
@@ -640,29 +621,20 @@ type AblationKRow struct {
 // RunAblationK sweeps the per-window beacon count k in {1, 3, 5}: the
 // paper fixes k=3 "for reliability"; this quantifies the choice.
 func RunAblationK(ctx context.Context, opts Options) ([]AblationKRow, error) {
-	ks := []int{1, 3, 5}
-	cfgs := make([]cocoa.Config, len(ks))
-	for i, k := range ks {
+	return sweep(ctx, opts, []int{1, 3, 5}, func(k int) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		cfg.BeaconsPerWindow = k
 		opts.apply(&cfg)
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationKRow, len(results))
-	for i, res := range results {
-		out[i] = AblationKRow{
-			K:            ks[i],
+		return cfg
+	}, func(k int, _ cocoa.Config, res *cocoa.Result) AblationKRow {
+		return AblationKRow{
+			K:            k,
 			MeanErrorM:   res.MeanError(),
 			FixRate:      res.FixRate(),
 			CoordEnergyJ: res.TotalEnergyJ,
 			BeaconsSent:  res.MAC.Sent,
 		}
-	}
-	return out, nil
+	})
 }
 
 // AblationGridRow measures the grid-resolution accuracy/cost tradeoff.
@@ -674,29 +646,20 @@ type AblationGridRow struct {
 
 // RunAblationGrid sweeps the Bayesian grid resolution.
 func RunAblationGrid(ctx context.Context, opts Options) ([]AblationGridRow, error) {
-	cells := []float64{1, 2, 4, 8}
-	cfgs := make([]cocoa.Config, len(cells))
-	for i, cell := range cells {
+	return sweep(ctx, opts, []float64{1, 2, 4, 8}, func(cell float64) cocoa.Config {
 		cfg := cocoa.DefaultConfig()
 		opts.apply(&cfg)
 		cfg.GridCellM = cell // opts may override; the sweep wins
-		cfgs[i] = cfg
-	}
-	results, err := opts.runAll(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationGridRow, len(results))
-	for i, res := range results {
-		nx := int(cfgs[i].Area.Width() / cells[i])
-		ny := int(cfgs[i].Area.Height() / cells[i])
-		out[i] = AblationGridRow{
-			CellM:      cells[i],
+		return cfg
+	}, func(cell float64, cfg cocoa.Config, res *cocoa.Result) AblationGridRow {
+		nx := int(cfg.Area.Width() / cell)
+		ny := int(cfg.Area.Height() / cell)
+		return AblationGridRow{
+			CellM:      cell,
 			MeanErrorM: res.MeanError(),
 			WallSenseN: nx * ny,
 		}
-	}
-	return out, nil
+	})
 }
 
 // SteadyStateMean averages a curve past the warm-up prefix (the first

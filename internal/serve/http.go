@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -102,9 +103,27 @@ const retryAfter = "1"
 // while keeping a client from streaming an unbounded body into the decoder.
 const maxSubmitBody = 1 << 20
 
+// decodeOne decodes the single JSON value r holds into v. Anything but
+// whitespace after the value is an error, so a body that concatenates
+// requests is refused instead of queuing its first one.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	default:
+		return errors.New("trailing data after the request object")
+	}
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+	if err := decodeOne(http.MaxBytesReader(w, r.Body, maxSubmitBody), &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})

@@ -311,6 +311,38 @@ func TestSubmitBodyCap(t *testing.T) {
 	}
 }
 
+// A submit body holds exactly one JSON value. Data after it is a 400 that
+// creates no job, even when the first value is a valid request; trailing
+// whitespace is fine.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	const req = `{"experiment":"fig1","options":{"calibration_samples":20000}}`
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		req + ` {"experiment":"nope"} garbage`,
+		req + `}`,
+		req + ` 7`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400", body, code)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused bodies created %d jobs", len(jobs))
+	}
+	if code := post(req + "\n \t\n"); code != http.StatusAccepted {
+		t.Errorf("trailing whitespace: status %d, want 202", code)
+	}
+}
+
 // A client built against a release that still had Config.NeighborIndex and
 // Config.GridStats may keep sending them. The keys are ignored: the job is
 // accepted and serves the bytes of the same config without them.
