@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test vet race fuzz shuffle check bench bench-smoke \
-	perfbench-check cover cover-check serve-smoke full-golden clean
+	perfbench-check cover cover-check full-golden clean
 
 all: build
 
@@ -54,14 +54,6 @@ cover:
 cover-check:
 	$(GO) test -cover ./... | $(GO) run ./cmd/covergate -floors coverage_floor.txt
 
-# serve-smoke boots the cocoad service on a loopback port, submits the
-# odometry golden family through the real HTTP API, and requires the
-# served result's summary to be byte-identical to the checked-in golden
-# file — the end-to-end proof that the service layer adds scheduling,
-# never semantics.
-serve-smoke:
-	$(GO) run ./cmd/cocoad -smoke internal/scenario/testdata/golden_odometry.json
-
 # full-golden runs the whole evaluation suite at paper scale (about a minute
 # on 2 CPUs) and requires its output to equal results_full.txt, apart from
 # the "total wall time:" trailer. It is too slow for check; run it when a
@@ -82,10 +74,11 @@ full-golden:
 # motion-leg/RSSI-gate targets, a one-iteration benchmark smoke so
 # bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
-# floor gate, the cocoad end-to-end smoke, and two shuffled reruns of the
-# whole suite. Performance is gated by the repeated, host-normalised
-# perfbench runs that BENCHMARK.json declares, not here.
-check: vet race fuzz shuffle bench-smoke perfbench-check cover-check serve-smoke
+# floor gate, and two shuffled reruns of the whole suite. The cocoad
+# end-to-end checks (served bytes equal direct runs, /metrics lints clean)
+# are tests inside race and shuffle. Performance is gated by the repeated,
+# host-normalised perfbench runs that BENCHMARK.json declares, not here.
+check: vet race fuzz shuffle bench-smoke perfbench-check cover-check
 
 # bench regenerates every paper figure at reduced scale, including the
 # serial-vs-parallel engine pair (BenchmarkReplication*).

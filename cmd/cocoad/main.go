@@ -20,8 +20,7 @@
 // past it the remaining jobs are canceled cooperatively.
 //
 // Results are byte-identical to direct cocoa.Run calls at any worker
-// count; `cocoad -smoke <golden.json>` proves it end to end against the
-// checked-in golden summaries.
+// count.
 package main
 
 import (
@@ -49,8 +48,8 @@ func main() {
 	}
 }
 
-// run serves until SIGTERM or SIGINT (or runs the -smoke check), writing
-// flag errors, logs and smoke reports to stderr.
+// run serves until SIGTERM or SIGINT, writing flag errors and logs to
+// stderr.
 func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cocoad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -62,7 +61,6 @@ func run(args []string, stderr io.Writer) error {
 		maxTimeout   = fs.Duration("max-job-timeout", 0, "cap on requested per-job deadlines (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 		debugAddr    = fs.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this private address")
-		smoke        = fs.String("smoke", "", "run the golden smoke check against this testdata file and exit")
 		stateDir     = fs.String("state-dir", "", "persist job state beneath this directory and resume interrupted jobs on startup")
 	)
 	logOpts := obs.AddLogFlags(fs)
@@ -91,10 +89,6 @@ func run(args []string, stderr io.Writer) error {
 		StateDir:       *stateDir,
 		Logger:         logger,
 	})
-
-	if *smoke != "" {
-		return runSmoke(srv, *smoke, stderr)
-	}
 
 	// With a state directory, pick up whatever a previous process left
 	// behind before opening the listener: recovered jobs re-enter the

@@ -2,66 +2,31 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"cocoa/internal/serve"
 )
 
-func TestSmokeFamily(t *testing.T) {
-	cases := []struct {
-		path, want string
-		wantErr    bool
-	}{
-		{"internal/scenario/testdata/golden_odometry.json", "odometry", false},
-		{"golden_rf-only.json", "rf-only", false},
-		{"/abs/path/golden_faults.json", "faults", false},
-		{"notgolden.json", "", true},
-		{"golden_.json", "", false}, // empty family; rejected later by QuickFamilies lookup
-	}
-	for _, tc := range cases {
-		got, err := smokeFamily(tc.path)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("smokeFamily(%q) err = %v, wantErr %v", tc.path, err, tc.wantErr)
-			continue
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("smokeFamily(%q) = %q, want %q", tc.path, got, tc.want)
-		}
-	}
-}
-
-// TestRunSmokeEndToEnd exercises the full daemon path the way `make
-// serve-smoke` does: real HTTP server, real simulation, byte-compare
-// against the checked-in golden summary.
-func TestRunSmokeEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full golden simulation; skipped in -short")
-	}
-	golden := filepath.Join("..", "..", "internal", "scenario", "testdata", "golden_odometry.json")
-	if err := run([]string{"-smoke", golden, "-workers", "2"}, io.Discard); err != nil {
-		t.Fatalf("smoke: %v", err)
-	}
-}
-
-func TestRunSmokeUnknownFamily(t *testing.T) {
-	srv := serve.New(serve.Config{Workers: 1})
-	if err := runSmoke(srv, "golden_nosuch.json", io.Discard); err == nil || !strings.Contains(err.Error(), "unknown golden family") {
-		t.Fatalf("err = %v, want unknown family", err)
-	}
-	if err := runSmoke(srv, "bogus.json", io.Discard); err == nil {
-		t.Fatal("expected error for non-golden path")
-	}
-}
-
+// Each bad flag value fails run with an error naming it. A usable
+// -debug-addr starts the debug server before the public listener opens, so
+// an unusable -addr fails only after the debug server announced itself.
 func TestRunFlagErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-nonsense"}, &buf); err == nil {
-		t.Fatal("expected flag parse error")
-	}
-	if err := run([]string{"-addr", "256.0.0.1:99999"}, &buf); err == nil {
-		t.Fatal("expected listen error for bad address")
+	for _, tc := range []struct {
+		args      []string
+		want, log string
+	}{
+		{[]string{"-nonsense"}, "flag provided but not defined", ""},
+		{[]string{"-smoke", "golden_odometry.json"}, "flag provided but not defined", ""},
+		{[]string{"-log-level", "nope"}, "unknown log level", ""},
+		{[]string{"-debug-addr", "256.0.0.1:bad"}, "debug server", ""},
+		{[]string{"-addr", "256.0.0.1:99999"}, "listen", ""},
+		{[]string{"-debug-addr", "127.0.0.1:0", "-addr", "256.0.0.1:99999"}, "listen", "debug server listening"},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.args, &buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if !strings.Contains(buf.String(), tc.log) {
+			t.Errorf("run(%q) logged %q, want it to contain %q", tc.args, buf.String(), tc.log)
+		}
 	}
 }

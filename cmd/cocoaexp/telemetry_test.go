@@ -16,21 +16,18 @@ import (
 	"cocoa/internal/telemetry"
 )
 
-// resetTelemetry restores the process-global registry around a test that
-// enables it; counters accumulated by one test must not leak asserts
-// into another.
-func resetTelemetry(t *testing.T) {
+// restoreTelemetryEnabled restores the process-global registry's enable
+// flag around a test that turns it on. No test zeroes the registry: the
+// delta tables are Diffs of two snapshots, and the snapshot test only
+// requires counters to have moved.
+func restoreTelemetryEnabled(t *testing.T) {
 	t.Helper()
 	wasEnabled := telemetry.Default.Enabled()
-	t.Cleanup(func() {
-		telemetry.Default.SetEnabled(wasEnabled)
-		telemetry.Default.Reset()
-	})
-	telemetry.Default.Reset()
+	t.Cleanup(func() { telemetry.Default.SetEnabled(wasEnabled) })
 }
 
 func TestTelemetryFlagWritesSnapshot(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	path := filepath.Join(t.TempDir(), "telem.json")
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-quick", "-fig", "rob-replication", "-telemetry", path}, &buf, io.Discard); err != nil {
@@ -63,7 +60,7 @@ func TestTelemetryFlagWritesSnapshot(t *testing.T) {
 }
 
 func TestTelemetryFlagInvalidPath(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	var buf bytes.Buffer
 	err := run(context.Background(), []string{"-quick", "-fig", "1", "-telemetry", filepath.Join(t.TempDir(), "no", "such", "dir", "t.json")}, &buf, io.Discard)
 	if err == nil {
@@ -74,7 +71,7 @@ func TestTelemetryFlagInvalidPath(t *testing.T) {
 // Snapshot names must be sorted and unique in every category — the
 // stable-order contract downstream diffing depends on.
 func TestSnapshotRegistryNamesStable(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	telemetry.Default.SetEnabled(true)
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-quick", "-fig", "failures"}, &buf, io.Discard); err != nil {
@@ -114,7 +111,7 @@ func TestSnapshotRegistryNamesStable(t *testing.T) {
 // -telemetry composes with -cpuprofile: both files must materialize and
 // the run must succeed.
 func TestTelemetryWithCPUProfile(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	dir := t.TempDir()
 	telem := filepath.Join(dir, "t.json")
 	prof := filepath.Join(dir, "cpu.pprof")
@@ -130,7 +127,7 @@ func TestTelemetryWithCPUProfile(t *testing.T) {
 }
 
 func TestDebugAddrServesExpvarAndPprof(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	var buf, errBuf bytes.Buffer
 	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "127.0.0.1:0"}, &buf, &errBuf); err != nil {
 		t.Fatal(err)
@@ -177,7 +174,7 @@ func TestDebugAddrServesExpvarAndPprof(t *testing.T) {
 }
 
 func TestDebugAddrInvalid(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "256.0.0.1:bad"}, &buf, io.Discard); err == nil {
 		t.Fatal("unusable -debug-addr accepted")
@@ -188,10 +185,9 @@ func TestDebugAddrInvalid(t *testing.T) {
 // delta table to the progress stream — and those deltas are identical at
 // any parallelism, because only sim-deterministic quantities print.
 func TestTelemetryDeltaTableDeterministic(t *testing.T) {
-	resetTelemetry(t)
+	restoreTelemetryEnabled(t)
 	table := func(parallel int) string {
 		t.Helper()
-		telemetry.Default.Reset()
 		path := filepath.Join(t.TempDir(), "t.json")
 		var buf, errBuf bytes.Buffer
 		args := []string{"-quick", "-fig", "failures", "-progress",

@@ -1,6 +1,7 @@
 package cocoa_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -8,7 +9,9 @@ import (
 	"testing"
 
 	"cocoa/internal/cocoa"
+	"cocoa/internal/obs"
 	"cocoa/internal/scenario"
+	"cocoa/internal/telemetry"
 )
 
 // The spatial neighbor index (DESIGN.md §12) is a performance device with a
@@ -74,10 +77,12 @@ func volatileCounter(name string) bool {
 
 // TestIndexEquivalenceTelemetry compares full telemetry snapshots of a
 // fault-injected run (crashes exercise Detach/re-Attach compaction) under
-// both index settings: every sim-deterministic counter must agree.
+// both index settings: every sim-deterministic counter must agree. The
+// grid run's snapshot, histograms included, must also render as
+// exposition text the strict linter accepts.
 func TestIndexEquivalenceTelemetry(t *testing.T) {
 	t.Parallel()
-	snap := func(ctx context.Context) map[string]int64 {
+	snap := func(ctx context.Context) (map[string]int64, telemetry.Snapshot) {
 		team, err := cocoa.NewTeamContext(ctx, scenario.QuickFamilies()["faults"])
 		if err != nil {
 			t.Fatal(err)
@@ -85,17 +90,31 @@ func TestIndexEquivalenceTelemetry(t *testing.T) {
 		if _, err := team.RunContext(ctx); err != nil {
 			t.Fatal(err)
 		}
+		tel := team.Telemetry()
 		out := map[string]int64{}
-		for _, c := range team.Telemetry().Counters {
+		for _, c := range tel.Counters {
 			if !volatileCounter(c.Name) {
 				out[c.Name] = c.Value
 			}
 		}
-		return out
+		return out, tel
 	}
 
-	grid := snap(context.Background())
-	scan := snap(cocoa.WithScanIndex(context.Background()))
+	grid, tel := snap(context.Background())
+	scan, _ := snap(cocoa.WithScanIndex(context.Background()))
+	var text bytes.Buffer
+	if err := obs.WriteMetrics(&text, tel, nil); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.LintReader(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sim_heap_depth", "cocoa_flush_busy_robots", "cocoa_beacon_queue_depth"} {
+		if exp.Families[name] == nil {
+			t.Errorf("exposition lacks the %s histogram", name)
+		}
+	}
 	if !reflect.DeepEqual(grid, scan) {
 		for name, v := range grid {
 			if scan[name] != v {

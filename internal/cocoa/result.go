@@ -267,8 +267,8 @@ func (r *Result) UncoveredFraction() float64 {
 
 // Summary is the one projection of a Result the repo writes out: the
 // headline metrics each figure family reports, plus protocol counters
-// sensitive to ordering bugs. The golden regression suite and the service
-// smoke test (cocoad -smoke) compare it byte for byte against
+// sensitive to ordering bugs. The golden regression suite compares it,
+// taken from a Result after a JSON round trip, byte for byte against
 // internal/scenario/testdata/golden_*.json, and cocoasim -json embeds it.
 // Floats are stored at full precision — runs are bit-deterministic, so
 // exact equality is the right bar.

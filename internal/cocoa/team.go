@@ -328,8 +328,8 @@ func (t *Team) lookupPDF(rssiDBm float64) (bayes.DistanceDensity, bool) {
 	return pdf, true
 }
 
-// Table exposes the calibrated PDF table (nil in odometry-only mode), used
-// by the Figure 1 experiment.
+// Table exposes the calibrated PDF table the team localizes with (nil in
+// odometry-only mode).
 func (t *Team) Table() *caltable.Table { return t.table }
 
 // Run executes the deployment and collects the result. A team can run only

@@ -9,8 +9,8 @@
 //     with +Inf), and span — plus Go runtime metrics and caller-supplied
 //     Samples in the text format any Prometheus scraper ingests; Handler
 //     wraps it as GET /metrics. ParseExposition / Lint form the in-repo
-//     parser the tests and the cocoad smoke path validate that output
-//     with, so the format can never drift unchecked.
+//     parser the tests validate that output with, so the format can
+//     never drift unchecked.
 //   - Live progress: Progress is a lock-free gauge the simulation loop
 //     publishes its tick position (and a sweep its run index) through —
 //     one atomic store per tick, safe to read from any goroutine, with an

@@ -397,8 +397,8 @@ func lintHistogram(fam *MetricFamily) []error {
 }
 
 // LintReader parses and lints in one step, returning the parsed
-// exposition for content assertions — the shape the cocoad smoke path
-// and make check use against a live /metrics scrape.
+// exposition for content assertions, as the tests do against a live
+// /metrics scrape and a run's rendered telemetry.
 func LintReader(r io.Reader) (*Exposition, error) {
 	exp, err := ParseExposition(r)
 	if err != nil {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -14,7 +15,10 @@ import (
 // family. Every run is seed-deterministic, so the summaries must match
 // the checked-in files byte for byte — any drift in the simulation,
 // MAC, localization, or energy model shows up here as a diff against
-// testdata/golden_<family>.json. Regenerate deliberately with
+// testdata/golden_<family>.json. Each summary is taken from the Result
+// after a JSON round trip, so a golden match also proves that the bytes
+// cocoad serves carry the direct run's outcome. Regenerate deliberately
+// with
 //
 //	go test ./internal/scenario/ -run TestGolden -update
 
@@ -27,7 +31,25 @@ func TestGoldenRegression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.MarshalIndent(res.Summary(), "", "  ")
+			// Summarize the Result as a cocoad client sees it: decoded
+			// from the JSON the service serves, which must re-encode to
+			// the same bytes.
+			served, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded cocoa.Result
+			if err := json.Unmarshal(served, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			again, err := json.Marshal(&decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, served) {
+				t.Errorf("%s: Result does not survive a JSON round trip", family)
+			}
+			got, err := json.MarshalIndent(decoded.Summary(), "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

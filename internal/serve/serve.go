@@ -194,7 +194,8 @@ type Job struct {
 	// (completed runs) publish through it lock-free; Status reads it on
 	// demand. trace marks JobRequest.Trace jobs, whose span trace is
 	// rendered from the run's events into traceJSON on success. log
-	// carries the job's ID and kind as pre-bound attrs.
+	// carries the job's ID and kind as pre-bound attrs; enqueue sets it
+	// before the job can reach the pool.
 	progress *obs.Progress
 	trace    bool
 	log      *slog.Logger
@@ -215,15 +216,6 @@ func newJob(resumed bool) *Job {
 
 // ID returns the job's unique identifier.
 func (j *Job) ID() string { return j.id }
-
-// logger returns the job's bound logger, discarding when none was wired
-// (jobs constructed outside a Server, as some tests do).
-func (j *Job) logger() *slog.Logger {
-	if j.log == nil {
-		return obs.NopLogger()
-	}
-	return j.log
-}
 
 // statusLocked assembles the wire snapshot; callers hold j.mu. The run
 // count, live tick position and ETA come from the lock-free progress
@@ -324,7 +316,7 @@ func (j *Job) setRunning() {
 			j.state = StateResumed
 		}
 		j.broadcast()
-		j.logger().Info("job started", "state", string(j.state))
+		j.log.Info("job started", "state", string(j.state))
 	}
 }
 
@@ -341,17 +333,17 @@ func (j *Job) finalize(b []byte, err error) {
 		_, total := j.progress.Run()
 		j.progress.SetRun(total, total)
 		telCompleted.Inc()
-		j.logger().Info("job done", "runs", total, "result_bytes", len(b))
+		j.log.Info("job done", "runs", total, "result_bytes", len(b))
 	case errors.Is(err, context.Canceled):
 		j.state = StateCanceled
 		j.errMsg = "canceled"
 		telCanceled.Inc()
-		j.logger().Info("job canceled")
+		j.log.Info("job canceled")
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
 		telFailed.Inc()
-		j.logger().Warn("job failed", "error", j.errMsg)
+		j.log.Warn("job failed", "error", j.errMsg)
 	}
 	j.broadcast()
 }
@@ -557,7 +549,7 @@ func (s *Server) enqueue(req JobRequest, j *Job, exec func(ctx context.Context) 
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	telAccepted.Inc()
-	j.logger().Info("job accepted", "resumed", j.resumed, "trace", j.trace)
+	j.log.Info("job accepted", "resumed", j.resumed, "trace", j.trace)
 	return j, nil
 }
 
@@ -752,7 +744,7 @@ func (s *Server) finishState(j *Job, err error) {
 	if !errors.Is(err, context.Canceled) || j.userCanceled() {
 		// A record that outlives its job reruns it after a restart.
 		if err := os.Remove(j.record); err != nil {
-			j.logger().Warn("release job record failed", "path", j.record, "error", err.Error())
+			j.log.Warn("release job record failed", "path", j.record, "error", err.Error())
 		}
 	}
 }

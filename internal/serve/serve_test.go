@@ -803,9 +803,9 @@ func TestTimeoutPolicyClamping(t *testing.T) {
 	}
 }
 
-func TestSmokeFamilyParsing(t *testing.T) {
-	// The debug mux is part of this package's surface; start it on :0 to
-	// cover the listener path alongside a vars probe.
+// The debug mux is part of this package's surface; start it on :0 to
+// cover the listener path alongside a vars probe.
+func TestDebugServerServesVars(t *testing.T) {
 	addr, err := StartDebugServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func NewRegistry() *Registry {
 
 // SetEnabled turns run publication on or off: a simulation run checks
 // Enabled once, when it ends. Registered instruments record regardless.
-// Disabling does not clear recorded values; Reset does.
+// Disabling does not clear recorded values.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
 // Enabled reports whether runs publish into the registry.
@@ -114,31 +114,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // Span returns the named span, creating it on first use.
 func (r *Registry) Span(name string) *Span {
 	return lookup(r, r.spans, name, func() *Span { return &Span{} })
-}
-
-// Reset zeroes every registered instrument. The instruments themselves
-// stay registered (package-level holders remain valid).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-	}
-	for _, s := range r.spans {
-		s.count.Store(0)
-		s.totalNs.Store(0)
-		s.maxNs.Store(0)
-	}
 }
 
 // Counter is a monotonic event count.

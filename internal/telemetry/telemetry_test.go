@@ -155,26 +155,6 @@ func TestSnapshotStableOrder(t *testing.T) {
 	}
 }
 
-func TestResetZeroesEverything(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	c.Add(9)
-	g := r.Gauge("g")
-	g.Set(4)
-	h := observe(r, "h", []float64{1}, 1)
-	s := r.Span("s")
-	s.Observe(2 * time.Second)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || s.Count() != 0 || s.TotalNs() != 0 {
-		t.Error("Reset left residue")
-	}
-	// The instruments stay live after Reset.
-	c.Inc()
-	if c.Value() != 1 {
-		t.Error("counter dead after Reset")
-	}
-}
-
 func TestDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
