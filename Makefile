@@ -74,7 +74,10 @@ full-golden:
 # motion-leg/RSSI-gate targets, a one-iteration benchmark smoke so
 # bench-only code paths cannot rot between bench runs,
 # the repository benchmark's own vet and tests, the per-package coverage
-# floor gate, and two shuffled reruns of the whole suite. The cocoad
+# floor gate, and two shuffled reruns of the whole suite. Those reruns are
+# the non-race step, so they are where the allocation guards run
+# (TestWarmSlotAllocsFlatInTraffic, TestWarmRoundTripAllocsZero), which
+# skip under -race because its instrumentation allocates. The cocoad
 # end-to-end checks (served bytes equal direct runs, /metrics lints clean)
 # are tests inside race and shuffle. Performance is gated by the repeated,
 # host-normalised perfbench runs that BENCHMARK.json declares, not here.

@@ -74,10 +74,11 @@ func run(args []string, stderr io.Writer) error {
 
 	telemetry.Default.SetEnabled(true)
 	if *debugAddr != "" {
-		actual, err := serve.StartDebugServer(*debugAddr)
+		actual, stopDebug, err := serve.StartDebugServer(*debugAddr)
 		if err != nil {
 			return err
 		}
+		defer stopDebug()
 		logger.Info("debug server listening", "addr", "http://"+actual+"/debug/vars")
 	}
 

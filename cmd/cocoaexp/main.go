@@ -92,12 +92,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		telemetry.Default.SetEnabled(true)
 	}
 	if *debugAddr != "" {
-		// Serves expvar + pprof for the rest of the process; the actual
-		// address is logged so ":0" works.
-		actual, err := serve.StartDebugServer(*debugAddr)
+		// Serves expvar + pprof until run returns; the actual address is
+		// logged so ":0" works.
+		actual, stopDebug, err := serve.StartDebugServer(*debugAddr)
 		if err != nil {
 			return err
 		}
+		defer stopDebug()
 		logger.Info("debug server listening", "addr", "http://"+actual+"/debug/vars")
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +12,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"cocoa/internal/telemetry"
 )
@@ -126,21 +129,54 @@ func TestTelemetryWithCPUProfile(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a bytes.Buffer safe for run's logger to write while the
+// test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// The debug server serves expvar and pprof while a sweep is in flight, and
+// run closes it before returning. The paper-scale replication sweep runs
+// five deployments one after another, so the probes land after the first
+// and well before the last; the test then cancels the sweep.
 func TestDebugAddrServesExpvarAndPprof(t *testing.T) {
 	restoreTelemetryEnabled(t)
-	var buf, errBuf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-fig", "1", "-debug-addr", "127.0.0.1:0"}, &buf, &errBuf); err != nil {
-		t.Fatal(err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var errBuf lockedBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-parallel", "1", "-fig", "rob-replication", "-debug-addr", "127.0.0.1:0"}, io.Discard, &errBuf)
+	}()
+
 	// The actual address is announced on stderr.
-	line := errBuf.String()
 	const marker = "http://"
-	i := strings.Index(line, marker)
-	if i < 0 {
-		t.Fatalf("no listen address announced: %q", line)
+	deadline := time.Now().Add(time.Minute)
+	var base string
+	for base == "" {
+		if line := errBuf.String(); strings.Contains(line, "/debug/vars") {
+			i := strings.Index(line, marker)
+			base = strings.TrimSuffix(strings.Fields(line[i:])[0], "/debug/vars")
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no listen address announced: %q", errBuf.String())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	base := strings.TrimSpace(line[i:])
-	base = strings.TrimSuffix(base, "/debug/vars")
 
 	get := func(path string) []byte {
 		t.Helper()
@@ -159,17 +195,37 @@ func TestDebugAddrServesExpvarAndPprof(t *testing.T) {
 		return b
 	}
 
-	var vars struct {
-		Telemetry telemetry.Snapshot `json:"telemetry"`
-	}
-	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
-		t.Fatalf("expvar payload not JSON: %v", err)
-	}
-	if !vars.Telemetry.Enabled || len(vars.Telemetry.Counters) == 0 {
-		t.Errorf("expvar telemetry empty: %+v", vars.Telemetry)
+	// Run-layer counters publish as runs finish; wait for the first.
+	for {
+		var vars struct {
+			Telemetry telemetry.Snapshot `json:"telemetry"`
+		}
+		if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
+			t.Fatalf("expvar payload not JSON: %v", err)
+		}
+		ran := false
+		for _, c := range vars.Telemetry.Counters {
+			ran = ran || c.Name == "mac.sent" && c.Value > 0
+		}
+		if vars.Telemetry.Enabled && ran {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("expvar telemetry never counted a run: %+v", vars.Telemetry)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if !bytes.Contains(get("/debug/pprof/"), []byte("profile")) {
 		t.Error("pprof index missing profile links")
+	}
+
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	if resp, err := http.Get(base + "/debug/vars"); err == nil {
+		resp.Body.Close()
+		t.Error("debug server still serving after run returned")
 	}
 }
 

@@ -43,7 +43,7 @@ func parallelCases() map[string]Config {
 	return cases
 }
 
-func TestUpdateWorkersByteIdentical(t *testing.T) {
+func TestFlushWorkerCountsByteIdentical(t *testing.T) {
 	for name, cfg := range parallelCases() {
 		t.Run(name, func(t *testing.T) {
 			var ref *Result

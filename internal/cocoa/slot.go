@@ -8,6 +8,7 @@ import (
 
 	"cocoa/internal/bayes"
 	"cocoa/internal/mac"
+	"cocoa/internal/mrmm"
 	"cocoa/internal/sim"
 )
 
@@ -25,7 +26,8 @@ import (
 //     particle filter, beacon queue, and event handlers bound once,
 //   - the per-robot belief grids (reused via bayes.Grid.Reset whenever the
 //     area and cell size match),
-//   - the flush's busy-robot scratch list and the beacon payload arena.
+//   - the flush's busy-robot scratch list, and the storage the payloads of
+//     beacon and MRMM frames on the air point into (mac.Arena).
 //
 // A new slot and a warm one run the same construction code (newTeam): the
 // first use only finds nothing to keep. Reuse is invisible in the results:
@@ -54,8 +56,11 @@ type slot struct {
 	robots []*robot
 	// busy is flushBeaconQueues' scratch list.
 	busy []*robot
-	// beacons holds the payloads of the beacons on the air.
-	beacons beaconArena
+	// beacons and mesh hold the payloads of the beacon and MRMM frames on
+	// the air, so sending one boxes no value into its frame. Both start
+	// over once med has been idle (mac.Arena.Next).
+	beacons mac.Arena[BeaconPayload]
+	mesh    *mrmm.Frames
 
 	// grids is the belief-grid arena: grids[:gridsUsed] are handed out to
 	// the current team, the rest are free for reuse.
@@ -70,7 +75,9 @@ type slot struct {
 // newSlot returns an empty slot. The first team built on it allocates
 // everything; later teams recycle.
 func newSlot() *slot {
-	return &slot{sim: sim.New(), rngs: sim.NewRNGPool()}
+	s := &slot{sim: sim.New(), rngs: sim.NewRNGPool()}
+	s.mesh = mrmm.NewFrames(&s.med)
+	return s
 }
 
 // begin opens a new run on the slot: it recycles the simulator, the stream
@@ -81,33 +88,7 @@ func (s *slot) begin(seed int64) (*sim.Simulator, *sim.RNG) {
 	s.sim.Reset()
 	s.rngs.Recycle()
 	s.gridsUsed = 0
-	s.beacons.used = 0
 	return s.sim, s.rngs.Root(seed)
-}
-
-// beaconChunk is how many payloads a beaconArena chunk holds.
-const beaconChunk = 256
-
-// beaconArena holds the payloads of a run's beacons. Beacon frames carry a
-// pointer into it, so sending one boxes no BeaconPayload into the frame (an
-// allocation per beacon). The sender reuses the entries from the first one
-// whenever the medium is idle (mac.Medium.Idle): no frame then references
-// any. Chunks never move, so the arena holds the most beacons ever on the
-// air at once.
-type beaconArena struct {
-	chunks []*[beaconChunk]BeaconPayload
-	used   int
-}
-
-// next returns an unused entry.
-func (a *beaconArena) next() *BeaconPayload {
-	c := a.used / beaconChunk
-	if c == len(a.chunks) {
-		a.chunks = append(a.chunks, new([beaconChunk]BeaconPayload))
-	}
-	p := &a.chunks[c][a.used%beaconChunk]
-	a.used++
-	return p
 }
 
 // robotSlab returns the slot's first n robots, creating the missing ones

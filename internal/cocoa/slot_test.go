@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -467,6 +468,55 @@ func TestScratchReuseAllocs(t *testing.T) {
 	if reusedBytes > freshBytes/3 {
 		t.Errorf("warm-slot run allocates %.0f B, new-slot %.0f B: want at least a 3x drop",
 			reusedBytes, freshBytes)
+	}
+}
+
+// A run on a warm slot allocates per window, not per frame: the MAC's
+// backoff retries and the beacon and MRMM payloads are pooled, so four
+// beacons per window — four times the beacons, and more CSMA retries, over
+// the same windows — allocate no more objects than one.
+func TestWarmSlotAllocsFlatInTraffic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	quick := func(beacons int) Config {
+		cfg := DefaultConfig() // the paper deployment at the quick scale
+		cfg.NumEquipped = int(float64(cfg.NumEquipped)/float64(cfg.NumRobots)*12 + 0.5)
+		cfg.NumRobots = 12
+		cfg.DurationS = 300
+		cfg.Calibration.Samples = 60000
+		cfg.GridCellM = 4
+		cfg.BeaconsPerWindow = beacons
+		return cfg
+	}
+	one, four := quick(1), quick(4)
+	ctx := WithFlushWorkers(context.Background(), 1)
+	var p slotPool
+	run := func(cfg Config) *Result {
+		res, err := p.run(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Size the slot for the busier run, and warm the calibration cache.
+	busy, quiet := run(four), run(one)
+	t.Logf("frames and retries per run: %d and %d at 1 beacon per window, %d and %d at 4",
+		quiet.MAC.TxRequests, quiet.MAC.BackoffEvents, busy.MAC.TxRequests, busy.MAC.BackoffEvents)
+	// A per-frame or per-retry allocation must show above the tolerance.
+	if busy.MAC.BackoffEvents < quiet.MAC.BackoffEvents+10 || busy.MAC.TxRequests < quiet.MAC.TxRequests+10 {
+		t.Fatal("4 beacons per window add too little traffic for the guard to see")
+	}
+	p.release(busy)
+	p.release(quiet)
+	allocs := func(cfg Config) float64 {
+		return testing.AllocsPerRun(3, func() { p.release(run(cfg)) })
+	}
+	oneAllocs, fourAllocs := allocs(one), allocs(four)
+	t.Logf("objects per warm run: %.0f at 1 beacon per window, %.0f at 4", oneAllocs, fourAllocs)
+	if math.Abs(fourAllocs-oneAllocs) > 2 {
+		t.Errorf("warm runs allocate %.0f objects at 4 beacons per window, %.0f at 1: allocation grows with traffic",
+			fourAllocs, oneAllocs)
 	}
 }
 

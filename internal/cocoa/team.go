@@ -224,7 +224,7 @@ func newTeam(cfg Config, sl *slot, ref reference) (*Team, error) {
 			r.nic.Handle(network.KindBeacon, r.on.beacon)
 		}
 
-		if err := r.mesh.Init(s, &r.nic, mrmmCfg, root.StreamN("mrmm", id), r.on.mobility); err != nil {
+		if err := r.mesh.Init(s, &r.nic, mrmmCfg, root.StreamN("mrmm", id), sl.mesh, r.on.mobility); err != nil {
 			return nil, err
 		}
 		r.proto = &r.mesh
@@ -602,11 +602,7 @@ func (t *Team) sendBeacon(r *robot) {
 	}
 	now := t.sim.Now()
 	pos := r.truePos(now)
-	arena := &t.slot.beacons
-	if t.med.Idle() {
-		arena.used = 0
-	}
-	payload := arena.next()
+	payload := t.slot.beacons.Next(t.med)
 	*payload = BeaconPayload{Sender: r.id, Pos: pos}
 	if !r.equipped {
 		// Secondary beacon: advertise the estimate, not the truth — the

@@ -322,11 +322,12 @@ func (g *gridIndex) collect(p geom.Vec2, pruneFar2 float64, ordered []*station) 
 	for dy := int64(-1); dy <= 1; dy++ {
 		for dx := int64(-1); dx <= 1; dx++ {
 			b := g.cells.get(gridKey{k.x + dx, k.y + dy})
+			// Every entry ORs its prune outcome in, so the loop has no
+			// branch to mispredict (about a third of entries are pruned).
 			for i := range b {
-				if p.Dist2(b[i].ipos) < pruneFar2 {
-					r := b[i].rank
-					g.marks[r>>6] |= 1 << (r & 63)
-				}
+				in := bit(p.Dist2(b[i].ipos) < pruneFar2)
+				r := b[i].rank
+				g.marks[r>>6] |= in << (r & 63)
 			}
 		}
 	}
@@ -340,6 +341,16 @@ func (g *gridIndex) collect(p geom.Vec2, pruneFar2 float64, ordered []*station) 
 		}
 	}
 	return g.cand
+}
+
+// bit returns 1 for true and 0 for false; the compiler emits it as a
+// flag set, without a branch.
+func bit(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // addTx buckets an in-flight transmission by its frozen origin.

@@ -171,6 +171,16 @@ type transmission struct {
 	endFrame func()
 }
 
+// backoff is one frame waiting out a contention backoff: the carrier-sense
+// round attempt will run at the end of it. Its run event is bound once per
+// pooled record (newBackoff), so a retry allocates no closure.
+type backoff struct {
+	st          *station
+	f           Frame
+	attempt, cw int
+	run         func()
+}
+
 // reception tracks one (transmission, receiver) pair in progress.
 type reception struct {
 	tx        *transmission
@@ -216,7 +226,10 @@ type Medium struct {
 	// queued counts the frames Send accepted that are not finished yet:
 	// contending for the channel, or on the air until finishReceptions.
 	queued int
-	stats  Stats
+	// idles counts the times queued fell to zero, and every Init, over the
+	// medium's life: an Arena that saw another count last is free again.
+	idles uint64
+	stats Stats
 	// freeRec and freeTx recycle reception/transmission structs: a dense
 	// deployment starts tens of thousands of receptions per run, and each
 	// one is dead by end-of-frame. freeSt holds the stations of the
@@ -224,6 +237,10 @@ type Medium struct {
 	freeRec []*reception
 	freeTx  []*transmission
 	freeSt  []*station
+	// backoffs is every backoff record m has made and freeBackoff those not
+	// scheduled. Init frees them all: the events of pending ones are gone
+	// with the previous simulator.
+	backoffs, freeBackoff []*backoff
 	// recLive and txLive count the pooled structs in use, and recPeak and
 	// txPeak their highs since Init: the pool telemetry counts a miss
 	// whenever a get sets a new high — exactly when a pool emptied at
@@ -283,12 +300,12 @@ func NewMedium(s *sim.Simulator, cfg Config, rng *sim.RNG) (*Medium, error) {
 
 // Init rewinds m, in place, to the medium NewMedium returns: no stations,
 // nothing in flight, zero counts. It keeps the memory of the previous
-// configuration for reuse — the reception, transmission and station
-// pools, the station map and list, the spatial index's buckets, and the
+// configuration for reuse — the reception, transmission, station and
+// backoff pools, the station map and list, the spatial index's buckets, and the
 // ceiling table — so re-initialising a medium for a run of the same size
-// allocates nothing. Frames the previous run left on the air are
-// discarded; their end-of-frame events must be gone with the simulator
-// they were scheduled on (sim.Simulator.Reset). On error m is unusable
+// allocates nothing. Frames the previous run left on the air or in backoff
+// are discarded; their events must be gone with the simulator they were
+// scheduled on (sim.Simulator.Reset). On error m is unusable
 // until a later Init succeeds.
 func (m *Medium) Init(s *sim.Simulator, cfg Config, rng *sim.RNG) error {
 	if err := cfg.Validate(); err != nil {
@@ -299,6 +316,9 @@ func (m *Medium) Init(s *sim.Simulator, cfg Config, rng *sim.RNG) error {
 			m.releaseReception(rec)
 		}
 		m.releaseTransmission(tx)
+	}
+	for _, b := range m.backoffs {
+		*b = backoff{run: b.run}
 	}
 	for _, st := range m.ordered {
 		clear(st.active)
@@ -316,16 +336,19 @@ func (m *Medium) Init(s *sim.Simulator, cfg Config, rng *sim.RNG) error {
 		grid.clear()
 	}
 	*m = Medium{
-		cfg:      cfg,
-		sim:      s,
-		rng:      rng,
-		stations: m.stations,
-		ordered:  m.ordered[:0],
-		inflight: m.inflight[:0],
-		freeRec:  m.freeRec,
-		freeTx:   m.freeTx,
-		freeSt:   m.freeSt,
-		bounds:   m.bounds,
+		cfg:         cfg,
+		sim:         s,
+		rng:         rng,
+		stations:    m.stations,
+		ordered:     m.ordered[:0],
+		inflight:    m.inflight[:0],
+		freeRec:     m.freeRec,
+		freeTx:      m.freeTx,
+		freeSt:      m.freeSt,
+		idles:       m.idles + 1,
+		backoffs:    m.backoffs,
+		freeBackoff: append(m.freeBackoff[:0], m.backoffs...),
+		bounds:      m.bounds,
 	}
 	m.senseNear2, m.senseFar2 = rssiGate(
 		cfg.Model.MeanRSSI,
@@ -559,7 +582,7 @@ func (m *Medium) attempt(st *station, f Frame, attempt, cw int) {
 	}
 	if attempt >= m.cfg.MaxAttempts {
 		m.stats.DroppedBusy++
-		m.queued--
+		m.finished()
 		return
 	}
 	m.stats.BackoffEvents++
@@ -568,7 +591,29 @@ func (m *Medium) attempt(st *station, f Frame, attempt, cw int) {
 	if next > m.cfg.MaxCW {
 		next = m.cfg.MaxCW
 	}
-	m.sim.Schedule(backoff, func() { m.attempt(st, f, attempt+1, next) })
+	b := m.newBackoff()
+	b.st, b.f, b.attempt, b.cw = st, f, attempt+1, next
+	m.sim.Schedule(backoff, b.run)
+}
+
+// newBackoff pops a free backoff record or makes one with its run event
+// bound. run frees the record before its carrier-sense round, which may
+// back off again.
+func (m *Medium) newBackoff() *backoff {
+	if n := len(m.freeBackoff); n > 0 {
+		b := m.freeBackoff[n-1]
+		m.freeBackoff = m.freeBackoff[:n-1]
+		return b
+	}
+	b := new(backoff)
+	b.run = func() {
+		st, f, attempt, cw := b.st, b.f, b.attempt, b.cw
+		*b = backoff{run: b.run}
+		m.freeBackoff = append(m.freeBackoff, b)
+		m.attempt(st, f, attempt, cw)
+	}
+	m.backoffs = append(m.backoffs, b)
+	return b
 }
 
 // carrierBusy reports whether station st senses energy on the channel.
@@ -760,7 +805,15 @@ func (m *Medium) finishReceptions(tx *transmission) {
 		m.releaseReception(rec)
 	}
 	m.releaseTransmission(tx)
+	m.finished()
+}
+
+// finished counts one frame Send accepted as finished.
+func (m *Medium) finished() {
 	m.queued--
+	if m.queued == 0 {
+		m.idles++
+	}
 }
 
 // countPoolGet counts one get from a pool with live structs in use after

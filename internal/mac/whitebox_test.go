@@ -127,6 +127,24 @@ func TestCollectPrunesByIndexedPosition(t *testing.T) {
 	}
 }
 
+// collect's prune is strict: an entry whose indexed position lies exactly
+// at the prune radius is dropped, and one a float step inside it is kept.
+func TestCollectPruneBoundaryIsStrict(t *testing.T) {
+	_, m := newTestMedium(t, 1)
+	m.grid = newGridIndex(50)
+	for id, x := range []float64{20, math.Nextafter(20, 0)} {
+		m.Attach(id, &fakeEndpoint{pos: geom.Vec2{X: x}, listening: true})
+	}
+	got := m.grid.collect(geom.Vec2{}, 20*20, m.ordered)
+	if len(got) != 1 || got[0] != m.stations[1] {
+		ids := make([]int, len(got))
+		for i, st := range got {
+			ids[i] = st.id
+		}
+		t.Fatalf("collect at prune radius 20 kept stations %v, want only the one inside it (1)", ids)
+	}
+}
+
 // Expired transmissions linger in the candidate structures until their
 // end-of-frame reap; carrier sensing must skip them in both modes.
 func TestCarrierBusySkipsExpiredTransmissions(t *testing.T) {

@@ -59,7 +59,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, parked(geom.Vec2{}))
 	bad := DefaultConfig(30)
 	bad.MaxHops = 0
-	if _, err := New(s, nic, bad, root.Stream("mrmm"), func() MobilityInfo {
+	if _, err := New(s, nic, bad, root.Stream("mrmm"), NewFrames(med), func() MobilityInfo {
 		return MobilityInfo{}
 	}); err == nil {
 		t.Error("New accepted an invalid config")
@@ -79,7 +79,7 @@ func TestLinkLifetimeTable(t *testing.T) {
 	nic := network.NewNIC(s, med, energy.DefaultParams(), 0, parked(geom.Vec2{}))
 	cfg := DefaultConfig(30)
 	cfg.LinkRangeM = 100
-	p, err := New(s, nic, cfg, root.Stream("mrmm"), func() MobilityInfo {
+	p, err := New(s, nic, cfg, root.Stream("mrmm"), NewFrames(med), func() MobilityInfo {
 		return MobilityInfo{Pos: geom.Vec2{}, Vel: geom.Vec2{}}
 	})
 	if err != nil {

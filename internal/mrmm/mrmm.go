@@ -71,6 +71,20 @@ type Data struct {
 	Payload any
 }
 
+// Frames is the storage MRMM frames on one medium point into: a JOIN
+// QUERY, JOIN REPLY or data packet travels as a pointer into its
+// mac.Arena, and a receiving protocol copies it out. Every protocol on the
+// medium may share one Frames.
+type Frames struct {
+	med     *mac.Medium
+	queries mac.Arena[JoinQuery]
+	replies mac.Arena[JoinReply]
+	data    mac.Arena[Data]
+}
+
+// NewFrames returns empty frame storage for protocols on m.
+func NewFrames(m *mac.Medium) *Frames { return &Frames{med: m} }
+
 // Config holds protocol parameters.
 type Config struct {
 	// MaxHops bounds JOIN QUERY flooding.
@@ -172,6 +186,8 @@ type Protocol struct {
 	nic *network.NIC
 	cfg Config
 	rng *sim.RNG
+	// frames holds the packets p sends while they are on the air.
+	frames *Frames
 
 	mobility func() MobilityInfo
 	onData   DataHandler
@@ -194,12 +210,13 @@ type Protocol struct {
 	stats Stats
 }
 
-// New attaches an MRMM instance to the NIC. mobility supplies this node's
-// own mobility knowledge for control packets.
-func New(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG,
+// New attaches an MRMM instance to the NIC. frames must be storage for
+// the NIC's medium. mobility supplies this node's own mobility knowledge
+// for control packets.
+func New(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG, frames *Frames,
 	mobility func() MobilityInfo) (*Protocol, error) {
 	p := new(Protocol)
-	if err := p.Init(s, nic, cfg, rng, mobility); err != nil {
+	if err := p.Init(s, nic, cfg, rng, frames, mobility); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -212,7 +229,7 @@ func New(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG,
 // allocates nothing. Tasks p scheduled before must be gone with the
 // simulator they were scheduled on (sim.Simulator.Reset). A Protocol must
 // not be copied once initialised.
-func (p *Protocol) Init(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG,
+func (p *Protocol) Init(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim.RNG, frames *Frames,
 	mobility func() MobilityInfo) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -238,6 +255,7 @@ func (p *Protocol) Init(s *sim.Simulator, nic *network.NIC, cfg Config, rng *sim
 		nic:      nic,
 		cfg:      cfg,
 		rng:      rng,
+		frames:   frames,
 		mobility: mobility,
 		queries:  queries,
 		seenData: seenData,
@@ -267,7 +285,8 @@ func (p *Protocol) Stats() Stats { return p.stats }
 // source, starting a mesh-refresh round.
 func (p *Protocol) SendQuery() error {
 	p.seq++
-	q := JoinQuery{Source: p.id, Seq: p.seq, Hops: 0, PrevHop: p.id, Info: p.mobility()}
+	q := p.frames.queries.Next(p.frames.med)
+	*q = JoinQuery{Source: p.id, Seq: p.seq, Hops: 0, PrevHop: p.id, Info: p.mobility()}
 	p.stats.QueriesSent++
 	return p.nic.Send(network.KindJoinQuery, joinQueryBytes, q)
 }
@@ -275,7 +294,8 @@ func (p *Protocol) SendQuery() error {
 // SendData multicasts a payload from this node over the mesh.
 func (p *Protocol) SendData(payload any) error {
 	p.dataSeq++
-	d := Data{Source: p.id, Seq: p.dataSeq, Payload: payload}
+	d := p.frames.data.Next(p.frames.med)
+	*d = Data{Source: p.id, Seq: p.dataSeq, Payload: payload}
 	p.seenData[p.id] = p.dataSeq
 	p.stats.DataSent++
 	return p.nic.Send(network.KindSync, p.cfg.DataBytes, d)
@@ -284,10 +304,11 @@ func (p *Protocol) SendData(payload any) error {
 // onJoinQuery handles a JOIN QUERY copy: records the upstream candidate,
 // rebroadcasts the first copy, and schedules the member's JOIN REPLY.
 func (p *Protocol) onJoinQuery(f mac.Frame, _ float64) {
-	q, ok := f.Payload.(JoinQuery)
-	if !ok || q.Source == p.id {
+	qp, ok := f.Payload.(*JoinQuery)
+	if !ok || qp.Source == p.id {
 		return
 	}
+	q := *qp
 	st := p.queries[q.Source]
 	fresh := st == nil || st.seq < q.Seq
 	if fresh {
@@ -349,7 +370,8 @@ func (p *Protocol) sendReply(source int, st *queryState, seq int) {
 	st.replied = true
 	best := p.chooseUpstream(st.candidates)
 	p.upstream[source] = best.prevHop
-	r := JoinReply{Member: p.id, Source: source, Seq: st.seq, NextHop: best.prevHop}
+	r := p.frames.replies.Next(p.frames.med)
+	*r = JoinReply{Member: p.id, Source: source, Seq: st.seq, NextHop: best.prevHop}
 	if p.nic.Send(network.KindJoinReply, joinReplyBytes, r) == nil {
 		p.stats.RepliesSent++
 	}
@@ -409,10 +431,11 @@ func (p *Protocol) chooseUpstream(cands []candidate) candidate {
 // the node joins the forwarding group and propagates a reply of its own
 // toward the source.
 func (p *Protocol) onJoinReply(f mac.Frame, _ float64) {
-	r, ok := f.Payload.(JoinReply)
-	if !ok || r.NextHop != p.id || r.Source == p.id {
+	rp, ok := f.Payload.(*JoinReply)
+	if !ok || rp.NextHop != p.id || rp.Source == p.id {
 		return
 	}
+	r := *rp
 	if !p.InForwardingGroup() {
 		p.stats.BecameForwarder++
 	}
@@ -429,10 +452,11 @@ func (p *Protocol) onJoinReply(f mac.Frame, _ float64) {
 // onDataFrame handles mesh data: deliver to the member application and
 // rebroadcast if this node is part of the forwarding group.
 func (p *Protocol) onDataFrame(f mac.Frame, rssi float64) {
-	d, ok := f.Payload.(Data)
-	if !ok || d.Source == p.id {
+	dp, ok := f.Payload.(*Data)
+	if !ok || dp.Source == p.id {
 		return
 	}
+	d := *dp
 	if last, seen := p.seenData[d.Source]; seen && last >= d.Seq {
 		return // duplicate
 	}
@@ -493,11 +517,15 @@ func (p *Protocol) newTask(kind taskKind) *task {
 func (p *Protocol) fire(k *task) {
 	switch k.kind {
 	case taskQuery:
-		if p.nic.Send(network.KindJoinQuery, joinQueryBytes, k.query) == nil {
+		q := p.frames.queries.Next(p.frames.med)
+		*q = k.query
+		if p.nic.Send(network.KindJoinQuery, joinQueryBytes, q) == nil {
 			p.stats.QueriesSent++
 		}
 	case taskData:
-		if p.nic.Send(network.KindSync, p.cfg.DataBytes, k.data) == nil {
+		d := p.frames.data.Next(p.frames.med)
+		*d = k.data
+		if p.nic.Send(network.KindSync, p.cfg.DataBytes, d) == nil {
 			p.stats.DataSent++
 		}
 	case taskReply:

@@ -29,13 +29,14 @@ func newMeshBed(t *testing.T, seed int64, positions []geom.Vec2, model radio.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := NewFrames(med)
 	b := &meshBed{sim: s, med: med}
 	for i, pos := range positions {
 		pos := pos
 		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		cfg := DefaultConfig(model.MeanRange())
 		cfg.UsePruning = pruning
-		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), func() MobilityInfo {
+		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), frames, func() MobilityInfo {
 			return MobilityInfo{Pos: pos}
 		})
 		if err != nil {
@@ -110,6 +111,43 @@ func TestSingleHopDelivery(t *testing.T) {
 
 	if len(got) != 1 || got[0].Payload != "sync-1" {
 		t.Fatalf("member got %v", got)
+	}
+}
+
+// Frames travel as pointers into the shared Frames storage, and tasks come
+// from the protocol's pool: once warm, a mesh refresh and a data delivery
+// over a 3-node line (a query flood with a rebroadcast, replies that
+// recruit the relay, a forwarded data packet) allocate nothing.
+func TestWarmRoundTripAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	b := newMeshBed(t, 2, lineTopology(3, 20), shortRangeModel(), true)
+	delivered := 0
+	b.prots[2].OnData(func(Data, float64) { delivered++ })
+	var payload any = "sync"
+	roundTrip := func() {
+		if err := b.prots[0].SendQuery(); err != nil {
+			t.Fatal(err)
+		}
+		b.sim.RunUntil(b.sim.Now() + 0.5)
+		if err := b.prots[0].SendData(payload); err != nil {
+			t.Fatal(err)
+		}
+		b.sim.RunUntil(b.sim.Now() + 0.5)
+	}
+	roundTrip() // warm the maps, the task pool, the frames and the calendar
+	relay := b.prots[1].Stats()
+	if delivered != 1 || relay.RepliesSent == 0 || relay.DataSent == 0 {
+		t.Fatalf("warm-up delivered %d packets, relay replied %d and forwarded %d: want a relayed round trip",
+			delivered, relay.RepliesSent, relay.DataSent)
+	}
+	const runs = 20
+	if n := testing.AllocsPerRun(runs, roundTrip); n != 0 {
+		t.Errorf("warm query, reply and data round trip allocates %.1f objects, want 0", n)
+	}
+	if delivered != runs+2 { // AllocsPerRun makes one extra warm-up call
+		t.Errorf("member got %d packets over %d round trips, want one each", delivered, runs+2)
 	}
 }
 
@@ -196,13 +234,14 @@ func TestMaxHopsBoundsFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := NewFrames(med)
 	var prots []*Protocol
 	for i, pos := range positions {
 		pos := pos
 		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(pos))
 		cfg := DefaultConfig(model.MeanRange())
 		cfg.MaxHops = 2 // queries die after two hops
-		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), func() MobilityInfo {
+		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), frames, func() MobilityInfo {
 			return MobilityInfo{Pos: pos}
 		})
 		if err != nil {
@@ -316,6 +355,7 @@ func TestPruningPrefersStableRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := NewFrames(med)
 	// Diamond: source 0 at x=0; relays 1 (moving fast) and 2 (static)
 	// both at x=20 (different y, both hear 0 and 3); member 3 at x=40.
 	type nodeDef struct {
@@ -333,7 +373,7 @@ func TestPruningPrefersStableRelay(t *testing.T) {
 		def := def
 		nic := network.NewNIC(s, med, energy.DefaultParams(), i, parked(def.pos))
 		cfg := DefaultConfig(model.MeanRange())
-		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), func() MobilityInfo {
+		p, err := New(s, nic, cfg, root.StreamN("mrmm", i), frames, func() MobilityInfo {
 			return MobilityInfo{Pos: def.pos, Vel: def.vel}
 		})
 		if err != nil {

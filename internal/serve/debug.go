@@ -47,16 +47,24 @@ func DebugMux() *http.ServeMux {
 }
 
 // StartDebugServer serves DebugMux on its own listener (never
-// http.DefaultServeMux, which would leak handlers into importers) and
-// returns the actual listen address so ":0" works in tests. The server
-// runs for the remaining process lifetime; there is nothing to shut down
-// cleanly mid-run.
-func StartDebugServer(addr string) (string, error) {
+// http.DefaultServeMux, which would leak handlers into importers). It
+// returns the actual listen address, so ":0" works in tests, and a stop
+// function that closes the listener and every open connection and waits
+// for the serve goroutine to return.
+func StartDebugServer(addr string) (actual string, stop func(), err error) {
 	mux := DebugMux()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("debug server: %w", err)
+		return "", nil, fmt.Errorf("debug server: %w", err)
 	}
-	go func() { _ = http.Serve(ln, mux) }()
-	return ln.Addr().String(), nil
+	srv := &http.Server{Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	return ln.Addr().String(), func() {
+		_ = srv.Close()
+		<-done
+	}, nil
 }

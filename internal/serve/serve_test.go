@@ -806,10 +806,11 @@ func TestTimeoutPolicyClamping(t *testing.T) {
 // The debug mux is part of this package's surface; start it on :0 to
 // cover the listener path alongside a vars probe.
 func TestDebugServerServesVars(t *testing.T) {
-	addr, err := StartDebugServer("127.0.0.1:0")
+	addr, stop, err := StartDebugServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
 	if err != nil {
 		t.Fatal(err)
